@@ -8,13 +8,31 @@
 
     Scope: the integer/float scalar subset with named slots and arrays.
     Programs outside the subset report [o_unsupported] rather than a
-    wrong answer. *)
+    wrong answer.
+
+    Each {!run} first resolves the program — slot names, jump targets
+    and callees to indices — and then executes the resolved form; the
+    outcome is a function of the program and the fuel alone.
+
+    {b Fuel.}  One unit is spent on every call, on every block entry
+    (also when the jump target does not exist) and on every instruction,
+    each before the thing it pays for runs; the run hangs when the fuel
+    reaches zero.  A call nested more than 100 deep also hangs.
+
+    {b Names.}  A call or a jump reaches the first function with that
+    name, or the first block with that label.  Every name that is not a
+    global has one cell per run, shared by all frames; a global is sized
+    and initialized by its last declaration.  Call arguments are
+    evaluated left to right, before the callee runs.
+
+    {b Malformed IR} never raises: a read of a register outside the
+    function's [fn_nregs + 1], a write to one, a jump to a missing label,
+    a call to an unknown builtin and a function without blocks each
+    report [o_unsupported] when execution reaches them. *)
 
 exception Trap
 exception Out_of_fuel
 exception Unsupported of string
-
-type value = VI of int64 | VF of float | VAddr of string * int
 
 type outcome = {
   o_exit : int;              (** low 8 bits of [main]'s return value *)

@@ -1007,6 +1007,254 @@ let mutant_differential =
              | _ -> true
            end))
 
+(* ------------------------------------------------------------------ *)
+(* IR interpreter: golden outcomes, fuel accounting, malformed IR      *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per program: the full outcome at -O0..-O3 with the default
+   fuel, at -O0 and -O2 with fuel 300, and the least fuel with which the
+   -O2 IR completes ("-" when that exceeds 50_000).  An outcome prints as
+   exit code, "t" when trapped, "h" when hung, then "!" and the
+   unsupported feature. *)
+let show_outcome (o : Simcomp.Ir_interp.outcome) =
+  Fmt.str "%d%s%s%s" o.o_exit
+    (if o.o_trapped then "t" else "")
+    (if o.o_hang then "h" else "")
+    (match o.o_unsupported with Some s -> "!" ^ s | None -> "")
+
+let outcome_line src =
+  let compile opt =
+    Simcomp.Compiler.compile_ir Simcomp.Compiler.Gcc
+      { Simcomp.Compiler.default_options with opt_level = opt }
+      src
+  in
+  let run ?fuel opt =
+    match compile opt with
+    | Ok p -> show_outcome (Simcomp.Ir_interp.run ?fuel p)
+    | Error _ -> "E"
+  in
+  let threshold =
+    match compile 2 with
+    | Error _ -> "-"
+    | Ok p ->
+      let finishes fuel = not (Simcomp.Ir_interp.run ~fuel p).o_hang in
+      if not (finishes 50_000) then "-"
+      else begin
+        let lo = ref 1 and hi = ref 50_000 in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if finishes mid then hi := mid else lo := mid + 1
+        done;
+        "@" ^ string_of_int !lo
+      end
+  in
+  String.concat " "
+    (List.map (fun o -> run o) [ 0; 1; 2; 3 ]
+    @ [ run ~fuel:300 0; run ~fuel:300 2; threshold ])
+
+let golden_outcomes =
+  [
+    "6 6 6 6 124h 124h @2582";
+    "4 4 4 4 4 4 @254";
+    "0 0 0 0 0 0 @6";
+    "186 186 186 186 124h 124h @24589";
+    "1 1 1 1 1 1 @38";
+    "124h 124h 124h 124h 124h 124h -";
+    "0 0 0 0 124h 124h @1843";
+    "0 0 0 0 0 0 @98";
+    "124h 124h 124h 124h 124h 124h -";
+    "0 0 0 0 124h 124h @2612";
+    "60 60 60 60 124h 124h -";
+    "7 7 7 7 124h 124h @6020";
+    "2 2 2 2 124h 124h -";
+    "5 5 5 5 124h 124h @2316";
+    "10 10 10 10 124h 124h -";
+    "24 24 24 24 124h 124h @26038";
+    "124h 124h 124h 124h 124h 124h -";
+    "88 88 88 88 124h 124h -";
+    "0 0 0 0 124h 124h @49820";
+    "0 0 0 0 0 0 @76";
+    "35 35 35 35 124h 124h @1921";
+    "0 0 0 0 124h 124h @610";
+    "124h 124h 124h 124h 124h 124h -";
+    "0 0 0 0 0 0 @6";
+    "124h 124h 124h 124h 124h 124h -";
+    "17 17 17 17 124h 124h @3029";
+    "0 0 0 0 124h 124h @693";
+    "0 0 0 0 0 0 @91";
+    "124h 124h 124h 124h 124h 124h -";
+    "240 240 240 240 124h 124h @10067";
+    "255 255 255 255 124h 124h @1223";
+    "248 248 248 248 124h 124h @21057";
+    "0 0 0 0 0 0 @18";
+    "160 160 159 159 124h 124h @14370";
+    "124h 124h 124h 124h 124h 124h -";
+    "15 15 15 15 124h 124h @2893";
+    "254 254 254 254 124h 124h @13363";
+    "8 8 8 8 124h 124h @6699";
+    "0 0 0 0 124h 124h -";
+    "9 9 9 9 124h 124h @1411";
+    "0!builtin memset 0!builtin memset 0!builtin memset 0!builtin memset 0!builtin memset 0!builtin memset @8";
+    "0 0 0 0 0 0 @19";
+    "1 1 1 1 1 1 @10";
+    "0 0 0 0 0 0 @71";
+    "0 0 0 0 0 0 @16";
+    "0 0 0 0 0 0 @21";
+    "0!builtin strcpy 0!builtin strcpy 0!builtin strcpy 0!builtin strcpy 0!builtin strcpy 0!builtin strcpy @21";
+    "0!builtin printf 0!builtin printf 0!builtin printf 0!builtin printf 124h 124h @614";
+    "1 1 1 1 1 1 @177";
+    "87 87 87 87 87 87 @22";
+    "5 5 5 5 5 5 @129";
+    "0!builtin printf 0!builtin printf 0!builtin printf 0!builtin printf 0!builtin printf 0!builtin printf @30";
+    "7 7 7 7 7 7 @12";
+    "0!builtin strcpy 0!builtin strcpy 0!builtin strcpy 0!builtin strcpy 0!builtin strcpy 0!builtin strcpy @11";
+    "1 1 1 1 1 1 @194";
+    "0 0 0 0 124h 124h @23811";
+    "21 21 21 21 124h 124h @1867";
+    "60 60 60 60 124h 124h @6584";
+    "124h 124h 124h 124h 124h 124h -";
+    "247 247 190 190 124h 124h -";
+    "124h 124h 124h 124h 124h 124h -";
+    "124h 124h 124h 124h 124h 124h -";
+    "113 113 25 25 124h 124h @36749";
+    "0 0 0 0 0 0 @6";
+    "0 0 0 0 0 0 @6";
+    "124h 124h 124h 124h 124h 124h -";
+    "0 0 0 0 0 0 @6";
+    "0 0 0 0 124h 124h @13034";
+    "4 4 4 4 124h 124h @18741";
+    "2 2 2 2 124h 124h -";
+    "142 142 142 142 124h 124h @465";
+    "3 3 3 3 124h 124h @1130";
+    "38 38 38 38 124h 124h @7010";
+    "122 122 122 122 124h 124h @10800";
+    "124h 124h 124h 124h 124h 124h -";
+    "2 2 2 2 124h 124h @365";
+    "0 0 0 0 124h 124h -";
+    "1 1 1 1 1 1 @20";
+    "1 1 1 1 124h 124h -";
+    "15 15 15 15 124h 124h -";
+    "84 84 84 84 84 84 @31";
+    "0 0 0 0 124h 124h @4961";
+    "124h 124h 124h 124h 124h 124h -";
+    "4 4 4 4 124h 124h @3137";
+    "36 36 166 166 124h 124h @6167";
+    "124h 124h 124h 124h 124h 124h -";
+    "1 1 1 1 124h 124h @5063";
+    "121 121 121 121 121 121 @31";
+    "0 0 0 0 124h 124h @3011";
+    "133 133 133 133 133 133 @270";
+    "0 0 0 0 0 0 @63";
+    "124h 124h 124h 124h 124h 124h -";
+    "124h 124h 124h 124h 124h 124h -";
+    "117 117 117 117 124h 124h @2283";
+    "0 0 0 0 0 0 @6";
+    "124h 3 2 2 124h 124h -";
+    "244 244 244 244 124h 124h @7861";
+    "124h 124h 124h 124h 124h 124h -";
+    "0 0 0 0 124h 124h @36914";
+    "215 215 215 215 124h 124h -";
+  ]
+
+let golden_programs () =
+  List.init 40 (fun i -> Ast_gen.gen_source (Rng.create (700 + i)))
+  @ Fuzzing.Seeds.corpus ~n:60 (Rng.create 21)
+
+(* Hand-built IR, for shapes Lower never produces. *)
+let block label instrs term = { Simcomp.Ir.b_label = label; b_instrs = instrs; b_term = term }
+
+let func ?(nregs = 0) name blocks =
+  { Simcomp.Ir.fn_name = name; fn_params = []; fn_ret_void = false; fn_blocks = blocks;
+    fn_nregs = nregs }
+
+let prog funcs = { Simcomp.Ir.p_funcs = funcs; p_globals = [] }
+
+let outcome ?fuel p = show_outcome (Simcomp.Ir_interp.run ?fuel p)
+
+let ir_interp_tests =
+  let open Simcomp.Ir in
+  [
+    tc "golden outcomes on generated and seed programs" (fun () ->
+        let lines = List.map outcome_line (golden_programs ()) in
+        check Alcotest.int "programs" (List.length golden_outcomes) (List.length lines);
+        List.iteri
+          (fun i (want, got) -> check Alcotest.string (Fmt.str "program %d" i) want got)
+          (List.combine golden_outcomes lines));
+    tc "fuel pays for every call, block entry and instruction" (fun () ->
+        (* 7 units: main's call and entry block, its call instruction,
+           f's call, entry block and mov, then main's L1 *)
+        let p =
+          prog
+            [
+              func ~nregs:0 "main"
+                [ block 0 [ Icall (Some 0, "f", []) ] (Tjmp 1); block 1 [] (Tret (Some (Reg 0))) ];
+              func ~nregs:0 "f" [ block 0 [ Imov (0, Imm 7L) ] (Tret (Some (Reg 0))) ];
+            ]
+        in
+        check Alcotest.string "fuel 7 hangs" "124h" (outcome ~fuel:7 p);
+        check Alcotest.string "fuel 8 completes" "7" (outcome ~fuel:8 p));
+    tc "a call nested 101 deep hangs" (fun () ->
+        let depth k =
+          lower
+            (Fmt.str
+               "int d(int n) { if (n > 0) return d(n - 1); return 0; }
+                int main(void) { return d(%d); }"
+               k)
+        in
+        (* main is depth 1, d(k) .. d(0) are depths 2 .. k + 2 *)
+        check Alcotest.string "depth 100" "0" (outcome (depth 98));
+        check Alcotest.string "depth 101" "124h" (outcome (depth 99)));
+    tc "a jump to a missing label is unsupported after its block-entry tick" (fun () ->
+        let p = prog [ func "main" [ block 0 [] (Tjmp 42) ] ] in
+        check Alcotest.string "reported" "0!missing block L42" (outcome p);
+        check Alcotest.string "fuel runs out first" "124h" (outcome ~fuel:3 p));
+    tc "an unknown builtin is unsupported" (fun () ->
+        let p =
+          prog [ func "main" [ block 0 [ Icall (Some 0, "frobnicate", [ Imm 1L ]) ] (Tret None) ] ]
+        in
+        check Alcotest.string "reported" "0!builtin frobnicate" (outcome p));
+    tc "reading an out-of-range register is unsupported" (fun () ->
+        let p = prog [ func ~nregs:1 "main" [ block 0 [] (Tret (Some (Reg 2))) ] ] in
+        check Alcotest.string "reported" "0!register out of range" (outcome p));
+    tc "writing an out-of-range register is unsupported, after its operands" (fun () ->
+        let write i = prog [ func ~nregs:1 "main" [ block 0 [ i ] (Tret (Some (Reg 0))) ] ] in
+        check Alcotest.string "reported" "0!destination register out of range"
+          (outcome (write (Imov (2, Imm 1L))));
+        check Alcotest.string "negative" "0!destination register out of range"
+          (outcome (write (Imov (-1, Imm 1L))));
+        check Alcotest.string "the division traps first" "134t"
+          (outcome (write (Ibin (Cparse.Ast.Div, 5, Imm 1L, Imm 0L))));
+        check Alcotest.string "fuel runs out first" "124h"
+          (outcome ~fuel:3 (write (Imov (2, Imm 1L))));
+        check Alcotest.(option (pair int bool)) "observable" None
+          (Simcomp.Ir_interp.observable (write (Imov (2, Imm 1L)))));
+    tc "a function without blocks is unsupported when called" (fun () ->
+        let calls_empty =
+          prog
+            [
+              func "main" [ block 0 [ Icall (None, "empty", []) ] (Tret (Some (Imm 3L))) ];
+              func "empty" [];
+            ]
+        in
+        check Alcotest.string "callee" "0!function empty has no blocks" (outcome calls_empty);
+        check Alcotest.string "main" "0!function main has no blocks" (outcome (prog [ func "main" [] ]));
+        check Alcotest.string "never called" "3"
+          (outcome (prog [ func "main" [ block 0 [] (Tret (Some (Imm 3L))) ]; func "empty" [] ])));
+    tc "calls and jumps reach the first match" (fun () ->
+        let p =
+          prog
+            [
+              func "main"
+                [ block 0 [ Icall (Some 0, "f", []) ] (Tjmp 1);
+                  block 1 [] (Tret (Some (Reg 0)));
+                  block 1 [] (Tret (Some (Imm 99L))) ];
+              func "f" [ block 0 [] (Tret (Some (Imm 1L))) ];
+              func "f" [ block 0 [] (Tret (Some (Imm 2L))) ];
+            ]
+        in
+        check Alcotest.string "first f, first L1" "1" (outcome p));
+  ]
+
 (* The single-lex pipeline entries: compile_tu's returned tree and the
    dedup cache must be indistinguishable from plain compile. *)
 let compile_pipeline_tests =
@@ -1419,4 +1667,5 @@ let () =
       ("backend", backend_tests);
       ("bugs-and-pipeline", bug_tests @ pipeline_props);
       ("differential", differential_tests @ [ mutant_differential ]);
+      ("ir-interp", ir_interp_tests);
     ]
