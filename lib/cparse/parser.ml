@@ -9,21 +9,30 @@ open Ast
 
 exception Error of string * Loc.t
 
+(* [tok] is token [idx] of [toks], materialized once per [advance]: the
+   grammar inspects the current token many times.  [last] is the index
+   of the final [Eof]. *)
 type state = {
-  toks : Lexer.lexeme array;
+  toks : Lexer.tokens;
+  last : int;
   mutable idx : int;
+  mutable tok : Token.t;
   typedefs : (string, unit) Hashtbl.t;
   enum_tags : (string, unit) Hashtbl.t;
 }
 
-let cur st = st.toks.(st.idx).Lexer.tok
-let cur_loc st = st.toks.(st.idx).Lexer.loc
+let cur st = st.tok
+let cur_loc st = Lexer.loc st.toks st.idx
 
 let peek_ahead st n =
   let i = st.idx + n in
-  if i < Array.length st.toks then st.toks.(i).Lexer.tok else Token.Eof
+  if i <= st.last then Lexer.token st.toks i else Token.Eof
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let advance st =
+  if st.idx < st.last then begin
+    st.idx <- st.idx + 1;
+    st.tok <- Lexer.token st.toks st.idx
+  end
 
 let error st msg = raise (Error (msg, cur_loc st))
 
@@ -766,10 +775,17 @@ let parse_global st : global list =
   end
 
 (* Parse from an already-lexed buffer: the compile pipeline tokenizes
-   once and feeds the same array to the parser and to lexical coverage. *)
-let parse_tokens (toks : Lexer.lexeme array) : tu =
+   once and feeds the same stream to the parser and to lexical coverage. *)
+let parse_tokens (toks : Lexer.tokens) : tu =
   let st =
-    { toks; idx = 0; typedefs = Hashtbl.create 16; enum_tags = Hashtbl.create 8 }
+    {
+      toks;
+      last = Lexer.length toks - 1;
+      idx = 0;
+      tok = Lexer.token toks 0;
+      typedefs = Hashtbl.create 16;
+      enum_tags = Hashtbl.create 8;
+    }
   in
   let globals = ref [] in
   while cur st <> Token.Eof do

@@ -13,12 +13,13 @@
 exception Error of string * Loc.t
 (** Raised by {!parse_tu} on syntax errors. *)
 
-val parse_tokens : Lexer.lexeme array -> Ast.tu
-(** Parse an already-lexed translation unit (the buffer must end with an
-    [Eof] lexeme, as {!Lexer.tokenize} guarantees); raises {!Error}.
-    Lets the compile pipeline tokenize once for both parsing and lexical
-    coverage.  The result has fresh unique node ids
-    ({!Ast_ids.renumber}). *)
+val parse_tokens : Lexer.tokens -> Ast.tu
+(** Parse an already-lexed translation unit; raises {!Error}.  Lets the
+    compile pipeline tokenize once for both parsing and lexical
+    coverage.  The parser materializes each token once, when it becomes
+    current ({!Lexer.token}); an error's location is derived from the
+    offending token's offset only when the error is raised.  The result
+    has fresh unique node ids ({!Ast_ids.renumber}). *)
 
 val parse_tu : string -> Ast.tu
 (** Parse a full translation unit; raises {!Error} or {!Lexer.Error}.

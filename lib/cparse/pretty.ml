@@ -104,6 +104,8 @@ let escape_char c =
   | c when Char.code c >= 32 && Char.code c < 127 -> String.make 1 c
   | c -> Fmt.str "\\x%02x" (Char.code c)
 
+(* Inside a string a digit may follow NUL, so NUL takes all three octal
+   digits: "\0" then "1" would read back as "\01". *)
 let escape_string s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter
@@ -111,6 +113,7 @@ let escape_string s =
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\'' -> Buffer.add_char buf '\''
+      | '\000' -> Buffer.add_string buf "\\000"
       | c -> Buffer.add_string buf (escape_char c))
     s;
   Buffer.contents buf

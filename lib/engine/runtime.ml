@@ -1,18 +1,19 @@
 (* Process-level runtime tuning for throughput-oriented binaries.
 
-   The fuzzing hot path is allocation-lean but still minor-heap bound:
-   with the default 256k-word minor heap the 2k-iteration microbench
-   spends ~10 % of wall time in minor collections.  An 8M-word minor
-   heap (64 MiB per domain) recovers that without touching any
-   per-compile accounting — [Gc.minor_words] counts allocation, not
-   collections, so the benchmark's minor-words-per-compile metric is
-   unaffected.
+   The minor heap is held at 256k words (2 MiB per domain, OCaml's
+   64-bit default).  Measured with perfbench on every workload, larger
+   nurseries only cost: at 8M words (64 MiB) the fuzz, replay, campaign
+   and wrong-code workloads all ran slower and peaked 30-60 MB higher in
+   RSS, because a nursery that outgrows the CPU caches turns every
+   allocation into a cache miss.  [Gc.minor_words] counts allocation,
+   not collections, so minor-words-per-compile metrics do not depend on
+   this setting.
 
    This lives in a function the binaries call, not a library side
    effect: linking the engine must never change the GC policy of a
    host program. *)
 
-let minor_heap_words = 8 * 1024 * 1024
+let minor_heap_words = 256 * 1024
 
 let tune () =
   let g = Gc.get () in

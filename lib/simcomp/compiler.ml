@@ -56,18 +56,10 @@ let sanitize_msg (msg : string) : string =
   Buffer.contents buf
 
 (* Front-end lexical coverage: token-kind bigrams (error-handling paths of
-   the lexer are what byte-level fuzzers explore).  Takes the token array
-   the parser already consumed — the source is lexed exactly once per
-   compile. *)
-(* The lexer branches on token *classes*, not identifier content.  The
-   keyword and operator classes hash a constant constructor (resp. its
-   spelling) — both deterministic per constructor, so the hashes are
-   memoized by constant-constructor index instead of recomputed for
-   every token of every compile.  Racing initializations across domains
-   write the same value, so the unsynchronized arrays are benign. *)
-let kw_lex_tags = Array.make 64 (-1)
-let op_lex_tags = Array.make 64 (-1)
-
+   the lexer are what byte-level fuzzers explore).  Walks the kind codes
+   of the token stream the parser already consumed — the source is lexed
+   exactly once per compile.  The lexer branches on token *classes*, not
+   identifier content. *)
 let lex_tag (t : Token.t) =
   match t with
   | Token.Ident _ -> 1
@@ -75,53 +67,36 @@ let lex_tag (t : Token.t) =
   | Token.Float_lit _ -> 4
   | Token.Char_lit _ -> 5
   | Token.Str_lit _ -> 6
-  | Token.Kw k ->
-    let i : int = Obj.magic k in
-    let v = Array.unsafe_get kw_lex_tags i in
-    if v >= 0 then v
-    else begin
-      let v = 8 + (Hashtbl.hash k land 0x1f) in
-      kw_lex_tags.(i) <- v;
-      v
-    end
-  | t ->
-    (* every remaining constructor is constant (operators, punctuation,
-       Eof), so its runtime representation is an immediate index *)
-    let i : int = Obj.magic t in
-    let v = Array.unsafe_get op_lex_tags i in
-    if v >= 0 then v
-    else begin
-      let v = 48 + (Hashtbl.hash (Token.to_string t) land 0x7) in
-      op_lex_tags.(i) <- v;
-      v
-    end
+  | Token.Kw k -> 8 + (Hashtbl.hash k land 0x1f)
+  | t -> 48 + (Hashtbl.hash (Token.to_string t) land 0x7)
 
-let lex_coverage ?limit cov ~salt (toks : Lexer.lexeme array) : unit =
+(* [lex_tag] per kind code: a token's tag depends only on its kind. *)
+let kind_tags =
+  Array.init Lexer.kind_count (fun k -> lex_tag (Lexer.kind_example k))
+
+let lex_coverage ?limit cov ~salt (toks : Lexer.tokens) : unit =
   match cov with
   | None -> ()
   | Some _ ->
     (* a recursive-descent front-end stops lexing at the first parse
        error, so coverage beyond [limit] (the error offset) is never
        reached in reality *)
-    let toks =
+    let n =
       match limit with
-      | None -> toks
+      | None -> Lexer.length toks
       | Some off ->
         let n = ref 0 in
-        Array.iter
-          (fun l ->
-            if l.Lexer.loc.Loc.offset <= off then incr n)
-          toks;
-        Array.sub toks 0 (max 1 !n)
+        while !n < Lexer.length toks && Lexer.offset toks !n <= off do
+          incr n
+        done;
+        max 1 !n
     in
-    if Array.length toks > 1 then begin
-      let prev = ref (lex_tag toks.(0).Lexer.tok) in
-      for i = 1 to Array.length toks - 1 do
-        let t = lex_tag toks.(i).Lexer.tok in
-        cov_event cov ~salt ~site:0x100 ~a:!prev ~b:t;
-        prev := t
-      done
-    end
+    let prev = ref kind_tags.(Lexer.kind toks 0) in
+    for i = 1 to n - 1 do
+      let t = kind_tags.(Lexer.kind toks i) in
+      cov_event cov ~salt ~site:0x100 ~a:!prev ~b:t;
+      prev := t
+    done
 
 (* The lexer's own error-handling path (malformed input). *)
 let lex_error_coverage cov ~salt msg =
@@ -553,7 +528,7 @@ let compile_tu ?cov ?engine ?faults (compiler : compiler) (opts : options)
     try
       let frontend =
         span "compile.frontend" (fun () ->
-            (* tokenize exactly once: the same array feeds the parser and
+            (* tokenize exactly once: the same stream feeds the parser and
                lexical coverage (which, for parse errors, stops at the
                point where a real single-pass front-end would stop) *)
             match Lexer.tokenize src with

@@ -52,7 +52,7 @@ val compile :
     / [.backend]), outcome counters are bumped, and a
     {!Engine.Event.Compile_finished} event carrying the outcome kind and
     the last stage reached is emitted.  The source is lexed exactly once
-    (the parser and lexical coverage share the token array).
+    (the parser and lexical coverage share the token stream).
     When [faults] is given, the watchdog fuel barrier consults its
     [Compile_hang] site before compiling: a fired fault stands in for a
     compile that would stall its worker and is recorded as a [Crashed]

@@ -36,8 +36,8 @@ let typecheck_err src =
 (* ------------------------------------------------------------------ *)
 
 let toks src =
-  Array.to_list (Lexer.tokenize src)
-  |> List.map (fun l -> l.Lexer.tok)
+  let ts = Lexer.tokenize src in
+  List.init (Lexer.length ts) (Lexer.token ts)
   |> List.filter (fun t -> t <> Token.Eof)
 
 let lexer_tests =
@@ -95,7 +95,110 @@ let lexer_tests =
         | exception Lexer.Error _ -> ());
     tc "locations track lines" (fun () ->
         let ls = Lexer.tokenize "a\nb" in
-        check Alcotest.int "line of b" 2 ls.(1).Lexer.loc.Loc.line);
+        check Alcotest.int "line of b" 2 (Lexer.loc ls 1).Loc.line);
+    tc "octal escapes read up to three digits" (fun () ->
+        match toks {|'\101' "\012" '\0' "\0" "\0101"|} with
+        | [ Token.Char_lit 'A'; Token.Str_lit "\n"; Token.Char_lit '\000';
+            Token.Str_lit "\000"; Token.Str_lit "\b1" ] -> ()
+        | ts ->
+          Alcotest.failf "bad escapes: %s"
+            (String.concat " " (List.map Token.to_string ts)));
+    tc "leading 0 makes an integer literal octal" (fun () ->
+        match toks "010 0 0777 00 0x10 10" with
+        | [ Token.Int_lit (8L, _, _); Token.Int_lit (0L, _, _);
+            Token.Int_lit (511L, _, _); Token.Int_lit (0L, _, _);
+            Token.Int_lit (16L, _, _); Token.Int_lit (10L, _, _) ] -> ()
+        | ts ->
+          Alcotest.failf "bad literals: %s"
+            (String.concat " " (List.map Token.to_string ts)));
+    tc "8 and 9 are not octal digits" (fun () ->
+        List.iter
+          (fun src ->
+            match Lexer.tokenize src with
+            | _ -> Alcotest.failf "expected a lex error for %s" src
+            | exception Lexer.Error (msg, _) ->
+              check Alcotest.string "message" ("bad integer literal: " ^ src) msg)
+          [ "08"; "09"; "0128" ]);
+    tc "a float exponent needs digits" (fun () ->
+        check Alcotest.int "valid floats" 5 (List.length (toks "1e5 1. .5 1.e3 2E-2f"));
+        List.iter
+          (fun (src, digits) ->
+            match Lexer.tokenize src with
+            | _ -> Alcotest.failf "expected a lex error for %s" src
+            | exception Lexer.Error (msg, _) ->
+              check Alcotest.string "message" ("bad float literal: " ^ digits) msg)
+          [ ("1e", "1e"); ("1.5e+f", "1.5e+"); ("2.E-", "2.E-") ]);
+    tc "every kind code lexes back from its spelling" (fun () ->
+        for k = 0 to Lexer.kind_count - 1 do
+          let tok = Lexer.kind_example k in
+          let src = if tok = Token.Eof then "" else Token.to_string tok in
+          let ts = Lexer.tokenize src in
+          check Alcotest.int ("kind of " ^ src) k (Lexer.kind ts 0);
+          check Alcotest.bool ("token of " ^ src) true (Lexer.token ts 0 = tok)
+        done);
+    tc "error locations are line:col of the offending byte" (fun () ->
+        match Lexer.tokenize "int x;\n  /* ok */ y @" with
+        | _ -> Alcotest.fail "expected lex error"
+        | exception Lexer.Error (_, loc) ->
+          check Alcotest.string "loc" "2:14" (Loc.to_string loc);
+          check Alcotest.int "offset" 20 loc.Loc.offset);
+  ]
+
+(* A lexed stream is well formed: [tokenize] raises nothing but
+   [Lexer.Error], the stream ends with its only [Eof], offsets strictly
+   increase within the source, every token reads back, and each derived
+   location agrees with a count of the newlines before it. *)
+let lex_stream_ok src =
+  match Lexer.tokenize src with
+  | exception Lexer.Error _ -> true
+  | ts ->
+    let n = Lexer.length ts in
+    let ok = ref (n >= 1) in
+    (* newlines counted up to [seen] *)
+    let line = ref 1 and bol = ref 0 and seen = ref 0 in
+    for i = 0 to n - 1 do
+      let off = Lexer.offset ts i in
+      let is_eof = Lexer.token ts i = Token.Eof in
+      if is_eof <> (i = n - 1) then ok := false;
+      if off < !seen || off > String.length src then ok := false
+      else begin
+        for j = !seen to off - 1 do
+          if src.[j] = '\n' then (incr line; bol := j + 1)
+        done;
+        seen := off + 1;
+        if Lexer.loc ts i <> Loc.make ~line:!line ~col:(off - !bol + 1) ~offset:off
+        then ok := false;
+        if off < String.length src && src.[off] = '\n' then begin
+          incr line;
+          bol := off + 1
+        end
+      end
+    done;
+    !ok
+
+(* A generated program with a few bytes overwritten, then truncated. *)
+let mutated_program =
+  let open QCheck.Gen in
+  let gen =
+    let* seed = small_nat in
+    let src = Ast_gen.gen_source (Rng.create seed) in
+    let n = String.length src in
+    let* edits = list_size (int_range 1 6) (pair (int_bound (n - 1)) char) in
+    let* cut = int_range (n / 2) n in
+    let b = Bytes.of_string src in
+    List.iter (fun (at, c) -> Bytes.set b at c) edits;
+    return (Bytes.sub_string b 0 cut)
+  in
+  QCheck.make ~print:(fun s -> s) gen
+
+let lexer_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"random bytes lex into a well-formed stream"
+         ~count:300 QCheck.string lex_stream_ok);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"mutated programs lex into a well-formed stream"
+         ~count:150 mutated_program lex_stream_ok);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -259,6 +362,13 @@ let roundtrip_tests =
               (Ast.ident "c")
           in
           check Alcotest.string "parens" "(a + b) * c" (Pretty.expr_to_string e));
+      tc "NUL before a digit in a string survives reparse" (fun () ->
+          let e = Ast.mk_expr (Ast.Str_lit "\0001\000") in
+          let printed = Pretty.expr_to_string e in
+          check Alcotest.string "printed" {|"\0001\000"|} printed;
+          match (expr_of printed).Ast.ek with
+          | Ast.Str_lit s -> check Alcotest.string "reparsed" "\0001\000" s
+          | _ -> Alcotest.fail "not a string literal");
       tc "negative literal survives reparse" (fun () ->
           let src = "int main(void) { return (-2147483648L) + 1; }" in
           let tu = parse_ok src in
@@ -493,7 +603,7 @@ let id_rng_tests =
 let () =
   Alcotest.run "cparse"
     [
-      ("lexer", lexer_tests);
+      ("lexer", lexer_tests @ lexer_props);
       ("parser", parser_tests);
       ("pretty", roundtrip_tests);
       ("properties", prop_tests);

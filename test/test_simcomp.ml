@@ -1255,6 +1255,200 @@ let ir_interp_tests =
         check Alcotest.string "first f, first L1" "1" (outcome p));
   ]
 
+(* Front-end golden.  For each input it pins the token count ("E" on a
+   lex error), an MD5 prefix of the coverage map [Compiler.compile ~cov]
+   leaves, and the [Parser.parse] result: an MD5 prefix of the reprinted
+   tree, or the error text with its line:col.  The inputs are generated
+   and seed programs plus deterministic truncations and byte flips of
+   them, so lex and parse errors land all over a file. *)
+let md5_prefix s = String.sub (Digest.to_hex (Digest.string s)) 0 8
+
+let token_count src =
+  match Lexer.tokenize src with
+  | exception Lexer.Error _ -> "E"
+  | toks -> string_of_int (Lexer.length toks)
+
+let frontend_inputs () =
+  let bases =
+    List.init 12 (fun i -> Ast_gen.gen_source (Rng.create (900 + i)))
+    @ Fuzzing.Seeds.corpus ~n:12 (Rng.create 23)
+  in
+  let rng = Rng.create 31 in
+  let punct = "(){}[];,\"'/*\n.0x#\\" in
+  List.concat_map
+    (fun src ->
+      let n = String.length src in
+      let cut () = String.sub src 0 (Rng.int rng (n + 1)) in
+      let flip byte =
+        let b = Bytes.of_string src in
+        let at = Rng.int rng n in
+        Bytes.set b at (byte ());
+        Bytes.to_string b
+      in
+      let cut1 = cut () in
+      let cut2 = cut () in
+      let flip1 = flip (fun () -> Char.chr (Rng.int rng 256)) in
+      let flip2 = flip (fun () -> punct.[Rng.int rng (String.length punct)]) in
+      [ src; cut1; cut2; flip1; flip2 ])
+    bases
+
+let frontend_line src =
+  let parsed =
+    match Parser.parse src with
+    | Ok tu -> "ok:" ^ md5_prefix (Pretty.tu_to_string tu)
+    | Error e -> e
+  in
+  let cov = Simcomp.Coverage.create () in
+  ignore
+    (Simcomp.Compiler.compile ~cov Simcomp.Compiler.Gcc
+       Simcomp.Compiler.default_options src);
+  let map =
+    md5_prefix
+      (String.concat ","
+         (List.map string_of_int
+            (Simcomp.Coverage.total_hits cov :: Simcomp.Coverage.branch_ids cov)))
+  in
+  Fmt.str "%s %s %s" (token_count src) map parsed
+
+let golden_frontend =
+  [
+    "2225 f8779df9 ok:603f56e6";
+    "364 ee6fa023 parse error at 68:16: expected ) but found <eof>";
+    "536 d33447b3 parse error at 90:90: expected ) but found <eof>";
+    "2226 2454972e parse error at 310:1: expected ] but found <eof>";
+    "2226 c3446833 ok:572978b3";
+    "292 676e13c7 ok:13d57c24";
+    "255 36a23144 parse error at 35:103: expected : but found <eof>";
+    "175 3f9d7cb0 parse error at 29:15: expected ; but found <eof>";
+    "292 ac931ccd parse error at 2:8: expected ; but found f_2";
+    "292 ab6fa71b parse error at 41:20: expected ) but found ;";
+    "169 3ee9e068 ok:d304275c";
+    "167 eb55c112 parse error at 29:18: expected ; but found <eof>";
+    "68 fc6c460c parse error at 14:37: expected ) but found <eof>";
+    "E 1d582c99 lex error at 19:1: unexpected character '\\162'";
+    "170 b89dc734 parse error at 20:42: expected ) but found ;";
+    "608 1de3eab8 ok:886e0f67";
+    "151 6aa34e7c parse error at 37:16: expected ; but found <eof>";
+    "342 a7ae63e2 parse error at 70:6: unexpected token <eof> in expression";
+    "E 1d582c99 lex error at 9:2: unexpected character '\\007'";
+    "609 11220924 parse error at 36:11: expected ) but found v_14";
+    "452 d9ee5f54 ok:cd22ee10";
+    "224 d2abea51 parse error at 25:7: expected ; but found <eof>";
+    "387 ac751fba parse error at 59:1: unexpected token <eof> in expression";
+    "453 3c6de561 parse error at 25:25: expected ; but found {";
+    "E 8143694a lex error at 68:12: unexpected character '\\\\'";
+    "963 fc4ebe6a ok:7f10931d";
+    "731 e6179d75 parse error at 98:76: expected : but found <eof>";
+    "931 386afcbe parse error at 122:40: expected ) but found <eof>";
+    "E 1d582c99 lex error at 74:12: unexpected character '\\128'";
+    "962 396b7ba4 parse error at 126:9: expected ; but found (";
+    "1118 490d0ea9 ok:c7e069dc";
+    "1002 27644a70 parse error at 148:4: unexpected token <eof> in expression";
+    "190 2c9d41d0 parse error at 34:3: unexpected token <eof> in expression";
+    "E 1d582c99 lex error at 31:14: unexpected character '\\213'";
+    "1119 15f3c096 parse error at 40:3: unexpected token } in expression";
+    "406 e56acd5d ok:d50e65fe";
+    "190 8964548c parse error at 35:9: expected ; but found <eof>";
+    "1 cfcd2084 ok:d41d8cd9";
+    "407 a274ce46 parse error at 29:27: expected ) but found _6";
+    "407 49a6d7a8 ok:364f5420";
+    "1999 5c688408 ok:e0640ec3";
+    "1141 b297425f parse error at 193:60: expected ) but found <eof>";
+    "614 507e5ad7 parse error at 113:15: unexpected token <eof> in expression";
+    "E 1d582c99 lex error at 267:51: unexpected character '\\198'";
+    "E 49eac4a7 lex error at 66:20: unterminated char literal";
+    "309 cc82fea8 ok:caf556a0";
+    "202 52f4b6cf parse error at 36:14: unexpected token <eof> in expression";
+    "232 875988da parse error at 46:2: unexpected token <eof> in expression";
+    "E 1d582c99 lex error at 13:5: unexpected character '\\201'";
+    "309 0fc5b5e2 parse error at 56:15: expected ; but found )";
+    "1235 5a857e83 ok:1bda18b0";
+    "345 2e4f7577 parse error at 50:5: unexpected token <eof> in expression";
+    "1069 8c8c08cf parse error at 157:23: expected ) but found <eof>";
+    "1236 0052aa75 parse error at 89:5: unexpected token % in expression";
+    "1236 443f7005 parse error at 61:1: expected ; but found 0";
+    "181 76d91e4a ok:24e89b11";
+    "52 9c6b51dc parse error at 18:44: expected { but found <eof>";
+    "77 73f81ea2 parse error at 25:17: expected ; but found <eof>";
+    "E 1d582c99 lex error at 43:1: unexpected character '\\162'";
+    "182 01357396 parse error at 42:3: unexpected token [ in expression";
+    "67 b5dadc8e ok:458d07f1";
+    "35 06f6ee2b parse error at 8:18: unexpected token <eof> in expression";
+    "57 5d876f58 parse error at 13:14: expected ) but found <eof>";
+    "E 1d582c99 lex error at 1:22: unexpected character '\\209'";
+    "E 49eac4a7 lex error at 7:23: unterminated char literal";
+    "65 3a3ba257 ok:1f6b4726";
+    "21 37494497 parse error at 3:13: unexpected token <eof> in expression";
+    "47 0c7c46bc parse error at 13:10: expected ) but found <eof>";
+    "E 1d582c99 lex error at 7:1: unexpected character '\\207'";
+    "66 ee06df27 parse error at 10:3: unexpected token return in expression";
+    "51 730efb10 ok:43c34b23";
+    "42 5255c7ef parse error at 13:13: expected ; but found <eof>";
+    "4 8334db49 parse error at 2:2: expected ; but found <eof>";
+    "52 d5fafb3c parse error at 2:2: expected ; but found (";
+    "E 00e34ee0 lex error at 9:16: newline in string literal";
+    "102 aa23d54c ok:2f2000be";
+    "100 4231604f parse error at 17:19: expected ; but found <eof>";
+    "80 4655af33 parse error at 11:18: unexpected token <eof> in expression";
+    "E 1d582c99 lex error at 8:14: unexpected character '\\031'";
+    "102 573c962e parse error at 17:10: expected ; but found r";
+    "60 61c30fe8 ok:466af885";
+    "45 5b370d7c parse error at 13:5: expected ; but found <eof>";
+    "35 d692941a parse error at 11:2: expected ; but found <eof>";
+    "E 1d582c99 lex error at 7:2: unexpected character '\\018'";
+    "61 6264593f ok:a62a2c67";
+    "81 3d8e6cc1 ok:a905201d";
+    "15 2a484ea3 parse error at 3:11: unexpected token <eof> in expression";
+    "44 4a9c9963 parse error at 12:2: unexpected token <eof> in expression";
+    "81 3d8e6cc1 ok:d2afafef";
+    "E 8143694a lex error at 17:2: unexpected character '\\\\'";
+    "61 8a2efa2d ok:76975ef5";
+    "58 b1a56f33 parse error at 12:9: unexpected token <eof> in expression";
+    "12 1646daf4 parse error at 2:10: unexpected token <eof> in expression";
+    "E 1d582c99 lex error at 8:4: unexpected character '\\147'";
+    "E 00e34ee0 lex error at 9:16: newline in string literal";
+    "93 386d86ba ok:d1c31960";
+    "E 49eac4a7 lex error at 19:12: unterminated string literal";
+    "88 7fa6acec parse error at 20:8: expected ; but found <eof>";
+    "E 1d582c99 lex error at 5:5: unexpected character '\\005'";
+    "91 9803d7b7 parse error at 7:3: unexpected token for in expression";
+    "52 aee50a56 ok:7814ce39";
+    "15 db10c187 parse error at 3:6: expected ; but found <eof>";
+    "27 239291f0 parse error at 4:27: unexpected token <eof> in expression";
+    "52 5f03c13c parse error at 3:12: expected ; but found n";
+    "54 cc99b3ee parse error at 4:7: expected ; but found ]";
+    "50 4eff9d12 ok:f9a8cb68";
+    "32 1e2fe1ac parse error at 8:6: expected ; but found <eof>";
+    "18 afe8db90 parse error at 3:6: unexpected token <eof> in expression";
+    "E 1d582c99 lex error at 4:13: unexpected character '\\247'";
+    "51 84af973a parse error at 4:13: unexpected token [ in expression";
+    "61 1727b2ec ok:57b6a83b";
+    "37 f45f87ce parse error at 11:3: expected while but found <eof>";
+    "56 cc681894 parse error at 16:18: expected ; but found <eof>";
+    "E 1d582c99 lex error at 16:7: unexpected character '\\146'";
+    "63 57f5e805 ok:b7e63821";
+    "80 cca51f5a ok:62a153c8";
+    "11 830e9448 parse error at 1:24: expected ) but found <eof>";
+    "61 90cb3c0e parse error at 9:12: expected ; but found <eof>";
+    "E 1d582c99 lex error at 10:1: unexpected character '\\150'";
+    "81 950ab4df parse error at 5:1: expected ; but found ]";
+    "55 42c5481e ok:62cfde1d";
+    "22 d17479f2 parse error at 5:15: expected ) but found <eof>";
+    "1 cfcd2084 ok:d41d8cd9";
+    "55 3b75ab83 ok:4e76aefe";
+    "55 145b9f63 parse error at 7:1: unexpected token ) in expression";
+    "97 f432298a ok:e1ded051";
+    "42 bd5fcd4a parse error at 7:8: expected ; but found <eof>";
+    "37 3bfb83f4 parse error at 4:4: expected ; but found <eof>";
+    "E 1d582c99 lex error at 4:5: unexpected character '\\019'";
+    "97 f9c9bd1f parse error at 4:11: unexpected token ; in expression";
+    "97 5929467a ok:335e0873";
+    "29 91626daa parse error at 8:3: unexpected token <eof> in expression";
+    "30 72455abb parse error at 8:4: expected ; but found <eof>";
+    "97 2cb17dfc parse error at 23:17: expected ; but found !";
+    "98 451011a1 parse error at 11:3: unexpected token ) in expression";
+  ]
+
 (* The single-lex pipeline entries: compile_tu's returned tree and the
    dedup cache must be indistinguishable from plain compile. *)
 let compile_pipeline_tests =
@@ -1263,6 +1457,11 @@ let compile_pipeline_tests =
     List.init n (fun i -> Ast_gen.gen_source (Rng.create (seed + i)))
   in
   [
+    tc "front-end golden: token counts, parse results, coverage" (fun () ->
+        check
+          Alcotest.(list string)
+          "front-end lines" golden_frontend
+          (List.map frontend_line (frontend_inputs ())));
     tc "compile_tu returns the tree parse would produce" (fun () ->
         List.iter
           (fun src ->
