@@ -47,7 +47,7 @@ if [ -x "$CLI" ]; then
   "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" \
     > /tmp/campaign_ckpt.txt 2> /dev/null
   # lose one completed cell, as a mid-run kill would
-  rm "$CKPT/done-uCFuzz.s-GCC.ckpt"
+  rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
   "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" --resume \
     > /tmp/campaign_resume.txt 2> /dev/null
   if cmp -s /tmp/campaign_ckpt.txt /tmp/campaign_resume.txt; then
@@ -142,7 +142,7 @@ if [ -x "$CLI" ]; then
   "$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --telemetry "$TELA" \
     > /tmp/campaign_ftel.txt 2> /dev/null
-  rm "$CKPT/done-uCFuzz.s-GCC.ckpt"
+  rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
   "$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --resume --telemetry "$TELB" \
     > /tmp/campaign_ftel_resume.txt 2> /dev/null
@@ -345,14 +345,31 @@ fi
 echo "== smoke: coordinator SIGKILL + --resume byte-identity =="
 # Kill the coordinator process mid-campaign; per-lease result journaling
 # must let --resume reproduce the uninterrupted run's stdout exactly.
+# Its workers must not outlive it: each one reads EOF on its socket (or
+# EPIPE on its next send) and exits.
 if [ -x "$CLI" ]; then
   CKPT=$(mktemp -d)
   "$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
     --checkpoint "$CKPT" > /tmp/campaign_crash.txt 2> /dev/null &
   COORD_PID=$!
   sleep 1
+  WORKERS=$(pgrep -P "$COORD_PID" -f 'metamut_cli.exe worker' || true)
   kill -9 "$COORD_PID" 2> /dev/null || true
   wait "$COORD_PID" 2> /dev/null || true
+  if [ -z "$WORKERS" ]; then
+    echo "FAIL: the coordinator had no worker processes to check" >&2
+    exit 1
+  fi
+  sleep 5
+  for W in $WORKERS; do
+    if kill -0 "$W" 2> /dev/null; then
+      echo "FAIL: worker $W outlived its SIGKILLed coordinator by 5 s" >&2
+      ps -o pid=,ppid=,args= -p "$W" >&2 || true
+      kill -9 $WORKERS 2> /dev/null || true
+      exit 1
+    fi
+  done
+  echo "no worker outlived the SIGKILLed coordinator"
   "$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
     --checkpoint "$CKPT" --resume \
     > /tmp/campaign_crash_resume.txt 2> /dev/null
@@ -370,11 +387,9 @@ echo "== smoke: structured log determinism =="
 # The --log body carries no wall clock and renders grouped by scope, so
 # it must be byte-identical across job counts, across shard counts, and
 # under worker-process chaos (in-worker and shard-level fault records are
-# pure functions of the per-lease fault stream).  Never compare a
-# jobs-path log against a shards-path log: the supervision records
-# legitimately differ.
+# pure functions of the per-lease fault stream).
 if [ -x "$CLI" ]; then
-  # in-process faults + checkpointing at :debug so the jobs-path log has
+  # in-process faults + checkpointing at :debug so the --jobs log has
   # real records (fault.injected, retry.backoff, checkpoint.saved) to
   # compare, not two empty files
   CKL1=$(mktemp -d)
@@ -394,7 +409,7 @@ if [ -x "$CLI" ]; then
     exit 1
   fi
   grep -q '"event":"fault.injected"' /tmp/campaign_lg_j1.jsonl || {
-    echo "FAIL: faulted jobs-path log has no fault.injected records" >&2
+    echo "FAIL: faulted --jobs log has no fault.injected records" >&2
     exit 1
   }
   "$CLI" campaign --iterations 10 --shards 1 --log /tmp/campaign_lg_sh1.jsonl \
@@ -406,6 +421,21 @@ if [ -x "$CLI" ]; then
   else
     echo "FAIL: --log body differs between shard counts" >&2
     diff /tmp/campaign_lg_sh1.jsonl /tmp/campaign_lg_sh2.jsonl >&2 || true
+    exit 1
+  fi
+  # --jobs and --shards are backends of one driver: the same clean run
+  # logs the same body on worker domains as on worker processes
+  "$CLI" campaign --iterations 10 --jobs 1 --log /tmp/campaign_lg_cj1.jsonl \
+    > /dev/null 2> /dev/null
+  "$CLI" campaign --iterations 10 --jobs 4 --log /tmp/campaign_lg_cj4.jsonl \
+    > /dev/null 2> /dev/null
+  if cmp -s /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_cj4.jsonl \
+      && cmp -s /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_sh2.jsonl; then
+    echo "log body identical for --jobs 1, --jobs 4 and --shards 2"
+  else
+    echo "FAIL: --log body differs between --jobs and --shards" >&2
+    diff /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_cj4.jsonl >&2 || true
+    diff /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_sh2.jsonl >&2 || true
     exit 1
   fi
   # chaos: worker-OOM kills produce lease.infra / lease.retry /

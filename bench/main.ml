@@ -188,7 +188,10 @@ let campaign =
          max_attempts = 12;
        }
      in
-     Fuzzing.Campaign.run ~cfg ())
+     Fuzzing.Coordinator.to_campaign
+       (Fuzzing.Coordinator.run ~cfg
+          ~shards:(Domain.recommended_domain_count ())
+          ~backend:Engine.Shard.Domains ()))
 
 let fuzzer_label = Fuzzing.Campaign.fuzzer_name
 

@@ -121,8 +121,6 @@ let render_metrics (ctx : Engine.Ctx.t) =
   render_counter_family ctx ~title:"Pipeline counters" ~prefix:"pipeline."
     ~exclude:[ "outcome."; "retry." ] ();
   render_counter_family ctx ~title:"Fault injection" ~prefix:"faults." ();
-  render_counter_family ctx ~title:"Scheduler supervision" ~prefix:"scheduler."
-    ();
   render_counter_family ctx ~title:"Shard supervision" ~prefix:"shard." ();
   render_counter_family ctx ~title:"Checkpointing" ~prefix:"checkpoint." ();
   render_mutator_counters ctx
@@ -727,9 +725,8 @@ let generate_cmd =
 (* campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The RQ1 stdout table: shared by the Domain-parallel and sharded
-   paths, so `campaign` and `campaign --shards K` stay byte-comparable
-   on stdout. *)
+(* The RQ1 stdout table: byte-identical at any --jobs or --shards
+   count. *)
 let print_rq1_table (t : Fuzzing.Campaign.t) =
   let table =
     Report.Table.create ~title:"RQ1 campaign"
@@ -798,8 +795,6 @@ let campaign iterations jobs sample_every schedule faults checkpoint resume
       (* 0 = auto: ten samples across the run *)
       sample_every =
         (if sample_every > 0 then sample_every else max 1 (iterations / 10));
-      jobs =
-        (if jobs > 0 then jobs else Fuzzing.Campaign.default_config.jobs);
       schedule }
   in
   let status = want_status status in
@@ -821,31 +816,8 @@ let campaign iterations jobs sample_every schedule faults checkpoint resume
     | Some e, Some dir -> Some (Engine.Telemetry.attach ~dir e)
     | _ -> None
   in
-  (* the rendered log groups scopes in canonical unit order, so a
-     resumed/faulted run's body matches the clean one *)
-  let scope_order =
-    List.map Fuzzing.Coordinator.unit_name
-      (Fuzzing.Coordinator.units ~opt_levels:opt_matrix ())
-  in
-  let write_log () =
-    match (engine, log_spec) with
-    | Some e, Some (path, _) ->
-      Option.iter
-        (fun lg -> Engine.Log.write ~scope_order ~path lg)
-        e.Engine.Ctx.log
-    | _ -> ()
-  in
-  (* driver-scope summary records: only shard-count-invariant counts *)
-  let log_driver ~level ~event fields =
-    Option.iter
-      (fun e -> Engine.Ctx.log_event e ~scope:"" ~level ~event fields)
-      engine
-  in
-  (* live progress: the Status sink narrates events when cells share the
-     main context (jobs <= 1); the per-cell completion callback covers
-     parallel runs, whose workers emit on private buses.  Both rewrite
-     the same stderr line, serialised by a mutex (ticks arrive from
-     worker domains). *)
+  (* live progress: the status line folds worker heartbeats; the
+     per-unit completion callback names each finished unit *)
   let st =
     match engine with
     | Some e when status -> Some (Engine.Status.attach ~label:"campaign" e)
@@ -853,165 +825,140 @@ let campaign iterations jobs sample_every schedule faults checkpoint resume
   in
   let progress =
     if not status then None
-    else begin
-      let m = Mutex.create () in
+    else
       Some
         (fun ~completed ~total name ->
-          Mutex.lock m;
-          Fmt.epr "\r\027[K[%d/%d] %s done%!" completed total name;
-          Mutex.unlock m)
+          Fmt.epr "\r\027[K[%d/%d] %s done%!" completed total name)
+  in
+  (* one driver, three backends: --shards K deals units to spawned
+     `metamut worker` processes (socket end as the child's stdin),
+     --jobs K to worker domains; a count of 1 runs inline *)
+  let shards, backend =
+    if shards > 0 then begin
+      let exe = Sys.executable_name in
+      (* Spawn workers can't inherit the harness or the governor through
+         fork: they rebuild both from the environment *)
+      Option.iter Engine.Faults.export_to_env faults;
+      Option.iter
+        (fun (l : Engine.Shard.limits) ->
+          if l.alloc_budget_words < infinity then
+            Unix.putenv "METAMUT_SHARD_ALLOC_BUDGET"
+              (Fmt.str "%.0f" l.alloc_budget_words))
+        limits;
+      ( shards,
+        Engine.Shard.Spawn
+          (fun fd ->
+            Unix.create_process exe [| exe; "worker" |] fd Unix.stdout
+              Unix.stderr) )
+    end
+    else
+      ( (if jobs > 0 then jobs else Domain.recommended_domain_count ()),
+        Engine.Shard.Domains )
+  in
+  let t =
+    Fuzzing.Coordinator.run ~cfg ~opt_levels:opt_matrix ?engine ?faults
+      ?checkpoint ~resume ~shards ~backend ?limits ?status:st ?progress
+      ?serve:srv ?flight_dir:telemetry ()
+  in
+  Option.iter Engine.Status.finish st;
+  if status then Fmt.epr "\r\027[K%!";
+  (* bookkeeping goes to stderr so stdout stays byte-comparable between
+     faulted/resumed runs and clean ones *)
+  if t.Fuzzing.Coordinator.resumed_units > 0 then
+    Fmt.epr "resumed %d completed cell(s) from checkpoint@."
+      t.Fuzzing.Coordinator.resumed_units;
+  List.iter
+    (fun (u, msg) ->
+      Fmt.epr "FAILED %s: %s@." (Fuzzing.Coordinator.unit_name u) msg)
+    t.Fuzzing.Coordinator.failures;
+  List.iter
+    (fun (q : Fuzzing.Coordinator.quarantined_unit) ->
+      Fmt.epr "QUARANTINED %s after %d attempt(s): %s@."
+        (Fuzzing.Coordinator.unit_name q.Fuzzing.Coordinator.qu_unit)
+        q.Fuzzing.Coordinator.qu_attempts q.Fuzzing.Coordinator.qu_reason)
+    t.Fuzzing.Coordinator.quarantined;
+  let s = t.Fuzzing.Coordinator.shard_stats in
+  (* driver-scope summary: only shard-count-invariant counts (the
+     crash-restart tally is pooled-path-only, so it stays out) *)
+  if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0
+     || s.Engine.Shard.st_quarantined > 0
+  then
+    Option.iter
+      (fun e ->
+        Engine.Ctx.log_event e ~scope:"" ~level:Engine.Log.Warn
+          ~event:"shard.recovery"
+          [
+            ("died", string_of_int s.Engine.Shard.st_died);
+            ("requeued", string_of_int s.Engine.Shard.st_requeued);
+            ("quarantined", string_of_int s.Engine.Shard.st_quarantined);
+          ])
+      engine;
+  if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0 then
+    Fmt.epr "shard recovery: %d worker death(s), %d lease(s) requeued@."
+      s.Engine.Shard.st_died s.Engine.Shard.st_requeued;
+  if
+    s.Engine.Shard.st_oom > 0
+    || s.Engine.Shard.st_deadline > 0
+    || s.Engine.Shard.st_quarantined > 0
+    || s.Engine.Shard.st_crash_restarts > 0
+  then
+    Fmt.epr
+      "shard governor: %d oom kill(s), %d deadline kill(s), %d \
+       quarantined, %d coordinator restart(s)@."
+      s.Engine.Shard.st_oom s.Engine.Shard.st_deadline
+      s.Engine.Shard.st_quarantined s.Engine.Shard.st_crash_restarts;
+  if opt_matrix = [] then print_rq1_table (Fuzzing.Coordinator.to_campaign t)
+  else begin
+    let table =
+      Report.Table.create ~title:"RQ1 campaign (opt matrix)"
+        ~header:
+          [ "fuzzer"; "compiler"; "-O"; "coverage"; "crashes";
+            "compilable %" ]
+    in
+    List.iter
+      (fun ((u : Fuzzing.Coordinator.unit_id), r) ->
+        Report.Table.add_row table
+          [ Fuzzing.Campaign.fuzzer_name u.Fuzzing.Coordinator.u_fuzzer;
+            Simcomp.Bugdb.compiler_to_string u.Fuzzing.Coordinator.u_compiler;
+            (match u.Fuzzing.Coordinator.u_opt with
+            | Some l -> string_of_int l
+            | None -> "2");
+            string_of_int
+              (Simcomp.Coverage.covered r.Fuzzing.Fuzz_result.coverage);
+            string_of_int (Fuzzing.Fuzz_result.unique_crashes r);
+            Fmt.str "%.1f" (Fuzzing.Fuzz_result.compilable_ratio r) ])
+      t.Fuzzing.Coordinator.results;
+    Report.Table.print table
+  end;
+  (* bisect runs over the default axis only: opt-matrix units would
+     collapse onto the same cell and mix levels *)
+  let attribution =
+    if bisect && opt_matrix = [] then
+      Some (run_bisect ?engine (Fuzzing.Coordinator.to_campaign t))
+    else begin
+      if bisect then
+        Fmt.epr "bisect: skipped (not defined over --opt-matrix units)@.";
+      None
     end
   in
-  if shards = 0 && opt_matrix = [] then begin
-    (* single-process path: the Domain scheduler over the cell matrix.
-       The serve sink folds campaign events off the main bus. *)
-    Option.iter Engine.Serve.attach_sink srv;
-    let t =
-      Fuzzing.Campaign.run ~cfg ?engine ?faults ?checkpoint ~resume ?progress ()
+  Option.iter
+    (fun tl ->
+      Engine.Telemetry.finalize
+        ~report:(Fuzzing.Coordinator.report ?engine ?attribution t)
+        tl)
+    tel;
+  (match (engine, log_spec) with
+  | Some { Engine.Ctx.log = Some lg; _ }, Some (path, _) ->
+    (* the rendered log groups scopes in canonical unit order, so a
+       resumed/faulted run's body matches the clean one *)
+    let scope_order =
+      List.map Fuzzing.Coordinator.unit_name
+        (Fuzzing.Coordinator.units ~opt_levels:opt_matrix ())
     in
-    Option.iter Engine.Status.finish st;
-    if status then Fmt.epr "\r\027[K%!";
-    (* bookkeeping goes to stderr so stdout stays byte-comparable between
-       faulted/resumed runs and clean ones *)
-    if t.Fuzzing.Campaign.resumed_cells > 0 then
-      Fmt.epr "resumed %d completed cell(s) from checkpoint@."
-        t.Fuzzing.Campaign.resumed_cells;
-    List.iter
-      (fun ((f, c), msg) ->
-        let name =
-          Fuzzing.Campaign.fuzzer_name f ^ "-"
-          ^ Simcomp.Bugdb.compiler_to_string c
-        in
-        log_driver ~level:Engine.Log.Error ~event:"campaign.cell_failed"
-          [ ("cell", name); ("error", msg) ];
-        Fmt.epr "FAILED %s: %s@." name msg)
-      t.Fuzzing.Campaign.failures;
-    print_rq1_table t;
-    let attribution =
-      if not bisect then None else Some (run_bisect ?engine t)
-    in
-    Option.iter
-      (fun tl ->
-        Engine.Telemetry.finalize
-          ~report:(Fuzzing.Run_report.campaign ?engine ?attribution t)
-          tl)
-      tel;
-    write_log ();
-    serve_shutdown srv;
-    if metrics then Option.iter render_metrics engine
-  end
-  else begin
-    (* sharded path: deal cells (x -O levels) to worker subprocesses
-       spawned as `metamut worker`, socket end as the child's stdin *)
-    let exe = Sys.executable_name in
-    (* Spawn workers can't inherit the harness or the governor through
-       fork: they rebuild both from the environment *)
-    Option.iter Engine.Faults.export_to_env faults;
-    Option.iter
-      (fun (l : Engine.Shard.limits) ->
-        if l.alloc_budget_words < infinity then
-          Unix.putenv "METAMUT_SHARD_ALLOC_BUDGET"
-            (Fmt.str "%.0f" l.alloc_budget_words))
-      limits;
-    let backend =
-      Engine.Shard.Spawn
-        (fun fd ->
-          Unix.create_process exe [| exe; "worker" |] fd Unix.stdout
-            Unix.stderr)
-    in
-    let t =
-      Fuzzing.Coordinator.run ~cfg ~opt_levels:opt_matrix ?engine ?faults
-        ?checkpoint ~resume ~shards:(max 1 shards) ~backend ?limits
-        ?status:st ?progress ?serve:srv ?flight_dir:telemetry ()
-    in
-    Option.iter Engine.Status.finish st;
-    if status then Fmt.epr "\r\027[K%!";
-    if t.Fuzzing.Coordinator.resumed_units > 0 then
-      Fmt.epr "resumed %d completed cell(s) from checkpoint@."
-        t.Fuzzing.Coordinator.resumed_units;
-    List.iter
-      (fun (u, msg) ->
-        Fmt.epr "FAILED %s: %s@." (Fuzzing.Coordinator.unit_name u) msg)
-      t.Fuzzing.Coordinator.failures;
-    List.iter
-      (fun (q : Fuzzing.Coordinator.quarantined_unit) ->
-        Fmt.epr "QUARANTINED %s after %d attempt(s): %s@."
-          (Fuzzing.Coordinator.unit_name q.Fuzzing.Coordinator.qu_unit)
-          q.Fuzzing.Coordinator.qu_attempts q.Fuzzing.Coordinator.qu_reason)
-      t.Fuzzing.Coordinator.quarantined;
-    let s = t.Fuzzing.Coordinator.shard_stats in
-    (* driver-scope summary: only shard-count-invariant counts (the
-       crash-restart tally is pooled-path-only, so it stays out) *)
-    if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0
-       || s.Engine.Shard.st_quarantined > 0
-    then
-      log_driver ~level:Engine.Log.Warn ~event:"shard.recovery"
-        [
-          ("died", string_of_int s.Engine.Shard.st_died);
-          ("requeued", string_of_int s.Engine.Shard.st_requeued);
-          ("quarantined", string_of_int s.Engine.Shard.st_quarantined);
-        ];
-    if s.Engine.Shard.st_died > 0 || s.Engine.Shard.st_requeued > 0 then
-      Fmt.epr "shard recovery: %d worker death(s), %d lease(s) requeued@."
-        s.Engine.Shard.st_died s.Engine.Shard.st_requeued;
-    if
-      s.Engine.Shard.st_oom > 0
-      || s.Engine.Shard.st_deadline > 0
-      || s.Engine.Shard.st_quarantined > 0
-      || s.Engine.Shard.st_crash_restarts > 0
-    then
-      Fmt.epr
-        "shard governor: %d oom kill(s), %d deadline kill(s), %d \
-         quarantined, %d coordinator restart(s)@."
-        s.Engine.Shard.st_oom s.Engine.Shard.st_deadline
-        s.Engine.Shard.st_quarantined s.Engine.Shard.st_crash_restarts;
-    if opt_matrix = [] then
-      (* same cells, same table: stdout is byte-identical to the
-         single-process campaign *)
-      print_rq1_table (Fuzzing.Coordinator.to_campaign t)
-    else begin
-      let table =
-        Report.Table.create ~title:"RQ1 campaign (opt matrix)"
-          ~header:
-            [ "fuzzer"; "compiler"; "-O"; "coverage"; "crashes";
-              "compilable %" ]
-      in
-      List.iter
-        (fun ((u : Fuzzing.Coordinator.unit_id), r) ->
-          Report.Table.add_row table
-            [ Fuzzing.Campaign.fuzzer_name u.Fuzzing.Coordinator.u_fuzzer;
-              Simcomp.Bugdb.compiler_to_string u.Fuzzing.Coordinator.u_compiler;
-              (match u.Fuzzing.Coordinator.u_opt with
-              | Some l -> string_of_int l
-              | None -> "2");
-              string_of_int
-                (Simcomp.Coverage.covered r.Fuzzing.Fuzz_result.coverage);
-              string_of_int (Fuzzing.Fuzz_result.unique_crashes r);
-              Fmt.str "%.1f" (Fuzzing.Fuzz_result.compilable_ratio r) ])
-        t.Fuzzing.Coordinator.results;
-      Report.Table.print table
-    end;
-    (* bisect runs over the default axis only: opt-matrix units would
-       collapse onto the same cell and mix levels *)
-    let attribution =
-      if bisect && opt_matrix = [] then
-        Some (run_bisect ?engine (Fuzzing.Coordinator.to_campaign t))
-      else begin
-        if bisect then
-          Fmt.epr "bisect: skipped (not defined over --opt-matrix units)@.";
-        None
-      end
-    in
-    Option.iter
-      (fun tl ->
-        Engine.Telemetry.finalize
-          ~report:(Fuzzing.Coordinator.report ?engine ?attribution t)
-          tl)
-      tel;
-    write_log ();
-    serve_shutdown srv;
-    if metrics then Option.iter render_metrics engine
-  end
+    Engine.Log.write ~scope_order ~path lg
+  | _ -> ());
+  serve_shutdown srv;
+  if metrics then Option.iter render_metrics engine
 
 let campaign_cmd =
   let iterations =
@@ -1022,9 +969,10 @@ let campaign_cmd =
       value & opt int 0
       & info [ "j"; "jobs" ]
           ~doc:
-            "Domain workers over the fuzzer x compiler matrix (0 = \
-             recommended domain count).  Results are identical at any job \
-             count.")
+            "Deal campaign cells to $(docv) worker domains in this process \
+             (0 = recommended domain count; 1 = run inline).  Ignored \
+             when $(b,--shards) is given.  Results are identical at any \
+             job count." ~docv:"K")
   in
   let checkpoint =
     Arg.(
@@ -1033,7 +981,7 @@ let campaign_cmd =
       & info [ "checkpoint" ] ~docv:"DIR"
           ~doc:
             "Snapshot each cell's state to $(docv) periodically (atomic \
-             write-temp + rename) and save completed cells, so a killed \
+             write-temp + rename) and journal each completed cell, so a killed \
              campaign can $(b,--resume).")
   in
   let resume =
@@ -1078,9 +1026,10 @@ let campaign_cmd =
           ~doc:
             "Deal campaign cells to $(docv) worker $(i,processes) \
              (spawned $(b,metamut worker), length-prefixed frames over a \
-             Unix socketpair).  0 = off (in-process Domain workers); \
-             results are byte-identical at any shard count, and a dead \
-             or hung worker's lease is requeued."
+             Unix socketpair) instead of $(b,--jobs) domains.  0 = off \
+             (use $(b,--jobs)); results are byte-identical at any shard \
+             or job count, and a dead or hung worker's lease is \
+             requeued."
           ~docv:"K")
   in
   let opt_matrix =
@@ -1090,8 +1039,7 @@ let campaign_cmd =
           ~doc:
             "Cross every cell with these $(b,-O) levels (e.g. \
              $(b,--opt-matrix 0,2,3)), so per-level pass pipelines \
-             become campaign units of their own.  Implies the sharded \
-             coordinator path.")
+             become campaign units of their own.")
   in
   let hang_timeout =
     Arg.(
@@ -1100,7 +1048,7 @@ let campaign_cmd =
       & info [ "hang-timeout" ] ~docv:"SEC"
           ~doc:
             "Kill a sharded worker silent for $(docv) seconds and requeue \
-             its lease (sharded path only).")
+             its lease ($(b,--shards) only).")
   in
   let lease_deadline =
     Arg.(
@@ -1111,7 +1059,7 @@ let campaign_cmd =
             "Per-lease wall-clock budget: a sharded worker holding one \
              lease longer than $(docv) seconds is killed and the lease \
              retried; leases that keep blowing the deadline are \
-             quarantined, not fatal (sharded path only).")
+             quarantined, not fatal ($(b,--shards) only).")
   in
   let alloc_budget =
     Arg.(
@@ -1121,7 +1069,7 @@ let campaign_cmd =
           ~doc:
             "Per-lease allocation budget in millions of words: a worker \
              allocating past it OOM-kills itself (exit 137) and the lease \
-             is retried, then quarantined (sharded path only).")
+             is retried, then quarantined ($(b,--shards) only).")
   in
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run the six-fuzzer RQ1 comparison")

@@ -1,8 +1,8 @@
 (* Structured events and the bus that fans them out to pluggable sinks.
 
    Events are typed (no string parsing on the hot path); sinks decide
-   what to retain: nothing (null), the last N events (memory ring), a
-   line per event (text), or per-kind counters (metrics). *)
+   what to retain: nothing (null), a line per event (text), or per-kind
+   counters (metrics). *)
 
 type stage = Frontend | Lower | Opt | Backend
 
@@ -60,32 +60,6 @@ let to_string = function
 type sink = { sink_name : string; emit : t -> unit }
 
 let null_sink = { sink_name = "null"; emit = (fun _ -> ()) }
-
-type ring = {
-  r_capacity : int;
-  r_buf : t option array;
-  mutable r_seen : int;  (* total events ever emitted *)
-}
-
-let ring_sink ~capacity : ring * sink =
-  if capacity <= 0 then invalid_arg "Event.ring_sink: capacity must be > 0";
-  let r = { r_capacity = capacity; r_buf = Array.make capacity None; r_seen = 0 } in
-  let emit e =
-    r.r_buf.(r.r_seen mod r.r_capacity) <- Some e;
-    r.r_seen <- r.r_seen + 1
-  in
-  (r, { sink_name = "ring"; emit })
-
-let ring_seen (r : ring) = r.r_seen
-let ring_dropped (r : ring) = max 0 (r.r_seen - r.r_capacity)
-
-(* Oldest-to-newest retained events. *)
-let ring_contents (r : ring) : t list =
-  let kept = min r.r_seen r.r_capacity in
-  List.init kept (fun i ->
-      match r.r_buf.((r.r_seen - kept + i) mod r.r_capacity) with
-      | Some e -> e
-      | None -> assert false)
 
 let text_sink ~out = { sink_name = "text"; emit = (fun e -> out (to_string e)) }
 

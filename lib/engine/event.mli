@@ -1,6 +1,6 @@
 (** Structured events and the bus that fans them out to pluggable
-    sinks.  Events are typed; sinks decide retention (drop, ring, text
-    line, per-kind counters). *)
+    sinks.  Events are typed; sinks decide retention (drop, text line,
+    per-kind counters). *)
 
 type stage = Frontend | Lower | Opt | Backend
 (** Compiler pipeline stages as the engine sees them ({!Lower} is IR
@@ -30,21 +30,6 @@ val to_string : t -> string
 type sink = { sink_name : string; emit : t -> unit }
 
 val null_sink : sink
-
-type ring
-(** Fixed-capacity memory ring: keeps the newest [capacity] events. *)
-
-val ring_sink : capacity:int -> ring * sink
-(** @raise Invalid_argument when [capacity <= 0]. *)
-
-val ring_seen : ring -> int
-(** Total events ever emitted into the ring. *)
-
-val ring_dropped : ring -> int
-(** Events evicted by overflow ([seen - capacity], at least 0). *)
-
-val ring_contents : ring -> t list
-(** Retained events, oldest first. *)
 
 val text_sink : out:(string -> unit) -> sink
 (** Line-oriented sink: one rendered line per event. *)

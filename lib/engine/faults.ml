@@ -10,8 +10,8 @@
    first.
 
    The first four sites live inside one process (pipeline, compiler,
-   scheduler, checkpoint); the last four cross the process boundary and
-   are consulted by the shard layer (Engine.Shard): garbled frames,
+   worker domain, checkpoint); the last four cross the process boundary
+   and are consulted by the shard layer (Engine.Shard): garbled frames,
    mid-frame stalls, worker OOM kills, and coordinator crash-restarts.
 
    A harness is single-domain by construction (the per-site counters are

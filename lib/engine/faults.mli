@@ -18,7 +18,7 @@
 type site =
   | Llm_throttle  (** the §4 API throttle/timeout, a.k.a. [System_error] *)
   | Compile_hang  (** pathological mutant stalling the compiler *)
-  | Worker_crash  (** a scheduler domain dying mid-item *)
+  | Worker_crash  (** a worker domain dying before its claimed lease *)
   | Io_failure    (** checkpoint write failing *)
   | Frame_garble  (** worker emits a corrupt frame instead of its Result *)
   | Frame_stall   (** worker stalls mid-frame, holding the connection *)

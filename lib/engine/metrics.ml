@@ -8,8 +8,8 @@
 type counter = { c_name : string; mutable c_count : int }
 
 (* How a gauge joins its per-worker copies at the merge barrier.  A
-   last-writer-wins gauge depends on worker join order (and on
-   supervised_map requeues), so [Last] is only for values where any
+   last-writer-wins gauge depends on worker join order (and on lease
+   requeues), so [Last] is only for values where any
    worker's reading is as good as another's; order-independent campaigns
    want [Max] (high-water marks) or [Sum] (accumulated deltas). *)
 type gauge_policy = Max | Sum | Last

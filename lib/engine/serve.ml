@@ -2,11 +2,11 @@
    campaign's own control flow.
 
    No threads, no event loop of its own: the owner calls [poll] at
-   natural pause points (the coordinator's select rounds, a throttled
-   event sink on the single-process path) and [poll] does a bounded
-   amount of non-blocking work — accept whatever is queued, read
-   whatever has arrived, answer whatever is complete — under the same
-   deadline discipline as [Shard.read_exact].  A stalled or hostile
+   natural pause points (the coordinator's supervision rounds and worker
+   heartbeats) and [poll] does a bounded amount of non-blocking work —
+   accept whatever is queued, read whatever has arrived, answer whatever
+   is complete — under the same deadline discipline as
+   [Shard.read_exact].  A stalled or hostile
    client therefore costs the campaign one failed syscall per poll,
    never a wedge; its connection is dropped when its deadline passes.
 
@@ -15,7 +15,6 @@
    serving cannot change fuzz results. *)
 
 type sample = {
-  sa_iteration : int;
   sa_execs : int;
   sa_covered : int;
   sa_crashes : int;
@@ -38,17 +37,10 @@ type t = {
   mutable series_seen : int;
   shard_tbl : (int, int * int * int) Hashtbl.t;
   mutable quarantined : (string * string) list;  (* newest first *)
-  mutable execs : int;
-  mutable crashes : int;
-  mutable covered : int;
-  mutable iteration : int;
-  mutable plateau : int;
   mutable done_flag : bool;
   mutable requests : int;
   started_ns : int64;
-  mutable last_poll_ns : int64;
   mutable last_shard_sample_ns : int64;
-  mutable sink : Event.sink option;
   prev_sigpipe : Sys.signal_behavior option;
 }
 
@@ -132,17 +124,10 @@ let listen ~addr (ctx : Ctx.t) : (t, string) result =
           series_seen = 0;
           shard_tbl = Hashtbl.create 8;
           quarantined = [];
-          execs = 0;
-          crashes = 0;
-          covered = 0;
-          iteration = 0;
-          plateau = 0;
           done_flag = false;
           requests = 0;
           started_ns = now;
-          last_poll_ns = 0L;
           last_shard_sample_ns = 0L;
-          sink = None;
           prev_sigpipe;
         })
 
@@ -156,17 +141,14 @@ let elapsed_s (t : t) =
   Int64.to_float (Int64.sub (Ctx.now_ns t.ctx) t.started_ns) /. 1e9
 
 let totals (t : t) : int * int * int =
-  if Hashtbl.length t.shard_tbl = 0 then (t.execs, t.covered, t.crashes)
-  else
-    Status.fold_heartbeats
-      (Hashtbl.fold (fun _ beat acc -> beat :: acc) t.shard_tbl [])
+  Status.fold_heartbeats
+    (Hashtbl.fold (fun _ beat acc -> beat :: acc) t.shard_tbl [])
 
 let push_sample (t : t) =
   let execs, covered, crashes = totals t in
   t.series.(t.series_seen mod series_capacity) <-
     Some
       {
-        sa_iteration = t.iteration;
         sa_execs = execs;
         sa_covered = covered;
         sa_crashes = crashes;
@@ -176,11 +158,6 @@ let push_sample (t : t) =
 
 let note_shard (t : t) ~shard ~execs ~covered ~crashes =
   Hashtbl.replace t.shard_tbl shard (execs, covered, crashes);
-  let _, folded_covered, _ = totals t in
-  if folded_covered > t.covered then begin
-    t.covered <- folded_covered;
-    t.plateau <- 0
-  end;
   (* heartbeats arrive ~1/s per shard; one series point per second is
      plenty for a sparkline *)
   let now = Ctx.now_ns t.ctx in
@@ -209,10 +186,9 @@ let status_json (t : t) : string =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Fmt.str
-       "{\"done\": %b, \"elapsed_s\": %.3f, \"iteration\": %d, \"execs\": \
-        %d, \"execs_per_sec\": %.1f, \"covered\": %d, \"crashes\": %d, \
-        \"plateau\": %d,\n"
-       t.done_flag el t.iteration execs rate covered crashes t.plateau);
+       "{\"done\": %b, \"elapsed_s\": %.3f, \"execs\": %d, \
+        \"execs_per_sec\": %.1f, \"covered\": %d, \"crashes\": %d,\n"
+       t.done_flag el execs rate covered crashes);
   let shard_rows =
     Hashtbl.fold (fun id beat acc -> (id, beat) :: acc) t.shard_tbl []
     |> List.sort compare
@@ -249,9 +225,9 @@ let series_json (t : t) : string =
     | Some s ->
       rows :=
         Fmt.str
-          "  {\"elapsed_s\": %.3f, \"iteration\": %d, \"execs\": %d, \
-           \"covered\": %d, \"crashes\": %d}"
-          s.sa_elapsed_s s.sa_iteration s.sa_execs s.sa_covered s.sa_crashes
+          "  {\"elapsed_s\": %.3f, \"execs\": %d, \"covered\": %d, \
+           \"crashes\": %d}"
+          s.sa_elapsed_s s.sa_execs s.sa_covered s.sa_crashes
         :: !rows
   done;
   match !rows with
@@ -399,45 +375,6 @@ let poll (t : t) =
       List.filter (fun c -> step_conn t c ~now = `Keep) t.conns
   end
 
-(* ------------------------------------------------------------------ *)
-(* Event-sink feed (single-process campaigns)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The sink folds the same stream the status line folds, pushes a
-   series point per Coverage_sampled, and polls the socket throttled by
-   the context clock — one comparison per event on the hot path. *)
-let attach_sink (t : t) =
-  match t.sink with
-  | Some _ -> ()
-  | None ->
-    let poll_interval_ns = 50_000_000L in
-    let sink =
-      {
-        Event.sink_name = "serve";
-        emit =
-          (fun e ->
-            (match e with
-            | Event.Compile_finished _ -> t.execs <- t.execs + 1
-            | Event.Crash_found _ -> t.crashes <- t.crashes + 1
-            | Event.Coverage_sampled { iteration; covered } ->
-              t.iteration <- iteration;
-              if covered > t.covered then begin
-                t.covered <- covered;
-                t.plateau <- 0
-              end
-              else t.plateau <- t.plateau + 1;
-              push_sample t
-            | _ -> ());
-            let now = Ctx.now_ns t.ctx in
-            if Int64.sub now t.last_poll_ns >= poll_interval_ns then begin
-              t.last_poll_ns <- now;
-              poll t
-            end);
-      }
-    in
-    t.sink <- Some sink;
-    Event.add_sink t.ctx.Ctx.bus sink
-
 (* Keep answering scrapes for [seconds] after the campaign finished —
    how a CI smoke reads the final registry without racing shutdown. *)
 let linger (t : t) ~seconds =
@@ -449,8 +386,6 @@ let linger (t : t) ~seconds =
   done
 
 let close (t : t) =
-  Option.iter (fun s -> Event.remove_sink t.ctx.Ctx.bus s) t.sink;
-  t.sink <- None;
   List.iter close_conn t.conns;
   t.conns <- [];
   (try Unix.close t.sock with Unix.Unix_error _ -> ());

@@ -26,16 +26,11 @@ val poll : t -> unit
 (** Accept queued connections, read what has arrived, answer complete
     requests.  Non-blocking; bounded by per-connection deadlines. *)
 
-val attach_sink : t -> unit
-(** Install a bus sink that folds execs/crashes/coverage from the event
-    stream (single-process campaigns), pushes a series point per
-    [Coverage_sampled], and polls the socket throttled by the context
-    clock. *)
-
 val note_shard :
   t -> shard:int -> execs:int -> covered:int -> crashes:int -> unit
-(** Feed one shard heartbeat into the [/status.json] table (sharded
-    campaigns, where no events reach the coordinator bus). *)
+(** Feed one worker heartbeat into the [/status.json] table and, at most
+    once a second, a [/series.json] point.  Heartbeats are the only
+    feed: campaign work never emits on the coordinator's bus. *)
 
 val note_quarantine : t -> unit_name:string -> reason:string -> unit
 
@@ -48,7 +43,6 @@ val linger : t -> seconds:float -> unit
     scrape the final registry without racing shutdown). *)
 
 val close : t -> unit
-(** Detach the sink, drop connections, close (and unlink) the socket,
-    restore SIGPIPE. *)
+(** Drop connections, close (and unlink) the socket, restore SIGPIPE. *)
 
 val requests_served : t -> int

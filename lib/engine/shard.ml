@@ -357,7 +357,15 @@ let worker_loop ?faults ?(alloc_budget_words = infinity) (c : conn) ~f =
 (* Coordinator side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type backend = Fork | Spawn of (Unix.file_descr -> int)
+type backend = Fork | Spawn of (Unix.file_descr -> int) | Domains
+
+(* What a Domains-backend worker hands back to the coordinator.  [Retired]
+   is an injected domain death: the domain exits before running the
+   lease it claimed. *)
+type mail =
+  | Beat of { wid : int; execs : int; covered : int; crashes : int }
+  | Finished of { seq : int; attempt : int; outcome : (string, string) result }
+  | Retired of { wid : int; seq : int }
 
 (* Supervision notifications, for the structured log and the flight
    recorder.  Emitted identically by the pooled and inline paths (same
@@ -477,67 +485,255 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
     end
   in
   let finished () = Array.for_all Option.is_some results in
-  (* One inline attempt on the calling process: the sequential
-     degenerate mode, and the last-resort fallback when no worker can
-     be spawned.  Draws the same per-(lease, attempt) fault stream as a
-     worker would and mirrors the death accounting, so the final
-     verdict per lease is identical to the pooled path. *)
-  let run_inline seq =
+  (* Coordinator-side fault draws for one (lease, attempt).  Each site
+     has its own stream, so re-deriving the harness for the draws after
+     [f] yields exactly what one harness held across the attempt would. *)
+  let inj seq ~attempt site =
+    match faults with
+    | Some r -> Faults.fire ?ctx (lease_faults r ~seq ~attempt) site
+    | None -> false
+  in
+  let die seq ~category =
+    stats.st_died <- stats.st_died + 1;
+    bump "shard.worker_died";
+    infra_failure seq ~category
+  in
+  (* The inline and Domains paths split an attempt around [f]: before
+     it, charge the attempt and draw the worker-OOM kill (returning the
+     attempt number when [f] should run); after it, draw the frame
+     faults and commit.  Same draws as a worker process makes and the
+     same death accounting, so every final verdict matches the pooled
+     path. *)
+  let start_attempt seq =
     attempts.(seq) <- attempts.(seq) + 1;
     let attempt = attempts.(seq) - 1 in
-    let fh = Option.map (fun r -> lease_faults r ~seq ~attempt) faults in
-    let inj site =
-      match fh with Some h -> Faults.fire ?ctx h site | None -> false
-    in
-    let die ~category =
-      stats.st_died <- stats.st_died + 1;
-      bump "shard.worker_died";
-      infra_failure seq ~category
-    in
-    if inj Faults.Worker_oom then begin
+    if inj seq ~attempt Faults.Worker_oom then begin
       stats.st_oom <- stats.st_oom + 1;
       bump "shard.oom_killed";
-      die ~category:"worker-oom"
+      die seq ~category:"worker-oom";
+      None
     end
-    else begin
-      let heartbeat ~execs ~covered ~crashes =
-        Option.iter
-          (fun g -> g ~shard:0 ~execs ~covered ~crashes)
-          on_heartbeat
-      in
-      match f ~heartbeat ~seq ~attempt leases.(seq) with
-      | r ->
-        if inj Faults.Frame_garble then begin
-          stats.st_garbled <- stats.st_garbled + 1;
-          bump "shard.garbled";
-          die ~category:"garbled-frame"
-        end
-        else if inj Faults.Frame_stall then begin
-          stats.st_hung <- stats.st_hung + 1;
-          bump "shard.hung";
-          die ~category:"stalled"
-        end
-        else commit seq (Done r)
-      | exception e ->
-        let msg = Printexc.to_string e in
-        if attempts.(seq) >= limits.max_attempts then commit seq (Failed msg)
-        else begin
-          notify seq (Lease_retry { attempt = attempts.(seq) - 1; msg });
-          Queue.add seq queue
-        end
+    else Some attempt
+  in
+  (* [f] raised on a healthy worker: retry until the budget is spent *)
+  let fail_attempt seq msg =
+    if results.(seq) = None then begin
+      if attempts.(seq) >= limits.max_attempts then commit seq (Failed msg)
+      else begin
+        notify seq (Lease_retry { attempt = attempts.(seq) - 1; msg });
+        Queue.add seq queue
+      end
     end
   in
-  if shards <= 1 || n = 0 then begin
+  let finish_attempt seq ~attempt = function
+    | Ok r ->
+      if inj seq ~attempt Faults.Frame_garble then begin
+        stats.st_garbled <- stats.st_garbled + 1;
+        bump "shard.garbled";
+        die seq ~category:"garbled-frame"
+      end
+      else if inj seq ~attempt Faults.Frame_stall then begin
+        stats.st_hung <- stats.st_hung + 1;
+        bump "shard.hung";
+        die seq ~category:"stalled"
+      end
+      else commit seq (Done r)
+    | Error msg -> fail_attempt seq msg
+  in
+  let run_f ~heartbeat seq ~attempt =
+    match f ~heartbeat ~seq ~attempt leases.(seq) with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (* One attempt on the calling process: the sequential degenerate mode
+     and the last-resort fallback when no worker is left.  A heartbeat
+     also ticks, so a scrape server answers while a long lease runs. *)
+  let run_inline seq =
+    match start_attempt seq with
+    | None -> ()
+    | Some attempt ->
+      let heartbeat ~execs ~covered ~crashes =
+        Option.iter (fun g -> g ~shard:0 ~execs ~covered ~crashes) on_heartbeat;
+        tick ()
+      in
+      finish_attempt seq ~attempt (run_f ~heartbeat seq ~attempt)
+  in
+  (* Nothing left to deal to: finish the queue on this process, and fail
+     leases that were neither queued nor committed (lost with their
+     workers). *)
+  let finish_inline () =
     while not (Queue.is_empty queue) do
       tick ();
+      stats.st_inline <- stats.st_inline + 1;
+      bump "shard.inline";
       run_inline (Queue.pop queue)
     done;
-    tick ();
-    ( Array.map
-        (function Some r -> r | None -> Failed "lease never ran") results,
-      stats )
-  end
-  else begin
+    Array.iteri
+      (fun seq r ->
+        if r = None then commit seq (Failed "lease lost: no worker survived"))
+      results
+  in
+  (* [shards] workers in this process: this domain (worker 0) and
+     [shards - 1] spawned domains.  This domain stays the coordinator —
+     it makes every fault draw, commit, callback and journal write,
+     exactly where [run_inline] makes them — and runs leases itself
+     between those duties: an idle domain would still have to join
+     every stop-the-world minor collection, which measured ~20% slower
+     on a two-core box.  Charged (lease, attempt) pairs wait in [ready];
+     spawned workers post results and heartbeats to a mutex-guarded
+     mailbox and poke a self-pipe.  The coordinator drains it on every
+     tick and every heartbeat of its own lease. *)
+  let run_domains () =
+    let k = min shards n in
+    let lock = Mutex.create () in
+    let locked f = Mutex.protect lock f in
+    let wake = Condition.create () in
+    let ready = Queue.create () in
+    let stop = ref false in
+    let mail = Queue.create () in
+    let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock pipe_r;
+    Unix.set_nonblock pipe_w;
+    let post m =
+      locked (fun () -> Queue.add m mail);
+      try ignore (Unix.single_write_substring pipe_w "!" 0 1)
+      with Unix.Unix_error _ -> () (* pipe full: the tick drains anyway *)
+    in
+    (* Worker deaths come off a per-worker stream, drawn without [ctx]
+       (a death is not a function of the lease, so it stays out of the
+       registry and the log); a fired draw retires the worker before it
+       runs the lease it took, and the lease goes back uncharged. *)
+    let death_stream wid =
+      let h = Option.map (fun r -> Faults.derive r ~tag:(1_000 + wid)) faults in
+      fun () ->
+        match h with Some h -> Faults.fire h Faults.Worker_crash | None -> false
+    in
+    let rec take () =
+      match Queue.take_opt ready with
+      | Some job -> Some job
+      | None when !stop -> None
+      | None ->
+        Condition.wait wake lock;
+        take ()
+    in
+    let worker wid () =
+      let dies = death_stream wid in
+      let rec loop () =
+        match locked take with
+        | None -> ()
+        | Some (seq, _) when dies () -> post (Retired { wid; seq })
+        | Some (seq, attempt) ->
+          let heartbeat ~execs ~covered ~crashes =
+            post (Beat { wid; execs; covered; crashes })
+          in
+          let outcome = run_f ~heartbeat seq ~attempt in
+          post (Finished { seq; attempt; outcome });
+          loop ()
+      in
+      loop ()
+    in
+    let alive = Array.make k true in
+    let domains = Array.init (k - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+    stats.st_spawned <- k - 1;
+    let requeue_uncharged seq =
+      attempts.(seq) <- attempts.(seq) - 1;
+      Queue.add seq queue
+    in
+    let retire wid seq =
+      alive.(wid) <- false;
+      bump "shard.worker_crashed";
+      requeue_uncharged seq
+    in
+    let handle = function
+      | Beat { wid; execs; covered; crashes } ->
+        Option.iter
+          (fun g -> g ~shard:wid ~execs ~covered ~crashes)
+          on_heartbeat
+      | Finished { seq; attempt; outcome } ->
+        finish_attempt seq ~attempt outcome
+      | Retired { wid; seq } -> retire wid seq
+    in
+    (* settle the mailbox, then charge every queued lease into [ready] *)
+    let pump () =
+      let batch =
+        locked (fun () ->
+            let l = List.of_seq (Queue.to_seq mail) in
+            Queue.clear mail;
+            l)
+      in
+      List.iter handle batch;
+      while not (Queue.is_empty queue) do
+        let seq = Queue.pop queue in
+        Option.iter
+          (fun attempt ->
+            locked (fun () -> Queue.add (seq, attempt) ready);
+            Condition.broadcast wake)
+          (start_attempt seq)
+      done
+    in
+    let buf = Bytes.create 64 in
+    let wait_for_mail () =
+      match Unix.select [ pipe_r ] [] [] 0.25 with
+      | _ -> (
+        try
+          while Unix.read pipe_r buf 0 64 > 0 do
+            ()
+          done
+        with Unix.Unix_error _ -> ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    in
+    let heartbeat ~execs ~covered ~crashes =
+      Option.iter (fun g -> g ~shard:0 ~execs ~covered ~crashes) on_heartbeat;
+      tick ();
+      pump ()
+    in
+    let dies = death_stream 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        locked (fun () -> stop := true);
+        Condition.broadcast wake;
+        Array.iter (fun d -> try Domain.join d with _ -> ()) domains;
+        Unix.close pipe_r;
+        Unix.close pipe_w)
+      (fun () ->
+        while not (finished ()) && Array.exists Fun.id alive do
+          tick ();
+          pump ();
+          let job =
+            if alive.(0) then locked (fun () -> Queue.take_opt ready) else None
+          in
+          match job with
+          | Some (seq, _) when dies () -> retire 0 seq
+          | Some (seq, attempt) ->
+            finish_attempt seq ~attempt (run_f ~heartbeat seq ~attempt)
+          | None -> wait_for_mail ()
+        done;
+        if not (finished ()) then begin
+          (* every worker died: runnable leases go back uncharged and
+             the queue finishes here *)
+          Queue.iter (fun (seq, _) -> requeue_uncharged seq) ready;
+          Queue.clear ready;
+          finish_inline ()
+        end)
+  in
+  (* The Fork backend's [start]: the child serves leases on [b] after
+     closing every inherited parent end, so a sibling's death is visible
+     as EOF in the coordinator, not masked by the child's copy of its fd. *)
+  let fork_worker ~close b =
+    flush stdout;
+    flush stderr;
+    match Unix.fork () with
+    | 0 ->
+      List.iter (fun fd -> try Unix.close fd with _ -> ()) close;
+      (try
+         worker_loop ?faults ~alloc_budget_words:limits.alloc_budget_words
+           (of_fd b) ~f
+       with _ -> ());
+      Unix._exit 0
+    | pid -> pid
+  in
+  (* Fork/Spawn: K worker processes pull leases over socketpairs. *)
+  let run_processes start =
     let previous_sigpipe =
       (* a worker dying mid-write must surface as EPIPE, not kill us *)
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
@@ -547,28 +743,12 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
     let alive () = List.filter (fun w -> w.w_alive) !workers in
     let parent_fds () = List.map (fun w -> w.w_conn.c_fd) (alive ()) in
     let spawn shard =
-      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let pid =
-        match backend with
-        | Fork -> (
-          flush stdout;
-          flush stderr;
-          match Unix.fork () with
-          | 0 ->
-            (* the child serves leases on [b]; every inherited parent
-               end is closed so a sibling's death is visible as EOF in
-               the coordinator, not masked by our copy of its fd *)
-            List.iter
-              (fun fd -> try Unix.close fd with _ -> ())
-              (a :: parent_fds ());
-            (try
-               worker_loop ?faults
-                 ~alloc_budget_words:limits.alloc_budget_words (of_fd b) ~f
-             with _ -> ());
-            Unix._exit 0
-          | pid -> pid)
-        | Spawn start -> start b
+      (* close-on-exec: a spawned worker must hold only its own end, or a
+         dead coordinator's socket never reads EOF in any worker *)
+      let a, b =
+        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
       in
+      let pid = start ~close:(a :: parent_fds ()) b in
       Unix.close b;
       stats.st_spawned <- stats.st_spawned + 1;
       let w =
@@ -600,17 +780,29 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
       if w.w_alive then begin
         w.w_alive <- false;
         (try Unix.kill w.w_pid Sys.sigkill with _ -> ());
-        let status = reap w in
         (* a worker that was already dead with the OOM status was killed
-           by its resource governor, not by us *)
+           by its resource governor, not by us — even when the hang scan
+           noticed before its EOF did (a stalled frame from a sibling can
+           hold the coordinator in [recv] past the hang timeout) *)
         let category =
-          match (category, status) with
-          | "worker-death", Some (Unix.WEXITED 137) ->
-            stats.st_oom <- stats.st_oom + 1;
-            bump "shard.oom_killed";
-            "worker-oom"
+          match reap w with
+          | Some (Unix.WEXITED 137) -> "worker-oom"
           | _ -> category
         in
+        (match category with
+        | "worker-oom" ->
+          stats.st_oom <- stats.st_oom + 1;
+          bump "shard.oom_killed"
+        | "garbled-frame" ->
+          stats.st_garbled <- stats.st_garbled + 1;
+          bump "shard.garbled"
+        | "stalled" ->
+          stats.st_hung <- stats.st_hung + 1;
+          bump "shard.hung"
+        | "deadline" ->
+          stats.st_deadline <- stats.st_deadline + 1;
+          bump "shard.deadline_killed"
+        | _ -> ());
         stats.st_died <- stats.st_died + 1;
         bump "shard.worker_died";
         match w.w_lease with
@@ -663,29 +855,16 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
       | Ok (Failed { seq; msg }) ->
         w.w_last_active <- Unix.gettimeofday ();
         w.w_lease <- None;
-        if results.(seq) = None then begin
-          if attempts.(seq) >= limits.max_attempts then
-            commit seq (Failed msg)
-          else begin
-            (* a healthy worker retries elsewhere *)
-            notify seq (Lease_retry { attempt = attempts.(seq) - 1; msg });
-            Queue.add seq queue
-          end
-        end
+        (* a healthy worker: the lease retries elsewhere *)
+        fail_attempt seq msg
       | Ok (Plain (Heartbeat { execs; covered; crashes })) ->
         w.w_last_active <- Unix.gettimeofday ();
         Option.iter
           (fun g -> g ~shard:w.w_shard ~execs ~covered ~crashes)
           on_heartbeat
-      | Ok (Plain (Lease _)) | Ok (Plain Shutdown) ->
-        stats.st_garbled <- stats.st_garbled + 1;
-        bump "shard.garbled";
+      | Ok (Plain (Lease _)) | Ok (Plain Shutdown) | Error (Garbled _) ->
         kill_worker w ~category:"garbled-frame"
       | Error Closed -> kill_worker w
-      | Error (Garbled _) ->
-        stats.st_garbled <- stats.st_garbled + 1;
-        bump "shard.garbled";
-        kill_worker w ~category:"garbled-frame"
       | Error Timeout -> () (* partial frame in flight; hang scan decides *)
     in
     let spawn_budget = ref (shards * limits.max_attempts) in
@@ -744,22 +923,8 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
           if live = [] then begin
             if not (finished ()) then begin
               maybe_spawn ();
-              if alive () = [] then begin
-                (* nothing spawnable: finish the queue on this process *)
-                while not (Queue.is_empty queue) do
-                  tick ();
-                  stats.st_inline <- stats.st_inline + 1;
-                  bump "shard.inline";
-                  run_inline (Queue.pop queue)
-                done;
-                (* leases neither queued nor committed were lost with
-                   their workers; fail them explicitly *)
-                Array.iteri
-                  (fun seq r ->
-                    if r = None then
-                      commit seq (Failed "lease lost: no worker survived"))
-                  results
-              end
+              (* nothing spawnable: finish the queue on this process *)
+              if alive () = [] then finish_inline ()
             end
           end
           else begin
@@ -781,23 +946,27 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
             List.iter
               (fun w ->
                 if w.w_alive && w.w_lease <> None then begin
-                  if now -. w.w_last_active > limits.hang_timeout_s then begin
-                    stats.st_hung <- stats.st_hung + 1;
-                    bump "shard.hung";
+                  if now -. w.w_last_active > limits.hang_timeout_s then
                     kill_worker w ~category:"stalled"
-                  end
-                  else if now -. w.w_granted > limits.lease_deadline_s
-                  then begin
-                    stats.st_deadline <- stats.st_deadline + 1;
-                    bump "shard.deadline_killed";
+                  else if now -. w.w_granted > limits.lease_deadline_s then
                     kill_worker w ~category:"deadline"
-                  end
                 end)
               (alive ());
             if not (Queue.is_empty queue) then maybe_spawn ()
           end
-        done);
-    ( Array.map
-        (function Some r -> r | None -> Failed "lease never ran") results,
-      stats )
-  end
+        done)
+  in
+  (if shards <= 1 || n = 0 then begin
+     while not (Queue.is_empty queue) do
+       tick ();
+       run_inline (Queue.pop queue)
+     done;
+     tick ()
+   end
+   else
+     match backend with
+     | Domains -> run_domains ()
+     | Fork -> run_processes fork_worker
+     | Spawn start -> run_processes (fun ~close:_ b -> start b));
+  ( Array.map (function Some r -> r | None -> Failed "lease never ran") results,
+    stats )

@@ -1,25 +1,26 @@
-(** Multi-process sharding: a length-prefixed binary frame protocol over
-    Unix sockets, and a fork/spawn worker pool that deals leases from a
-    shared work queue.
+(** The campaign worker pool: a queue of opaque lease bodies dealt to
+    worker processes (over a length-prefixed binary frame protocol on
+    Unix sockets) or worker domains, with one supervision model for
+    both.
 
-    The coordinator owns a queue of opaque lease bodies.  Idle workers
-    {i pull}: each sends {!Request} and is granted the next {!Lease}
-    (work-stealing — a straggler never serializes the tail, it just
-    claims fewer leases).  A worker that dies, hangs past the timeout,
-    garbles a frame, blows its allocation budget, or outlives its lease
-    deadline is killed and its uncommitted lease is requeued with an
-    incremented attempt counter; a lease that exhausts its attempts (or
-    trips the circuit breaker by deterministically killing workers) is
-    {!Quarantined} — recorded, skipped, campaign continues.  If no
-    worker can be respawned the remaining leases run on the calling
-    process, so every lease reaches a verdict even if every worker dies
-    — the process-level mirror of {!Scheduler.supervised_map}.
+    The coordinator owns the queue.  Idle workers {i pull} the next
+    lease (work-stealing — a straggler never serializes the tail, it
+    just claims fewer leases).  A worker process that dies, hangs past
+    the timeout, garbles a frame, blows its allocation budget, or
+    outlives its lease deadline is killed and its uncommitted lease is
+    requeued with an incremented attempt counter; a lease that exhausts
+    its attempts (or trips the circuit breaker by deterministically
+    killing workers) is {!Quarantined} — recorded, skipped, campaign
+    continues.  If no worker is left the remaining leases run on the
+    calling process, so every lease reaches a verdict even if every
+    worker dies.
 
     Chaos crosses the process boundary here: with a {!Faults} harness,
     the shard-layer sites ([frame_garble], [frame_stall], [worker_oom],
     [coordinator_crash]) are drawn from a child stream derived per
-    (lease, attempt), identically on workers and on the inline path —
-    so verdicts stay shard-count-invariant even under injected chaos.
+    (lease, attempt), identically on workers, on worker domains and on
+    the inline path — so verdicts stay shard-count-invariant even under
+    injected chaos.
 
     Framing is versioned: a peer speaking another protocol revision (or
     writing garbage) is detected by the magic check on the next frame
@@ -159,6 +160,21 @@ type backend =
           with the socket as stdin) and return the pid.  The spawned
           process arms its own faults/budget, typically from the
           environment ({!Faults.export_to_env}/{!Faults.from_env}). *)
+  | Domains
+      (** [shards] workers in this process: the calling domain and
+          [shards - 1] spawned domains.  The calling domain stays the
+          coordinator: it makes every fault draw, commit, callback and
+          journal write exactly as the inline path does, and runs
+          leases itself in between, so verdicts and {!pool_event}s
+          equal the inline path's.  A domain cannot be killed, so the
+          hang timeout, lease deadline and allocation budget do not
+          apply, and {!in_worker} stays false.  With [faults], each
+          worker draws {!Faults.Worker_crash} from its own stream (tag
+          [1000 + id], id 0 for the calling domain) before running a
+          lease; a fired draw retires the worker and requeues the lease
+          without charging an attempt (counted as
+          [shard.worker_crashed]).  [f] must be safe to run on several
+          domains at once. *)
 
 type pool_event =
   | Lease_infra of { category : string; attempt : int; requeued : bool }
@@ -206,10 +222,11 @@ val run_pool :
     string) ->
   string array ->
   verdict array * stats
-(** Deal the lease bodies to [shards] worker processes and collect the
-    verdicts in input order.  [shards <= 1] runs every lease on the
-    calling process — the degenerate mode sharded runs are compared
-    against for determinism, including under injected chaos.
+(** Deal the lease bodies to [shards] workers of [backend] (default
+    {!Fork}) and collect the verdicts in input order.  [shards <= 1]
+    runs every lease on the calling process — the degenerate mode
+    pooled runs are compared against for determinism, including under
+    injected chaos.
 
     Failure handling: a worker that EOFs, garbles a frame, goes silent
     for [limits.hang_timeout_s] while holding a lease, exceeds
@@ -235,12 +252,14 @@ val run_pool :
     [shard.garbled], [shard.hung], [shard.oom_killed],
     [shard.deadline_killed], [shard.quarantined],
     [shard.breaker_tripped], [shard.crash_restart], [shard.inline],
-    [shard.respawned] {i only when the event occurs} — a healthy pool
-    is metrics-silent, so merged registries stay shard-count-invariant.
+    [shard.respawned], [shard.worker_crashed] {i only when the event
+    occurs} — a healthy pool is metrics-silent, so merged registries
+    stay shard-count-invariant.
 
     [on_heartbeat] observes worker progress (for an aggregated status
     line); [on_result] fires as each lease commits; [on_event] receives
     every {!pool_event}; [on_tick] fires once per supervision round
     (at most every select timeout — where a live scrape server polls
-    its socket).  All are called on the coordinator, never
+    its socket) and, on the inline and {!Domains} paths, after every
+    heartbeat.  All are called on the coordinator, never
     concurrently. *)

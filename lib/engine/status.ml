@@ -38,8 +38,7 @@ let counter_value (ctx : Ctx.t) name =
    number: transient failures the run absorbed rather than died from. *)
 let recoveries (ctx : Ctx.t) =
   counter_value ctx "pipeline.retry.recovered"
-  + counter_value ctx "scheduler.retried"
-  + counter_value ctx "scheduler.requeued"
+  + counter_value ctx "shard.requeued"
 
 let line (t : t) : string =
   let elapsed_s =

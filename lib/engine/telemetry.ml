@@ -63,7 +63,6 @@ let prom_help name =
     "deterministic fault injections fired at this site"
   else if pre "checkpoint." then "checkpoint store operation tally"
   else if pre "pipeline." then "MetaMut pipeline progress tally"
-  else if pre "scheduler." then "supervised scheduler tally"
   else if pre "telemetry." then "telemetry exporter bookkeeping (wall clock)"
   else if pre "bisect." then "culprit-pass bisection tally"
   else "metamut engine metric"

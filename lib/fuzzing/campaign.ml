@@ -1,7 +1,7 @@
-(* The RQ1 experiment driver: run all six fuzzers against both simulated
-   compilers under an identical iteration budget and collect the
-   coverage / crash / compilable-mutant statistics behind Figures 7-9 and
-   Tables 4-5. *)
+(* The RQ1 experiment: six fuzzers against both simulated compilers
+   under an identical iteration budget, one (fuzzer, compiler) cell at a
+   time, and the coverage / crash / compilable-mutant statistics behind
+   Figures 7-9 and Tables 4-5.  Coordinator.run drives the matrix. *)
 
 open Cparse
 
@@ -25,8 +25,8 @@ let all_fuzzers = [ MuCFuzz_s; MuCFuzz_u; AFLpp; GrayC; Csmith; YARPGen ]
 
 (* Stable per-fuzzer/per-compiler RNG-derivation tags.  Hashtbl.hash is
    not a cross-version (or cross-domain-layout) determinism guarantee;
-   these are, and worker-parallel runs must reproduce the sequential
-   streams exactly. *)
+   these are, and parallel runs must reproduce the sequential streams
+   exactly. *)
 let fuzzer_tag = function
   | MuCFuzz_s -> 1
   | MuCFuzz_u -> 2
@@ -43,7 +43,7 @@ type config = {
   sample_every : int;
   seed_value : int;       (* RNG seed for determinism *)
   max_attempts : int;     (* μCFuzz per-iteration mutator budget *)
-  jobs : int;             (* Domain.spawn workers over the matrix *)
+  jobs : int;             (* unread; the driver takes its worker count *)
   schedule : bool;        (* μCFuzz corpus scheduling (AFL-style) *)
 }
 
@@ -60,7 +60,7 @@ let default_config =
 
 (* Per-cell fault-harness derivation tag: distinct per (fuzzer, compiler)
    and independent of the cell's position in the work list, so a faulted
-   campaign is identical at any job count and any fuzzer subset. *)
+   campaign is identical at any worker count and any fuzzer subset. *)
 let cell_tag fuzzer compiler = (10 * fuzzer_tag fuzzer) + compiler_tag compiler
 
 let run_one ?engine ?faults ?checkpoint ?resume ?options (cfg : config)
@@ -126,217 +126,10 @@ type t = {
   config : config;
   results : (cell * Fuzz_result.t) list;
   failures : (cell * string) list;
-  resumed_cells : int;
 }
 
-(* Checkpointing is per cell: each (fuzzer, compiler) pair snapshots its
-   own μCFuzz state under a stable file name, and a completed cell's
-   final result is saved as a second file so resume can skip it
-   entirely.  The fingerprint covers every parameter the snapshot is
-   only valid for; [jobs] is deliberately excluded (resuming at a
-   different job count is fine — results are job-count-invariant). *)
 let cell_name (fuzzer, compiler) =
   Fmt.str "%s-%s" (fuzzer_name fuzzer) (Simcomp.Bugdb.compiler_to_string compiler)
-
-let cell_ckpt_file dir cell =
-  Filename.concat dir ("cell-" ^ cell_name cell ^ ".ckpt")
-
-let cell_done_file dir cell =
-  Filename.concat dir ("done-" ^ cell_name cell ^ ".ckpt")
-
-let cell_fingerprint (cfg : config) ?faults cell =
-  Fmt.str "campaign|%s|it=%d|seeds=%d|every=%d|seed=%d|ma=%d|sched=%b|%s"
-    (cell_name cell) cfg.iterations cfg.seeds cfg.sample_every cfg.seed_value
-    cfg.max_attempts cfg.schedule
-    (match faults with
-    | None -> "faults=off"
-    | Some f -> "faults=" ^ Engine.Faults.fingerprint f)
-
-(* Fan the fuzzer × compiler matrix out over Domain workers.  Each cell
-   derives its own RNG stream, fault stream, coverage map, and (in
-   parallel mode) its own Engine context, so the per-cell computation is
-   identical at any job count; the join barrier merges worker registries
-   into [engine] in deterministic cell order.  Parallel cells run under
-   {!Engine.Scheduler.supervised_map}: a cell that keeps failing becomes
-   its own [failures] entry instead of destroying sibling results. *)
-let run ?(cfg = default_config)
-    ?(fuzzers = all_fuzzers)
-    ?(compilers = Simcomp.Compiler.[ Gcc; Clang ]) ?engine ?faults
-    ?checkpoint ?(resume = false) ?progress () : t =
-  let cells =
-    List.concat_map
-      (fun fuzzer -> List.map (fun compiler -> (fuzzer, compiler)) compilers)
-      fuzzers
-  in
-  Option.iter Engine.Checkpoint.mkdir_p checkpoint;
-  let fingerprint cell = cell_fingerprint cfg ?faults cell in
-  (* the mid-run snapshot cadence: frequent enough that a killed
-     campaign loses little, coarse enough that Marshal cost stays noise *)
-  let ckpt_every = max 1 (cfg.sample_every * 5) in
-  let compute ?ctx cell =
-    let fuzzer, compiler = cell in
-    let checkpoint =
-      Option.map (fun dir -> (cell_ckpt_file dir cell, ckpt_every)) checkpoint
-    in
-    let resume =
-      match checkpoint with
-      | Some (path, _) when resume -> Some path
-      | _ -> None
-    in
-    run_one ?engine:ctx ?faults ?checkpoint ?resume cfg fuzzer compiler
-  in
-  (* a finished cell is written as done-<cell>.ckpt: on resume those
-     cells are restored outright and never recomputed *)
-  let save_done ?ctx cell r =
-    Option.iter
-      (fun dir ->
-        ignore
-          (Engine.Checkpoint.save ?ctx ~path:(cell_done_file dir cell)
-             ~fingerprint:(fingerprint cell) r))
-      checkpoint
-  in
-  (* completion ticks for the live status line: invoked from whichever
-     domain finished the cell (callers synchronise if jobs > 1) *)
-  let completed_cells = Atomic.make 0 in
-  let tick cell =
-    match progress with
-    | None -> ()
-    | Some f ->
-      let completed = 1 + Atomic.fetch_and_add completed_cells 1 in
-      f ~completed ~total:(List.length cells) (cell_name cell)
-  in
-  (* Chrome-trace thread identity: the stable cell tag, not the (work-
-     stealing, nondeterministic) worker domain id.  Sequential campaigns
-     re-tag the one shared buffer per cell; parallel workers trace into
-     their own buffer under the cell tag and the join barrier merges in
-     canonical cell order. *)
-  let main_trace =
-    Option.bind engine (fun (e : Engine.Ctx.t) -> e.Engine.Ctx.trace)
-  in
-  let main_probe =
-    Option.bind engine (fun (e : Engine.Ctx.t) -> e.Engine.Ctx.probe)
-  in
-  let main_log =
-    Option.bind engine (fun (e : Engine.Ctx.t) -> e.Engine.Ctx.log)
-  in
-  let restored, todo =
-    match checkpoint with
-    | Some dir when resume ->
-      List.partition_map
-        (fun cell ->
-          match
-            Engine.Checkpoint.load ~path:(cell_done_file dir cell)
-              ~fingerprint:(fingerprint cell)
-          with
-          | Ok (r : Fuzz_result.t) -> Left (cell, r)
-          | Error _ -> Right cell)
-        cells
-    | _ -> ([], cells)
-  in
-  let computed =
-    if cfg.jobs <= 1 then begin
-      let out =
-        List.map
-          (fun cell ->
-            (match main_trace with
-            | Some tr ->
-              let f, c = cell in
-              let tid = cell_tag f c in
-              Engine.Trace.set_tid tr tid;
-              Engine.Trace.label_tid tr ~tid ~label:(cell_name cell)
-            | None -> ());
-            (* log records carry a scope, not a wall clock: the renderer
-               groups by scope, so jobs:1 and jobs:K render identically *)
-            Option.iter
-              (fun lg -> Engine.Log.set_scope lg (cell_name cell))
-              main_log;
-            match compute ?ctx:engine cell with
-            | r ->
-              save_done ?ctx:engine cell r;
-              tick cell;
-              (cell, Ok r)
-            | exception e -> (cell, Error (Printexc.to_string e)))
-          todo
-      in
-      (* spans recorded after the campaign belong to the driver again *)
-      Option.iter (fun tr -> Engine.Trace.set_tid tr 0) main_trace;
-      Option.iter (fun lg -> Engine.Log.set_scope lg "") main_log;
-      out
-    end
-    else begin
-      let worker cell =
-        let ctx = Engine.Ctx.create () in
-        let f, c = cell in
-        if Option.is_some main_trace then
-          ignore (Engine.Ctx.enable_trace ~tid:(cell_tag f c) ctx);
-        if Option.is_some main_probe then ignore (Engine.Ctx.enable_probe ctx);
-        Option.iter
-          (fun lg ->
-            ignore (Engine.Ctx.enable_log ~level:(Engine.Log.level lg) ctx))
-          main_log;
-        let r = compute ~ctx cell in
-        (* flush the partial GC batch so the merge sees this cell's tail *)
-        Option.iter Engine.Probe.sample ctx.Engine.Ctx.probe;
-        save_done ~ctx cell r;
-        tick cell;
-        (ctx, r)
-      in
-      let out =
-        Engine.Scheduler.supervised_map ~jobs:cfg.jobs ?faults ?ctx:engine
-          worker todo
-      in
-      (* join barrier: merge worker registries (and trace buffers, each
-         retagged under its cell tid) into the main context in
-         deterministic cell order *)
-      (match engine with
-      | None -> ()
-      | Some main ->
-        List.iter2
-          (fun cell -> function
-            | Ok (ctx, _) ->
-              Engine.Metrics.merge ~into:main.Engine.Ctx.metrics
-                ctx.Engine.Ctx.metrics;
-              (match (main_trace, ctx.Engine.Ctx.trace) with
-              | Some into, Some src ->
-                let f, c = cell in
-                let tid = cell_tag f c in
-                Engine.Trace.label_tid into ~tid ~label:(cell_name cell);
-                Engine.Trace.merge ~into ~tid src
-              | _ -> ());
-              (match (main_log, ctx.Engine.Ctx.log) with
-              | Some into, Some src ->
-                Engine.Log.merge ~into ~scope:(cell_name cell) src
-              | _ -> ())
-            | Error _ -> ())
-          todo out);
-      List.map2
-        (fun cell -> function
-          | Ok (_, r) -> (cell, Ok r)
-          | Error { Engine.Scheduler.e_exn; _ } ->
-            (cell, Error (Printexc.to_string e_exn)))
-        todo out
-    end
-  in
-  (* reassemble in canonical cell order (restored cells interleave with
-     computed ones), so output ordering is independent of resume *)
-  let completed = restored @ List.filter_map
-    (fun (cell, r) -> match r with Ok r -> Some (cell, r) | Error _ -> None)
-    computed
-  in
-  {
-    config = cfg;
-    results =
-      List.filter_map
-        (fun cell ->
-          Option.map (fun r -> (cell, r)) (List.assoc_opt cell completed))
-        cells;
-    failures =
-      List.filter_map
-        (fun (cell, r) ->
-          match r with Ok _ -> None | Error msg -> Some (cell, msg))
-        computed;
-    resumed_cells = List.length restored;
-  }
 
 let result (t : t) fuzzer compiler = List.assoc_opt (fuzzer, compiler) t.results
 

@@ -1,7 +1,10 @@
-(** The RQ1 experiment driver: run all six fuzzers against both simulated
-    compilers under an equal *wall-clock* budget (per-tool throughput
-    factors from Table 5) and collect the statistics behind Figures 7-9
-    and Tables 4-5. *)
+(** The RQ1 experiment: all six fuzzers against both simulated compilers
+    under an equal *wall-clock* budget (per-tool throughput factors from
+    Table 5), and the statistics behind Figures 7-9 and Tables 4-5.
+
+    This module defines the cells and runs one ({!run_one});
+    {!Coordinator.run} drives the whole matrix and
+    {!Coordinator.to_campaign} views its result as a {!t}. *)
 
 type fuzzer_id =
   | MuCFuzz_s   (** μCFuzz with the 68 supervised mutators *)
@@ -28,15 +31,14 @@ type config = {
   seed_value : int;    (** RNG seed: campaigns are deterministic *)
   max_attempts : int;  (** μCFuzz per-iteration mutator budget *)
   jobs : int;
-      (** Domain workers over the fuzzer × compiler matrix; [<= 1] runs
-          sequentially.  Results are identical at any job count. *)
+      (** Not read by the library: {!Coordinator.run} takes its worker
+          count and backend as arguments. *)
   schedule : bool;
       (** enable {!Mucfuzz} corpus scheduling in the μCFuzz cells (the
           baselines are unaffected); off by default *)
 }
 
 val default_config : config
-(** [jobs] defaults to [Domain.recommended_domain_count ()]. *)
 
 val cell_tag : fuzzer_id -> Simcomp.Compiler.compiler -> int
 (** Stable per-cell fault-stream derivation tag, independent of the
@@ -62,67 +64,13 @@ val cell_name : cell -> string
 (** Stable display name, ["<fuzzer>-<compiler>"] — also the Chrome-trace
     thread label and the checkpoint file stem. *)
 
-val cell_ckpt_file : string -> cell -> string
-(** [cell_ckpt_file dir cell]: the mid-run snapshot path {!run} uses for
-    this cell.  Exposed so the sharded {!Coordinator} writes the same
-    files — a sequential campaign interrupted under [--shards 1] resumes
-    under [--shards K] and vice versa. *)
-
-val cell_done_file : string -> cell -> string
-(** The completed-cell result path ({!run} restores these on resume). *)
-
-val cell_fingerprint :
-  config -> ?faults:Engine.Faults.t -> cell -> string
-(** The validity stamp those files are saved under: every parameter the
-    snapshot depends on ([jobs] deliberately excluded). *)
-
 type t = {
   config : config;
   results : (cell * Fuzz_result.t) list;
   failures : (cell * string) list;
-      (** cells whose computation kept failing (supervised mode);
-          empty in a healthy campaign *)
-  resumed_cells : int;
-      (** cells restored from completed-cell checkpoints, not recomputed *)
+      (** cells whose computation kept failing; empty in a healthy
+          campaign *)
 }
-
-val run :
-  ?cfg:config ->
-  ?fuzzers:fuzzer_id list ->
-  ?compilers:Simcomp.Compiler.compiler list ->
-  ?engine:Engine.Ctx.t ->
-  ?faults:Engine.Faults.t ->
-  ?checkpoint:string ->
-  ?resume:bool ->
-  ?progress:(completed:int -> total:int -> string -> unit) ->
-  unit ->
-  t
-(** Run every (fuzzer, compiler) cell, fanning out over [cfg.jobs]
-    Domain workers.  Each cell owns its RNG stream, fault stream, and
-    coverage map, so coverage/crash results are byte-identical at any
-    job count and any fault configuration.  With [engine]: in
-    sequential mode the context is threaded straight through; in
-    parallel mode each worker gets a private context and the join
-    barrier {!Engine.Metrics.merge}s worker registries into [engine] in
-    cell order (per-worker events are not forwarded).  When [engine]
-    has tracing enabled, spans carry the stable {!cell_tag} as their
-    Chrome-trace thread id (sequential mode re-tags the shared buffer;
-    parallel workers trace privately and {!Engine.Trace.merge} happens
-    at the join barrier in canonical cell order), so merged traces are
-    deterministic up to timestamps.  [progress] is called once per
-    completed cell with its display name — from whichever domain
-    finished it, so callers synchronise when [cfg.jobs > 1].
-
-    Parallel cells run under {!Engine.Scheduler.supervised_map}: a cell
-    that keeps failing lands in [failures] instead of destroying
-    sibling results, and injected worker deaths are requeued.
-
-    With [checkpoint:dir], each cell periodically snapshots its μCFuzz
-    state to [dir] (atomic write-temp + rename) and saves its final
-    result on completion; with [resume:true], completed cells are
-    restored outright and interrupted μCFuzz cells continue from their
-    last snapshot — the reassembled [results] are identical to an
-    uninterrupted run with the same config. *)
 
 val result : t -> fuzzer_id -> Simcomp.Compiler.compiler -> Fuzz_result.t option
 

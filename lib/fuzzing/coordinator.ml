@@ -1,13 +1,13 @@
-(* Sharded campaign coordinator: deal Campaign cells (optionally crossed
-   with -O levels) to an Engine.Shard worker pool and merge the pieces
-   back into one aggregated view.
+(* The campaign driver: deal Campaign cells (optionally crossed with -O
+   levels) to an Engine.Shard worker pool — inline, worker domains, or
+   worker processes — and merge the pieces back into one aggregated
+   view.
 
    Determinism is inherited, not re-proven: a unit's RNG stream, fault
-   stream, and coverage map are pure functions of (config, unit id) —
-   the same property Campaign.run relies on for job-count invariance —
+   stream, and coverage map are pure functions of (config, unit id),
    and every merge below walks the canonical unit list, never the
-   completion order.  So shards:1 and shards:K produce byte-identical
-   coverage, crash sets, and reports. *)
+   completion order.  So every backend at every worker count produces
+   byte-identical coverage, crash sets, and reports. *)
 
 type unit_id = {
   u_fuzzer : Campaign.fuzzer_id;
@@ -39,31 +39,33 @@ let units ?(fuzzers = Campaign.all_fuzzers)
         compilers)
     fuzzers
 
-(* Default-axis units reuse Campaign.run's snapshot paths and
-   fingerprints verbatim — that is what lets a sequential campaign
-   resume sharded (and back).  Opt units get level-suffixed names. *)
+(* A unit's mid-run μCFuzz snapshot. *)
 let unit_ckpt_file dir (u : unit_id) =
-  match u.u_opt with
-  | None -> Campaign.cell_ckpt_file dir (u.u_fuzzer, u.u_compiler)
-  | Some _ -> Filename.concat dir ("cell-" ^ unit_name u ^ ".ckpt")
+  Filename.concat dir ("cell-" ^ unit_name u ^ ".ckpt")
 
-let unit_done_file dir (u : unit_id) =
-  match u.u_opt with
-  | None -> Campaign.cell_done_file dir (u.u_fuzzer, u.u_compiler)
-  | Some _ -> Filename.concat dir ("done-" ^ unit_name u ^ ".ckpt")
-
-(* The journal holds the unit's full encoded [worker_result] (result +
-   metrics + trace), written by the coordinator as each Result commits
-   — before the join barrier.  A coordinator killed mid-campaign loses
-   at most the in-flight leases: on --resume, journaled units restore
-   with full telemetry fidelity, and the rest recompute
-   deterministically.  The done file (Fuzz_result only, sequential
-   Campaign compatible) stays the cross-mode fallback. *)
+(* The journal — the one resume record — holds the unit's full encoded
+   [worker_result] (result + metrics + trace + log), written by the
+   coordinator as each Result commits, before the join barrier.  A
+   coordinator killed mid-campaign loses at most the in-flight leases:
+   on --resume, journaled units restore with full telemetry fidelity,
+   and the rest recompute deterministically (μCFuzz units from their
+   last snapshot). *)
 let unit_journal_file dir (u : unit_id) =
   Filename.concat dir ("journal-" ^ unit_name u ^ ".ckpt")
 
-let unit_fingerprint cfg ?faults (u : unit_id) =
-  let base = Campaign.cell_fingerprint cfg ?faults (u.u_fuzzer, u.u_compiler) in
+(* The validity stamp both files are saved under: every parameter the
+   state depends on.  Worker count and backend are deliberately
+   excluded — results do not depend on them. *)
+let unit_fingerprint (cfg : Campaign.config) ?faults (u : unit_id) =
+  let base =
+    Fmt.str "campaign|%s|it=%d|seeds=%d|every=%d|seed=%d|ma=%d|sched=%b|%s"
+      (Campaign.cell_name (u.u_fuzzer, u.u_compiler))
+      cfg.iterations cfg.seeds cfg.sample_every cfg.seed_value
+      cfg.max_attempts cfg.schedule
+      (match faults with
+      | None -> "faults=off"
+      | Some f -> "faults=" ^ Engine.Faults.fingerprint f)
+  in
   match u.u_opt with None -> base | Some l -> Fmt.str "%s|O%d" base l
 
 let unit_options (u : unit_id) =
@@ -71,8 +73,8 @@ let unit_options (u : unit_id) =
     (fun l -> { Simcomp.Compiler.default_options with opt_level = l })
     u.u_opt
 
-(* The fault stream: default units hand run_one the root harness (so
-   their draws match Campaign.run exactly); opt units interpose one
+(* The fault stream: default units hand run_one the root harness (which
+   derives the cell's stream from its cell tag); opt units interpose one
    per-level derivation so the same cell at -O0 and -O3 doesn't replay
    identical faults.  Both are pure in (root, unit), hence
    shard-count-invariant. *)
@@ -102,14 +104,7 @@ type worker_result = {
   wr_metrics : Engine.Metrics.t;
   wr_trace : Engine.Trace.t option;
   wr_log : Engine.Log.record list;
-  (* the flight recorder: the lease's last events (capped ring), riding
-     every clean Result frame so a postmortem of a *later* failure has
-     the previous attempt's tail without rerunning under tracing *)
-  wr_flight_seen : int;
-  wr_flight : string list;
 }
-
-let flight_capacity = 64
 
 (* [counters] are worker-lifetime cumulative (see the Heartbeat frame
    doc): the coordinator's per-shard fold stays monotone across leases. *)
@@ -121,8 +116,6 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
   Option.iter
     (fun level -> ignore (Engine.Ctx.enable_log ~level ctx))
     l.l_log;
-  let flight, flight_sink = Engine.Event.ring_sink ~capacity:flight_capacity in
-  Engine.Event.add_sink ctx.Engine.Ctx.bus flight_sink;
   let execs, covered, crashes = counters in
   let beat () =
     heartbeat ~execs:!execs ~covered:!covered ~crashes:!crashes
@@ -166,15 +159,7 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
   in
   (* flush the partial GC batch so the merge sees this unit's tail *)
   Option.iter Engine.Probe.sample ctx.Engine.Ctx.probe;
-  Option.iter
-    (fun dir ->
-      ignore
-        (Engine.Checkpoint.save ~ctx ~path:(unit_done_file dir u)
-           ~fingerprint:(unit_fingerprint cfg ?faults:l.l_faults u)
-           r))
-    l.l_checkpoint;
   beat ();
-  Engine.Event.remove_sink ctx.Engine.Ctx.bus flight_sink;
   {
     wr_result = r;
     wr_metrics = ctx.Engine.Ctx.metrics;
@@ -183,16 +168,14 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
       (match ctx.Engine.Ctx.log with
       | Some lg -> Engine.Log.records lg
       | None -> []);
-    wr_flight_seen = Engine.Event.ring_seen flight;
-    wr_flight =
-      List.map Engine.Event.to_string (Engine.Event.ring_contents flight);
   }
 
-(* The pool work function: decode, execute, encode.  One server closure
-   per process — fork children inherit fresh counters, worker_main makes
-   its own. *)
+(* The pool work function: decode, execute, encode.  One server per
+   run; its heartbeat counters are per domain, so Domains-backend workers
+   sharing the closure each report their own totals (fork children
+   inherit fresh ones, worker_main makes its own server). *)
 let server () =
-  let counters = (ref 0, ref 0, ref 0) in
+  let counters = Domain.DLS.new_key (fun () -> (ref 0, ref 0, ref 0)) in
   fun ~heartbeat ~seq:_ ~attempt (body : string) ->
     match Engine.Shard.decode body with
     | Error msg -> failwith ("coordinator: undecodable lease: " ^ msg)
@@ -203,7 +186,8 @@ let server () =
         Engine.Shard.in_worker () && attempt = 0
         && Sys.getenv_opt "METAMUT_SHARD_KILL" = Some (unit_name l.l_unit)
       then Unix._exit 42;
-      Engine.Shard.encode (exec_lease ~heartbeat ~counters l)
+      Engine.Shard.encode
+        (exec_lease ~heartbeat ~counters:(Domain.DLS.get counters) l)
 
 let worker_main () =
   Engine.Status.set_tty_owner false;
@@ -249,32 +233,19 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
   let us = units ?fuzzers ?compilers ~opt_levels () in
   Option.iter Engine.Checkpoint.mkdir_p checkpoint;
   let fingerprint u = unit_fingerprint cfg ?faults u in
-  (* journal first (full worker_result, telemetry intact), done file as
-     the sequential-compatible fallback *)
   let restored, todo =
     match checkpoint with
     | Some dir when resume ->
       List.partition_map
         (fun u ->
-          let fp = fingerprint u in
-          let from_done () =
-            match
-              Engine.Checkpoint.load ~path:(unit_done_file dir u)
-                ~fingerprint:fp
-            with
-            | Ok (r : Fuzz_result.t) -> Either.Left (u, r, None)
-            | Error _ -> Either.Right u
-          in
           match
-            Engine.Checkpoint.load ~path:(unit_journal_file dir u)
-              ~fingerprint:fp
+            Result.bind
+              (Engine.Checkpoint.load ~path:(unit_journal_file dir u)
+                 ~fingerprint:(fingerprint u))
+              Engine.Shard.decode
           with
-          | Ok (body : string) -> (
-            match Engine.Shard.decode body with
-            | Ok (wr : worker_result) ->
-              Either.Left (u, wr.wr_result, Some wr)
-            | Error _ -> from_done ())
-          | Error _ -> from_done ())
+          | Ok (wr : worker_result) -> Either.Left (u, wr)
+          | Error _ -> Either.Right u)
         us
     | _ -> ([], us)
   in
@@ -478,20 +449,17 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
     Array.to_list (Array.mapi (fun i r -> (todo_arr.(i), r)) decoded)
   in
   (* join barrier: merge worker registries and traces into the main
-     context in canonical unit order — the Campaign.run join, one
-     process level up.  Journal-restored units carry their original
-     telemetry, so a resumed run's merge matches the uninterrupted one. *)
+     context in canonical unit order.  Journal-restored units carry
+     their original telemetry, so a resumed run's merge matches the
+     uninterrupted one. *)
   let wr_of =
     let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (u, _, wro) ->
-        Option.iter (fun wr -> Hashtbl.replace tbl u wr) wro)
-      restored;
+    List.iter (fun (u, wr) -> Hashtbl.replace tbl u wr) restored;
     List.iter
       (fun (u, r) ->
         match r with `Ok wr -> Hashtbl.replace tbl u wr | _ -> ())
       computed;
-    fun u -> Hashtbl.find_opt tbl u
+    Hashtbl.find_opt tbl
   in
   (match engine with
   | None -> ()
@@ -521,13 +489,6 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
           | _ -> ())
         | None -> ())
       us);
-  let done_units =
-    List.map (fun (u, r, _) -> (u, r)) restored
-    @ List.filter_map
-        (fun (u, r) ->
-          match r with `Ok wr -> Some (u, wr.wr_result) | _ -> None)
-        computed
-  in
   {
     config = cfg;
     shards;
@@ -535,7 +496,7 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
     (* canonical order, independent of restore/completion interleaving *)
     results =
       List.filter_map
-        (fun u -> Option.map (fun r -> (u, r)) (List.assoc_opt u done_units))
+        (fun u -> Option.map (fun wr -> (u, wr.wr_result)) (wr_of u))
         us;
     failures =
       List.filter_map
@@ -571,7 +532,6 @@ let to_campaign (t : t) : Campaign.t =
       List.map (fun (u, r) -> ((u.u_fuzzer, u.u_compiler), r)) t.results;
     failures =
       List.map (fun (u, msg) -> ((u.u_fuzzer, u.u_compiler), msg)) t.failures;
-    resumed_cells = t.resumed_units;
   }
 
 let aggregate_coverage (t : t) : Simcomp.Coverage.t =

@@ -1,28 +1,26 @@
-(** Multi-process sharded campaigns: {!Campaign} cells dealt as leases
-    to an {!Engine.Shard} worker pool.
+(** The campaign driver: {!Campaign} cells dealt as leases to an
+    {!Engine.Shard} worker pool — inline, on worker domains, or on
+    worker processes.
 
     The work unit is one campaign cell — (fuzzer, compiler), optionally
     crossed with a [-O] level ({!run}'s [opt_levels] axis).  Each unit
-    derives its own RNG stream, fault stream, and coverage map exactly
-    as {!Campaign.run_one} does, and the coordinator merges worker
-    registries, trace buffers, coverage, and crash sets in canonical
-    unit order — so coverage, crashes, and the campaign report are
-    byte-identical at any shard count ([shards:1 ≡ shards:K], the same
-    invariant the Domain scheduler upholds for [jobs]).
+    derives its own RNG stream, fault stream, and coverage map
+    ({!Campaign.run_one}), and the coordinator merges worker registries,
+    trace buffers, coverage, and crash sets in canonical unit order — so
+    coverage, crashes, and the campaign report are byte-identical at any
+    worker count on any backend ([shards:1 ≡ shards:K]).
 
-    Worker failure flows into the existing supervision story: a worker
-    that dies, hangs, or garbles a frame loses its lease back to the
-    queue ({!Engine.Shard.run_pool}), and with [checkpoint] the
-    default-axis units write the {e same} snapshot files as
-    {!Campaign.run}, so a campaign interrupted sequentially resumes
-    sharded and vice versa. *)
+    Worker failure flows into one supervision story: a worker that
+    dies, hangs, or garbles a frame loses its lease back to the queue
+    ({!Engine.Shard.run_pool}), and with [checkpoint] each committed
+    unit is journaled, so an interrupted campaign resumes on any
+    backend. *)
 
 type unit_id = {
   u_fuzzer : Campaign.fuzzer_id;
   u_compiler : Simcomp.Compiler.compiler;
   u_opt : int option;
-      (** [-O] level; [None] = the campaign default ([-O2]) and the
-          unit is checkpoint-compatible with {!Campaign.run} *)
+      (** [-O] level; [None] = the campaign default ([-O2]) *)
 }
 
 val unit_name : unit_id -> string
@@ -77,8 +75,10 @@ val run :
   ?flight_dir:string ->
   unit ->
   t
-(** Run the unit matrix across [shards] worker processes (default 1 =
-    in-process sequential, the mode sharded runs are compared against).
+(** Run the unit matrix across [shards] workers of [backend] (default 1 =
+    inline on the calling domain, the mode every other run is compared
+    against; default backend {!Engine.Shard.Fork}).  The [jobs] field of
+    [cfg] is not read.
 
     Each lease carries the campaign config, the unit id, and the root
     fault harness; the worker executes it with a {e fresh}
@@ -86,16 +86,16 @@ val run :
     and trace buffer.  At the join the coordinator
     {!Engine.Metrics.merge}s registries and {!Engine.Trace.merge}s
     buffers (tagged {!unit_tag}, labelled {!unit_name}) into [engine]
-    in canonical unit order — the process-level mirror of
-    {!Campaign.run}'s Domain join barrier.  [engine] also receives the
-    [shard.*] intervention counters, which stay silent in a healthy
-    run, so merged registries are shard-count-invariant.
+    in canonical unit order.  [engine] also receives the [shard.*]
+    intervention counters, which stay silent in a healthy run, so
+    merged registries are invariant in the worker count.
 
     [faults] additionally arms the shard-layer chaos sites (see
-    {!Engine.Faults.site}) in the pool and its Fork workers; Spawn
-    workers arm themselves from the environment.  [limits] is the
-    per-lease resource governor ({!Engine.Shard.limits}): leases that
-    blow their deadline/budget are retried and eventually
+    {!Engine.Faults.site}) in the pool and its Fork workers, and
+    [worker_crash] on {!Engine.Shard.Domains} workers; Spawn workers arm
+    themselves from the environment.  [limits] is the per-lease resource
+    governor ({!Engine.Shard.limits}; worker processes only): leases
+    that blow their deadline/budget are retried and eventually
     {!quarantined_unit}-ed, never fatal to the run.
 
     [status] receives aggregated heartbeat totals (one line for the
@@ -103,11 +103,11 @@ val run :
     once per completed unit with its display name.
 
     [serve] wires the pool into a live scrape server: heartbeats feed
-    its per-shard table, quarantines its list, and the socket is polled
-    once per supervision round.  [flight_dir] enables the flight
+    its per-shard table and time series, quarantines its list, and the
+    socket is polled once per supervision round (and per heartbeat on
+    the inline and Domains paths).  [flight_dir] enables the flight
     recorder: each quarantined unit dumps its supervision trail to
-    [flight-<unit>.json] there, and clean worker results ship their
-    last in-process events back in the result frame.
+    [flight-<unit>.json] there.
 
     When [engine] carries a {!Engine.Log.t}, leases instruct workers to
     record at the same level; worker log bodies are replayed into the
@@ -115,13 +115,11 @@ val run :
     rendered log is byte-identical at any shard count (for the
     shard-count-invariant event categories).
 
-    With [checkpoint]/[resume], completed units are restored — journal
-    files first (full [worker_result], written as each Result arrives
-    at the coordinator, so a coordinator SIGKILL mid-campaign resumes
-    with telemetry intact), done-files as the sequential-compatible
-    fallback — and interrupted μCFuzz units continue from their cell
-    snapshots; default-axis file names and fingerprints match
-    {!Campaign.run}'s exactly. *)
+    With [checkpoint]/[resume], completed units are restored from their
+    journal files ([journal-<unit>.ckpt]: the full worker result,
+    written as each lease commits, so a coordinator SIGKILL
+    mid-campaign resumes with telemetry intact) and interrupted μCFuzz
+    units continue from their [cell-<unit>.ckpt] snapshots. *)
 
 val to_campaign : t -> Campaign.t
 (** View a default-axis run as a {!Campaign.t} (for the RQ1 table and

@@ -127,16 +127,12 @@ let mutator_section (m : Engine.Metrics.t) =
            rows)
   end
 
-(* Supervision/fault accounting: the counters the retry, scheduler,
+(* Supervision/fault accounting: the counters the retry, worker-pool,
    checkpoint and watchdog layers only write when they intervened.  A
    healthy run renders the "no interventions" line. *)
 let recovery_section (m : Engine.Metrics.t) =
   let interesting =
     [
-      ("scheduler.retried", "per-item retries (supervised scheduler)");
-      ("scheduler.requeued", "items requeued after a worker death");
-      ("scheduler.worker_crashed", "worker domains that died");
-      ("scheduler.failed", "items that exhausted their retry budget");
       ("pipeline.retry.attempts", "pipeline retry attempts");
       ("pipeline.retry.recovered", "pipeline calls recovered by retrying");
       ("pipeline.retry.exhausted", "pipeline calls that exhausted retries");
@@ -154,6 +150,7 @@ let recovery_section (m : Engine.Metrics.t) =
       ("shard.breaker_tripped", "leases quarantined by the circuit breaker");
       ("shard.crash_restart", "coordinator crash-restarts survived");
       ("shard.inline", "lease attempts run inline on the coordinator");
+      ("shard.worker_crashed", "worker domains that died");
     ]
   in
   let snapshot = Engine.Metrics.snapshot m in
@@ -324,11 +321,11 @@ let campaign ?engine ?attribution ?quarantined (t : Campaign.t) : string =
        must be byte-identical to the uninterrupted one; resume
        accounting lives in the engine-gated recovery section *)
     Fmt.str
-      "%d cells (%d failed); iterations=%d seeds=%d jobs=%d.%s"
+      "%d cells (%d failed); iterations=%d seeds=%d.%s"
       (List.length t.Campaign.results + List.length t.Campaign.failures)
       (List.length t.Campaign.failures)
       t.Campaign.config.Campaign.iterations t.Campaign.config.Campaign.seeds
-      t.Campaign.config.Campaign.jobs failures
+      failures
   in
   render ~title:"Campaign report" ~preamble ?engine ?attribution ?quarantined
     (List.map

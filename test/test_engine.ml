@@ -123,28 +123,6 @@ let event_tests =
         check Alcotest.int "compiles" 1 (get "event.compile_finished");
         check Alcotest.int "crashes" 1 (get "event.crash_found");
         check Alcotest.int "goals" 1 (get "event.pipeline_goal"));
-    tc "ring sink keeps the newest events on overflow" (fun () ->
-        let ring, sink = Engine.Event.ring_sink ~capacity:4 in
-        let bus = Engine.Event.bus () in
-        Engine.Event.add_sink bus sink;
-        for i = 1 to 10 do
-          Engine.Event.emit bus (Engine.Event.Custom (string_of_int i))
-        done;
-        check Alcotest.int "seen" 10 (Engine.Event.ring_seen ring);
-        check Alcotest.int "dropped" 6 (Engine.Event.ring_dropped ring);
-        check
-          Alcotest.(list string)
-          "newest retained, oldest first"
-          [ "7"; "8"; "9"; "10" ]
-          (List.map
-             (function Engine.Event.Custom s -> s | _ -> "?")
-             (Engine.Event.ring_contents ring)));
-    tc "ring below capacity drops nothing" (fun () ->
-        let ring, sink = Engine.Event.ring_sink ~capacity:8 in
-        sink.Engine.Event.emit (Engine.Event.Custom "x");
-        check Alcotest.int "dropped" 0 (Engine.Event.ring_dropped ring);
-        check Alcotest.int "kept" 1
-          (List.length (Engine.Event.ring_contents ring)));
     tc "text sink renders one line per event" (fun () ->
         let lines = ref [] in
         let bus = Engine.Event.bus () in
@@ -159,13 +137,16 @@ let event_tests =
           [ "coverage-sampled 600 @25"; "pipeline-goal #2 unfixed" ]
           (List.rev !lines));
     tc "remove_sink detaches exactly that sink" (fun () ->
-        let ring, sink = Engine.Event.ring_sink ~capacity:4 in
+        let seen = ref 0 in
+        let sink =
+          { Engine.Event.sink_name = "count"; emit = (fun _ -> incr seen) }
+        in
         let bus = Engine.Event.bus () in
         Engine.Event.add_sink bus sink;
         Engine.Event.emit bus (Engine.Event.Custom "a");
         Engine.Event.remove_sink bus sink;
         Engine.Event.emit bus (Engine.Event.Custom "b");
-        check Alcotest.int "only first seen" 1 (Engine.Event.ring_seen ring));
+        check Alcotest.int "only first seen" 1 !seen);
   ]
 
 let span_tests =
@@ -249,46 +230,6 @@ let vec_tests =
         check Alcotest.(list int) "empty" [] (Engine.Vec.to_list v);
         Engine.Vec.push v 7;
         check Alcotest.int "reusable" 7 (Engine.Vec.get v 0));
-  ]
-
-let scheduler_tests =
-  [
-    tc "parallel_map preserves input order" (fun () ->
-        let items = List.init 37 Fun.id in
-        check
-          Alcotest.(list int)
-          "squares in order"
-          (List.map (fun x -> x * x) items)
-          (Engine.Scheduler.parallel_map ~jobs:4 (fun x -> x * x) items));
-    tc "parallel_map re-raises worker exceptions" (fun () ->
-        Alcotest.check_raises "first failure" (Failure "item-3") (fun () ->
-            ignore
-              (Engine.Scheduler.parallel_map ~jobs:3
-                 (fun x ->
-                   if x = 3 then failwith ("item-" ^ string_of_int x) else x)
-                 (List.init 8 Fun.id))));
-    tc "jobs:1 degrades to List.map" (fun () ->
-        check
-          Alcotest.(list int)
-          "identity" [ 1; 2; 3 ]
-          (Engine.Scheduler.parallel_map ~jobs:1 Fun.id [ 1; 2; 3 ]));
-    tc "try_map keeps completed results next to failures" (fun () ->
-        let out =
-          Engine.Scheduler.try_map ~jobs:3
-            (fun x -> if x = 3 then failwith "boom" else x * 2)
-            (List.init 6 Fun.id)
-        in
-        check
-          Alcotest.(list int)
-          "siblings survive" [ 0; 2; 4; 8; 10 ]
-          (List.filter_map
-             (function Ok v -> Some v | Error _ -> None)
-             out);
-        match List.nth out 3 with
-        | Error e ->
-          check Alcotest.string "exception kept" "Failure(\"boom\")"
-            (Printexc.to_string e)
-        | Ok _ -> Alcotest.fail "failing item must surface its own exception");
   ]
 
 let counter_value ctx name =
@@ -498,69 +439,87 @@ let checkpoint_tests =
           (counter_value ctx "checkpoint.save_failed"));
   ]
 
+(* Supervision on the Domains backend of the one campaign driver: the
+   calling domain keeps every verdict, worker domains only run [f]. *)
 let supervision_tests =
+  let run ?limits ?faults ?ctx ?on_event ~f leases =
+    Engine.Shard.run_pool ~shards:4 ~backend:Engine.Shard.Domains ?limits
+      ?faults ?ctx ?on_event
+      ~f:(fun ~heartbeat:_ ~seq:_ ~attempt body -> f ~attempt body)
+      leases
+  in
+  let dones verdicts =
+    Array.to_list verdicts
+    |> List.filter_map (function Engine.Shard.Done b -> Some b | _ -> None)
+  in
   [
     tc "flaky items recover behind the per-item barrier" (fun () ->
-        let tries = Array.init 5 (fun _ -> Atomic.make 0) in
+        let retries = ref 0 in
         let ctx = Engine.Ctx.create () in
-        let out =
-          Engine.Scheduler.supervised_map ~jobs:4 ~attempts:2 ~ctx
-            (fun i ->
-              if Atomic.fetch_and_add tries.(i) 1 = 0 then failwith "flake"
-              else i)
-            (List.init 5 Fun.id)
+        let out, _ =
+          run ~ctx
+            ~on_event:(fun ~seq:_ -> function
+              | Engine.Shard.Lease_retry _ -> incr retries
+              | _ -> ())
+            ~f:(fun ~attempt body ->
+              if attempt = 0 then failwith "flake" else body)
+            (Array.init 5 string_of_int)
         in
         check
-          Alcotest.(list int)
-          "all recovered" [ 0; 1; 2; 3; 4 ]
-          (List.filter_map Result.to_option out);
-        check Alcotest.int "retried" 5 (counter_value ctx "scheduler.retried");
-        check Alcotest.int "ok" 5 (counter_value ctx "scheduler.ok"));
+          Alcotest.(list string)
+          "all recovered" [ "0"; "1"; "2"; "3"; "4" ] (dones out);
+        check Alcotest.int "retried" 5 !retries);
     tc "persistent failures surface without killing siblings" (fun () ->
-        let out =
-          Engine.Scheduler.supervised_map ~jobs:2 ~attempts:3
-            (fun x -> if x = 1 then failwith "dead" else x * 10)
-            [ 0; 1; 2 ]
+        let attempts = ref 1 in
+        let out, _ =
+          run
+            ~limits:{ Engine.Shard.default_limits with max_attempts = 3 }
+            ~on_event:(fun ~seq:_ -> function
+              | Engine.Shard.Lease_retry _ -> incr attempts
+              | _ -> ())
+            ~f:(fun ~attempt:_ body ->
+              if body = "1" then failwith "dead" else body ^ "0")
+            [| "0"; "1"; "2" |]
         in
-        (match List.nth out 1 with
-        | Error { Engine.Scheduler.e_exn; e_attempts } ->
-          check Alcotest.string "last exception" "Failure(\"dead\")"
-            (Printexc.to_string e_exn);
-          check Alcotest.int "attempts" 3 e_attempts
-        | Ok _ -> Alcotest.fail "expected a 3-attempt failure");
-        check
-          Alcotest.(list int)
-          "siblings fine" [ 0; 20 ]
-          (List.filter_map Result.to_option out));
+        (match out.(1) with
+        | Engine.Shard.Failed msg ->
+          check Alcotest.string "last exception" "Failure(\"dead\")" msg;
+          check Alcotest.int "attempts" 3 !attempts
+        | Done _ | Quarantined _ -> Alcotest.fail "expected a 3-attempt failure");
+        check Alcotest.(list string) "siblings fine" [ "00"; "20" ] (dones out));
     tc "injected worker deaths requeue every orphaned item" (fun () ->
         let ctx = Engine.Ctx.create () in
         let faults =
           Engine.Faults.create ~seed:5
             { Engine.Faults.no_faults with Engine.Faults.worker_crash = 1.0 }
         in
-        let out =
-          Engine.Scheduler.supervised_map ~jobs:4 ~faults ~ctx
-            (fun x -> x + 1)
-            (List.init 9 Fun.id)
+        let out, stats =
+          run ~faults ~ctx
+            ~f:(fun ~attempt:_ body -> body ^ "+1")
+            (Array.init 9 string_of_int)
         in
         check
-          Alcotest.(list int)
+          Alcotest.(list string)
           "all items completed"
-          (List.init 9 (fun i -> i + 1))
-          (List.filter_map Result.to_option out);
+          (List.init 9 (fun i -> string_of_int i ^ "+1"))
+          (dones out);
         check Alcotest.int "all four domains died" 4
-          (counter_value ctx "scheduler.worker_crashed");
-        check Alcotest.int "everything requeued" 9
-          (counter_value ctx "scheduler.requeued"));
+          (counter_value ctx "shard.worker_crashed");
+        check Alcotest.int "everything ran on the coordinator" 9
+          stats.Engine.Shard.st_inline);
     tc "healthy runs leave the registry untouched" (fun () ->
         let ctx = Engine.Ctx.create () in
         ignore
-          (Engine.Scheduler.supervised_map ~jobs:4 ~ctx
-             (fun x -> x)
-             (List.init 8 Fun.id));
+          (run ~ctx ~f:(fun ~attempt:_ body -> body) (Array.init 8 string_of_int));
         check Alcotest.bool "metrics-silent" true
           (Engine.Metrics.snapshot ctx.Engine.Ctx.metrics = []));
   ]
+
+(* Run the campaign matrix through the one driver on [jobs] domains. *)
+let run_campaign ?fuzzers ?engine ?faults ~jobs cfg =
+  Fuzzing.Coordinator.to_campaign
+    (Fuzzing.Coordinator.run ~cfg ?fuzzers ?engine ?faults ~shards:jobs
+       ~backend:Engine.Shard.Domains ())
 
 (* The acceptance-criterion guarantee: a worker-parallel campaign must
    reproduce the sequential per-cell results exactly. *)
@@ -577,11 +536,7 @@ let determinism_tests =
           }
         in
         let fingerprint jobs =
-          let t =
-            Fuzzing.Campaign.run
-              ~cfg:{ base with Fuzzing.Campaign.jobs }
-              ()
-          in
+          let t = run_campaign ~jobs base in
           List.map
             (fun ((f, c), (r : Fuzzing.Fuzz_result.t)) ->
               ( (Fuzzing.Campaign.fuzzer_tag f, Fuzzing.Campaign.compiler_tag c),
@@ -609,10 +564,8 @@ let determinism_tests =
         let counters jobs =
           let engine = Engine.Ctx.create () in
           ignore
-            (Fuzzing.Campaign.run
-               ~cfg:{ cfg with Fuzzing.Campaign.jobs }
-               ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
-               ~engine ());
+            (run_campaign ~jobs ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
+               ~engine cfg);
           List.filter
             (function _, Engine.Metrics.Counter _ -> true | _ -> false)
             (Engine.Metrics.snapshot engine.Engine.Ctx.metrics)
@@ -644,10 +597,7 @@ let determinism_tests =
           let faults =
             Engine.Faults.create ~seed:(Engine.Faults.seed_from_env ()) config
           in
-          (Fuzzing.Campaign.run
-             ~cfg:{ base with Fuzzing.Campaign.jobs }
-             ~faults ())
-            .Fuzzing.Campaign.results
+          (run_campaign ~jobs ~faults base).Fuzzing.Campaign.results
         in
         let a = run 1 and b = run 4 in
         check Alcotest.int "same cells" (List.length a) (List.length b);
@@ -735,7 +685,6 @@ let () =
       ("events", event_tests);
       ("spans", span_tests);
       ("vec", vec_tests);
-      ("scheduler", scheduler_tests);
       ("faults", faults_tests);
       ("retry", retry_tests);
       ("checkpoint", checkpoint_tests);

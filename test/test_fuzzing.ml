@@ -355,6 +355,11 @@ let macro_tests =
         check Alcotest.int "all dropped" 0 r.Fuzzing.Fuzz_result.total_mutants);
   ]
 
+(* Run the campaign matrix through the one driver on [jobs] domains. *)
+let run_campaign ?fuzzers ?faults ?checkpoint ?resume ~jobs cfg =
+  Fuzzing.Coordinator.run ~cfg ?fuzzers ?faults ?checkpoint ?resume
+    ~shards:jobs ~backend:Engine.Shard.Domains ()
+
 let campaign_tests =
   [
     tc "campaign produces one result per fuzzer and compiler" (fun () ->
@@ -367,8 +372,8 @@ let campaign_tests =
             max_attempts = 4;
           }
         in
-        let t = Fuzzing.Campaign.run ~cfg () in
-        check Alcotest.int "results" 12 (List.length t.Fuzzing.Campaign.results));
+        let t = run_campaign ~jobs:cfg.jobs cfg in
+        check Alcotest.int "results" 12 (List.length t.Fuzzing.Coordinator.results));
     tc "crash sets are prefixed by compiler" (fun () ->
         let cfg =
           {
@@ -379,7 +384,11 @@ let campaign_tests =
             max_attempts = 4;
           }
         in
-        let t = Fuzzing.Campaign.run ~cfg ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_s ] () in
+        let t =
+          Fuzzing.Coordinator.to_campaign
+            (run_campaign ~jobs:cfg.jobs ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_s ]
+               cfg)
+        in
         Hashtbl.iter
           (fun k () ->
             check Alcotest.bool "prefixed" true
@@ -404,20 +413,20 @@ let campaign_tests =
           }
         in
         let fuzzers = Fuzzing.Campaign.[ MuCFuzz_u; AFLpp ] in
-        let clean = Fuzzing.Campaign.run ~cfg ~fuzzers () in
+        let clean = run_campaign ~jobs:3 ~fuzzers cfg in
         let faults =
           Engine.Faults.create ~seed:5
             { Engine.Faults.no_faults with Engine.Faults.worker_crash = 1.0 }
         in
-        let faulted = Fuzzing.Campaign.run ~cfg ~fuzzers ~faults () in
+        let faulted = run_campaign ~jobs:3 ~fuzzers ~faults cfg in
         check Alcotest.int "no failures" 0
-          (List.length faulted.Fuzzing.Campaign.failures);
+          (List.length faulted.Fuzzing.Coordinator.failures);
         List.iter2
           (fun (c1, r1) (c2, r2) ->
             check Alcotest.bool "same cell" true (c1 = c2);
             check Alcotest.bool "equal result" true
               (Fuzzing.Fuzz_result.equal r1 r2))
-          clean.Fuzzing.Campaign.results faulted.Fuzzing.Campaign.results);
+          clean.Fuzzing.Coordinator.results faulted.Fuzzing.Coordinator.results);
     tc "scheduled campaigns are identical across job counts" (fun () ->
         (* corpus scheduling lives inside each cell's private RNG and
            pool, so parallelism must not perturb it *)
@@ -433,14 +442,14 @@ let campaign_tests =
           }
         in
         let fuzzers = Fuzzing.Campaign.[ MuCFuzz_s; MuCFuzz_u ] in
-        let serial = Fuzzing.Campaign.run ~cfg:(cfg 1) ~fuzzers () in
-        let par = Fuzzing.Campaign.run ~cfg:(cfg 4) ~fuzzers () in
+        let serial = run_campaign ~jobs:1 ~fuzzers (cfg 1) in
+        let par = run_campaign ~jobs:4 ~fuzzers (cfg 4) in
         List.iter2
           (fun (c1, r1) (c2, r2) ->
             check Alcotest.bool "same cell" true (c1 = c2);
             check Alcotest.bool "equal result" true
               (Fuzzing.Fuzz_result.equal r1 r2))
-          serial.Fuzzing.Campaign.results par.Fuzzing.Campaign.results);
+          serial.Fuzzing.Coordinator.results par.Fuzzing.Coordinator.results);
     tc "campaign resume reproduces the uninterrupted result" (fun () ->
         let cfg =
           {
@@ -453,26 +462,26 @@ let campaign_tests =
           }
         in
         let fuzzers = Fuzzing.Campaign.[ MuCFuzz_u; Csmith ] in
-        let full = Fuzzing.Campaign.run ~cfg ~fuzzers () in
+        let full = run_campaign ~jobs:2 ~fuzzers cfg in
         let dir = Filename.temp_dir "metamut-campaign" "" in
-        let first = Fuzzing.Campaign.run ~cfg ~fuzzers ~checkpoint:dir () in
+        let first = run_campaign ~jobs:2 ~fuzzers ~checkpoint:dir cfg in
         check Alcotest.int "first run computes everything" 0
-          first.Fuzzing.Campaign.resumed_cells;
+          first.Fuzzing.Coordinator.resumed_units;
         (* simulate a crash that lost one completed cell's result *)
-        Sys.remove (Filename.concat dir "done-uCFuzz.u-GCC.ckpt");
+        Sys.remove (Filename.concat dir "journal-uCFuzz.u-GCC.ckpt");
         let resumed =
-          Fuzzing.Campaign.run ~cfg ~fuzzers ~checkpoint:dir ~resume:true ()
+          run_campaign ~jobs:2 ~fuzzers ~checkpoint:dir ~resume:true cfg
         in
         check Alcotest.int "three cells restored" 3
-          resumed.Fuzzing.Campaign.resumed_cells;
+          resumed.Fuzzing.Coordinator.resumed_units;
         check Alcotest.int "no failures" 0
-          (List.length resumed.Fuzzing.Campaign.failures);
+          (List.length resumed.Fuzzing.Coordinator.failures);
         List.iter2
           (fun (c1, r1) (c2, r2) ->
             check Alcotest.bool "same cell" true (c1 = c2);
             check Alcotest.bool "equal result" true
               (Fuzzing.Fuzz_result.equal r1 r2))
-          full.Fuzzing.Campaign.results resumed.Fuzzing.Campaign.results);
+          full.Fuzzing.Coordinator.results resumed.Fuzzing.Coordinator.results);
   ]
 
 let report_tests =

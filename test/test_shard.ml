@@ -1,10 +1,10 @@
-(* Tests for multi-process sharding: the frame protocol (round-trips,
-   garbled/short/oversized frames rejected without hanging, timeouts),
-   the worker pool (shards:1 ≡ shards:K, death-mid-lease requeue,
-   deterministic failures), the sharded campaign coordinator
-   (shards:1 ≡ shards:4 byte-identical report, opt-matrix determinism,
-   checkpoint compatibility with Campaign.run), and Status TTY
-   ownership. *)
+(* Tests for the worker pool and the campaign driver: the frame protocol
+   (round-trips, garbled/short/oversized frames rejected without
+   hanging, timeouts), the worker pool (shards:1 ≡ shards:K on the fork
+   and domain backends, death-mid-lease requeue, deterministic
+   failures), the campaign coordinator (shards:1 ≡ shards:4
+   byte-identical report, opt-matrix determinism, coordinator-crash
+   resume), and Status TTY ownership. *)
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -526,46 +526,6 @@ let coordinator_tests =
         in
         check Alcotest.bool "distinct coverage across -O levels" true
           (cov (u 0) <> cov (u 2)));
-    tc "checkpoint files are Campaign-compatible: sequential save, \
-        sharded resume" (fun () ->
-        let dir =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Fmt.str "metamut-shard-ckpt-%d" (Unix.getpid ()))
-        in
-        let seq =
-          Fuzzing.Campaign.run ~cfg:small_cfg ~fuzzers:some_fuzzers
-            ~checkpoint:dir ()
-        in
-        (* every cell completed sequentially; the sharded coordinator
-           must restore all of them from Campaign.run's own files *)
-        let resumed =
-          run_coordinator ~shards:2 ~checkpoint:dir ~resume:true ()
-        in
-        check Alcotest.int "all units restored"
-          (List.length seq.Fuzzing.Campaign.results)
-          resumed.Fuzzing.Coordinator.resumed_units;
-        List.iter2
-          (fun (_, r_seq) (_, r_sh) ->
-            check result_testable "restored result" r_seq r_sh)
-          seq.Fuzzing.Campaign.results resumed.Fuzzing.Coordinator.results;
-        (* and a fresh sharded run writes files a sequential campaign
-           can restore *)
-        let dir2 = dir ^ "-b" in
-        let sh = run_coordinator ~shards:2 ~checkpoint:dir2 () in
-        let seq2 =
-          Fuzzing.Campaign.run ~cfg:small_cfg ~fuzzers:some_fuzzers
-            ~checkpoint:dir2 ~resume:true ()
-        in
-        check Alcotest.int "sequential restored sharded files"
-          (List.length sh.Fuzzing.Coordinator.results)
-          seq2.Fuzzing.Campaign.resumed_cells;
-        List.iter
-          (fun d ->
-            Array.iter
-              (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
-              (try Sys.readdir d with _ -> [||]);
-            try Unix.rmdir d with _ -> ())
-          [ dir; dir2 ]);
     tc "chaos-armed campaign: shards:1 ≡ shards:2, report identical"
       (fun () ->
         let faults () = faults_of_spec ~seed:7 "frame=0.3,oom=0.3,coord=0.5" in
@@ -645,6 +605,40 @@ let coordinator_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Domain backend                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The fork and domain backends are checked against the same inline
+   baseline.  These cases run last: once a process has created a domain,
+   OCaml refuses to [Unix.fork] it, which every fork case above needs. *)
+let domain_tests =
+  let run ~shards ?faults leases =
+    Engine.Shard.run_pool ~shards ~backend:Engine.Shard.Domains ?faults
+      ~f:upper_f leases
+  in
+  [
+    tc "run_pool shards:1 ≡ shards:3 (domains)" (fun () ->
+        let leases = Array.init 7 (fun i -> Fmt.str "lease-%d" i) in
+        let seq_r, _ = run ~shards:1 leases in
+        let par_r, stats = run ~shards:3 leases in
+        check verdicts_testable "results equal" seq_r par_r;
+        check Alcotest.int "two spawned domains" 2 stats.Engine.Shard.st_spawned);
+    tc "injected oom/garble/stall: shards:1 ≡ shards:3 verdicts (domains)"
+      (fun () ->
+        let leases = Array.init 8 (fun i -> Fmt.str "lease-%d" i) in
+        let spec = "oom=0.35,frame=0.25,stall=0.2" in
+        let seq_r, seq_stats = run ~shards:1 ~faults:(faults_of_spec spec) leases in
+        let par_r, stats = run ~shards:3 ~faults:(faults_of_spec spec) leases in
+        check verdicts_testable "verdicts equal under chaos" seq_r par_r;
+        (* the coordinator makes every draw, so even the accounting
+           matches the inline path *)
+        check Alcotest.int "same deaths" seq_stats.Engine.Shard.st_died
+          stats.Engine.Shard.st_died;
+        check Alcotest.bool "chaos actually fired" true
+          (stats.Engine.Shard.st_died >= 1));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Status TTY ownership                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -690,4 +684,6 @@ let () =
       ("chaos", chaos_tests);
       ("coordinator", coordinator_tests);
       ("status", status_tests);
+      (* after every fork case: see [domain_tests] *)
+      ("domains", domain_tests);
     ]

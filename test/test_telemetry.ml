@@ -433,9 +433,8 @@ let telemetry_tests =
           ignore (Engine.Ctx.enable_trace engine);
           ignore (Engine.Ctx.enable_probe engine);
           ignore
-            (Fuzzing.Campaign.run
-               ~cfg:{ cfg with Fuzzing.Campaign.jobs }
-               ~engine ());
+            (Fuzzing.Coordinator.run ~cfg ~engine ~shards:jobs
+               ~backend:Engine.Shard.Domains ());
           Engine.Telemetry.deterministic_snapshot engine.Engine.Ctx.metrics
         in
         check Alcotest.bool "identical deterministic snapshots" true
@@ -453,11 +452,13 @@ let telemetry_tests =
         in
         let engine = Engine.Ctx.create () in
         let t =
-          Fuzzing.Campaign.run ~cfg
+          Fuzzing.Coordinator.run ~cfg
             ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
-            ~engine ()
+            ~engine ~shards:1 ~backend:Engine.Shard.Domains ()
         in
-        let md = Fuzzing.Run_report.campaign ~engine t in
+        let md =
+          Fuzzing.Run_report.campaign ~engine (Fuzzing.Coordinator.to_campaign t)
+        in
         List.iter
           (fun affix ->
             check Alcotest.bool affix true
@@ -818,14 +819,10 @@ let serve_tests =
             let _, _, body = http_get srv "/status.json" in
             check Alcotest.bool "done" true
               (is_infix ~affix:"\"done\": true" body)));
-    tc "/series.json records samples from the event sink" (fun () ->
-        with_serve (fun ctx srv ->
-            Engine.Serve.attach_sink srv;
-            Engine.Ctx.emit ctx
-              (Engine.Event.Compile_finished
-                 (Engine.Event.Compiled_ok, Engine.Event.Backend));
-            Engine.Ctx.emit ctx
-              (Engine.Event.Coverage_sampled { iteration = 5; covered = 42 });
+    tc "/series.json records samples from heartbeats" (fun () ->
+        with_serve (fun _ctx srv ->
+            Engine.Serve.note_shard srv ~shard:0 ~execs:1 ~covered:42
+              ~crashes:0;
             let code, _, body = http_get srv "/series.json" in
             check Alcotest.int "200" 200 code;
             check Alcotest.bool "sample present" true
