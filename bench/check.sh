@@ -46,6 +46,15 @@ if [ -x "$CLI" ]; then
   CKPT=$(mktemp -d)
   "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" \
     > /tmp/campaign_ckpt.txt 2> /dev/null
+  # journals carry coverage maps at rest (sorted pairs): a dense 1 MiB
+  # map on disk would blow this bound
+  for J in "$CKPT"/journal-*.ckpt; do
+    SIZE=$(wc -c < "$J")
+    if [ "$SIZE" -gt 65536 ]; then
+      echo "FAIL: $(basename "$J") is $SIZE bytes (over 64 KiB)" >&2
+      exit 1
+    fi
+  done
   # lose one completed cell, as a mid-run kill would
   rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
   "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" --resume \

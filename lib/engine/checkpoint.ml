@@ -12,7 +12,9 @@
    through {!Retry} and consult the [Io_failure] fault site per attempt,
    so the fault-injection suite exercises the retry path for real. *)
 
-let magic = "METAMUT-CKPT2"
+(* CKPT3: coverage maps are stored at rest (sorted pairs); a CKPT2 file
+   holds dense maps and is refused, so its unit starts fresh *)
+let magic = "METAMUT-CKPT3"
 
 let mkdir_p (dir : string) =
   let rec go d =

@@ -21,7 +21,9 @@
    seed — the inline degenerate mode draws the identical stream, which
    keeps verdicts shard-count-invariant even under injected chaos. *)
 
-let protocol_version = 1
+(* 2: coverage maps inside Result payloads travel at rest (sorted
+   pairs), a layout a version-1 peer would misread *)
+let protocol_version = 2
 let magic = Printf.sprintf "MSF%c" (Char.chr protocol_version)
 let max_frame_len = 1 lsl 28 (* 256 MB: far above any real lease/result *)
 

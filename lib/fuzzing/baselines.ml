@@ -126,14 +126,16 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
   let result = Fuzz_result.make ~fuzzer_name:"AFL++" ~compiler in
   let pool = Engine.Vec.of_list seeds in
   let scratch = Simcomp.Coverage.create () in
-  (* seed coverage *)
+  (* seed coverage; merge_consume leaves the scratch map zeroed for the
+     next compile *)
   Engine.Vec.iter
     (fun src ->
-      Simcomp.Coverage.reset scratch;
       ignore
         (Simcomp.Compiler.compile ~cov:scratch ?engine ?faults compiler options
            src);
-      ignore (Simcomp.Coverage.merge ~into:result.Fuzz_result.coverage scratch))
+      ignore
+        (Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
+           scratch))
     pool;
   let trend = ref [] in
   let result = ref result in
@@ -148,7 +150,6 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
           total_mutants = !result.total_mutants + 1;
           throughput_mutants = !result.throughput_mutants + 1;
         };
-      Simcomp.Coverage.reset scratch;
       (match
          Simcomp.Compiler.compile ~cov:scratch ?engine ?faults compiler options
            mutant
@@ -159,9 +160,10 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
         Fuzz_result.record_crash !result ~iteration:i ~input:mutant c;
         emit_crash ?engine ~iteration:i c
       | Simcomp.Compiler.Compile_error _ -> ());
-      (* the merged fresh count doubles as the accept signal: one scan *)
+      (* the merged fresh count doubles as the accept signal: one call *)
       let fresh =
-        Simcomp.Coverage.merge ~into:!result.Fuzz_result.coverage scratch
+        Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage
+          scratch
       in
       if fresh > 0 then Engine.Vec.push pool mutant
     done;
@@ -188,7 +190,6 @@ let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
         total_mutants = !result.total_mutants + 1;
         throughput_mutants = !result.throughput_mutants + 1;
       };
-    Simcomp.Coverage.reset scratch;
     (match
        Simcomp.Compiler.compile ~cov:scratch ?engine ?faults compiler options src
      with
@@ -198,7 +199,9 @@ let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
       Fuzz_result.record_crash !result ~iteration:i ~input:src c;
       emit_crash ?engine ~iteration:i c
     | Simcomp.Compiler.Compile_error _ -> ());
-    ignore (Simcomp.Coverage.merge ~into:!result.Fuzz_result.coverage scratch);
+    ignore
+      (Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage
+         scratch);
     if i mod sample_every = 0 then sample_point ?engine trend ~iteration:i !result
   done;
   sample_final ?engine trend ~iterations !result;

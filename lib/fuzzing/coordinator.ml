@@ -161,7 +161,9 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
   Option.iter Engine.Probe.sample ctx.Engine.Ctx.probe;
   beat ();
   {
-    wr_result = r;
+    (* the result crosses the frame boundary (and lands in the journal)
+       with its coverage map at rest: KiBs of pairs, not the 1 MiB map *)
+    wr_result = Fuzz_result.at_rest r;
     wr_metrics = ctx.Engine.Ctx.metrics;
     wr_trace = ctx.Engine.Ctx.trace;
     wr_log =

@@ -46,6 +46,8 @@ let compilable_ratio (r : t) =
   if r.total_mutants = 0 then 0.
   else 100. *. float_of_int r.compilable_mutants /. float_of_int r.total_mutants
 
+let at_rest (r : t) = { r with coverage = Simcomp.Coverage.at_rest r.coverage }
+
 (* Exact equality over everything a fuzz run reports, for the
    checkpoint/resume identity check: crash tables compare as sorted
    bindings (insertion order is not part of the result). *)

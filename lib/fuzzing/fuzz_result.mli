@@ -31,8 +31,13 @@ val record_crash : t -> iteration:int -> input:string -> Simcomp.Crash.t -> unit
 val compilable_ratio : t -> float
 (** Percentage of compilable mutants (Table 5). *)
 
+val at_rest : t -> t
+(** The result with its coverage map at rest ({!Simcomp.Coverage.at_rest}):
+    the form that goes into Result frames, journals and snapshots.  The
+    crash table is shared, not copied. *)
+
 val equal : t -> t -> bool
-(** Exact equality over every reported field (coverage bit-for-bit,
+(** Exact equality over every reported field (coverage cell-for-cell,
     crash tables as sorted bindings): the checkpoint/resume and
     jobs-count determinism identity check. *)
 

@@ -49,18 +49,19 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
   in
   let result = ref shared in
   let trend = ref [] in
-  (* one scratch map for the whole run: reset per compile, never realloc'd *)
+  (* one scratch map for the whole run: merge_consume zeroes it after
+     every compile, it is never realloc'd *)
   let scratch = Simcomp.Coverage.create () in
   (* seed coverage once *)
   List.iteri
     (fun idx src ->
       if idx < 50 then begin
-        Simcomp.Coverage.reset scratch;
         ignore
           (Simcomp.Compiler.compile ~cov:scratch compiler
              Simcomp.Compiler.default_options src);
         ignore
-          (Simcomp.Coverage.merge ~into:!result.Fuzz_result.coverage scratch)
+          (Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage
+             scratch)
       end)
     seeds;
   for i = 1 to iterations do
@@ -100,7 +101,6 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
               total_mutants = !result.total_mutants + 1;
               throughput_mutants = !result.throughput_mutants + 1;
             };
-          Simcomp.Coverage.reset scratch;
           let outcome, parsed =
             Simcomp.Compiler.compile_tu ~cov:scratch compiler options src'
           in
@@ -112,9 +112,10 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
             Fuzz_result.record_crash !result ~iteration:i ~input:src' c
           | Simcomp.Compiler.Compile_error _ -> ());
           (* shared coverage across instances; the merged fresh count is
-             the accept signal (one scan, not a has_new + merge pair) *)
+             the accept signal (one call, not a has_new + merge pair) *)
           let fresh =
-            Simcomp.Coverage.merge ~into:!result.Fuzz_result.coverage scratch
+            Simcomp.Coverage.merge_consume
+              ~into:!result.Fuzz_result.coverage scratch
           in
           if fresh > 0 then
             match parsed with

@@ -118,7 +118,10 @@ let sched_claim (st : state) idx (e : pool_entry) cov =
 (* Drop non-favored entries, oldest first, until the pool is back to
    [pool_max] (favored entries are never dropped, even past the limit).
    Claim indices are remapped in the same pass; dropped entries hold no
-   claims by construction, so every stored index survives the remap. *)
+   claims by construction, so every stored index survives the remap.
+   Every claimed cell was merged into the run's coverage before it was
+   claimed, so the remap walks that map's covered cells, not the whole
+   claim table. *)
 let sched_trim (st : state) =
   let n = Engine.Vec.length st.pool in
   let keep = Array.make n false in
@@ -145,15 +148,14 @@ let sched_trim (st : state) =
     end
   done;
   st.pool <- pool';
-  for cell = 0 to Simcomp.Coverage.map_size - 1 do
-    let off = cell * 2 in
-    let cur = Bytes.get_uint16_le st.sched_top off in
-    if cur <> sched_none then Bytes.set_uint16_le st.sched_top off remap.(cur)
-  done
+  Simcomp.Coverage.iter_nonzero st.result.Fuzz_result.coverage (fun cell ->
+      let off = cell * 2 in
+      let cur = Bytes.get_uint16_le st.sched_top off in
+      if cur <> sched_none then Bytes.set_uint16_le st.sched_top off remap.(cur))
 
 (* Called after an accepted push: claim, then trim once the pool is 25%
-   past the limit (the slack amortizes the map-wide remap over many
-   accepts instead of paying it on every one). *)
+   past the limit (the slack amortizes the remap over many accepts
+   instead of paying it on every one). *)
 let sched_accept (st : state) cov =
   let idx = Engine.Vec.length st.pool - 1 in
   sched_claim st idx (Engine.Vec.get st.pool idx) cov;
@@ -281,8 +283,8 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
     (* seeds claim their edges before the scratch map is consumed, so
        the scheduler starts from a fully-ranked baseline *)
     if cfg.schedule then sched_claim st i e cov;
-    (* consume: merge and re-zero the scratch map in one pass, so the
-       next compile starts from a pristine map without a full memset *)
+    (* consume: merge and re-zero the scratch map in one walk, so the
+       next compile starts from a pristine map *)
     let fresh =
       Simcomp.Coverage.merge_consume ~into:st.result.Fuzz_result.coverage cov
     in
@@ -500,7 +502,7 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
           sn_iteration = i;
           sn_rng_state = Rng.state st.rng;
           sn_pool = Engine.Vec.to_array st.pool;
-          sn_result = st.result;
+          sn_result = Fuzz_result.at_rest st.result;
           sn_trend_rev = !(st.trend_rev);
           sn_cache = st.cache;
           sn_faults = st.faults;

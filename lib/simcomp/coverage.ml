@@ -10,27 +10,110 @@
    branch-predictable unboxed byte bump — no tuple, no [Hashtbl.hash],
    no heap traffic of any kind — because it fires thousands of times per
    compile (the feature-pair loop alone is O(n²) in feature buckets).
-   The distinct-branch count is maintained incrementally so [covered]
-   is O(1); [merge] is a word-at-a-time scan that skips the (almost
-   always zero) empty stretches of the mutant's map and returns the
-   fresh-branch count, which is Algorithm 1's acceptance signal. *)
+
+   Next to the map, each map keeps the vector of cells it has touched:
+   [hit] appends a cell on its 0 → 1 transition, the branch where it
+   already bumps the distinct count.  A compile touches a few hundred of
+   the 2^20 cells, so merge, reset, iteration and equality walk that
+   vector, not the map.  [hit] never
+   grows the vector: once it is full, [hit] only counts, and the next
+   walk rebuilds a larger vector with one scan of the map.  So [hit]
+   stays allocation-free however many cells a map touches, and a
+   scratch map's vector settles at its working set.
+
+   A map has two forms.  A live map holds the dense bytes and the
+   touched vector (indices in first-touch order).  A map at rest holds
+   no dense bytes, only its sorted (index, count) pairs packed one per
+   int: that is the form that crosses process and disk boundaries, a few
+   KiB instead of 1 MiB.  The first [hit] or [merge ~into] of a map at
+   rest rebuilds the dense bytes; reads work on either form. *)
 
 type t = {
-  map : Bytes.t;           (* map_size saturating 8-bit hit counters *)
-  mutable hits : int;      (* total branch events, unsaturated *)
-  mutable distinct : int;  (* number of nonzero cells *)
+  mutable map : Bytes.t;
+  (* live: [map_size] saturating 8-bit counters; at rest: empty *)
+  mutable cells : int array;
+  (* live: the nonzero cells' indices, in first-touch order (spare
+     capacity past [distinct]); at rest: [(index lsl 8) lor count] per
+     nonzero cell, in increasing index order *)
+  mutable distinct : int;
+  (* nonzero cells: the used prefix of [cells], unless it outran the
+     vector (see [sync]) *)
+  mutable hits : int; (* total branch events, unsaturated *)
 }
 
 let map_bits = 20
 let map_size = 1 lsl map_bits
 
-let create () = { map = Bytes.make map_size '\000'; hits = 0; distinct = 0 }
+(* Above the cells one compile touches: a median of 484 and at most 736
+   over 60 synthesized seeds. *)
+let initial_cells = 1024
+
+let create () =
+  {
+    map = Bytes.make map_size '\000';
+    cells = Array.make initial_cells 0;
+    distinct = 0;
+    hits = 0;
+  }
+
+let[@inline] live cov = Bytes.length cov.map > 0
+
+(* At rest → live: rebuild the dense bytes from the packed pairs and
+   unpack the pairs into indices. *)
+let unpack cov =
+  let map = Bytes.make map_size '\000' in
+  let cells = Array.make (max initial_cells (2 * cov.distinct)) 0 in
+  for k = 0 to cov.distinct - 1 do
+    let e = cov.cells.(k) in
+    Bytes.unsafe_set map (e lsr 8) (Char.unsafe_chr (e land 255));
+    cells.(k) <- e lsr 8
+  done;
+  cov.map <- map;
+  cov.cells <- cells
+
+let words = map_size / 8
+
+(* A live map whose hits outran its vector: rebuild the vector, with
+   room to spare, by one word-skipping scan of the map.  Every walk
+   starts here. *)
+let sync cov =
+  if cov.distinct > Array.length cov.cells then begin
+    let cells = Array.make (min map_size (2 * cov.distinct)) 0 in
+    let n = ref 0 in
+    for w = 0 to words - 1 do
+      let base = w * 8 in
+      if Bytes.get_int64_ne cov.map base <> 0L then
+        for i = base to base + 7 do
+          if Bytes.unsafe_get cov.map i <> '\000' then begin
+            cells.(!n) <- i;
+            incr n
+          end
+        done
+    done;
+    cov.cells <- cells
+  end
+
+(* Append cell [i], new to a synced map, growing the vector when full. *)
+let touch cov i =
+  let n = cov.distinct in
+  if n = Array.length cov.cells then begin
+    let cells = Array.make (min map_size (2 * n)) 0 in
+    Array.blit cov.cells 0 cells 0 n;
+    cov.cells <- cells
+  end;
+  Array.unsafe_set cov.cells n i;
+  cov.distinct <- n + 1
 
 let hit cov id =
+  if not (live cov) then unpack cov;
   let i = id land (map_size - 1) in
   cov.hits <- cov.hits + 1;
   let c = Char.code (Bytes.unsafe_get cov.map i) in
-  if c = 0 then cov.distinct <- cov.distinct + 1;
+  if c = 0 then begin
+    let n = cov.distinct in
+    if n < Array.length cov.cells then Array.unsafe_set cov.cells n i;
+    cov.distinct <- n + 1
+  end;
   if c < 255 then Bytes.unsafe_set cov.map i (Char.unsafe_chr (c + 1))
 
 (* An integer mixer over the (site, a, b) triple: xmix/murmur-style
@@ -56,130 +139,111 @@ let covered cov = cov.distinct
 
 let total_hits cov = cov.hits
 
-let branch_ids cov =
-  let acc = ref [] in
-  for i = map_size - 1 downto 0 do
-    if Bytes.unsafe_get cov.map i <> '\000' then acc := i :: !acc
-  done;
-  !acc
+(* The [k]th nonzero cell of either form, and its count. *)
+let[@inline] cell_at cov k =
+  let e = Array.unsafe_get cov.cells k in
+  if live cov then e else e lsr 8
 
-let words = map_size / 8
+let[@inline] count_at cov k =
+  let e = Array.unsafe_get cov.cells k in
+  if live cov then Char.code (Bytes.unsafe_get cov.map e) else e land 255
 
-(* Merge [src] into [dst] (the macro fuzzer's shared coverage map).
-   Returns the number of branches new to [dst] — [fresh > 0] is the
-   acceptance test of the paper's Algorithm 1, so callers need exactly
-   one pass for both the accept decision and the accumulation. *)
-let merge ~into:dst src =
+(* Cell [i]'s counter: a byte load when live, a binary search over the
+   sorted pairs at rest. *)
+let count cov i =
+  if live cov then Char.code (Bytes.unsafe_get cov.map i)
+  else
+    let rec go lo hi =
+      if lo >= hi then 0
+      else
+        let mid = (lo + hi) lsr 1 in
+        let e = cov.cells.(mid) in
+        let j = e lsr 8 in
+        if j = i then e land 255 else if j < i then go (mid + 1) hi else go lo mid
+    in
+    go 0 cov.distinct
+
+(* The covered cell indices in increasing order, in a fresh array: the
+   pairs are already sorted, a live map's vector is in touch order. *)
+let sorted_cells cov =
+  sync cov;
+  let a = Array.init cov.distinct (cell_at cov) in
+  if live cov then Array.sort Int.compare a;
+  a
+
+let iter_nonzero cov f = Array.iter f (sorted_cells cov)
+
+let branch_ids cov = Array.to_list (sorted_cells cov)
+
+(* Zero only the cells the map touched.  A map at rest has no dense
+   bytes to zero. *)
+let reset cov =
+  sync cov;
+  if live cov then
+    for k = 0 to cov.distinct - 1 do
+      Bytes.unsafe_set cov.map (Array.unsafe_get cov.cells k) '\000'
+    done;
+  cov.distinct <- 0;
+  cov.hits <- 0
+
+let drain = reset
+
+(* Accumulate [src] into [dst] over [src]'s touched cells, returning the
+   number of cells new to [dst] — [fresh > 0] is the acceptance test of
+   the paper's Algorithm 1, so callers need one call for both the accept
+   decision and the accumulation.  With [consume], [src] is reset in the
+   same walk. *)
+let merge_cells ~consume dst src =
+  if not (live dst) then unpack dst;
+  sync dst;
+  sync src;
   let fresh = ref 0 in
-  for w = 0 to words - 1 do
-    if Bytes.get_int64_ne src.map (w * 8) <> 0L then begin
-      let base = w * 8 in
-      for i = base to base + 7 do
-        let s = Char.code (Bytes.unsafe_get src.map i) in
-        if s <> 0 then begin
-          let d = Char.code (Bytes.unsafe_get dst.map i) in
-          if d = 0 then begin
-            incr fresh;
-            dst.distinct <- dst.distinct + 1
-          end;
-          let sum = d + s in
-          Bytes.unsafe_set dst.map i
-            (Char.unsafe_chr (if sum > 255 then 255 else sum))
-        end
-      done
-    end
+  for k = 0 to src.distinct - 1 do
+    let i = cell_at src k and s = count_at src k in
+    let d = Char.code (Bytes.unsafe_get dst.map i) in
+    if d = 0 then begin
+      incr fresh;
+      touch dst i
+    end;
+    let sum = d + s in
+    Bytes.unsafe_set dst.map i (Char.unsafe_chr (if sum > 255 then 255 else sum))
   done;
   dst.hits <- dst.hits + src.hits;
+  if consume then reset src;
   !fresh
 
-(* [merge] fused with the scratch-map reset: accumulate [src] into
-   [dst] and zero [src] in the same word-skipping pass.  Fuzz loops
-   reuse one scratch map per mutant; with this call the 1 MiB
-   [Bytes.fill] that [reset] would do before every compile collapses
-   into zeroing only the words the compile actually touched.  On return
-   [src] is pristine (all-zero map, hits = distinct = 0). *)
-let merge_consume ~into:dst src =
-  let fresh = ref 0 in
-  for w = 0 to words - 1 do
-    let base = w * 8 in
-    if Bytes.get_int64_ne src.map base <> 0L then begin
-      for i = base to base + 7 do
-        let s = Char.code (Bytes.unsafe_get src.map i) in
-        if s <> 0 then begin
-          let d = Char.code (Bytes.unsafe_get dst.map i) in
-          if d = 0 then begin
-            incr fresh;
-            dst.distinct <- dst.distinct + 1
-          end;
-          let sum = d + s in
-          Bytes.unsafe_set dst.map i
-            (Char.unsafe_chr (if sum > 255 then 255 else sum))
-        end
-      done;
-      Bytes.set_int64_ne src.map base 0L
-    end
-  done;
-  dst.hits <- dst.hits + src.hits;
-  src.hits <- 0;
-  src.distinct <- 0;
-  !fresh
+let merge ~into src = merge_cells ~consume:false into src
+let merge_consume ~into src = merge_cells ~consume:true into src
 
-(* Word-skipping iteration over covered cell indices, in increasing
-   order.  The corpus scheduler uses this to update per-edge top-entry
-   claims on accept without materializing [branch_ids]'s list. *)
-let iter_nonzero cov f =
-  for w = 0 to words - 1 do
-    if Bytes.get_int64_ne cov.map (w * 8) <> 0L then begin
-      let base = w * 8 in
-      for i = base to base + 7 do
-        if Bytes.unsafe_get cov.map i <> '\000' then f i
-      done
-    end
-  done
-
-(* [reset] with the word-skipping scan of [merge_consume]: zero only
-   the words that are actually nonzero.  The scheduling path reads the
-   scratch map after the merge (claim bookkeeping needs the mutant's own
-   cells), so it cannot use [merge_consume]; this keeps the
-   full-map-memset-per-mutant from coming back. *)
-let drain cov =
-  for w = 0 to words - 1 do
-    let base = w * 8 in
-    if Bytes.get_int64_ne cov.map base <> 0L then
-      Bytes.set_int64_ne cov.map base 0L
-  done;
-  cov.hits <- 0;
-  cov.distinct <- 0
-
-(* Does [src] cover any branch absent from [dst]?  Same word-skipping
-   scan as [merge] with an early exit; kept for read-only callers —
-   accept-and-accumulate paths should use [merge]'s return instead. *)
-let has_new_coverage ~seen:dst src =
-  let rec go w =
-    if w >= words then false
-    else if Bytes.get_int64_ne src.map (w * 8) = 0L then go (w + 1)
-    else begin
-      let base = w * 8 in
-      let found = ref false in
-      for i = base to base + 7 do
-        if
-          Bytes.unsafe_get src.map i <> '\000'
-          && Bytes.unsafe_get dst.map i = '\000'
-        then found := true
-      done;
-      !found || go (w + 1)
-    end
+let has_new_coverage ~seen src =
+  sync src;
+  let rec go k =
+    k < src.distinct && (count seen (cell_at src k) = 0 || go (k + 1))
   in
   go 0
 
-let reset cov =
-  Bytes.fill cov.map 0 map_size '\000';
-  cov.hits <- 0;
-  cov.distinct <- 0
+let copy cov =
+  {
+    map = Bytes.copy cov.map;
+    cells = Array.copy cov.cells;
+    distinct = cov.distinct;
+    hits = cov.hits;
+  }
 
-let copy cov = { map = Bytes.copy cov.map; hits = cov.hits; distinct = cov.distinct }
+let at_rest cov =
+  let cells = sorted_cells cov in
+  Array.iteri (fun k i -> cells.(k) <- (i lsl 8) lor count cov i) cells;
+  { map = Bytes.empty; cells; distinct = Array.length cells; hits = cov.hits }
 
-(* Exact structural equality, for the checkpoint/resume tests: a resumed
-   run must reproduce the uninterrupted run's map bit-for-bit. *)
+(* Same hit total, same distinct count, and every cell of [a] carries
+   the same counter in [b]: with equal distinct counts that makes the
+   cell sets equal too, whichever form and touch order each map has. *)
 let equal a b =
-  a.hits = b.hits && a.distinct = b.distinct && Bytes.equal a.map b.map
+  sync a;
+  a.hits = b.hits
+  && a.distinct = b.distinct
+  &&
+  let rec go k =
+    k >= a.distinct || (count b (cell_at a k) = count_at a k && go (k + 1))
+  in
+  go 0

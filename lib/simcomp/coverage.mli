@@ -7,9 +7,19 @@
 
     The representation is an AFL-style edge map: a fixed byte array of
     [map_size] saturating 8-bit hit counters plus an exact total-hits
-    count.  {!hit} is allocation-free (no boxing, no hashing of boxed
-    tuples), {!covered} is O(1), and {!merge} is a single word-skipping
-    scan whose return value is the accept signal of Algorithm 1. *)
+    count, and next to it the vector of cells the map has touched.
+    {!hit} is allocation-free (no boxing, no hashing of boxed tuples)
+    and appends a cell to the vector on its 0 → 1 transition;
+    {!covered} is O(1).  {!merge}, {!merge_consume}, {!reset},
+    {!iter_nonzero}, {!branch_ids}, {!has_new_coverage} and {!equal}
+    walk the touched vector, so they cost what a compile touched (a few
+    hundred cells), not the map.
+
+    A map is either live (dense bytes plus touched vector) or at rest
+    ({!at_rest}: sorted (index, count) pairs only, a few KiB instead of
+    1 MiB).  Maps that cross a process or disk boundary travel at rest;
+    the first {!hit} or {!merge} [~into] a map at rest rebuilds its dense
+    bytes, and every read works on either form. *)
 
 type t
 (** A mutable coverage map. *)
@@ -19,13 +29,17 @@ val map_size : int
 (** The id space is [\[0, map_size)] ([1 lsl map_bits]). *)
 
 val create : unit -> t
-(** A zeroed map.  Allocates [map_size] bytes: fuzz loops should create
-    one scratch map per campaign and {!reset} it per mutant rather than
-    allocating per compile. *)
+(** A zeroed live map.  Allocates [map_size] bytes and the touched
+    vector: fuzz loops create one scratch map per run and cycle it
+    through {!merge_consume}, which leaves it zeroed for the next
+    compile. *)
 
 val hit : t -> int -> unit
 (** Record one execution of branch [id mod map_size].  Performs no heap
-    allocation (the benchmark's [coverage_hit_minor_words] pins this). *)
+    allocation on a live map ([test/test_simcomp.ml] and the benchmark's
+    [coverage_hit_minor_words] pin this): when the touched vector is
+    full, [hit] only counts, and the next walk rebuilds a larger vector.
+    The first [hit] into a map at rest rebuilds its dense bytes. *)
 
 val branch : t -> site:int -> ?a:int -> ?b:int -> unit -> unit
 (** Report a branch at [site] with contextual values [a], [b]; the id is
@@ -47,40 +61,43 @@ val branch_ids : t -> int list
 (** Covered ids in increasing order. *)
 
 val merge : into:t -> t -> int
-(** [merge ~into src] accumulates [src] (saturating per-cell) and
-    returns the number of branches new to [into].  [merge ... > 0] is
-    exactly {!has_new_coverage} computed in the same pass — fuzz loops
-    should use this single call for both the accept decision and the
-    accumulation. *)
+(** [merge ~into src] accumulates [src] (saturating per-cell) over
+    [src]'s touched cells and returns the number of branches new to
+    [into].  [merge ... > 0] is exactly {!has_new_coverage} computed in
+    the same walk — fuzz loops use this single call for both the accept
+    decision and the accumulation. *)
 
 val merge_consume : into:t -> t -> int
 (** {!merge} fused with {!reset}: accumulates the second map into
-    [into], zeroes the second map in the same word-skipping pass, and
-    returns the fresh-branch count.  After the call the source map is
-    pristine, so a scratch map cycled through [merge_consume] never
-    needs an up-front {!reset} — the full-map memset collapses into
-    zeroing only the words the compile touched. *)
+    [into], zeroes the second map's touched cells in the same walk, and
+    returns the fresh-branch count.  One call per compile: the scratch
+    map comes back zeroed, ready for the next compile. *)
 
 val iter_nonzero : t -> (int -> unit) -> unit
 (** Apply the callback to every covered cell index, in increasing
-    order, skipping zero words.  For accept-time bookkeeping (corpus
-    scheduling) that must run before the map is consumed. *)
+    order.  For accept-time bookkeeping (corpus scheduling) that must
+    run before the map is consumed. *)
+
+val reset : t -> unit
+(** Zero the map in place by clearing only the cells it touched (no
+    memset). *)
 
 val drain : t -> unit
-(** {!reset} via the word-skipping scan: zero only the nonzero words.
-    For paths that must read the scratch map between the merge and the
-    re-zero (scheduling claims) and so cannot use {!merge_consume}. *)
+(** Same as {!reset}. *)
 
 val has_new_coverage : seen:t -> t -> bool
 (** Does the second map cover a branch absent from [seen]?  Read-only
     variant of the {!merge} fresh test, for callers that must not
     accumulate. *)
 
-val reset : t -> unit
-(** Zero the map in place (no allocation), for scratch-map reuse. *)
-
 val copy : t -> t
 
+val at_rest : t -> t
+(** A copy of the map at rest: its sorted (index, count) pairs and hit
+    total, without the dense bytes.  Marshal this form, not a live
+    map.  The argument is unchanged. *)
+
 val equal : t -> t -> bool
-(** Bit-for-bit map equality (plus hit/distinct counts): the
-    checkpoint/resume identity check. *)
+(** Same cells, same per-cell counts, same hit total, whichever form
+    and touch order each map has: the checkpoint/resume identity
+    check. *)

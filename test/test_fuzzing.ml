@@ -114,6 +114,20 @@ let aflpp_tests =
         check Alcotest.bool "mostly broken" true (!broken > 30));
   ]
 
+(* mutants, compilable mutants, covered branches, sorted crash keys *)
+let run_fingerprint (r : Fuzzing.Fuzz_result.t) =
+  Fmt.str "%d %d %d [%s]" r.total_mutants r.compilable_mutants
+    (Simcomp.Coverage.covered r.coverage)
+    (String.concat "; " (List.sort compare (Fuzzing.Fuzz_result.crash_keys r)))
+
+let scheduled_pin =
+  "151 120 1521 [get_memory_rtx|expand_builtin_memop; \
+   make_goto_expr_edges|build_gimple_cfg]"
+
+let unscheduled_pin =
+  "70 57 1483 [make_goto_expr_edges|build_gimple_cfg; \
+   rewrite_expr_tree|reassociate_bb]"
+
 let mucfuzz_tests =
   [
     tc "run produces coverage, pool growth, and a trend" (fun () ->
@@ -243,7 +257,10 @@ let mucfuzz_tests =
         let a = go () and b = go () in
         check Alcotest.bool "same run" true (Fuzzing.Fuzz_result.equal a b);
         check Alcotest.bool "coverage found" true
-          (Simcomp.Coverage.covered a.Fuzzing.Fuzz_result.coverage > 100));
+          (Simcomp.Coverage.covered a.Fuzzing.Fuzz_result.coverage > 100);
+        (* recorded before the trim remap walked covered cells instead of
+           the whole claim table *)
+        check Alcotest.string "pinned run" scheduled_pin (run_fingerprint a));
     tc "scheduling off leaves the default run untouched" (fun () ->
         (* the scheduler draws extra RNG only when enabled: a default
            config run must be byte-for-byte the run from before the
@@ -263,7 +280,8 @@ let mucfuzz_tests =
         in
         let off = go false and off' = go false in
         check Alcotest.bool "default deterministic" true
-          (Fuzzing.Fuzz_result.equal off off'));
+          (Fuzzing.Fuzz_result.equal off off');
+        check Alcotest.string "pinned run" unscheduled_pin (run_fingerprint off));
     tc "scheduled checkpoint/resume reproduces an uninterrupted run"
       (fun () ->
         let file =

@@ -82,6 +82,20 @@ let protocol_tests =
                 (Astring.String.is_infix ~affix:"protocol" msg
                  || String.length msg > 0)
             | Ok _ | Error _ -> Alcotest.fail "expected Garbled"));
+    tc "a frame from the previous protocol version is an Error" (fun () ->
+        with_socketpair (fun a b ->
+            (* a well-formed Request frame under the previous magic *)
+            let h = Bytes.create 9 in
+            Bytes.blit_string "MSF" 0 h 0 3;
+            Bytes.set_uint8 h 3 (Engine.Shard.protocol_version - 1);
+            Bytes.set_uint8 h 4 1 (* Request *);
+            Bytes.set_int32_be h 5 0l;
+            ignore (Unix.write (Engine.Shard.fd a) h 0 9);
+            match Engine.Shard.recv ~timeout_s:2. b with
+            | Error (Garbled _) -> ()
+            | Ok _ | Error _ -> Alcotest.fail "expected Garbled"
+            | exception e ->
+              Alcotest.failf "raised %s" (Printexc.to_string e)));
     tc "oversized length is garbled" (fun () ->
         with_socketpair (fun a b ->
             let h = Bytes.create 9 in
@@ -562,6 +576,62 @@ let coordinator_tests =
           (Astring.String.is_infix ~affix:"Quarantined units" report);
         check Alcotest.bool "unit named in the table" true
           (Astring.String.is_infix ~affix:"uCFuzz.s-GCC" report));
+    tc "checkpoints with the previous magic are refused; units start fresh"
+      (fun () ->
+        let dir =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Fmt.str "metamut-shard-oldmagic-%d" (Unix.getpid ()))
+        in
+        let files () =
+          Array.to_list (try Sys.readdir dir with _ -> [||])
+          |> List.filter (fun f -> Filename.check_suffix f ".ckpt")
+          |> List.map (Filename.concat dir)
+        in
+        let baseline = run_coordinator ~shards:1 ~checkpoint:dir () in
+        (* rewrite every journal and snapshot under the previous magic,
+           keeping fingerprint and payload: only the magic tells them
+           apart from files this build wrote *)
+        let old_magic = "METAMUT-CKPT2" in
+        List.iter
+          (fun path ->
+            let body = In_channel.with_open_bin path In_channel.input_all in
+            let nl = String.index body '\n' in
+            check Alcotest.bool "the magic moved on" true
+              (String.sub body 0 nl <> old_magic);
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc old_magic;
+                output_string oc
+                  (String.sub body nl (String.length body - nl))))
+          (files ());
+        check Alcotest.bool "journals were written" true
+          (List.exists
+             (fun f ->
+               Astring.String.is_prefix ~affix:"journal-" (Filename.basename f))
+             (files ()));
+        List.iter
+          (fun path ->
+            match Engine.Checkpoint.load ~path ~fingerprint:"any" with
+            | Ok (_ : Fuzzing.Fuzz_result.t) ->
+              Alcotest.failf "%s loaded under the previous magic" path
+            | Error _ -> ()
+            | exception e ->
+              Alcotest.failf "%s: raised %s" path (Printexc.to_string e))
+          (files ());
+        let resumed =
+          run_coordinator ~shards:2 ~checkpoint:dir ~resume:true ()
+        in
+        check Alcotest.int "no unit resumed" 0
+          resumed.Fuzzing.Coordinator.resumed_units;
+        List.iter2
+          (fun (u, r) (_, r') ->
+            check result_testable (Fuzzing.Coordinator.unit_name u) r r')
+          baseline.Fuzzing.Coordinator.results
+          resumed.Fuzzing.Coordinator.results;
+        List.iter Sys.remove (files ());
+        Array.iter
+          (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+          (try Sys.readdir dir with _ -> [||]);
+        (try Unix.rmdir dir with _ -> ()));
     tc "coordinator SIGKILL mid-campaign + resume ≡ uninterrupted \
         (opt-matrix)" (fun () ->
         let dir =

@@ -225,6 +225,175 @@ let bitmap_differential_tests =
         let d = Simcomp.Coverage.create () in
         Simcomp.Coverage.hit d 5;
         check Alcotest.int "no fresh" 0 (Simcomp.Coverage.merge ~into:c d));
+    tc "a scratch map comes back pristine after every merge_consume, drain \
+        and reset" (fun () ->
+        let pristine = Simcomp.Coverage.create () in
+        let cycle name zero =
+          let rng = Rng.create 31 in
+          let scratch = Simcomp.Coverage.create () in
+          let acc = Simcomp.Coverage.create () in
+          for round = 1 to 300 do
+            (* every 50th round outruns the touched vector *)
+            let n = if round mod 50 = 0 then 3000 else Rng.int rng 200 in
+            let rf = Ref_cov.create () in
+            List.iter
+              (fun id ->
+                Simcomp.Coverage.hit scratch id;
+                Ref_cov.hit rf id)
+              (random_ids rng n);
+            (* a cell the previous round left behind would not count as
+               fresh here *)
+            check Alcotest.int (name ^ ": covered") (Ref_cov.covered rf)
+              (Simcomp.Coverage.covered scratch);
+            zero ~acc scratch;
+            if not (Simcomp.Coverage.equal pristine scratch) then
+              Alcotest.failf "%s: round %d left cells behind" name round
+          done
+        in
+        cycle "merge_consume" (fun ~acc s ->
+            ignore (Simcomp.Coverage.merge_consume ~into:acc s));
+        cycle "drain" (fun ~acc:_ s -> Simcomp.Coverage.drain s);
+        cycle "reset" (fun ~acc:_ s -> Simcomp.Coverage.reset s));
+    tc "maps round-tripped through frames and checkpoints accumulate the \
+        same" (fun () ->
+        let dir = Filename.temp_dir "metamut-cov" "" in
+        let path = Filename.concat dir "map.ckpt" in
+        let via_frame m =
+          match Engine.Shard.decode (Engine.Shard.encode m) with
+          | Ok m -> m
+          | Error e -> Alcotest.fail e
+        in
+        let via_checkpoint m =
+          match
+            Result.bind (Engine.Checkpoint.save ~path ~fingerprint:"cov" m)
+              (fun () -> Engine.Checkpoint.load ~path ~fingerprint:"cov")
+          with
+          | Ok m -> m
+          | Error e -> Alcotest.fail e
+        in
+        let rng = Rng.create 55 in
+        let mem = Simcomp.Coverage.create () in
+        let wire = Simcomp.Coverage.create () in
+        let disk = Simcomp.Coverage.create () in
+        for round = 1 to 60 do
+          let m = Simcomp.Coverage.create () in
+          let n = if round mod 25 = 0 then 3000 else Rng.int rng 300 in
+          List.iter (Simcomp.Coverage.hit m) (random_ids rng n);
+          (* one cell saturates at 255 in every round *)
+          for _ = 1 to 300 do
+            Simcomp.Coverage.hit m 12345
+          done;
+          let rest = Simcomp.Coverage.at_rest m in
+          check Alcotest.bool "at rest equals live" true
+            (Simcomp.Coverage.equal m rest);
+          let framed = via_frame rest and stored = via_checkpoint rest in
+          check Alcotest.bool "frame round-trip" true
+            (Simcomp.Coverage.equal m framed);
+          check Alcotest.bool "checkpoint round-trip" true
+            (Simcomp.Coverage.equal m stored);
+          (* a decoded map rebuilds its dense bytes on the first hit *)
+          if round mod 3 = 0 then
+            List.iter
+              (fun id ->
+                Simcomp.Coverage.hit m id;
+                Simcomp.Coverage.hit framed id;
+                Simcomp.Coverage.hit stored id)
+              [ 12345; round; 7 * round ];
+          let f = Simcomp.Coverage.merge ~into:mem m in
+          check Alcotest.int "frame fresh" f
+            (Simcomp.Coverage.merge ~into:wire framed);
+          check Alcotest.int "checkpoint fresh" f
+            (Simcomp.Coverage.merge ~into:disk stored);
+          (* a decoded accumulator rebuilds on the first merge into it *)
+          if round mod 20 = 0 then begin
+            let w = via_frame (Simcomp.Coverage.at_rest wire) in
+            let d = via_checkpoint (Simcomp.Coverage.at_rest disk) in
+            check Alcotest.int "decoded accumulator fresh" 0
+              (Simcomp.Coverage.merge ~into:w m);
+            ignore (Simcomp.Coverage.merge ~into:d m);
+            ignore (Simcomp.Coverage.merge ~into:mem m);
+            check Alcotest.bool "rebuilt wire accumulator" true
+              (Simcomp.Coverage.equal mem w);
+            check Alcotest.bool "rebuilt disk accumulator" true
+              (Simcomp.Coverage.equal mem d);
+            ignore (Simcomp.Coverage.merge ~into:wire m);
+            ignore (Simcomp.Coverage.merge ~into:disk m)
+          end
+        done;
+        check Alcotest.bool "frame-fed accumulator" true
+          (Simcomp.Coverage.equal mem wire);
+        check Alcotest.bool "checkpoint-fed accumulator" true
+          (Simcomp.Coverage.equal mem disk);
+        check Alcotest.(list int) "same ids"
+          (Simcomp.Coverage.branch_ids mem)
+          (Simcomp.Coverage.branch_ids disk);
+        (* the at-rest form is what keeps frames small *)
+        let bytes = String.length (Engine.Shard.encode (Simcomp.Coverage.at_rest mem)) in
+        check Alcotest.bool
+          (Fmt.str "at-rest frame of %d cells is %d bytes" (Simcomp.Coverage.covered mem)
+             bytes)
+          true
+          (bytes < 8 * Simcomp.Coverage.covered mem + 64);
+        Sys.remove path;
+        Sys.rmdir dir);
+    tc "iter_nonzero visits cells in strictly increasing order" (fun () ->
+        let rng = Rng.create 8 in
+        for round = 1 to 50 do
+          let m = Simcomp.Coverage.create () in
+          let n = if round mod 10 = 0 then 3000 else Rng.int rng 500 in
+          List.iter (Simcomp.Coverage.hit m) (random_ids rng n);
+          List.iter
+            (fun (form, m) ->
+              let seen = ref [] in
+              Simcomp.Coverage.iter_nonzero m (fun i -> seen := i :: !seen);
+              let visited = List.rev !seen in
+              let rec increasing = function
+                | a :: (b :: _ as rest) -> a < b && increasing rest
+                | _ -> true
+              in
+              check Alcotest.bool (form ^ ": strictly increasing") true
+                (increasing visited);
+              check Alcotest.int (form ^ ": every covered cell")
+                (Simcomp.Coverage.covered m) (List.length visited))
+            [ ("live", m); ("at rest", Simcomp.Coverage.at_rest m) ]
+        done);
+    tc "touch order does not matter to equal" (fun () ->
+        let rng = Rng.create 12 in
+        let ids = random_ids rng 3000 in
+        let a = Simcomp.Coverage.create () and b = Simcomp.Coverage.create () in
+        List.iter (Simcomp.Coverage.hit a) ids;
+        List.iter (Simcomp.Coverage.hit b) (List.rev ids);
+        check Alcotest.bool "reversed order" true (Simcomp.Coverage.equal a b);
+        check Alcotest.bool "reversed order, at rest" true
+          (Simcomp.Coverage.equal (Simcomp.Coverage.at_rest a) b);
+        Simcomp.Coverage.hit b (List.hd ids);
+        check Alcotest.bool "one extra hit" false (Simcomp.Coverage.equal a b);
+        (* same cells and hit total, different per-cell counts *)
+        let a = Simcomp.Coverage.create () and b = Simcomp.Coverage.create () in
+        List.iter (Simcomp.Coverage.hit a) [ 1; 1; 2 ];
+        List.iter (Simcomp.Coverage.hit b) [ 1; 2; 2 ];
+        check Alcotest.bool "per-cell counts" false (Simcomp.Coverage.equal a b);
+        check Alcotest.bool "per-cell counts, at rest" false
+          (Simcomp.Coverage.equal (Simcomp.Coverage.at_rest a) b));
+    tc "hit allocates nothing on a warm scratch map" (fun () ->
+        (* as in the fuzz loop: the scratch map's touched vector has
+           already grown to its working set (10k cells outrun the initial
+           vector; the merge rebuilds it larger) *)
+        let cov = Simcomp.Coverage.create () in
+        let acc = Simcomp.Coverage.create () in
+        for i = 0 to 9_999 do
+          Simcomp.Coverage.hit cov (i * 7919)
+        done;
+        ignore (Simcomp.Coverage.merge_consume ~into:acc cov);
+        (* 100k hits: 5000 fresh cells, each revisited 20 times *)
+        let ids = Array.init 100_000 (fun k -> (k mod 5000) * 104729) in
+        let before = Gc.minor_words () in
+        for k = 0 to Array.length ids - 1 do
+          Simcomp.Coverage.hit cov (Array.unsafe_get ids k)
+        done;
+        let after = Gc.minor_words () in
+        check (Alcotest.float 0.) "minor words" 0. (after -. before);
+        check Alcotest.int "cells" 5000 (Simcomp.Coverage.covered cov));
   ]
 
 (* ------------------------------------------------------------------ *)
