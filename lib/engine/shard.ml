@@ -945,11 +945,21 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
               crash_restart ()
             end;
             let now = Unix.gettimeofday () in
+            (* a worker with unread frames is alive; the coordinator was
+               busy (a sibling's stalled frame can hold [recv] for the
+               whole timeout), and the next round reads them *)
+            let unread w =
+              match Unix.select [ w.w_conn.c_fd ] [] [] 0. with
+              | r, _, _ -> r <> []
+              | exception Unix.Unix_error _ -> false
+            in
             List.iter
               (fun w ->
                 if w.w_alive && w.w_lease <> None then begin
-                  if now -. w.w_last_active > limits.hang_timeout_s then
-                    kill_worker w ~category:"stalled"
+                  if
+                    now -. w.w_last_active > limits.hang_timeout_s
+                    && not (unread w)
+                  then kill_worker w ~category:"stalled"
                   else if now -. w.w_granted > limits.lease_deadline_s then
                     kill_worker w ~category:"deadline"
                 end)

@@ -283,7 +283,7 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
     (* seeds claim their edges before the scratch map is consumed, so
        the scheduler starts from a fully-ranked baseline *)
     if cfg.schedule then sched_claim st i e cov;
-    (* consume: merge and re-zero the scratch map in one walk, so the
+    (* consume: merge and re-zero the scratch map in one call, so the
        next compile starts from a pristine map *)
     let fresh =
       Simcomp.Coverage.merge_consume ~into:st.result.Fuzz_result.coverage cov

@@ -191,8 +191,8 @@ let drain = reset
 (* Accumulate [src] into [dst] over [src]'s touched cells, returning the
    number of cells new to [dst] — [fresh > 0] is the acceptance test of
    the paper's Algorithm 1, so callers need one call for both the accept
-   decision and the accumulation.  With [consume], [src] is reset in the
-   same walk. *)
+   decision and the accumulation.  With [consume], [src] is then reset
+   over the same cells. *)
 let merge_cells ~consume dst src =
   if not (live dst) then unpack dst;
   sync dst;

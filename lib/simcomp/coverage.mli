@@ -68,10 +68,10 @@ val merge : into:t -> t -> int
     decision and the accumulation. *)
 
 val merge_consume : into:t -> t -> int
-(** {!merge} fused with {!reset}: accumulates the second map into
-    [into], zeroes the second map's touched cells in the same walk, and
-    returns the fresh-branch count.  One call per compile: the scratch
-    map comes back zeroed, ready for the next compile. *)
+(** {!merge} followed by {!reset}: accumulates the second map into
+    [into], zeroes the second map's touched cells, and returns the
+    fresh-branch count.  One call per compile: the scratch map comes
+    back zeroed, ready for the next compile. *)
 
 val iter_nonzero : t -> (int -> unit) -> unit
 (** Apply the callback to every covered cell index, in increasing
