@@ -13,8 +13,10 @@
    so the fault-injection suite exercises the retry path for real. *)
 
 (* CKPT3: coverage maps are stored at rest (sorted pairs); a CKPT2 file
-   holds dense maps and is refused, so its unit starts fresh *)
-let magic = "METAMUT-CKPT3"
+   holds dense maps and is refused, so its unit starts fresh.
+   CKPT4: compile-cache entries (inside fuzzer snapshots) record whether
+   the compile emitted assembly; a CKPT3 file is refused the same way. *)
+let magic = "METAMUT-CKPT4"
 
 let mkdir_p (dir : string) =
   let rec go d =

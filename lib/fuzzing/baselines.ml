@@ -131,8 +131,8 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
   Engine.Vec.iter
     (fun src ->
       ignore
-        (Simcomp.Compiler.compile ~cov:scratch ?engine ?faults compiler options
-           src);
+        (Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
+           compiler options src);
       ignore
         (Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
            scratch))
@@ -151,8 +151,8 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
           throughput_mutants = !result.throughput_mutants + 1;
         };
       (match
-         Simcomp.Compiler.compile ~cov:scratch ?engine ?faults compiler options
-           mutant
+         Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
+           compiler options mutant
        with
       | Simcomp.Compiler.Compiled _ ->
         result := { !result with compilable_mutants = !result.compilable_mutants + 1 }
@@ -191,7 +191,8 @@ let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
         throughput_mutants = !result.throughput_mutants + 1;
       };
     (match
-       Simcomp.Compiler.compile ~cov:scratch ?engine ?faults compiler options src
+       Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
+         compiler options src
      with
     | Simcomp.Compiler.Compiled _ ->
       result := { !result with compilable_mutants = !result.compilable_mutants + 1 }

@@ -57,7 +57,7 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
     (fun idx src ->
       if idx < 50 then begin
         ignore
-          (Simcomp.Compiler.compile ~cov:scratch compiler
+          (Simcomp.Compiler.compile ~cov:scratch ~emit:false compiler
              Simcomp.Compiler.default_options src);
         ignore
           (Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage
@@ -102,7 +102,8 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
               throughput_mutants = !result.throughput_mutants + 1;
             };
           let outcome, parsed =
-            Simcomp.Compiler.compile_tu ~cov:scratch compiler options src'
+            Simcomp.Compiler.compile_tu ~cov:scratch ~emit:false compiler options
+              src'
           in
           (match outcome with
           | Simcomp.Compiler.Compiled _ ->

@@ -74,7 +74,8 @@ type state = {
   mutable faults : Engine.Faults.t option;
   sched_top : Bytes.t;
   (* per-coverage-cell claimant: little-endian u16 pool index per cell,
-     0xFFFF = unclaimed.  Only written when [cfg.schedule] is on. *)
+     0xFFFF = unclaimed.  Allocated (2 MiB) only when [cfg.schedule] is
+     on; empty otherwise. *)
   sched_scratch : int Engine.Vec.t; (* favored-index scan buffer *)
   mutable result : Fuzz_result.t;
 }
@@ -253,7 +254,9 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
       cache;
       batch = make_batch ~cache ~cov:scratch ~engine ~faults compiler options;
       faults;
-      sched_top = Bytes.make (Simcomp.Coverage.map_size * 2) '\xFF';
+      sched_top =
+        (if cfg.schedule then Bytes.make (Simcomp.Coverage.map_size * 2) '\xFF'
+         else Bytes.empty);
       sched_scratch = Engine.Vec.create ();
       result =
         Fuzz_result.make
@@ -478,6 +481,8 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
       | Ok (sn : snapshot) ->
         Rng.set_state st.rng sn.sn_rng_state;
         st.pool <- Engine.Vec.of_array sn.sn_pool;
+        (* the fingerprint pins the schedule mode: a snapshot carrying a
+           claim table only resumes a run that allocated one *)
         (match sn.sn_sched_top with
         | Some b -> Bytes.blit b 0 st.sched_top 0 (Bytes.length b)
         | None -> ());

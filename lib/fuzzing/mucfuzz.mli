@@ -81,7 +81,8 @@ type state = {
       (** consulted (as [Compile_hang]) on every real compile *)
   sched_top : Bytes.t;
       (** per-coverage-cell claimant (little-endian u16 pool index,
-          [0xFFFF] = unclaimed); written only when [cfg.schedule] *)
+          [0xFFFF] = unclaimed); allocated and written only when
+          [cfg.schedule], empty otherwise *)
   sched_scratch : int Engine.Vec.t;
       (** reusable favored-index buffer for the scheduled pick *)
   mutable result : Fuzz_result.t;

@@ -7,7 +7,11 @@
    [asm_instr] records with per-operand strings that were immediately
    re-parsed by the renaming step.  The emitted bytes (and every coverage
    event) are identical to the old two-phase pipeline — the scratch-reuse
-   byte-identity test pins this. *)
+   byte-identity test pins this.
+
+   [allocate_program] is the same back-end stopped before emission: it
+   allocates registers and reports the selection events from the same
+   [instr_event]/[term_event] functions, but writes no buffer. *)
 
 open Ir
 
@@ -49,21 +53,31 @@ let phys_name = [| "r0"; "r1"; "r2"; "r3"; "r4"; "r5"; "r6"; "r7" |]
    arena's [regmap] (vreg → phys; -1 = spilled, -2 = untouched) and
    returns it with the spill count.
 
-   The interval order — which drives both allocation under pressure and
-   the 0x4210 coverage events — comes from [Hashtbl.fold] over [first],
-   so it depends on that table's internal layout.  The arena recycles the
-   table with [Hashtbl.reset] (not [clear]): reset restores the bucket
-   array to its creation size, making the layout — and therefore the fold
-   order — exactly that of the freshly created table the old code
-   allocated per function. *)
+   Intervals are allocated in order of first touch.  Vregs first touched
+   by the same instruction are ordered as the original allocator's
+   [Hashtbl.fold] over a [Hashtbl.create 256] table of first positions
+   left them (then [List.sort], which is stable): that table ends with
+   [l] buckets, [l] the least of 256, 512, ... with [count <= 2l]; the
+   fold walks buckets upwards, newest entry first, prepending, so ties
+   come out by bucket [Hashtbl.hash r land (l - 1)] descending, then in
+   first-touch order.  The order drives register choice, spills, the asm
+   bytes and the 0x4200/0x4210 coverage events, so it is kept exactly
+   (pinned by the differential test against the table version). *)
 let regalloc_into ?cov (s : Scratch.t) (f : func) : int array * int =
-  let first = s.Scratch.live_first and last = s.Scratch.live_last in
-  Hashtbl.reset first;
-  Hashtbl.reset last;
-  let pos = ref 0 in
+  let n = f.fn_nregs in
+  Scratch.intervals_for s n;
+  let first = s.Scratch.ra_first
+  and last = s.Scratch.ra_last
+  and order = s.Scratch.ra_order in
+  let count = ref 0 and pos = ref 0 in
   let touch r =
-    if not (Hashtbl.mem first r) then Hashtbl.replace first r !pos;
-    Hashtbl.replace last r !pos
+    if r < 0 || r > n then invalid_arg "Backend.regalloc: vreg out of range";
+    if first.(r) < 0 then begin
+      first.(r) <- !pos;
+      order.(!count) <- r;
+      incr count
+    end;
+    last.(r) <- !pos
   in
   List.iter
     (fun b ->
@@ -77,44 +91,67 @@ let regalloc_into ?cov (s : Scratch.t) (f : func) : int array * int =
       incr pos;
       iter_term_regs touch b.b_term)
     f.fn_blocks;
-  let intervals =
-    Hashtbl.fold
-      (fun r s acc -> (r, s, Hashtbl.find last r) :: acc)
-      first []
-    |> List.sort (fun (_, s1, _) (_, s2, _) -> compare s1 s2)
-  in
-  let regmap = Scratch.regmap_for s f.fn_nregs in
+  let count = !count in
+  (* ties on the first position: a stable insertion sort of each run by
+     bucket, descending *)
+  let buckets = ref 256 in
+  while count > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let mask = !buckets - 1 in
+  let bucket r = Hashtbl.hash r land mask in
+  let i = ref 0 in
+  while !i < count do
+    let p = first.(order.(!i)) in
+    let j = ref (!i + 1) in
+    while !j < count && first.(order.(!j)) = p do
+      incr j
+    done;
+    for k = !i + 1 to !j - 1 do
+      let r = order.(k) in
+      let br = bucket r in
+      let m = ref k in
+      while !m > !i && bucket order.(!m - 1) < br do
+        order.(!m) <- order.(!m - 1);
+        decr m
+      done;
+      order.(!m) <- r
+    done;
+    i := !j
+  done;
+  let regmap = Scratch.regmap_for s n in
   let active = Array.make phys_regs (-1) (* expiry position *) in
   let spills = ref 0 in
-  List.iter
-    (fun (r, s, e) ->
-      (* find a free or expired physical register *)
-      let found = ref (-1) in
-      Array.iteri (fun i expiry -> if !found < 0 && expiry < s then found := i) active;
-      if !found >= 0 then begin
-        active.(!found) <- e;
-        regmap.(r) <- !found
-      end
-      else begin
-        incr spills;
-        regmap.(r) <- -1
-      end)
-    intervals;
+  for k = 0 to count - 1 do
+    let r = order.(k) in
+    (* the first free or expired physical register *)
+    let start = first.(r) in
+    let p = ref 0 in
+    while !p < phys_regs && active.(!p) >= start do
+      incr p
+    done;
+    if !p < phys_regs then begin
+      active.(!p) <- last.(r);
+      regmap.(r) <- !p
+    end
+    else begin
+      incr spills;
+      regmap.(r) <- -1
+    end
+  done;
   (match cov with
   | Some cov ->
-    Coverage.branch3 cov 0x4200 (min 31 !spills)
-      (List.length intervals land 0xf);
+    Coverage.branch3 cov 0x4200 (min 31 !spills) (count land 0xf);
     (* live-interval shape: length buckets per allocation order position *)
-    List.iteri
-      (fun i (_, s, e) ->
-        if i < 64 then
-          let len = e - s in
-          let bucket =
-            if len <= 2 then 0 else if len <= 8 then 1
-            else if len <= 32 then 2 else if len <= 128 then 3 else 4
-          in
-          Coverage.branch3 cov 0x4210 (i land 0x3f) bucket)
-      intervals
+    for k = 0 to min count 64 - 1 do
+      let r = order.(k) in
+      let len = last.(r) - first.(r) in
+      let bucket =
+        if len <= 2 then 0 else if len <= 8 then 1
+        else if len <= 32 then 2 else if len <= 128 then 3 else 4
+      in
+      Coverage.branch3 cov 0x4210 k bucket
+    done
   | None -> ());
   (regmap, !spills)
 
@@ -127,7 +164,7 @@ let regalloc ?cov (f : func) : (int * int) list * int =
   (!acc, spills)
 
 (* ------------------------------------------------------------------ *)
-(* Fused selection + emission                                          *)
+(* Assembly text                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Non-negative decimal straight into the buffer (no [string_of_int]
@@ -224,19 +261,63 @@ let add_maybe_vreg_string buf regmap nregs s =
     | None -> Buffer.add_string buf s
   else Buffer.add_string buf s
 
-(* Select and emit one IR instruction; reports the pattern used. *)
-let emit_instr ?cov buf regmap nregs (i : instr) : unit =
-  let event a b =
-    match cov with
-    | Some cov -> Coverage.branch3 cov 0x4000 a b
-    | None -> ()
+(* ------------------------------------------------------------------ *)
+(* Selection coverage                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The selection pattern of each instruction and terminator reports one
+   coverage event.  Both the emitting and the stop-before-emit paths
+   take their events from these two functions, so the two cannot
+   drift. *)
+
+let operand_kind = function Reg _ -> 0 | Imm _ -> 1 | Fimm _ -> 2 | Sym _ -> 3
+let address_kind = function Avar _ -> 0 | Aindex _ -> 1 | Areg _ -> 2
+
+let instr_event cov (i : instr) =
+  let site = 0x4000 in
+  match i with
+  | Ibin (op, _, x, y) ->
+    Coverage.branch3 cov site (Hashtbl.hash op land 0xff)
+      ((4 * operand_kind x) + operand_kind y)
+  | Iun (op, _, _) -> Coverage.branch3 cov site 200 (Hashtbl.hash op land 0xff)
+  | Imov _ -> Coverage.branch3 cov site 201 0
+  | Icast (_, ty, _) -> Coverage.branch3 cov site 202 (Lower.ty_tag ty)
+  | Iload (_, addr) -> Coverage.branch3 cov site 203 (address_kind addr)
+  | Istore (addr, _) -> Coverage.branch3 cov site 204 (address_kind addr)
+  | Iaddr _ -> Coverage.branch3 cov site 205 0
+  | Icall (_, _, args) -> Coverage.branch3 cov site 206 (List.length args)
+
+(* Dense case sets use a jump table, sparse ones a compare chain. *)
+let dense_switch cases =
+  match cases with
+  | [] -> false
+  | (v0, _) :: _ ->
+    let lo = List.fold_left (fun m (v, _) -> min m v) v0 cases in
+    let hi = List.fold_left (fun m (v, _) -> max m v) v0 cases in
+    Int64.to_int (Int64.sub hi lo) < 2 * List.length cases + 8
+
+let term_event cov (t : terminator) =
+  let a =
+    match t with
+    | Tret None -> 0
+    | Tret (Some _) -> 1
+    | Tjmp _ -> 2
+    | Tbr _ -> 3
+    | Tswitch (_, cases, _) -> if dense_switch cases then 4 else 5
+    | Tunreachable -> 6
   in
+  Coverage.branch3 cov 0x4100 a 0
+
+(* ------------------------------------------------------------------ *)
+(* Fused selection + emission                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Select and emit one IR instruction. *)
+let emit_instr buf regmap nregs (i : instr) : unit =
   match i with
   | Ibin (op, r, a, b) ->
     (* immediate forms when the second operand is a small constant *)
     let imm_form = match b with Imm v when Int64.abs v < 2048L -> true | _ -> false in
-    let opk = function Reg _ -> 0 | Imm _ -> 1 | Fimm _ -> 2 | Sym _ -> 3 in
-    event (Hashtbl.hash op land 0xff) ((4 * opk a) + opk b);
     let m = if imm_form then mnemonic_of_binop_imm op else mnemonic_of_binop op in
     start_instr buf m;
     add_vreg buf regmap nregs r;
@@ -246,7 +327,6 @@ let emit_instr ?cov buf regmap nregs (i : instr) : unit =
     add_operand buf regmap nregs b;
     end_instr buf
   | Iun (op, r, a) ->
-    event 200 (Hashtbl.hash op land 0xff);
     let m =
       match op with
       | Neg -> "neg" | Lognot -> "not" | Bitnot -> "inv" | Uplus -> "mov"
@@ -257,15 +337,12 @@ let emit_instr ?cov buf regmap nregs (i : instr) : unit =
     add_operand buf regmap nregs a;
     end_instr buf
   | Imov (r, a) ->
-    event 201 0;
     start_instr buf "mov";
     add_vreg buf regmap nregs r;
     add_sep buf;
     add_operand buf regmap nregs a;
     end_instr buf
   | Icast (r, ty, a) ->
-    let tag = Lower.ty_tag ty in
-    event 202 tag;
     let m =
       match ty with
       | Cparse.Ast.Tfloat | Cparse.Ast.Tdouble -> "cvtf"
@@ -279,26 +356,22 @@ let emit_instr ?cov buf regmap nregs (i : instr) : unit =
     add_operand buf regmap nregs a;
     end_instr buf
   | Iload (r, addr) ->
-    event 203 (match addr with Avar _ -> 0 | Aindex _ -> 1 | Areg _ -> 2);
     start_instr buf "ld";
     add_vreg buf regmap nregs r;
     add_addr buf regmap nregs ~lead:true addr;
     end_instr buf
   | Istore (addr, v) ->
-    event 204 (match addr with Avar _ -> 0 | Aindex _ -> 1 | Areg _ -> 2);
     start_instr buf "st";
     add_addr buf regmap nregs ~lead:false addr;
     add_sep buf;
     add_operand buf regmap nregs v;
     end_instr buf
   | Iaddr (r, addr) ->
-    event 205 0;
     start_instr buf "lea";
     add_vreg buf regmap nregs r;
     add_addr buf regmap nregs ~lead:true addr;
     end_instr buf
   | Icall (r, fn, args) ->
-    event 206 (List.length args);
     List.iteri
       (fun i a ->
         start_instr buf "arg";
@@ -319,19 +392,12 @@ let emit_instr ?cov buf regmap nregs (i : instr) : unit =
       end_instr buf
     | None -> ())
 
-let emit_term ?cov buf regmap nregs (t : terminator) : unit =
-  let event a =
-    match cov with
-    | Some cov -> Coverage.branch3 cov 0x4100 a 0
-    | None -> ()
-  in
+let emit_term buf regmap nregs (t : terminator) : unit =
   match t with
   | Tret None ->
-    event 0;
     start_instr buf "ret";
     end_instr buf
   | Tret (Some op) ->
-    event 1;
     start_instr buf "mov";
     Buffer.add_string buf "rv";
     add_sep buf;
@@ -340,12 +406,10 @@ let emit_term ?cov buf regmap nregs (t : terminator) : unit =
     start_instr buf "ret";
     end_instr buf
   | Tjmp l ->
-    event 2;
     start_instr buf "jmp";
     add_label buf l;
     end_instr buf
   | Tbr (c, a, b) ->
-    event 3;
     start_instr buf "bnez";
     add_operand buf regmap nregs c;
     add_sep buf;
@@ -355,18 +419,7 @@ let emit_term ?cov buf regmap nregs (t : terminator) : unit =
     add_label buf b;
     end_instr buf
   | Tswitch (c, cases, d) ->
-    (* dense case sets use a jump table, sparse ones a compare chain *)
-    let dense =
-      match cases with
-      | [] -> false
-      | _ ->
-        let vs = List.map fst cases in
-        let lo = List.fold_left min (List.hd vs) vs in
-        let hi = List.fold_left max (List.hd vs) vs in
-        Int64.to_int (Int64.sub hi lo) < 2 * List.length cases + 8
-    in
-    event (if dense then 4 else 5);
-    if dense then begin
+    if dense_switch cases then begin
       start_instr buf "jtab";
       add_operand buf regmap nregs c;
       List.iter
@@ -397,12 +450,11 @@ let emit_term ?cov buf regmap nregs (t : terminator) : unit =
       end_instr buf
     end
   | Tunreachable ->
-    event 6;
     start_instr buf "trap";
     end_instr buf
 
 (* ------------------------------------------------------------------ *)
-(* Function / program emission                                         *)
+(* Function / program back-end                                         *)
 (* ------------------------------------------------------------------ *)
 
 let emit_function_into ?cov (s : Scratch.t) buf (f : func) : int =
@@ -415,15 +467,15 @@ let emit_function_into ?cov (s : Scratch.t) buf (f : func) : int =
       Buffer.add_string buf ".L";
       add_pos_int buf b.b_label;
       Buffer.add_string buf ":\n";
-      List.iter (fun i -> emit_instr ?cov buf regmap nregs i) b.b_instrs;
-      emit_term ?cov buf regmap nregs b.b_term)
+      List.iter
+        (fun i ->
+          (match cov with Some cov -> instr_event cov i | None -> ());
+          emit_instr buf regmap nregs i)
+        b.b_instrs;
+      (match cov with Some cov -> term_event cov b.b_term | None -> ());
+      emit_term buf regmap nregs b.b_term)
     f.fn_blocks;
   spills
-
-let emit_function ?cov (f : func) : string * int =
-  let buf = Buffer.create 256 in
-  let spills = emit_function_into ?cov (Scratch.get ()) buf f in
-  (Buffer.contents buf, spills)
 
 let emit_program ?cov (p : program) : string * int =
   let s = Scratch.get () in
@@ -445,3 +497,28 @@ let emit_program ?cov (p : program) : string * int =
     (fun f -> total_spills := !total_spills + emit_function_into ?cov s buf f)
     p.p_funcs;
   (Buffer.contents buf, !total_spills)
+
+(* [List.iter (instr_event cov)] without a partial application per block *)
+let rec instr_events cov = function
+  | [] -> ()
+  | i :: rest ->
+    instr_event cov i;
+    instr_events cov rest
+
+(* The stop-before-emit back-end: allocation and selection coverage of
+   [emit_program], without rendering a byte. *)
+let allocate_program ?cov (p : program) : int =
+  let s = Scratch.get () in
+  List.fold_left
+    (fun total f ->
+      let _, spills = regalloc_into ?cov s f in
+      (match cov with
+      | Some cov ->
+        List.iter
+          (fun b ->
+            instr_events cov b.b_instrs;
+            term_event cov b.b_term)
+          f.fn_blocks
+      | None -> ());
+      total + spills)
+    0 p.p_funcs

@@ -504,8 +504,8 @@ let watchdog_outcome (compiler : compiler) : outcome =
       frames = [ "watchdog_timeout"; "compile_supervisor" ];
     }
 
-let compile_tu ?cov ?engine ?faults (compiler : compiler) (opts : options)
-    (src : string) : outcome * Cparse.Ast.tu option =
+let compile_tu ?cov ?engine ?faults ?(emit = true) (compiler : compiler)
+    (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
   match
     Option.map
       (fun f -> Engine.Faults.fire ?ctx:engine f Engine.Faults.Compile_hang)
@@ -593,10 +593,14 @@ let compile_tu ?cov ?engine ?faults (compiler : compiler) (opts : options)
             let executed = List.map fst results in
             Bugdb.check_passes ~compiler ~executed ~ast;
             check ~executed Crash.Optimization (Some ast));
-        (* back-end *)
+        (* back-end; without [emit] it stops after register allocation
+           and selection, with the same coverage and an empty [asm] *)
         let asm, spills =
           span "compile.backend" (fun () ->
-              let r = Backend.emit_program ?cov prog in
+              let r =
+                if emit then Backend.emit_program ?cov prog
+                else ("", Backend.allocate_program ?cov prog)
+              in
               check Crash.Back_end (Some ast);
               r)
         in
@@ -619,9 +623,9 @@ let compile_tu ?cov ?engine ?faults (compiler : compiler) (opts : options)
   record_outcome engine outcome;
   (outcome, !parsed_tu)
 
-let compile ?cov ?engine ?faults (compiler : compiler) (opts : options)
+let compile ?cov ?engine ?faults ?emit (compiler : compiler) (opts : options)
     (src : string) : outcome =
-  fst (compile_tu ?cov ?engine ?faults compiler opts src)
+  fst (compile_tu ?cov ?engine ?faults ?emit compiler opts src)
 
 (* Run the pipeline step by step, recording each executed pass: change
    counts, IR snapshots per [opts.dump_ir], and (with [verify]) a
@@ -713,6 +717,7 @@ let options_to_string (o : options) =
 type cache_entry = {
   ce_compiler : compiler;
   ce_opts : options;
+  ce_emit : bool; (* an asm-less outcome never answers an emitting probe *)
   ce_src : string;
   ce_outcome : outcome;
 }
@@ -772,19 +777,21 @@ let fp_of cache ~salt src =
   in
   base lxor salt
 
-let entry_matches (compiler : compiler) (opts : options) (src : string)
+let entry_matches (compiler : compiler) (opts : options) ~emit (src : string)
     (e : cache_entry) =
-  e.ce_compiler = compiler && String.equal e.ce_src src && e.ce_opts = opts
+  e.ce_compiler = compiler && e.ce_emit = emit && String.equal e.ce_src src
+  && e.ce_opts = opts
 
 (* The shared cached-compile core: [fp] is the already-salted
    fingerprint. *)
-let cached_compile ~cache ~fp ?cov ?engine ?faults (compiler : compiler)
+let cached_compile ~cache ~fp ?cov ?engine ?faults ~emit (compiler : compiler)
     (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
   let bucket = Hashtbl.find_opt cache.c_tbl fp in
   let hit =
     match bucket with
     | None -> None
-    | Some entries -> List.find_opt (entry_matches compiler opts src) entries
+    | Some entries ->
+      List.find_opt (entry_matches compiler opts ~emit src) entries
   in
   match hit with
   | Some e ->
@@ -802,14 +809,15 @@ let cached_compile ~cache ~fp ?cov ?engine ?faults (compiler : compiler)
     cache.c_misses <- cache.c_misses + 1;
     (match bucket with
     | Some _ ->
-      (* fingerprint collision (or same source under other options):
-         the exact-key comparison above kept the probe sound *)
+      (* fingerprint collision (or same source under other options, or
+         the other [emit]): the exact-key comparison above kept the
+         probe sound *)
       cache.c_collisions <- cache.c_collisions + 1
     | None -> ());
     (* the fault draw happens only on real compiles (a cache hit replays
        the memoized outcome, injected hang included), so a pathological
        mutant is pathological every time it is seen *)
-    let outcome, tu = compile_tu ?cov ?engine ?faults compiler opts src in
+    let outcome, tu = compile_tu ?cov ?engine ?faults ~emit compiler opts src in
     if cache.c_len >= cache.c_capacity then begin
       Hashtbl.reset cache.c_tbl;
       cache.c_len <- 0
@@ -818,16 +826,17 @@ let cached_compile ~cache ~fp ?cov ?engine ?faults (compiler : compiler)
       match Hashtbl.find_opt cache.c_tbl fp with Some l -> l | None -> []
     in
     Hashtbl.replace cache.c_tbl fp
-      ({ ce_compiler = compiler; ce_opts = opts; ce_src = src;
+      ({ ce_compiler = compiler; ce_opts = opts; ce_emit = emit; ce_src = src;
          ce_outcome = outcome }
        :: prev);
     cache.c_len <- cache.c_len + 1;
     (outcome, tu)
 
-let compile_cached ~cache ?cov ?engine ?faults (compiler : compiler)
-    (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
+let compile_cached ~cache ?cov ?engine ?faults ?(emit = true)
+    (compiler : compiler) (opts : options) (src : string) :
+    outcome * Cparse.Ast.tu option =
   let fp = fp_of cache ~salt:(fp_salt compiler opts) src in
-  cached_compile ~cache ~fp ?cov ?engine ?faults compiler opts src
+  cached_compile ~cache ~fp ?cov ?engine ?faults ~emit compiler opts src
 
 (* ------------------------------------------------------------------ *)
 (* Batch compile sessions                                              *)
@@ -838,8 +847,9 @@ let compile_cached ~cache ?cov ?engine ?faults (compiler : compiler)
    fingerprint salt (an options traversal) is precomputed, the
    cov/engine/faults plumbing is bound up front instead of re-boxed per
    call, and every compile shares the cache — decisions are exactly
-   those of [compile_cached] called with the same arguments (pinned by
-   the batch-equivalence test). *)
+   those of [compile_cached ~emit:false] called with the same arguments
+   (pinned by the batch-equivalence test).  A fuzz loop reads only the
+   outcome and the coverage, so a batch always stops before emission. *)
 type batch = {
   bt_cache : cache;
   bt_compiler : compiler;
@@ -865,4 +875,4 @@ let batch_create ~cache ?cov ?engine ?faults (compiler : compiler)
 let batch_compile (b : batch) (src : string) : outcome * Cparse.Ast.tu option =
   let fp = fp_of b.bt_cache ~salt:b.bt_salt src in
   cached_compile ~cache:b.bt_cache ~fp ?cov:b.bt_cov ?engine:b.bt_engine
-    ?faults:b.bt_faults b.bt_compiler b.bt_opts src
+    ?faults:b.bt_faults ~emit:false b.bt_compiler b.bt_opts src

@@ -33,6 +33,8 @@ val pipeline_of : options -> string list
 
 type outcome =
   | Compiled of { asm : string; warnings : int; ir_size : int; spills : int }
+      (** [asm] is the emitted assembly, or [""] when the compile stopped
+          before emission ([~emit:false], every {!batch_compile}) *)
   | Compile_error of string list
   | Crashed of Crash.t
       (** an internal compiler error: a latent bug fired *)
@@ -44,10 +46,14 @@ val engine_stage : Crash.stage -> Engine.Event.stage
 
 val compile :
   ?cov:Coverage.t -> ?engine:Engine.Ctx.t -> ?faults:Engine.Faults.t ->
-  compiler -> options -> string -> outcome
-(** Compile C source.  When [cov] is given, every pipeline stage reports
-    branch coverage into it (including error-handling paths for inputs
-    that fail to lex/parse/type check).  When [engine] is given, each
+  ?emit:bool -> compiler -> options -> string -> outcome
+(** Compile C source.  With [emit] (the default) the back-end renders the
+    assembly into [Compiled.asm]; [~emit:false] stops it after register
+    allocation and selection, for callers that read only the outcome
+    and the coverage: the outcome is the same except for [asm = ""],
+    and the coverage is the same.  When [cov] is given, every pipeline
+    stage reports branch coverage into it (including error-handling
+    paths for inputs that fail to lex/parse/type check).  When [engine] is given, each
     stage runs under a span ([span.compile.frontend] / [.lower] / [.opt]
     / [.backend]), outcome counters are bumped, and a
     {!Engine.Event.Compile_finished} event carrying the outcome kind and
@@ -62,7 +68,7 @@ val compile :
 
 val compile_tu :
   ?cov:Coverage.t -> ?engine:Engine.Ctx.t -> ?faults:Engine.Faults.t ->
-  compiler -> options -> string -> outcome * Cparse.Ast.tu option
+  ?emit:bool -> compiler -> options -> string -> outcome * Cparse.Ast.tu option
 (** Like {!compile}, but also returns the parsed translation unit when
     the front-end parse succeeded (always [Some] when the outcome is
     [Compiled]).  Fuzz loops that pool compiled mutants use this to
@@ -75,7 +81,9 @@ type cache
     compiler and options), but every entry stores the exact
     (compiler, options, source) triple and probes compare all three —
     a fingerprint collision falls back to the exact key, so decisions
-    are identical to a full-text-keyed cache.  The pipeline is
+    are identical to a full-text-keyed cache.  Whether the compile
+    emitted is part of the exact key: an emitting probe is never served
+    an asm-less outcome.  The pipeline is
     deterministic in that triple, so byte-identical mutants — which the
     fragility model produces often — skip the whole compile. *)
 
@@ -98,7 +106,7 @@ val cache_collisions : cache -> int
 
 val compile_cached :
   cache:cache -> ?cov:Coverage.t -> ?engine:Engine.Ctx.t ->
-  ?faults:Engine.Faults.t -> compiler -> options -> string ->
+  ?faults:Engine.Faults.t -> ?emit:bool -> compiler -> options -> string ->
   outcome * Cparse.Ast.tu option
 (** {!compile_tu} through the cache.  On a hit the memoized outcome is
     returned with [None] for the tree, nothing is recorded into [cov]
@@ -114,16 +122,18 @@ type batch
     loops compile many mutants of one original under one configuration;
     a batch precomputes the per-configuration fingerprint salt and binds
     the cov/engine/faults plumbing once, so the per-mutant overhead is a
-    single scan of the source. *)
+    single scan of the source.  A fuzz loop reads only outcomes and
+    coverage, so a batch always stops before emission. *)
 
 val batch_create :
   cache:cache -> ?cov:Coverage.t -> ?engine:Engine.Ctx.t ->
   ?faults:Engine.Faults.t -> compiler -> options -> batch
 
 val batch_compile : batch -> string -> outcome * Cparse.Ast.tu option
-(** Exactly {!compile_cached} with the batch's pinned arguments: cache
-    decisions, engine accounting, fault draws and outcomes are
-    indistinguishable from the unbatched call. *)
+(** Exactly {!compile_cached} [~emit:false] with the batch's pinned
+    arguments: cache decisions, engine accounting, fault draws and
+    outcomes (so [Compiled.asm = ""]) are indistinguishable from the
+    unbatched call. *)
 
 (** One executed pipeline step, as recorded by {!compile_passes}. *)
 type pass_step = {

@@ -29,10 +29,12 @@ type t = {
   used : (int, unit) Hashtbl.t;
   forward : (int, int) Hashtbl.t;
   reach : (int, unit) Hashtbl.t;
-  (* Backend: per-function live-interval endpoints and the vreg → phys
-     assignment (array indexed by vreg; -2 = unassigned, -1 = spilled). *)
-  live_first : (int, int) Hashtbl.t;
-  live_last : (int, int) Hashtbl.t;
+  (* Backend: per-function live-interval endpoints indexed by vreg
+     ([ra_first] -1 = untouched), the touched vregs in allocation order,
+     and the vreg → phys assignment (-2 = unassigned, -1 = spilled). *)
+  mutable ra_first : int array;
+  mutable ra_last : int array;
+  mutable ra_order : int array;
   mutable regmap : int array;
   (* Backend: whole-program assembly buffer. *)
   asm_buf : Buffer.t;
@@ -50,8 +52,9 @@ let create () =
     used = Hashtbl.create 256;
     forward = Hashtbl.create 64;
     reach = Hashtbl.create 64;
-    live_first = Hashtbl.create 256;
-    live_last = Hashtbl.create 256;
+    ra_first = Array.make 256 (-1);
+    ra_last = Array.make 256 0;
+    ra_order = Array.make 256 0;
     regmap = Array.make 256 (-2);
     asm_buf = Buffer.create 4096;
     render_buf = Buffer.create 4096;
@@ -80,6 +83,17 @@ let regmap_for (s : t) (n : int) : int array =
     s.regmap <- Array.make (max (n + 1) (2 * Array.length s.regmap)) (-2)
   else Array.fill s.regmap 0 (n + 1) (-2);
   s.regmap
+
+(* Ensure the interval arrays cover vregs [0..n], with every [ra_first]
+   cell over that range reset to untouched. *)
+let intervals_for (s : t) (n : int) : unit =
+  if Array.length s.ra_first <= n then begin
+    let len = max (n + 1) (2 * Array.length s.ra_first) in
+    s.ra_first <- Array.make len (-1);
+    s.ra_last <- Array.make len 0;
+    s.ra_order <- Array.make len 0
+  end
+  else Array.fill s.ra_first 0 (n + 1) (-1)
 
 (* Render a translation unit through the recycled buffer: same bytes as
    [Pretty.tu_to_string], without per-render buffer growth garbage. *)

@@ -1,7 +1,8 @@
 (** The per-domain compile arena: reusable buffers, IR instruction
-    vectors, and pre-sized recycled hashtables shared by the compile hot
-    path ({!Lower}, {!Opt}, {!Backend}, {!Typecheck} context reuse) so a
-    steady-state compile allocates only what escapes it.
+    vectors, live-interval arrays and pre-sized recycled hashtables
+    shared by the compile hot path ({!Lower}, {!Opt}, {!Backend},
+    {!Typecheck} context reuse) so a steady-state compile allocates only
+    what escapes it.
 
     Every structure is fully cleared by its user around each use, so a
     warm arena produces byte-identical output to a cold one (pinned by
@@ -14,8 +15,9 @@ type t = {
   used : (int, unit) Hashtbl.t;
   forward : (int, int) Hashtbl.t;
   reach : (int, unit) Hashtbl.t;
-  live_first : (int, int) Hashtbl.t;
-  live_last : (int, int) Hashtbl.t;
+  mutable ra_first : int array;
+  mutable ra_last : int array;
+  mutable ra_order : int array;
   mutable regmap : int array;
   asm_buf : Buffer.t;
   render_buf : Buffer.t;
@@ -32,6 +34,11 @@ val reset : unit -> unit
 val regmap_for : t -> int -> int array
 (** The vreg assignment array, grown to cover [0..n] and filled with the
     unassigned sentinel (-2) over that range. *)
+
+val intervals_for : t -> int -> unit
+(** Grow the live-interval arrays ([ra_first], [ra_last], [ra_order]) to
+    cover vregs [0..n] and mark every vreg in that range untouched
+    ([ra_first] = -1). *)
 
 val render_tu : Cparse.Ast.tu -> string
 (** Render a translation unit through the recycled buffer: byte-identical

@@ -1724,11 +1724,12 @@ let compile_pipeline_tests =
         let srcs = srcs @ srcs in
         let cache_a = Simcomp.Compiler.cache_create () in
         let cov_a = Simcomp.Coverage.create () in
+        (* a batch always stops before emit *)
         let via_cached =
           List.map
             (fun src ->
               Simcomp.Compiler.compile_cached ~cache:cache_a ~cov:cov_a
-                Simcomp.Compiler.Gcc opts src)
+                ~emit:false Simcomp.Compiler.Gcc opts src)
             srcs
         in
         let cache_b = Simcomp.Compiler.cache_create () in
@@ -2021,6 +2022,252 @@ let pass_manager_tests =
         done);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Backend differential: interval arrays and stop-before-emit          *)
+(* ------------------------------------------------------------------ *)
+
+(* The linear-scan allocator as it was before the interval arrays: first
+   and last touches in fresh [Hashtbl.create 256] tables, intervals
+   folded out of the first-touch table and stably sorted by first
+   position.  The reference for the allocation order, ties included. *)
+let reference_regalloc ?cov (f : Simcomp.Ir.func) : (int * int) list * int =
+  let open Simcomp.Ir in
+  let first = Hashtbl.create ~random:false 256 in
+  let last = Hashtbl.create ~random:false 256 in
+  let pos = ref 0 in
+  let touch r =
+    if not (Hashtbl.mem first r) then Hashtbl.replace first r !pos;
+    Hashtbl.replace last r !pos
+  in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i ->
+          incr pos;
+          iter_regs touch i)
+        b.b_instrs;
+      incr pos;
+      iter_term_regs touch b.b_term)
+    f.fn_blocks;
+  let intervals =
+    Hashtbl.fold (fun r s acc -> (r, s, Hashtbl.find last r) :: acc) first []
+    |> List.sort (fun (_, s1, _) (_, s2, _) -> compare s1 s2)
+  in
+  let regmap = Array.make (f.fn_nregs + 1) (-2) in
+  let active = Array.make Simcomp.Backend.phys_regs (-1) in
+  let spills = ref 0 in
+  List.iter
+    (fun (r, s, e) ->
+      let found = ref (-1) in
+      Array.iteri (fun i expiry -> if !found < 0 && expiry < s then found := i) active;
+      if !found >= 0 then begin
+        active.(!found) <- e;
+        regmap.(r) <- !found
+      end
+      else begin
+        incr spills;
+        regmap.(r) <- -1
+      end)
+    intervals;
+  (match cov with
+  | Some cov ->
+    Simcomp.Coverage.branch3 cov 0x4200 (min 31 !spills)
+      (List.length intervals land 0xf);
+    List.iteri
+      (fun i (_, s, e) ->
+        if i < 64 then
+          let len = e - s in
+          let bucket =
+            if len <= 2 then 0 else if len <= 8 then 1
+            else if len <= 32 then 2 else if len <= 128 then 3 else 4
+          in
+          Simcomp.Coverage.branch3 cov 0x4210 (i land 0x3f) bucket)
+      intervals
+  | None -> ());
+  let acc = ref [] in
+  for r = f.fn_nregs downto 0 do
+    if regmap.(r) <> -2 then acc := (r, regmap.(r)) :: !acc
+  done;
+  (!acc, !spills)
+
+(* A function over at least [n] vregs, shaped for the allocator: most
+   instructions introduce several new vregs at once (ties on the first
+   position) and uses reach back to any earlier vreg (intervals of every
+   length, so spills under pressure). *)
+let wide_func rng n =
+  let open Simcomp.Ir in
+  let next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let old () = if !next = 0 then fresh () else 1 + Rng.int rng !next in
+  let operand () =
+    match Rng.int rng 6 with
+    | 0 -> Imm (Int64.of_int (Rng.int rng 5000))
+    | 1 | 2 -> Reg (old ())
+    | _ -> Reg (fresh ())
+  in
+  let instr () =
+    match Rng.int rng 6 with
+    | 0 | 1 ->
+      let r = fresh () in
+      let a = operand () in
+      Ibin (Cparse.Ast.Add, r, a, operand ())
+    | 2 ->
+      let r = fresh () in
+      Icall (Some r, "f", List.init (Rng.int rng 7) (fun _ -> operand ()))
+    | 3 ->
+      let i = operand () in
+      Istore (Aindex ("a", i, 4), operand ())
+    | 4 -> Iload (fresh (), Areg (operand ()))
+    | _ -> Imov (fresh (), Reg (old ()))
+  in
+  let blocks = ref [] in
+  let label = ref 0 in
+  while !next < n do
+    let instrs = List.init (1 + Rng.int rng 12) (fun _ -> instr ()) in
+    incr label;
+    let term =
+      match Rng.int rng 3 with
+      | 0 -> Tbr (operand (), !label + 1, !label + 1)
+      | 1 -> Tswitch (operand (), [ (1L, !label + 1); (9L, !label + 1) ], !label + 1)
+      | _ -> Tjmp (!label + 1)
+    in
+    blocks := block !label instrs term :: !blocks
+  done;
+  blocks := block (!label + 1) [] (Tret (Some (Reg (old ())))) :: !blocks;
+  func ~nregs:!next (Fmt.str "wide%d" n) (List.rev !blocks)
+
+let backend_programs () =
+  List.concat_map
+    (fun (cfg, seed) ->
+      List.init 30 (fun i -> Ast_gen.gen_source ~cfg (Rng.create (seed + i))))
+    [ (Ast_gen.default_config, 2300); (Ast_gen.csmith_like_config, 2400) ]
+  @ Fuzzing.Seeds.corpus ~n:40 (Rng.create 29)
+
+let levels = [ 0; 1; 2; 3 ]
+let opts_at_level l = { Simcomp.Compiler.default_options with opt_level = l }
+
+(* Same assignment, spill count and coverage as the reference; returns
+   the function's distinct vreg count. *)
+let check_regalloc (f : Simcomp.Ir.func) =
+  let cov = Simcomp.Coverage.create () and ref_cov = Simcomp.Coverage.create () in
+  let assignment, spills = Simcomp.Backend.regalloc ~cov f in
+  let ref_assignment, ref_spills = reference_regalloc ~cov:ref_cov f in
+  check Alcotest.(list (pair int int)) (f.Simcomp.Ir.fn_name ^ " regmap")
+    ref_assignment assignment;
+  check Alcotest.int (f.Simcomp.Ir.fn_name ^ " spills") ref_spills spills;
+  check Alcotest.bool (f.Simcomp.Ir.fn_name ^ " coverage") true
+    (Simcomp.Coverage.equal ref_cov cov);
+  List.length assignment
+
+let backend_differential_tests =
+  [
+    tc "interval arrays allocate like the table allocator" (fun () ->
+        let funcs = ref 0 in
+        List.iter
+          (fun src ->
+            List.iter
+              (fun l ->
+                match Simcomp.Compiler.compile_ir Simcomp.Compiler.Gcc (opts_at_level l) src with
+                | Ok p ->
+                  List.iter
+                    (fun f ->
+                      ignore (check_regalloc f);
+                      incr funcs)
+                    p.Simcomp.Ir.p_funcs
+                | Error _ -> ())
+              levels)
+          (backend_programs ());
+        check Alcotest.bool "enough functions" true (!funcs > 500));
+    tc "wide hand-built functions keep the resized-table tie order" (fun () ->
+        (* the reference table grows past 256 buckets at 513 vregs and
+           past 512 at 1025: the tie order follows the final size.  Sizes
+           go up and down, so narrow functions reuse a grown arena. *)
+        let widest = ref 0 in
+        List.iteri
+          (fun i n ->
+            let f = wide_func (Rng.create (4100 + i)) n in
+            widest := max !widest (check_regalloc f))
+          [ 8; 514; 40; 1100; 200; 4300; 511; 700; 5; 1025; 1600; 30; 2100 ];
+        check Alcotest.bool "past 2048 vregs" true (!widest > 2048));
+    tc "stopping before emit keeps the outcome and the coverage" (fun () ->
+        List.iter
+          (fun src ->
+            List.iter
+              (fun compiler ->
+                List.iter
+                  (fun l ->
+                    let opts = opts_at_level l in
+                    let cov = Simcomp.Coverage.create () in
+                    let emitted = Simcomp.Compiler.compile ~cov compiler opts src in
+                    let cov' = Simcomp.Coverage.create () in
+                    let stopped =
+                      Simcomp.Compiler.compile ~cov:cov' ~emit:false compiler opts src
+                    in
+                    let without_asm = function
+                      | Simcomp.Compiler.Compiled c ->
+                        check Alcotest.bool "asm emitted" true (String.length c.asm > 0);
+                        Simcomp.Compiler.Compiled { c with asm = "" }
+                      | o -> o
+                    in
+                    check Alcotest.bool "same outcome but asm" true
+                      (without_asm emitted = stopped);
+                    check Alcotest.bool "same coverage" true
+                      (Simcomp.Coverage.equal cov cov'))
+                  levels)
+              [ Simcomp.Compiler.Gcc; Simcomp.Compiler.Clang ])
+          (backend_programs ()));
+    tc "an emitting probe is never served an asm-less outcome" (fun () ->
+        let opts = Simcomp.Compiler.default_options in
+        let srcs = List.init 4 (fun i -> Ast_gen.gen_source (Rng.create (2500 + i))) in
+        let compiled = function
+          | Simcomp.Compiler.Compiled { asm; _ } -> Some asm
+          | _ -> None
+        in
+        (* both modes of a source share its fingerprint bucket (a
+           constant fingerprint shares one bucket among all entries):
+           only the exact key tells them apart *)
+        List.iter
+          (fun fingerprint ->
+            let cache = Simcomp.Compiler.cache_create ?fingerprint () in
+            let probe ?emit src =
+              compiled
+                (fst
+                   (Simcomp.Compiler.compile_cached ~cache ?emit Simcomp.Compiler.Gcc
+                      opts src))
+            in
+            List.iter
+              (fun src ->
+                let full = compiled (Simcomp.Compiler.compile Simcomp.Compiler.Gcc opts src) in
+                check Alcotest.bool "compiles" true (Option.is_some full);
+                (* no-emit entry first, then an emitting probe of the
+                   same source, then both again (hits) *)
+                check Alcotest.(option string) "stopped" (Some "") (probe ~emit:false src);
+                check Alcotest.(option string) "emitted" full (probe src);
+                check Alcotest.(option string) "stopped, cached" (Some "")
+                  (probe ~emit:false src);
+                check Alcotest.(option string) "emitted, cached" full (probe src))
+              srcs;
+            check Alcotest.int "one miss per (source, emit)" 8
+              (Simcomp.Compiler.cache_misses cache);
+            check Alcotest.int "one hit per (source, emit)" 8
+              (Simcomp.Compiler.cache_hits cache);
+            check Alcotest.bool "modes met in a bucket" true
+              (Simcomp.Compiler.cache_collisions cache >= 4);
+            (* a batch (always stopped) shares the cache without leaking
+               its entries into emitting probes *)
+            let batch = Simcomp.Compiler.batch_create ~cache Simcomp.Compiler.Gcc opts in
+            let src = Ast_gen.gen_source (Rng.create 2600) in
+            check Alcotest.(option string) "batch stops" (Some "")
+              (compiled (fst (Simcomp.Compiler.batch_compile batch src)));
+            check Alcotest.(option string) "emitting probe after the batch"
+              (compiled (Simcomp.Compiler.compile Simcomp.Compiler.Gcc opts src))
+              (probe src))
+          [ None; Some (fun _ -> 42) ]);
+  ]
+
 let () =
   Alcotest.run "simcomp"
     [
@@ -2033,6 +2280,7 @@ let () =
       ("opt", opt_tests);
       ("pass-manager", pass_manager_tests);
       ("backend", backend_tests);
+      ("backend-differential", backend_differential_tests);
       ("bugs-and-pipeline", bug_tests @ pipeline_props);
       ("differential", differential_tests @ [ mutant_differential ]);
       ("ir-interp", ir_interp_tests);
