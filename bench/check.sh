@@ -202,7 +202,17 @@ EOF
     echo "FAIL: bisect verdict not deterministic" >&2
     exit 1
   fi
-  rm -f "$WC"
+  # the per-pass trace behind the differential, end to end through the CLI
+  "$CLI" compile "$WC" -O 2 --dump-ir=constfold > /tmp/dump_ir.txt
+  if grep -q '^;; IR before constfold' /tmp/dump_ir.txt \
+     && grep -q '^;; IR after constfold' /tmp/dump_ir.txt; then
+    echo "dump-ir traces constfold"
+  else
+    echo "FAIL: --dump-ir=constfold did not print IR around constfold" >&2
+    cat /tmp/dump_ir.txt >&2
+    exit 1
+  fi
+  rm -f "$WC" /tmp/dump_ir.txt
 fi
 
 echo "== smoke: campaign --bisect determinism across job counts =="

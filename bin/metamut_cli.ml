@@ -408,7 +408,9 @@ let compile file compiler options dump_ir emit_ir =
   let dumping = dump_ir <> Simcomp.Compiler.Dump_none in
   if emit_ir || dumping then begin
     match Simcomp.Compiler.compile_passes compiler options src with
-    | Error e -> Fmt.failwith "%s" e
+    | Error e ->
+      Fmt.epr "%s@." e;
+      exit 1
     | Ok tr ->
       List.iter
         (fun (st : Simcomp.Compiler.pass_step) ->

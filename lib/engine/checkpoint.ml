@@ -15,8 +15,10 @@
 (* CKPT3: coverage maps are stored at rest (sorted pairs); a CKPT2 file
    holds dense maps and is refused, so its unit starts fresh.
    CKPT4: compile-cache entries (inside fuzzer snapshots) record whether
-   the compile emitted assembly; a CKPT3 file is refused the same way. *)
-let magic = "METAMUT-CKPT4"
+   the compile emitted assembly; a CKPT3 file is refused the same way.
+   CKPT5: fuzz results (in journals and snapshots) dropped a field; a
+   CKPT4 file is refused the same way. *)
+let magic = "METAMUT-CKPT5"
 
 let mkdir_p (dir : string) =
   let rec go d =

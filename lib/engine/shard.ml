@@ -22,8 +22,10 @@
    keeps verdicts shard-count-invariant even under injected chaos. *)
 
 (* 2: coverage maps inside Result payloads travel at rest (sorted
-   pairs), a layout a version-1 peer would misread *)
-let protocol_version = 2
+   pairs), a layout a version-1 peer would misread.
+   3: fuzz results dropped a field, so a version-2 Result no longer
+   unmarshals as this build's. *)
+let protocol_version = 3
 let magic = Printf.sprintf "MSF%c" (Char.chr protocol_version)
 let max_frame_len = 1 lsl 28 (* 256 MB: far above any real lease/result *)
 

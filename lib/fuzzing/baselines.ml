@@ -145,11 +145,7 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
     for _ = 1 to 3 do
       let mutant = havoc_byte_mutation rng base in
       result :=
-        {
-          !result with
-          total_mutants = !result.total_mutants + 1;
-          throughput_mutants = !result.throughput_mutants + 1;
-        };
+        { !result with total_mutants = !result.total_mutants + 1 };
       (match
          Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
            compiler options mutant
@@ -185,11 +181,7 @@ let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
   for i = 1 to iterations do
     let src = Ast_gen.gen_source ~cfg rng in
     result :=
-      {
-        !result with
-        total_mutants = !result.total_mutants + 1;
-        throughput_mutants = !result.throughput_mutants + 1;
-      };
+      { !result with total_mutants = !result.total_mutants + 1 };
     (match
        Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
          compiler options src

@@ -15,7 +15,6 @@ type t = {
   coverage : Simcomp.Coverage.t;      (* cumulative over the run *)
   coverage_trend : (int * int) list;  (* (iteration, covered branches) *)
   crashes : (string, crash_record) Hashtbl.t; (* key = top-2 frames *)
-  throughput_mutants : int;           (* same as total_mutants; kept for clarity *)
 }
 
 let make ~fuzzer_name ~compiler =
@@ -28,7 +27,6 @@ let make ~fuzzer_name ~compiler =
     coverage = Simcomp.Coverage.create ();
     coverage_trend = [];
     crashes = Hashtbl.create 16;
-    throughput_mutants = 0;
   }
 
 let unique_crashes (r : t) = Hashtbl.length r.crashes
@@ -60,7 +58,6 @@ let equal (a : t) (b : t) =
   && a.iterations = b.iterations
   && a.total_mutants = b.total_mutants
   && a.compilable_mutants = b.compilable_mutants
-  && a.throughput_mutants = b.throughput_mutants
   && a.coverage_trend = b.coverage_trend
   && Simcomp.Coverage.equal a.coverage b.coverage
   && bindings a.crashes = bindings b.crashes

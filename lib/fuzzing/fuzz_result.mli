@@ -16,7 +16,6 @@ type t = {
   coverage_trend : (int * int) list;  (** (iteration, covered branches) *)
   crashes : (string, crash_record) Hashtbl.t;
       (** keyed by top-2-frame identity *)
-  throughput_mutants : int;
 }
 
 val make : fuzzer_name:string -> compiler:Simcomp.Compiler.compiler -> t

@@ -96,11 +96,7 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
           (* random command-line sampling *)
           let options = Simcomp.Compiler.random_options inst.i_rng in
           result :=
-            {
-              !result with
-              total_mutants = !result.total_mutants + 1;
-              throughput_mutants = !result.throughput_mutants + 1;
-            };
+            { !result with total_mutants = !result.total_mutants + 1 };
           let outcome, parsed =
             Simcomp.Compiler.compile_tu ~cov:scratch ~emit:false compiler options
               src'

@@ -70,7 +70,6 @@ type state = {
   mutable pool : pool_entry Engine.Vec.t; (* amortized-O(1) accepts *)
   scratch : Simcomp.Coverage.t; (* per-mutant map, consumed not realloc'd *)
   mutable cache : Simcomp.Compiler.cache; (* byte-identical mutant dedup *)
-  mutable batch : Simcomp.Compiler.batch; (* per-TU setup hoisted out *)
   mutable faults : Engine.Faults.t option;
   sched_top : Bytes.t;
   (* per-coverage-cell claimant: little-endian u16 pool index per cell,
@@ -182,12 +181,12 @@ let pick_entry (st : state) =
     else Engine.Vec.get st.pool (Rng.int st.rng n)
   end
 
-(* The batch handle pre-resolves everything [compile_cached] would
-   recompute per mutant (fingerprint salt, optional args).  Rebuilt
-   whenever cache or faults are replaced wholesale (checkpoint
-   resume). *)
-let make_batch ~cache ~cov ~engine ~faults compiler options =
-  Simcomp.Compiler.batch_create ~cache ~cov ~engine ?faults compiler options
+(* Every compile goes through the dedup cache into the scratch map.  The
+   loop reads only the outcome and the coverage, so the back-end stops
+   before emission. *)
+let compile (st : state) src =
+  Simcomp.Compiler.compile_cached ~cache:st.cache ~cov:st.scratch
+    ~engine:st.engine ?faults:st.faults ~emit:false st.compiler st.options src
 
 let mutator_counters (st : state) (m : Mutators.Mutator.t) =
   let name = m.Mutators.Mutator.name in
@@ -237,8 +236,6 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
     }
   in
   Engine.Event.add_sink engine.Engine.Ctx.bus trend_sink;
-  let scratch = Simcomp.Coverage.create () in
-  let cache = Simcomp.Compiler.cache_create () in
   let st =
     {
       cfg;
@@ -250,9 +247,8 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
       trend_rev;
       trend_sink;
       pool = Engine.Vec.of_list pool;
-      scratch;
-      cache;
-      batch = make_batch ~cache ~cov:scratch ~engine ~faults compiler options;
+      scratch = Simcomp.Coverage.create ();
+      cache = Simcomp.Compiler.cache_create ();
       faults;
       sched_top =
         (if cfg.schedule then Bytes.make (Simcomp.Coverage.map_size * 2) '\xFF'
@@ -272,7 +268,7 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
   for i = 0 to Engine.Vec.length st.pool - 1 do
     let e = Engine.Vec.get st.pool i in
     let cov = st.scratch in
-    (match fst (Simcomp.Compiler.batch_compile st.batch e.src) with
+    (match fst (compile st e.src) with
     | Simcomp.Compiler.Compiled _ | Simcomp.Compiler.Compile_error _ -> ()
     | Simcomp.Compiler.Crashed c ->
       Fuzz_result.record_crash st.result ~iteration:0 ~input:e.src c;
@@ -336,11 +332,7 @@ let step (st : state) ~iteration : unit =
               else Simcomp.Scratch.render_tu tu'
             in
             st.result <-
-              {
-                st.result with
-                total_mutants = st.result.total_mutants + 1;
-                throughput_mutants = st.result.throughput_mutants + 1;
-              };
+              { st.result with total_mutants = st.result.total_mutants + 1 };
             let cov = st.scratch in
             (* the scratch map is pristine here: merge_consume below
                re-zeroes it every cycle.  Byte-identical mutants
@@ -349,9 +341,7 @@ let step (st : state) ~iteration : unit =
                scratch map stays empty, which is equivalent — the first
                compile's coverage was already merged below, so its
                fresh count would be 0 anyway *)
-            let outcome, parsed =
-              Simcomp.Compiler.batch_compile st.batch src'
-            in
+            let outcome, parsed = compile st src' in
             (match outcome with
             | Simcomp.Compiler.Compiled _ ->
               st.result <-
@@ -490,9 +480,6 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
         st.trend_rev := sn.sn_trend_rev;
         st.cache <- sn.sn_cache;
         st.faults <- sn.sn_faults;
-        st.batch <-
-          make_batch ~cache:st.cache ~cov:st.scratch ~engine:st.engine
-            ~faults:st.faults st.compiler st.options;
         Engine.Ctx.incr st.engine "mucfuzz.resumed";
         sn.sn_iteration + 1
       | Error _ ->

@@ -70,15 +70,16 @@ type state = {
       (** amortized-O(1) accepts (an [Array.append] pool is quadratic);
           replaced wholesale on checkpoint resume *)
   scratch : Simcomp.Coverage.t;
-      (** the per-mutant coverage map, consumed (merged-and-zeroed in
-          one pass) between compiles instead of reallocated *)
+      (** the per-mutant coverage map every compile reports into,
+          consumed (merged-and-zeroed in one pass) between compiles
+          instead of reallocated *)
   mutable cache : Simcomp.Compiler.cache;
-      (** byte-identical mutant dedup (see {!Simcomp.Compiler.compile_cached}) *)
-  mutable batch : Simcomp.Compiler.batch;
-      (** pre-resolved compile handle over [cache]/[scratch]; rebuilt on
-          checkpoint resume *)
+      (** byte-identical mutant dedup: every compile goes through
+          {!Simcomp.Compiler.compile_cached} [~emit:false] over this
+          cache; replaced wholesale on checkpoint resume *)
   mutable faults : Engine.Faults.t option;
-      (** consulted (as [Compile_hang]) on every real compile *)
+      (** consulted (as [Compile_hang]) on every real compile; replaced
+          wholesale on checkpoint resume *)
   sched_top : Bytes.t;
       (** per-coverage-cell claimant (little-endian u16 pool index,
           [0xFFFF] = unclaimed); allocated and written only when

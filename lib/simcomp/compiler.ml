@@ -98,11 +98,14 @@ let lex_coverage ?limit cov ~salt (toks : Lexer.tokens) : unit =
       prev := t
     done
 
-(* The lexer's own error-handling path (malformed input). *)
-let lex_error_coverage cov ~salt msg =
-  cov_event cov ~salt ~site:0x110
-    ~a:(Hashtbl.hash (sanitize_msg msg) land 0x1f)
-    ~b:0
+(* An error-handling path keyed by the shape of its diagnostic: the
+   lexer's (0x110), the parser's (0x120) or the type checker's (0x300).
+   The message is hashed only when coverage is on. *)
+let msg_coverage cov ~salt ~site ~bits ~b msg =
+  match cov with
+  | Some _ ->
+    cov_event cov ~salt ~site ~a:(Hashtbl.hash (sanitize_msg msg) land bits) ~b
+  | None -> ()
 
 (* AST-shape coverage: parent/child node-kind pairs, as a proxy for the
    parser's and semantic analyzer's branch structure. *)
@@ -247,10 +250,55 @@ let feature_coverage cov ~salt (a : Features.ast) : unit =
 let diag_coverage cov ~salt (diags : Typecheck.diag list) : unit =
   List.iter
     (fun (d : Typecheck.diag) ->
-      cov_event cov ~salt ~site:0x300
-        ~a:(Hashtbl.hash (sanitize_msg d.msg) land 0xfff)
-        ~b:(match d.sev with Typecheck.Error -> 1 | Typecheck.Warning -> 0))
+      msg_coverage cov ~salt ~site:0x300 ~bits:0xfff
+        ~b:(match d.sev with Typecheck.Error -> 1 | Typecheck.Warning -> 0)
+        d.msg)
     diags
+
+(* ------------------------------------------------------------------ *)
+(* Front-end                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The one front-end every entry point runs: lex, parse, type-check and
+   compute the AST features.  The source is tokenized exactly once: the
+   same stream feeds the parser and lexical coverage (which, for parse
+   errors, stops where a real single-pass front-end would stop).  The
+   expression-type table is recycled from the arena: the result does not
+   outlive the compile (lowering is its last reader).  [check] is the
+   front-end stage's bug check, given the AST features once the parse
+   succeeded; [parsed] receives the tree as soon as it exists, so a
+   crash in a later check still leaves it with the caller.  Errors carry
+   the diagnostics a [Compile_error] reports. *)
+let front_end ?cov ~salt ~check ~parsed (src : string) :
+    (Ast.tu * Typecheck.result * Features.ast, string list) result =
+  let failed msg =
+    check None;
+    msg_coverage cov ~salt ~site:0x120 ~bits:0x1f ~b:0 msg;
+    Error [ msg ]
+  in
+  match Lexer.tokenize src with
+  | exception Lexer.Error (msg, _loc) ->
+    msg_coverage cov ~salt ~site:0x110 ~bits:0x1f ~b:0 msg;
+    failed msg
+  | toks -> (
+    match Parser.parse_tokens toks with
+    | exception Parser.Error (msg, loc) ->
+      lex_coverage ~limit:loc.Loc.offset cov ~salt toks;
+      failed msg
+    | exception Stack_overflow ->
+      lex_coverage cov ~salt toks;
+      failed "parser stack overflow"
+    | tu ->
+      parsed := Some tu;
+      lex_coverage cov ~salt toks;
+      ast_coverage cov ~salt tu;
+      let ast = Features.ast_features tu in
+      feature_coverage cov ~salt ast;
+      check (Some ast);
+      let tc = Typecheck.check ~types:(Scratch.get ()).Scratch.types tu in
+      diag_coverage cov ~salt tc.r_diags;
+      if tc.r_ok then Ok (tu, tc, ast)
+      else Error (List.map Typecheck.diag_to_string (Typecheck.errors tc)))
 
 (* Deterministically corrupt the optimized IR the way a wrong-code bug
    would: the first subtraction in the largest function gets its operands
@@ -340,7 +388,8 @@ let pass_counters (ctx : Engine.Ctx.t) (name : string) : pass_counters =
 (* Run the optimizer pipeline over [prog]: per-pass engine accounting
    (spans + opt.pass.<name>.{runs,changes}), the culprit-keyed wrong-code
    injection, and optional per-step IR snapshots / differential checks.
-   Shared by [compile_tu] (hot path: no [collect]) and [compile_passes]. *)
+   Shared by [compile_tu] and [compile_ir] (no [collect]) and
+   [compile_passes]. *)
 let run_opt_stage ?cov ?engine ?collect ?(verify = false)
     (compiler : compiler) (opts : options) (ast : Features.ast)
     (prog : Ir.program) : (string * int) list * (int * bool) option =
@@ -528,50 +577,8 @@ let compile_tu ?cov ?engine ?faults ?(emit = true) (compiler : compiler)
     try
       let frontend =
         span "compile.frontend" (fun () ->
-            (* tokenize exactly once: the same stream feeds the parser and
-               lexical coverage (which, for parse errors, stops at the
-               point where a real single-pass front-end would stop) *)
-            match Lexer.tokenize src with
-            | exception Lexer.Error (msg, _loc) ->
-              lex_error_coverage cov ~salt msg;
-              check Crash.Front_end None;
-              cov_event cov ~salt ~site:0x120
-                ~a:(Hashtbl.hash (sanitize_msg msg) land 0x1f)
-                ~b:0;
-              Error [ msg ]
-            | toks -> (
-              let parsed =
-                match Parser.parse_tokens toks with
-                | tu -> Ok tu
-                | exception Parser.Error (msg, loc) -> Error (msg, Some loc)
-                | exception Stack_overflow ->
-                  Error ("parser stack overflow", None)
-              in
-              match parsed with
-              | Error (msg, loc) ->
-                lex_coverage ?limit:(Option.map (fun l -> l.Loc.offset) loc)
-                  cov ~salt toks;
-                check Crash.Front_end None;
-                cov_event cov ~salt ~site:0x120
-                  ~a:(Hashtbl.hash (sanitize_msg msg) land 0x1f)
-                  ~b:0;
-                Error [ msg ]
-              | Ok tu ->
-                parsed_tu := Some tu;
-                lex_coverage cov ~salt toks;
-                ast_coverage cov ~salt tu;
-                let ast = Features.ast_features tu in
-                feature_coverage cov ~salt ast;
-                check Crash.Front_end (Some ast);
-                (* the expression-type table is recycled from the arena:
-                   [tc] does not outlive this compile (lowering is its
-                   last reader) *)
-                let tc = Typecheck.check ~types:(Scratch.get ()).Scratch.types tu in
-                diag_coverage cov ~salt tc.r_diags;
-                if not tc.r_ok then
-                  Error
-                    (List.map Typecheck.diag_to_string (Typecheck.errors tc))
-                else Ok (tu, tc, ast)))
+            front_end ?cov ~salt ~check:(check Crash.Front_end)
+              ~parsed:parsed_tu src)
       in
       match frontend with
       | Error msgs -> Compile_error msgs
@@ -627,26 +634,28 @@ let compile ?cov ?engine ?faults ?emit (compiler : compiler) (opts : options)
     (src : string) : outcome =
   fst (compile_tu ?cov ?engine ?faults ?emit compiler opts src)
 
+(* The crash-free entry behind [compile_passes] and [compile_ir]: the
+   shared front-end without bug checks, then lowering.  Seeded ICEs must
+   not mask the wrong-code observation channel; the optimizer still
+   injects the culprit-keyed miscompilation. *)
+let lower_unchecked (compiler : compiler) (src : string) :
+    (Ir.program * Features.ast, string) result =
+  match
+    front_end ~salt:(salt compiler) ~check:ignore ~parsed:(ref None) src
+  with
+  | Error msgs -> Error (String.concat "\n" msgs)
+  | Ok (tu, tc, ast) -> Ok (Lower.lower_tu tu tc, ast)
+
 (* Run the pipeline step by step, recording each executed pass: change
    counts, IR snapshots per [opts.dump_ir], and (with [verify]) a
-   per-pass differential check against the pre-opt IR semantics.  Like
-   [compile_ir] this is crash-free — the observation channel for
-   wrong-code triage must not be masked by seeded ICEs. *)
+   per-pass differential check against the pre-opt IR semantics. *)
 let compile_passes ?(verify = false) (compiler : compiler) (opts : options)
     (src : string) : (pass_trace, string) result =
-  match Parser.parse src with
-  | Error e -> Error e
-  | Ok tu ->
-    let tc = Typecheck.check tu in
-    if not tc.Typecheck.r_ok then Error "type errors"
-    else begin
-      let ast = Features.ast_features tu in
-      let prog = Lower.lower_tu tu tc in
+  Result.map
+    (fun (prog, ast) ->
       let steps = ref [] in
       let collect st = steps := st :: !steps in
-      let _, reference =
-        run_opt_stage ~collect ~verify compiler opts ast prog
-      in
+      let _, reference = run_opt_stage ~collect ~verify compiler opts ast prog in
       let steps = List.rev !steps in
       let first_divergent =
         List.find_map
@@ -656,21 +665,24 @@ let compile_passes ?(verify = false) (compiler : compiler) (opts : options)
             | _ -> None)
           steps
       in
-      Ok
-        {
-          pt_steps = steps;
-          pt_reference = reference;
-          pt_first_divergent = first_divergent;
-          pt_program = prog;
-        }
-    end
+      {
+        pt_steps = steps;
+        pt_reference = reference;
+        pt_first_divergent = first_divergent;
+        pt_program = prog;
+      })
+    (lower_unchecked compiler src)
 
 (* Produce the (possibly silently corrupted) optimized IR: the hook the
    EMI-style wrong-code detector (Fuzzing.Wrongcode) differences against
    the -O0 lowering. *)
 let compile_ir (compiler : compiler) (opts : options) (src : string) :
     (Ir.program, string) result =
-  Result.map (fun tr -> tr.pt_program) (compile_passes compiler opts src)
+  Result.map
+    (fun (prog, ast) ->
+      ignore (run_opt_stage compiler opts ast prog);
+      prog)
+    (lower_unchecked compiler src)
 
 (* Sample a random command line the way the macro fuzzer does.  The pass
    universe comes from the registry, so a newly registered pass joins
@@ -763,29 +775,25 @@ let fp_source (s : string) : int =
   done;
   !h
 
-(* The per-(compiler, options) salt — precomputed once per batch so the
-   per-mutant cost is the source scan alone. *)
-let fp_salt (compiler : compiler) (opts : options) : int =
-  let ctag = match compiler with Gcc -> 0x9e01 | Clang -> 0x3c75 in
-  (Hashtbl.hash opts * 0x9E3779B1) lxor (ctag * 0x85EBCA77)
-
-let fp_of cache ~salt src =
+(* The source fingerprint, salted per (compiler, options). *)
+let fp_of cache (compiler : compiler) (opts : options) src =
   let base =
     match cache.c_fingerprint with
     | Fp_default -> fp_source src
     | Fp_custom f -> f src
   in
-  base lxor salt
+  let ctag = match compiler with Gcc -> 0x9e01 | Clang -> 0x3c75 in
+  base lxor (Hashtbl.hash opts * 0x9E3779B1) lxor (ctag * 0x85EBCA77)
 
 let entry_matches (compiler : compiler) (opts : options) ~emit (src : string)
     (e : cache_entry) =
   e.ce_compiler = compiler && e.ce_emit = emit && String.equal e.ce_src src
   && e.ce_opts = opts
 
-(* The shared cached-compile core: [fp] is the already-salted
-   fingerprint. *)
-let cached_compile ~cache ~fp ?cov ?engine ?faults ~emit (compiler : compiler)
-    (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
+let compile_cached ~cache ?cov ?engine ?faults ?(emit = true)
+    (compiler : compiler) (opts : options) (src : string) :
+    outcome * Cparse.Ast.tu option =
+  let fp = fp_of cache compiler opts src in
   let bucket = Hashtbl.find_opt cache.c_tbl fp in
   let hit =
     match bucket with
@@ -831,48 +839,3 @@ let cached_compile ~cache ~fp ?cov ?engine ?faults ~emit (compiler : compiler)
        :: prev);
     cache.c_len <- cache.c_len + 1;
     (outcome, tu)
-
-let compile_cached ~cache ?cov ?engine ?faults ?(emit = true)
-    (compiler : compiler) (opts : options) (src : string) :
-    outcome * Cparse.Ast.tu option =
-  let fp = fp_of cache ~salt:(fp_salt compiler opts) src in
-  cached_compile ~cache ~fp ?cov ?engine ?faults ~emit compiler opts src
-
-(* ------------------------------------------------------------------ *)
-(* Batch compile sessions                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* A fuzz loop compiles many mutants of one original under one
-   (compiler, options) pair.  A batch pins that pair once: the
-   fingerprint salt (an options traversal) is precomputed, the
-   cov/engine/faults plumbing is bound up front instead of re-boxed per
-   call, and every compile shares the cache — decisions are exactly
-   those of [compile_cached ~emit:false] called with the same arguments
-   (pinned by the batch-equivalence test).  A fuzz loop reads only the
-   outcome and the coverage, so a batch always stops before emission. *)
-type batch = {
-  bt_cache : cache;
-  bt_compiler : compiler;
-  bt_opts : options;
-  bt_salt : int;
-  bt_cov : Coverage.t option;
-  bt_engine : Engine.Ctx.t option;
-  bt_faults : Engine.Faults.t option;
-}
-
-let batch_create ~cache ?cov ?engine ?faults (compiler : compiler)
-    (opts : options) : batch =
-  {
-    bt_cache = cache;
-    bt_compiler = compiler;
-    bt_opts = opts;
-    bt_salt = fp_salt compiler opts;
-    bt_cov = cov;
-    bt_engine = engine;
-    bt_faults = faults;
-  }
-
-let batch_compile (b : batch) (src : string) : outcome * Cparse.Ast.tu option =
-  let fp = fp_of b.bt_cache ~salt:b.bt_salt src in
-  cached_compile ~cache:b.bt_cache ~fp ?cov:b.bt_cov ?engine:b.bt_engine
-    ?faults:b.bt_faults ~emit:false b.bt_compiler b.bt_opts src

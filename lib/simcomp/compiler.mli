@@ -34,7 +34,7 @@ val pipeline_of : options -> string list
 type outcome =
   | Compiled of { asm : string; warnings : int; ir_size : int; spills : int }
       (** [asm] is the emitted assembly, or [""] when the compile stopped
-          before emission ([~emit:false], every {!batch_compile}) *)
+          before emission ([~emit:false]) *)
   | Compile_error of string list
   | Crashed of Crash.t
       (** an internal compiler error: a latent bug fired *)
@@ -117,24 +117,6 @@ val compile_cached :
     happens only on misses: a byte-identical mutant replays its
     memoized outcome, injected hang included. *)
 
-type batch
-(** A pinned (compiler, options, cache, plumbing) compile session.  Fuzz
-    loops compile many mutants of one original under one configuration;
-    a batch precomputes the per-configuration fingerprint salt and binds
-    the cov/engine/faults plumbing once, so the per-mutant overhead is a
-    single scan of the source.  A fuzz loop reads only outcomes and
-    coverage, so a batch always stops before emission. *)
-
-val batch_create :
-  cache:cache -> ?cov:Coverage.t -> ?engine:Engine.Ctx.t ->
-  ?faults:Engine.Faults.t -> compiler -> options -> batch
-
-val batch_compile : batch -> string -> outcome * Cparse.Ast.tu option
-(** Exactly {!compile_cached} [~emit:false] with the batch's pinned
-    arguments: cache decisions, engine accounting, fault draws and
-    outcomes (so [Compiled.asm = ""]) are indistinguishable from the
-    unbatched call. *)
-
 (** One executed pipeline step, as recorded by {!compile_passes}. *)
 type pass_step = {
   st_pass : string;
@@ -163,14 +145,19 @@ val compile_passes :
   (pass_trace, string) result
 (** Run the pipeline step by step, recording each executed pass; with
     [verify] (default false) the IR is interpreted after every pass and
-    compared against the pre-opt semantics.  Crash-free like
-    {!compile_ir}: seeded ICEs must not mask the wrong-code observation
-    channel. *)
+    compared against the pre-opt semantics.  The front-end is the one
+    {!compile} runs (same lexer, parser and type checker), but without
+    the seeded bug checks: the observation channel is crash-free, so
+    seeded ICEs cannot mask a wrong-code finding, while the culprit
+    pass still injects its miscompilation.  On an input {!compile}
+    rejects, [Error] carries the same diagnostics as its
+    [Compile_error], joined by newlines. *)
 
 val compile_ir : compiler -> options -> string -> (Ir.program, string) result
 (** Produce the (possibly silently miscompiled) optimized IR — the hook
-    the EMI-style wrong-code detector differences against -O0.
-    Equivalent to [compile_passes] without observation. *)
+    the EMI-style wrong-code detector differences against -O0.  The
+    same crash-free pipeline and [Error] as {!compile_passes}, without
+    recording any step. *)
 
 val random_options : Cparse.Rng.t -> options
 (** Sample a random command line, as the macro fuzzer does (§3.4). *)

@@ -1618,8 +1618,9 @@ let golden_frontend =
     "98 451011a1 parse error at 11:3: unexpected token ) in expression";
   ]
 
-(* The single-lex pipeline entries: compile_tu's returned tree and the
-   dedup cache must be indistinguishable from plain compile. *)
+(* The single-lex pipeline entries: compile_tu's returned tree, the
+   crash-free observation entry and the dedup cache must be
+   indistinguishable from plain compile. *)
 let compile_pipeline_tests =
   let opts = Simcomp.Compiler.default_options in
   let gen_sources n seed =
@@ -1643,6 +1644,53 @@ let compile_pipeline_tests =
               Alcotest.fail "compiled outcome must carry the parsed tree"
             | _ -> ())
           (gen_sources 10 500));
+    tc "compile_passes and compile agree on the front-end" (fun () ->
+        (* clean programs and seeds, plus their fragility slips: inputs
+           that fail to lex, to parse and to type-check *)
+        let rng = Rng.create 41 in
+        let inputs =
+          List.concat_map
+            (fun src ->
+              src :: List.init 4 (fun _ -> Fuzzing.Fragility.corrupt rng src))
+            (gen_sources 12 2700 @ Fuzzing.Seeds.corpus ~n:12 (Rng.create 37))
+        in
+        let rejected = Hashtbl.create 3 in
+        List.iter
+          (fun src ->
+            let stage =
+              match Parser.parse src with
+              | Error e when Astring.String.is_prefix ~affix:"lex" e -> "lex"
+              | Error _ -> "parse"
+              | Ok _ -> "typecheck"
+            in
+            List.iter
+              (fun (compiler, opt_level) ->
+                let opts = { opts with Simcomp.Compiler.opt_level } in
+                match
+                  ( Simcomp.Compiler.compile compiler opts src,
+                    Simcomp.Compiler.compile_passes compiler opts src )
+                with
+                | Simcomp.Compiler.Compile_error msgs, Error e ->
+                  Hashtbl.replace rejected stage ();
+                  check Alcotest.string "same diagnostics"
+                    (String.concat "\n" msgs) e
+                | Simcomp.Compiler.Compile_error _, Ok _ ->
+                  Alcotest.failf "compile_passes accepted a rejected input:@.%s"
+                    src
+                | Simcomp.Compiler.Compiled _, Error e ->
+                  Alcotest.failf "compile_passes rejected a compiled input: %s"
+                    e
+                | Simcomp.Compiler.Compiled _, Ok _
+                | Simcomp.Compiler.Crashed _, _ -> ())
+              (List.concat_map
+                 (fun c -> List.init 4 (fun l -> (c, l)))
+                 [ Simcomp.Compiler.Gcc; Simcomp.Compiler.Clang ]))
+          inputs;
+        List.iter
+          (fun stage ->
+            check Alcotest.bool (stage ^ " errors exercised") true
+              (Hashtbl.mem rejected stage))
+          [ "lex"; "parse"; "typecheck" ]);
     tc "compile_tu parse failure yields no tree" (fun () ->
         match Simcomp.Compiler.compile_tu Simcomp.Compiler.Gcc opts "int main( {" with
         | Simcomp.Compiler.Compile_error _, None -> ()
@@ -1719,35 +1767,6 @@ let compile_pipeline_tests =
             check Alcotest.bool "outcome survives epoch clears" true
               (plain = cached))
           srcs);
-    tc "batch_compile is indistinguishable from compile_cached" (fun () ->
-        let srcs = gen_sources 6 1500 in
-        let srcs = srcs @ srcs in
-        let cache_a = Simcomp.Compiler.cache_create () in
-        let cov_a = Simcomp.Coverage.create () in
-        (* a batch always stops before emit *)
-        let via_cached =
-          List.map
-            (fun src ->
-              Simcomp.Compiler.compile_cached ~cache:cache_a ~cov:cov_a
-                ~emit:false Simcomp.Compiler.Gcc opts src)
-            srcs
-        in
-        let cache_b = Simcomp.Compiler.cache_create () in
-        let cov_b = Simcomp.Coverage.create () in
-        let batch =
-          Simcomp.Compiler.batch_create ~cache:cache_b ~cov:cov_b
-            Simcomp.Compiler.Gcc opts
-        in
-        let via_batch =
-          List.map (fun src -> Simcomp.Compiler.batch_compile batch src) srcs
-        in
-        check Alcotest.bool "same outcomes and trees" true
-          (via_cached = via_batch);
-        check Alcotest.bool "same coverage" true
-          (Simcomp.Coverage.equal cov_a cov_b);
-        check Alcotest.int "same hits"
-          (Simcomp.Compiler.cache_hits cache_a)
-          (Simcomp.Compiler.cache_hits cache_b));
     tc "scratch reuse yields byte-identical assembly" (fun () ->
         (* per-domain scratch buffers (arena, token array, IR vectors)
            are reused across compiles: interleaving other compiles must
@@ -2255,16 +2274,7 @@ let backend_differential_tests =
             check Alcotest.int "one hit per (source, emit)" 8
               (Simcomp.Compiler.cache_hits cache);
             check Alcotest.bool "modes met in a bucket" true
-              (Simcomp.Compiler.cache_collisions cache >= 4);
-            (* a batch (always stopped) shares the cache without leaking
-               its entries into emitting probes *)
-            let batch = Simcomp.Compiler.batch_create ~cache Simcomp.Compiler.Gcc opts in
-            let src = Ast_gen.gen_source (Rng.create 2600) in
-            check Alcotest.(option string) "batch stops" (Some "")
-              (compiled (fst (Simcomp.Compiler.batch_compile batch src)));
-            check Alcotest.(option string) "emitting probe after the batch"
-              (compiled (Simcomp.Compiler.compile Simcomp.Compiler.Gcc opts src))
-              (probe src))
+              (Simcomp.Compiler.cache_collisions cache >= 4))
           [ None; Some (fun _ -> 42) ]);
   ]
 
