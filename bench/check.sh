@@ -670,4 +670,28 @@ if [ -x "$CLI" ]; then
   echo "flight recorder dumped for quarantined leases"
 fi
 
+echo "== smoke: examples run, bughunt is deterministic =="
+EX=_build/default/examples
+if [ -x "$EX/bughunt.exe" ]; then
+  for E in quickstart invent_mutators differential bughunt; do
+    "$EX/$E.exe" > "/tmp/example_$E.txt" 2> /dev/null || {
+      echo "FAIL: examples/$E.exe exited nonzero" >&2
+      exit 1
+    }
+  done
+  # bughunt is the macro fuzzer's end-to-end caller: a second run must
+  # print the same hunt
+  "$EX/bughunt.exe" > /tmp/example_bughunt2.txt 2> /dev/null || {
+    echo "FAIL: examples/bughunt.exe exited nonzero on the second run" >&2
+    exit 1
+  }
+  if cmp -s /tmp/example_bughunt.txt /tmp/example_bughunt2.txt; then
+    echo "examples ran; bughunt output identical across two runs"
+  else
+    echo "FAIL: bughunt output differs between two runs" >&2
+    diff /tmp/example_bughunt.txt /tmp/example_bughunt2.txt >&2 || true
+    exit 1
+  fi
+fi
+
 echo "OK"

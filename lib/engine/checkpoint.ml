@@ -17,8 +17,10 @@
    CKPT4: compile-cache entries (inside fuzzer snapshots) record whether
    the compile emitted assembly; a CKPT3 file is refused the same way.
    CKPT5: fuzz results (in journals and snapshots) dropped a field; a
-   CKPT4 file is refused the same way. *)
-let magic = "METAMUT-CKPT5"
+   CKPT4 file is refused the same way.
+   CKPT6: the μCFuzz snapshot carries its in-progress trend inside the
+   result instead of beside it; a CKPT5 file is refused the same way. *)
+let magic = "METAMUT-CKPT6"
 
 let mkdir_p (dir : string) =
   let rec go d =

@@ -88,39 +88,11 @@ let havoc_byte_mutation (rng : Rng.t) (src : string) : string =
     Bytes.to_string !buf
   end
 
-(* Trend sampling for the hand-rolled baseline loops: record the point
-   and, when an engine context is threaded, publish it as a
-   Coverage_sampled event so telemetry snapshots and the status line see
-   baseline cells too. *)
-let sample_point ?engine trend ~iteration (result : Fuzz_result.t) =
-  let covered = Simcomp.Coverage.covered result.Fuzz_result.coverage in
-  trend := (iteration, covered) :: !trend;
-  match engine with
-  | None -> ()
-  | Some ctx ->
-    Engine.Ctx.emit ctx
-      (Engine.Event.Coverage_sampled { iteration; covered })
-
-(* The trend always ends at the final iteration (the satellite rule
-   Mucfuzz.run also follows): skip only when the periodic cadence
-   already landed there. *)
-let sample_final ?engine trend ~iterations result =
-  match !trend with
-  | (last, _) :: _ when last = iterations -> ()
-  | _ -> sample_point ?engine trend ~iteration:iterations result
-
-let emit_crash ?engine ~iteration (c : Simcomp.Crash.t) =
-  match engine with
-  | None -> ()
-  | Some ctx ->
-    Engine.Ctx.emit ctx
-      (Engine.Event.Crash_found
-         {
-           key = Simcomp.Crash.unique_key c;
-           stage = Simcomp.Compiler.engine_stage c.Simcomp.Crash.stage;
-           iteration;
-         })
-
+(* The hand-rolled baseline loops observe through Fuzz_result: each
+   mutant is recorded, the trend is sampled every [sample_every]
+   iterations and finished at the last one, and with an engine context
+   threaded the crashes and samples become events, so telemetry
+   snapshots and the status line see baseline cells too. *)
 let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
     ~rng ~compiler ~seeds ~iterations ~sample_every () : Fuzz_result.t =
   let result = Fuzz_result.make ~fuzzer_name:"AFL++" ~compiler in
@@ -137,36 +109,25 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
         (Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
            scratch))
     pool;
-  let trend = ref [] in
-  let result = ref result in
   for i = 1 to iterations do
     let base = Engine.Vec.get pool (Rng.int rng (Engine.Vec.length pool)) in
     (* AFL mutates faster than μCFuzz compiles: several mutants/iteration *)
     for _ = 1 to 3 do
       let mutant = havoc_byte_mutation rng base in
-      result :=
-        { !result with total_mutants = !result.total_mutants + 1 };
-      (match
-         Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
-           compiler options mutant
-       with
-      | Simcomp.Compiler.Compiled _ ->
-        result := { !result with compilable_mutants = !result.compilable_mutants + 1 }
-      | Simcomp.Compiler.Crashed c ->
-        Fuzz_result.record_crash !result ~iteration:i ~input:mutant c;
-        emit_crash ?engine ~iteration:i c
-      | Simcomp.Compiler.Compile_error _ -> ());
+      Fuzz_result.record ?engine result ~iteration:i ~input:mutant
+        (Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
+           compiler options mutant);
       (* the merged fresh count doubles as the accept signal: one call *)
       let fresh =
-        Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage
+        Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
           scratch
       in
       if fresh > 0 then Engine.Vec.push pool mutant
     done;
-    if i mod sample_every = 0 then sample_point ?engine trend ~iteration:i !result
+    if i mod sample_every = 0 then Fuzz_result.sample ?engine result ~iteration:i
   done;
-  sample_final ?engine trend ~iterations !result;
-  { !result with iterations; coverage_trend = List.rev !trend }
+  Fuzz_result.finish ?engine result ~iterations;
+  result
 
 (* ------------------------------------------------------------------ *)
 (* Generation-based baselines                                          *)
@@ -175,30 +136,20 @@ let run_aflpp ?engine ?faults ?(options = Simcomp.Compiler.default_options)
 let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
     ~name ~(cfg : Ast_gen.config) ~rng ~compiler ~iterations ~sample_every () :
     Fuzz_result.t =
-  let result = ref (Fuzz_result.make ~fuzzer_name:name ~compiler) in
-  let trend = ref [] in
+  let result = Fuzz_result.make ~fuzzer_name:name ~compiler in
   let scratch = Simcomp.Coverage.create () in
   for i = 1 to iterations do
     let src = Ast_gen.gen_source ~cfg rng in
-    result :=
-      { !result with total_mutants = !result.total_mutants + 1 };
-    (match
-       Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
-         compiler options src
-     with
-    | Simcomp.Compiler.Compiled _ ->
-      result := { !result with compilable_mutants = !result.compilable_mutants + 1 }
-    | Simcomp.Compiler.Crashed c ->
-      Fuzz_result.record_crash !result ~iteration:i ~input:src c;
-      emit_crash ?engine ~iteration:i c
-    | Simcomp.Compiler.Compile_error _ -> ());
+    Fuzz_result.record ?engine result ~iteration:i ~input:src
+      (Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
+         compiler options src);
     ignore
-      (Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage
+      (Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
          scratch);
-    if i mod sample_every = 0 then sample_point ?engine trend ~iteration:i !result
+    if i mod sample_every = 0 then Fuzz_result.sample ?engine result ~iteration:i
   done;
-  sample_final ?engine trend ~iterations !result;
-  { !result with iterations; coverage_trend = List.rev !trend }
+  Fuzz_result.finish ?engine result ~iterations;
+  result
 
 let run_csmith ?engine ?faults ?options ~rng ~compiler ~iterations
     ~sample_every () =

@@ -1,4 +1,6 @@
-(* Shared result types for all fuzzers in the RQ1/RQ2 experiments. *)
+(* Shared result types for all fuzzers in the RQ1/RQ2 experiments, and
+   the one observation step every fuzz loop calls: mutant accounting,
+   crash recording and the coverage trend. *)
 
 type crash_record = {
   cr_crash : Simcomp.Crash.t;
@@ -9,11 +11,12 @@ type crash_record = {
 type t = {
   fuzzer_name : string;
   compiler : Simcomp.Compiler.compiler;
-  iterations : int;
-  total_mutants : int;
-  compilable_mutants : int;
+  mutable iterations : int;
+  mutable total_mutants : int;
+  mutable compilable_mutants : int;
   coverage : Simcomp.Coverage.t;      (* cumulative over the run *)
-  coverage_trend : (int * int) list;  (* (iteration, covered branches) *)
+  mutable coverage_trend : (int * int) list;
+      (* (iteration, covered branches); newest first until [finish] *)
   crashes : (string, crash_record) Hashtbl.t; (* key = top-2 frames *)
 }
 
@@ -34,11 +37,46 @@ let unique_crashes (r : t) = Hashtbl.length r.crashes
 let crash_keys (r : t) =
   Hashtbl.fold (fun k _ acc -> k :: acc) r.crashes []
 
-let record_crash (r : t) ~iteration ~input (c : Simcomp.Crash.t) =
+let emit engine ev = Option.iter (fun ctx -> Engine.Ctx.emit ctx ev) engine
+
+(* Every crash is an event, repeats included; the table keeps the first. *)
+let record_crash ?engine (r : t) ~iteration ~input (c : Simcomp.Crash.t) =
   let key = Simcomp.Crash.unique_key c in
   if not (Hashtbl.mem r.crashes key) then
     Hashtbl.replace r.crashes key
-      { cr_crash = c; cr_first_iteration = iteration; cr_input = input }
+      { cr_crash = c; cr_first_iteration = iteration; cr_input = input };
+  emit engine
+    (Engine.Event.Crash_found
+       {
+         key;
+         stage = Simcomp.Compiler.engine_stage c.Simcomp.Crash.stage;
+         iteration;
+       })
+
+let record ?engine (r : t) ~iteration ~input
+    (outcome : Simcomp.Compiler.outcome) =
+  r.total_mutants <- r.total_mutants + 1;
+  match outcome with
+  | Simcomp.Compiler.Compiled _ ->
+    r.compilable_mutants <- r.compilable_mutants + 1
+  | Simcomp.Compiler.Crashed c -> record_crash ?engine r ~iteration ~input c
+  | Simcomp.Compiler.Compile_error _ -> ()
+
+let sample ?engine (r : t) ~iteration =
+  let covered = Simcomp.Coverage.covered r.coverage in
+  r.coverage_trend <- (iteration, covered) :: r.coverage_trend;
+  emit engine (Engine.Event.Coverage_sampled { iteration; covered })
+
+(* The trend always ends at the final iteration, so plots and reports
+   never lose the tail.  A run whose cadence already landed there (or
+   one resumed from a snapshot of its last iteration) gets no
+   duplicate. *)
+let finish ?engine (r : t) ~iterations =
+  (match r.coverage_trend with
+  | (last, _) :: _ when last = iterations -> ()
+  | _ -> sample ?engine r ~iteration:iterations);
+  r.iterations <- iterations;
+  r.coverage_trend <- List.rev r.coverage_trend
 
 let compilable_ratio (r : t) =
   if r.total_mutants = 0 then 0.

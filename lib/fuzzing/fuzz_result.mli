@@ -1,4 +1,6 @@
-(** Shared result type for all fuzzers in the RQ1/RQ2 experiments. *)
+(** Shared result type for all fuzzers in the RQ1/RQ2 experiments, and
+    the one observation step every fuzz loop calls: {!record} per
+    mutant, {!sample} per trend point, {!finish} once at the end. *)
 
 type crash_record = {
   cr_crash : Simcomp.Crash.t;
@@ -9,11 +11,13 @@ type crash_record = {
 type t = {
   fuzzer_name : string;
   compiler : Simcomp.Compiler.compiler;
-  iterations : int;
-  total_mutants : int;
-  compilable_mutants : int;
+  mutable iterations : int;
+  mutable total_mutants : int;
+  mutable compilable_mutants : int;
   coverage : Simcomp.Coverage.t;      (** cumulative over the run *)
-  coverage_trend : (int * int) list;  (** (iteration, covered branches) *)
+  mutable coverage_trend : (int * int) list;
+      (** (iteration, covered branches): newest first while the run is
+          in progress, in iteration order once {!finish} has run *)
   crashes : (string, crash_record) Hashtbl.t;
       (** keyed by top-2-frame identity *)
 }
@@ -24,8 +28,26 @@ val unique_crashes : t -> int
 
 val crash_keys : t -> string list
 
-val record_crash : t -> iteration:int -> input:string -> Simcomp.Crash.t -> unit
-(** Deduplicates on the crash key, keeping the first discovery. *)
+val record_crash :
+  ?engine:Engine.Ctx.t ->
+  t -> iteration:int -> input:string -> Simcomp.Crash.t -> unit
+(** Deduplicates on the crash key, keeping the first discovery, and
+    emits [Crash_found] on [engine] for every crash, repeats included. *)
+
+val record :
+  ?engine:Engine.Ctx.t ->
+  t -> iteration:int -> input:string -> Simcomp.Compiler.outcome -> unit
+(** Account one compiled mutant: count it, count it as compilable on
+    [Compiled], and {!record_crash} it on [Crashed]. *)
+
+val sample : ?engine:Engine.Ctx.t -> t -> iteration:int -> unit
+(** Push a trend point (the current covered-branch count) and emit it as
+    [Coverage_sampled] on [engine]. *)
+
+val finish : ?engine:Engine.Ctx.t -> t -> iterations:int -> unit
+(** End the run: add a final trend point unless the trend already ends
+    at [iterations], set [iterations], and put the trend in iteration
+    order.  Called once per run. *)
 
 val compilable_ratio : t -> float
 (** Percentage of compilable mutants (Table 5). *)

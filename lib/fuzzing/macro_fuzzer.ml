@@ -34,7 +34,7 @@ type instance = {
 
 let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
     Fuzz_result.t =
-  let shared = Fuzz_result.make ~fuzzer_name:"MacroFuzzer" ~compiler in
+  let result = Fuzz_result.make ~fuzzer_name:"MacroFuzzer" ~compiler in
   let parse_pool seeds =
     List.filter_map
       (fun src ->
@@ -47,8 +47,6 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
     List.init cfg.instances (fun _ ->
         { i_rng = Rng.split rng; i_pool = Engine.Vec.of_list (parse_pool seeds) })
   in
-  let result = ref shared in
-  let trend = ref [] in
   (* one scratch map for the whole run: merge_consume zeroes it after
      every compile, it is never realloc'd *)
   let scratch = Simcomp.Coverage.create () in
@@ -60,7 +58,7 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
           (Simcomp.Compiler.compile ~cov:scratch ~emit:false compiler
              Simcomp.Compiler.default_options src);
         ignore
-          (Simcomp.Coverage.merge_consume ~into:!result.Fuzz_result.coverage
+          (Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
              scratch)
       end)
     seeds;
@@ -95,24 +93,16 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
         if String.length src' <= cfg.max_program_bytes then begin
           (* random command-line sampling *)
           let options = Simcomp.Compiler.random_options inst.i_rng in
-          result :=
-            { !result with total_mutants = !result.total_mutants + 1 };
           let outcome, parsed =
             Simcomp.Compiler.compile_tu ~cov:scratch ~emit:false compiler options
               src'
           in
-          (match outcome with
-          | Simcomp.Compiler.Compiled _ ->
-            result :=
-              { !result with compilable_mutants = !result.compilable_mutants + 1 }
-          | Simcomp.Compiler.Crashed c ->
-            Fuzz_result.record_crash !result ~iteration:i ~input:src' c
-          | Simcomp.Compiler.Compile_error _ -> ());
+          Fuzz_result.record result ~iteration:i ~input:src' outcome;
           (* shared coverage across instances; the merged fresh count is
              the accept signal (one call, not a has_new + merge pair) *)
           let fresh =
             Simcomp.Coverage.merge_consume
-              ~into:!result.Fuzz_result.coverage scratch
+              ~into:result.Fuzz_result.coverage scratch
           in
           if fresh > 0 then
             match parsed with
@@ -120,7 +110,7 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
             | None -> ()
         end
     end;
-    if i mod cfg.sample_every = 0 then
-      trend := (i, Simcomp.Coverage.covered !result.Fuzz_result.coverage) :: !trend
+    if i mod cfg.sample_every = 0 then Fuzz_result.sample result ~iteration:i
   done;
-  { !result with iterations; coverage_trend = List.rev !trend }
+  Fuzz_result.finish result ~iterations;
+  result

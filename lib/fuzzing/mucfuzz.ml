@@ -6,9 +6,9 @@
    P' then joins the pool.  No havoc, no forking, no pool culling.
 
    Every run owns an Engine.Ctx: attempts/accepts/rejects are counted
-   per mutator, compile outcomes and crashes become events, and the
-   coverage trend is collected by a Coverage_sampled sink instead of a
-   hand-rolled list. *)
+   per mutator, and compile outcomes, coverage gains, crashes and trend
+   samples become events.  Mutant accounting, crash recording and the
+   coverage trend go through Fuzz_result, like every other fuzz loop. *)
 
 open Cparse
 
@@ -64,8 +64,6 @@ type state = {
   options : Simcomp.Compiler.options;
   engine : Engine.Ctx.t;
   per_mutator : (string, mutator_counters) Hashtbl.t;
-  trend_rev : (int * int) list ref;  (* fed by the trend sink *)
-  trend_sink : Engine.Event.sink;
   (* pool/cache/faults are replaced wholesale on checkpoint resume *)
   mutable pool : pool_entry Engine.Vec.t; (* amortized-O(1) accepts *)
   scratch : Simcomp.Coverage.t; (* per-mutant map, consumed not realloc'd *)
@@ -221,21 +219,6 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
   let engine =
     match engine with Some e -> e | None -> Engine.Ctx.create ()
   in
-  (* the coverage trend is an event stream: sample_trend emits
-     Coverage_sampled and this sink (detached at the end of [run])
-     collects the samples *)
-  let trend_rev = ref [] in
-  let trend_sink =
-    {
-      Engine.Event.sink_name = "mucfuzz.trend";
-      emit =
-        (function
-        | Engine.Event.Coverage_sampled { iteration; covered } ->
-          trend_rev := (iteration, covered) :: !trend_rev
-        | _ -> ());
-    }
-  in
-  Engine.Event.add_sink engine.Engine.Ctx.bus trend_sink;
   let st =
     {
       cfg;
@@ -244,8 +227,6 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
       options;
       engine;
       per_mutator = Hashtbl.create 160;
-      trend_rev;
-      trend_sink;
       pool = Engine.Vec.of_list pool;
       scratch = Simcomp.Coverage.create ();
       cache = Simcomp.Compiler.cache_create ();
@@ -271,14 +252,7 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
     (match fst (compile st e.src) with
     | Simcomp.Compiler.Compiled _ | Simcomp.Compiler.Compile_error _ -> ()
     | Simcomp.Compiler.Crashed c ->
-      Fuzz_result.record_crash st.result ~iteration:0 ~input:e.src c;
-      Engine.Ctx.emit engine
-        (Engine.Event.Crash_found
-           {
-             key = Simcomp.Crash.unique_key c;
-             stage = Simcomp.Compiler.engine_stage c.Simcomp.Crash.stage;
-             iteration = 0;
-           }));
+      Fuzz_result.record_crash ~engine st.result ~iteration:0 ~input:e.src c);
     (* seeds claim their edges before the scratch map is consumed, so
        the scheduler starts from a fully-ranked baseline *)
     if cfg.schedule then sched_claim st i e cov;
@@ -291,12 +265,7 @@ let init ?(options = Simcomp.Compiler.default_options) ?engine ?faults ~cfg
       Engine.Ctx.emit engine
         (Engine.Event.Coverage_gained { iteration = 0; fresh })
   done;
-  Engine.Ctx.emit engine
-    (Engine.Event.Coverage_sampled
-       {
-         iteration = 0;
-         covered = Simcomp.Coverage.covered st.result.Fuzz_result.coverage;
-       });
+  Fuzz_result.sample ~engine st.result ~iteration:0;
   st
 
 (* One iteration of Algorithm 1. *)
@@ -331,8 +300,6 @@ let step (st : state) ~iteration : unit =
               if st.cfg.fragility then Fragility.render st.rng m tu'
               else Simcomp.Scratch.render_tu tu'
             in
-            st.result <-
-              { st.result with total_mutants = st.result.total_mutants + 1 };
             let cov = st.scratch in
             (* the scratch map is pristine here: merge_consume below
                re-zeroes it every cycle.  Byte-identical mutants
@@ -342,24 +309,8 @@ let step (st : state) ~iteration : unit =
                compile's coverage was already merged below, so its
                fresh count would be 0 anyway *)
             let outcome, parsed = compile st src' in
-            (match outcome with
-            | Simcomp.Compiler.Compiled _ ->
-              st.result <-
-                {
-                  st.result with
-                  compilable_mutants = st.result.compilable_mutants + 1;
-                }
-            | Simcomp.Compiler.Crashed c ->
-              Fuzz_result.record_crash st.result ~iteration ~input:src' c;
-              Engine.Ctx.emit st.engine
-                (Engine.Event.Crash_found
-                   {
-                     key = Simcomp.Crash.unique_key c;
-                     stage =
-                       Simcomp.Compiler.engine_stage c.Simcomp.Crash.stage;
-                     iteration;
-                   })
-            | Simcomp.Compiler.Compile_error _ -> ());
+            Fuzz_result.record ~engine:st.engine st.result ~iteration
+              ~input:src' outcome;
             (* one pass: the merged fresh count IS the accept signal,
                and consuming re-zeroes the scratch for the next compile.
                The scheduler must read the mutant's own cells *after*
@@ -411,15 +362,6 @@ let step (st : state) ~iteration : unit =
     try_mutators shuffled
   end
 
-let sample_trend (st : state) ~iteration =
-  if iteration mod st.cfg.sample_every = 0 then
-    Engine.Ctx.emit st.engine
-      (Engine.Event.Coverage_sampled
-         {
-           iteration;
-           covered = Simcomp.Coverage.covered st.result.Fuzz_result.coverage;
-         })
-
 (* Everything [step] reads or writes, captured at an iteration boundary.
    The compile cache is included because cache hits skip coverage
    recording: a resumed run with a cold cache would re-accumulate hit
@@ -433,8 +375,7 @@ type snapshot = {
   (* serialized straight from the pool vector ([Vec.to_array]), not via
      an intermediate list: one array instead of a cons per entry, and
      resume restores it byte-identically with [Vec.of_array] *)
-  sn_result : Fuzz_result.t;
-  sn_trend_rev : (int * int) list;
+  sn_result : Fuzz_result.t; (* with the trend so far, newest first *)
   sn_cache : Simcomp.Compiler.cache;
   sn_faults : Engine.Faults.t option;
   sn_sched_top : Bytes.t option;
@@ -477,7 +418,6 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
         | Some b -> Bytes.blit b 0 st.sched_top 0 (Bytes.length b)
         | None -> ());
         st.result <- sn.sn_result;
-        st.trend_rev := sn.sn_trend_rev;
         st.cache <- sn.sn_cache;
         st.faults <- sn.sn_faults;
         Engine.Ctx.incr st.engine "mucfuzz.resumed";
@@ -495,7 +435,6 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
           sn_rng_state = Rng.state st.rng;
           sn_pool = Engine.Vec.to_array st.pool;
           sn_result = Fuzz_result.at_rest st.result;
-          sn_trend_rev = !(st.trend_rev);
           sn_cache = st.cache;
           sn_faults = st.faults;
           sn_sched_top = (if cfg.schedule then Some st.sched_top else None);
@@ -511,28 +450,9 @@ let run ?options ?(cfg = default_config ()) ?engine ?faults ?checkpoint
   Engine.Span.with_ st.engine ~name:"mucfuzz.run" (fun () ->
       for i = start to iterations do
         step st ~iteration:i;
-        sample_trend st ~iteration:i;
+        if i mod cfg.sample_every = 0 then
+          Fuzz_result.sample ~engine:st.engine st.result ~iteration:i;
         save_checkpoint i
       done);
-  (* the trend always ends at the final iteration, even when
-     [iterations mod sample_every <> 0] — downstream plots and reports
-     otherwise truncate the tail.  Guarded on the trend head so a run
-     resumed from a snapshot taken at the last iteration (whose loop
-     body never executes) doesn't append a duplicate sample. *)
-  (match !(st.trend_rev) with
-  | (last, _) :: _ when last = iterations -> ()
-  | _ ->
-    Engine.Ctx.emit st.engine
-      (Engine.Event.Coverage_sampled
-         {
-           iteration = iterations;
-           covered = Simcomp.Coverage.covered st.result.Fuzz_result.coverage;
-         }));
-  (* detach the trend listener so a shared engine context can host
-     subsequent runs without cross-feeding *)
-  Engine.Event.remove_sink st.engine.Engine.Ctx.bus st.trend_sink;
-  {
-    st.result with
-    iterations;
-    coverage_trend = List.rev !(st.trend_rev);
-  }
+  Fuzz_result.finish ~engine:st.engine st.result ~iterations;
+  st.result

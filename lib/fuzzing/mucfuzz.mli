@@ -8,9 +8,11 @@
 
     Every run owns an {!Engine.Ctx}: mutator attempts/accepts/rejects are
     counted per mutator ([mucfuzz.attempt.<m>] / [.accept.<m>] /
-    [.reject.<m>] / [.inapplicable.<m>]), crashes and coverage gains are
-    emitted as events, and the coverage trend is collected by a
-    [Coverage_sampled] event sink. *)
+    [.reject.<m>] / [.inapplicable.<m>]), and crashes, coverage gains and
+    trend samples are emitted as events.  Mutants, crashes and the
+    coverage trend are recorded in the result through
+    {!Fuzz_result.record}, {!Fuzz_result.sample} and
+    {!Fuzz_result.finish}, as in every other fuzz loop. *)
 
 type config = {
   mutators : Mutators.Mutator.t list;
@@ -64,8 +66,6 @@ type state = {
   options : Simcomp.Compiler.options;
   engine : Engine.Ctx.t;
   per_mutator : (string, mutator_counters) Hashtbl.t;
-  trend_rev : (int * int) list ref;
-  trend_sink : Engine.Event.sink;
   mutable pool : pool_entry Engine.Vec.t;
       (** amortized-O(1) accepts (an [Array.append] pool is quadratic);
           replaced wholesale on checkpoint resume *)
@@ -107,9 +107,6 @@ val init :
 val step : state -> iteration:int -> unit
 (** One iteration of Algorithm 1. *)
 
-val sample_trend : state -> iteration:int -> unit
-(** Emit a [Coverage_sampled] event every [sample_every] iterations. *)
-
 val run :
   ?options:Simcomp.Compiler.options ->
   ?cfg:config ->
@@ -125,8 +122,9 @@ val run :
   unit ->
   Fuzz_result.t
 (** Run a whole campaign and return the accumulated statistics.  The
-    trend sink is detached on return, so a shared [engine] can host
-    subsequent runs.
+    trend is sampled every [sample_every] iterations and always ends at
+    [iterations]; it lives in the result, so runs sharing an [engine]
+    do not see each other's samples.
 
     [checkpoint:(path, every)] snapshots the complete run state (RNG,
     pool, result, compile cache, fault-harness counters) atomically to

@@ -128,6 +128,34 @@ let unscheduled_pin =
   "70 57 1483 [make_goto_expr_edges|build_gimple_cfg; \
    rewrite_expr_tree|reassociate_bb]"
 
+(* Baseline and macro-fuzzer runs, pinned with their whole trend: each
+   loop records mutants, crashes and trend points through Fuzz_result,
+   and these pins hold that step to the loops it replaced. *)
+let trend_t = Alcotest.(list (pair int int))
+
+let aflpp_pin =
+  ( "120 5 1350 [make_goto_expr_edges|build_gimple_cfg]",
+    [ (10, 1328); (20, 1341); (30, 1346); (40, 1350) ] )
+
+let csmith_pin = ("20 20 1152 []", [ (5, 870); (10, 1012); (15, 1103); (20, 1152) ])
+
+let yarpgen_pin = ("20 20 1016 []", [ (6, 782); (12, 865); (18, 993); (20, 1016) ])
+
+(* the final (40, 1543) sample is new: the macro fuzzer's trend used to
+   stop at its last periodic sample *)
+let macro_pin =
+  ( "31 21 1543 [c_process_expr_stmt|c_finish_expr_stmt; \
+     irange::set|range_op_handler::fold_range; \
+     make_goto_expr_edges|build_gimple_cfg; \
+     thread_through_loop_header|jump_thread_path_registry::update_cfg]",
+    [ (15, 1462); (30, 1505); (40, 1543) ] )
+
+let check_pin (fingerprint, trend) (r : Fuzzing.Fuzz_result.t) =
+  check Alcotest.string "pinned run" fingerprint (run_fingerprint r);
+  check trend_t "pinned trend" trend r.coverage_trend;
+  check Alcotest.int "iterations" (fst (List.nth trend (List.length trend - 1)))
+    r.iterations
+
 let mucfuzz_tests =
   [
     tc "run produces coverage, pool growth, and a trend" (fun () ->
@@ -308,6 +336,27 @@ let mucfuzz_tests =
         let resumed = go ~resume:file () in
         check Alcotest.bool "resumed run identical" true
           (Fuzzing.Fuzz_result.equal full resumed));
+    tc "runs sharing an engine context keep their own trends" (fun () ->
+        let cfg =
+          {
+            (Fuzzing.Mucfuzz.default_config ()) with
+            Fuzzing.Mucfuzz.max_attempts_per_iteration = 4;
+            sample_every = 5;
+          }
+        in
+        let trend ?engine seed =
+          (Fuzzing.Mucfuzz.run ~cfg ?engine ~rng:(Rng.create seed)
+             ~compiler:Simcomp.Compiler.Gcc ~seeds:(Lazy.force seed_corpus)
+             ~iterations:12 ~name:"t" ())
+            .Fuzzing.Fuzz_result.coverage_trend
+        in
+        let fresh_a = trend 1 in
+        let fresh_b = trend 2 in
+        let engine = Engine.Ctx.create () in
+        let shared_a = trend ~engine 1 in
+        let shared_b = trend ~engine 2 in
+        check trend_t "first run" fresh_a shared_a;
+        check trend_t "second run" fresh_b shared_b);
     tc "injected compile hangs surface as watchdog Hang crashes" (fun () ->
         let faults =
           Engine.Faults.create
@@ -347,7 +396,16 @@ let baseline_tests =
             ~iterations:40 ~sample_every:10 ()
         in
         check Alcotest.bool "low ratio" true
-          (Fuzzing.Fuzz_result.compilable_ratio r < 20.));
+          (Fuzzing.Fuzz_result.compilable_ratio r < 20.);
+        check_pin aflpp_pin r);
+    tc "csmith and yarpgen runs are pinned" (fun () ->
+        check_pin csmith_pin
+          (Fuzzing.Baselines.run_csmith ~rng:(Rng.create 5)
+             ~compiler:Simcomp.Compiler.Gcc ~iterations:20 ~sample_every:5 ());
+        check_pin yarpgen_pin
+          (Fuzzing.Baselines.run_yarpgen ~rng:(Rng.create 7)
+             ~compiler:Simcomp.Compiler.Clang ~iterations:20 ~sample_every:6
+             ()));
   ]
 
 let macro_tests =
@@ -371,6 +429,12 @@ let macro_tests =
             ~iterations:20 ()
         in
         check Alcotest.int "all dropped" 0 r.Fuzzing.Fuzz_result.total_mutants);
+    tc "macro fuzzer run is pinned" (fun () ->
+        let cfg = { Fuzzing.Macro_fuzzer.default_config with sample_every = 15 } in
+        check_pin macro_pin
+          (Fuzzing.Macro_fuzzer.run ~cfg ~rng:(Rng.create 8)
+             ~compiler:Simcomp.Compiler.Gcc ~seeds:(Lazy.force seed_corpus)
+             ~iterations:40 ()));
   ]
 
 (* Run the campaign matrix through the one driver on [jobs] domains. *)

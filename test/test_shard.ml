@@ -591,7 +591,7 @@ let coordinator_tests =
         (* rewrite every journal and snapshot under the previous magic,
            keeping fingerprint and payload: only the magic tells them
            apart from files this build wrote *)
-        let old_magic = "METAMUT-CKPT4" in
+        let old_magic = "METAMUT-CKPT5" in
         List.iter
           (fun path ->
             let body = In_channel.with_open_bin path In_channel.input_all in

@@ -362,14 +362,24 @@ let trend_tail_tests =
           (List.nth iters (List.length iters - 1)));
     tc "baseline trends end at the final iteration too" (fun () ->
         let seeds = Fuzzing.Seeds.corpus ~n:6 (Cparse.Rng.create 3) in
-        let r =
-          Fuzzing.Baselines.run_aflpp ~rng:(Cparse.Rng.create 4)
-            ~compiler:Simcomp.Compiler.Gcc ~seeds ~iterations:10
-            ~sample_every:7 ()
-        in
-        match List.rev r.Fuzzing.Fuzz_result.coverage_trend with
-        | (last, _) :: _ -> check Alcotest.int "tail iteration" 10 last
-        | [] -> Alcotest.fail "empty trend");
+        let rng () = Cparse.Rng.create 4 in
+        let compiler = Simcomp.Compiler.Gcc in
+        List.iter
+          (fun (r : Fuzzing.Fuzz_result.t) ->
+            match List.rev r.coverage_trend with
+            | (last, _) :: _ ->
+              check Alcotest.int (r.fuzzer_name ^ " tail iteration") 10 last
+            | [] -> Alcotest.fail (r.fuzzer_name ^ ": empty trend"))
+          [
+            Fuzzing.Baselines.run_aflpp ~rng:(rng ()) ~compiler ~seeds
+              ~iterations:10 ~sample_every:7 ();
+            Fuzzing.Baselines.run_csmith ~rng:(rng ()) ~compiler ~iterations:10
+              ~sample_every:7 ();
+            Fuzzing.Macro_fuzzer.run
+              ~cfg:
+                { Fuzzing.Macro_fuzzer.default_config with sample_every = 7 }
+              ~rng:(rng ()) ~compiler ~seeds ~iterations:10 ();
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
