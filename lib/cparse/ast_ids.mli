@@ -21,4 +21,9 @@ val max_id : Ast.tu -> int
 (** Largest id in use (an upper bound for fresh-name generation). *)
 
 val well_formed : Ast.tu -> bool
-(** True when every node id is assigned and unique. *)
+(** True when every expression and statement id is assigned and unique. *)
+
+val well_formed_max : Ast.tu -> int option
+(** [Some (max_id tu)] when [well_formed tu], [None] otherwise, from
+    one walk.  Ids are marked in a bitmap, so the check allocates a few
+    hundred bytes rather than a table entry per node. *)

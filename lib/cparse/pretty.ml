@@ -269,6 +269,15 @@ let var_decl_to_buf buf (v : var_decl) =
     expr_to_buf buf 1 e
   | None -> ())
 
+(* Does [s] print ending in an [if] with no [else]?  Trailing [else]
+   branches, [while]/[for] bodies and labels are followed. *)
+let rec ends_in_open_if s =
+  match s.sk with
+  | Sif (_, _, None) -> true
+  | Sif (_, _, Some s) | Swhile (_, s) | Sfor (_, _, _, s) | Slabel (_, s) ->
+    ends_in_open_if s
+  | _ -> false
+
 let rec stmt_to_buf buf lvl (s : stmt) =
   match s.sk with
   | Sexpr e ->
@@ -287,7 +296,11 @@ let rec stmt_to_buf buf lvl (s : stmt) =
     Buffer.add_string buf "if (";
     expr_to_buf buf 0 c;
     Buffer.add_string buf ")\n";
-    stmt_as_block buf lvl t;
+    (* an [else] after a then-branch ending in an [if] without one would
+       re-parse as that inner [if]'s: brace the branch *)
+    if Option.is_some f && ends_in_open_if t then
+      stmt_to_buf buf lvl { t with sk = Sblock [ t ] }
+    else stmt_as_block buf lvl t;
     (match f with
     | Some f ->
       indent buf lvl;

@@ -274,10 +274,10 @@ let step (st : state) ~iteration : unit =
   else begin
     let entry = pick_entry st in
     (* one semantic context for the whole iteration: every attempt
-       mutates the same program, so the typecheck behind [Uast.Ctx] is
-       shared instead of redone per attempt (apply_ctx rewinds the name
-       supply, keeping each attempt identical to a fresh-context
-       apply) *)
+       mutates the same program, so the typecheck behind [Uast.Ctx] runs
+       at most once, on the first attempt that asks for a type, and the
+       later attempts share it (apply_ctx rewinds the name supply,
+       keeping each attempt identical to a fresh-context apply) *)
     let ctx = Uast.Ctx.create ~rng:st.rng entry.tu in
     let shuffled = Rng.shuffle st.rng st.cfg.mutators in
     let attempts = ref 0 in

@@ -7,17 +7,22 @@
 type t = {
   rng : Cparse.Rng.t;
   tu : Cparse.Ast.tu;
-  tc : Cparse.Typecheck.result;
+  tc : Cparse.Typecheck.result Lazy.t;
+      (** forced by the first {!type_of}; a mutator that never asks for
+          a type never runs the type checker.  Should the check raise,
+          every force raises that exception. *)
   name_base : int;  (** [name_counter]'s value at creation (the max id) *)
   mutable name_counter : int;
 }
 
 val create : rng:Cparse.Rng.t -> Cparse.Ast.tu -> t
-(** Runs the type checker; renumbers the unit first if its node ids are
-    not well formed.  Creation is the expensive part (a full semantic
-    analysis), so callers applying several mutators to the same unit
-    should create one context and reuse it (see
-    {!Mutators.Mutator.apply_ctx}). *)
+(** Renumbers the unit if its node ids are not well formed (one walk
+    checks them and finds the max id).  The type checker does not run
+    here: it runs on the first {!type_of}, on a table the context owns,
+    and its result serves every later query.  Callers applying several
+    mutators to the same unit should create one context and reuse it
+    (see {!Mutators.Mutator.apply_ctx}), so the unit is checked at most
+    once. *)
 
 val reset_names : t -> unit
 (** Rewind the unique-name supply to its creation state, so a reused

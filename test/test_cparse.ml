@@ -374,6 +374,76 @@ let roundtrip_tests =
           let tu = parse_ok src in
           let printed = Pretty.tu_to_string tu in
           ignore (parse_ok printed));
+      tc "an else after an open inner if stays on the outer if" (fun () ->
+          (* r is 1 when the else belongs to the outer if, 3 when the
+             printed text hands it to an inner one *)
+          let skeleton =
+            parse_ok
+              "int a = 1;\nint b = 0;\nint r = 1;\n\
+               int main(void) { ; return r; }"
+          in
+          let set v = Ast.sexpr (Ast.assign (Ast.ident "r") (Ast.int_lit v)) in
+          let open_if = Ast.mk_stmt (Ast.Sif (Ast.ident "b", set 2, None)) in
+          let thens =
+            [
+              open_if;
+              Ast.mk_stmt (Ast.Swhile (Ast.ident "b", open_if));
+              Ast.mk_stmt (Ast.Sfor (None, Some (Ast.ident "b"), None, open_if));
+              Ast.mk_stmt (Ast.Slabel ("L", open_if));
+              Ast.mk_stmt (Ast.Sif (Ast.ident "b", set 4, Some open_if));
+            ]
+          in
+          List.iter
+            (fun t ->
+              let outer = Ast.mk_stmt (Ast.Sif (Ast.ident "a", t, Some (set 3))) in
+              let tu =
+                Visit.map_tu skeleton ~fs:(fun s ->
+                    match s.Ast.sk with Ast.Snull -> outer | _ -> s)
+              in
+              let printed = Pretty.tu_to_string tu in
+              let outer_has_else =
+                List.exists
+                  (function
+                    | Ast.Gfun fd ->
+                      List.exists
+                        (fun (s : Ast.stmt) ->
+                          match s.sk with
+                          | Ast.Sif (_, _, Some _) -> true
+                          | _ -> false)
+                        fd.Ast.f_body
+                    | _ -> false)
+                  (parse_ok printed).Ast.globals
+              in
+              if not outer_has_else then
+                Alcotest.failf "else moved to an inner if:\n%s" printed;
+              match Simcomp.Interp.run_src printed with
+              | Ok o -> check Alcotest.int "exit" 1 o.Simcomp.Interp.o_exit
+              | Error e -> Alcotest.failf "%s:\n%s" e printed)
+            thens);
+      tc "if statements with no dangling else print without braces" (fun () ->
+          let s = Ast.sexpr (Ast.ident "x") in
+          let if_ c t f = Ast.mk_stmt (Ast.Sif (Ast.ident c, t, f)) in
+          List.iter
+            (fun st ->
+              let buf = Buffer.create 64 in
+              let tu =
+                { Ast.globals =
+                    [ Ast.Gfun
+                        { Ast.f_id = Ast.no_id; f_name = "f"; f_ret = Ast.Tvoid;
+                          f_params = []; f_variadic = false; f_body = [ st ];
+                          f_static = false; f_inline = false } ] }
+              in
+              Pretty.tu_to_buf buf tu;
+              let braces =
+                String.fold_left (fun n c -> if c = '{' then n + 1 else n) 0
+                  (Buffer.contents buf)
+              in
+              check Alcotest.int "only the body's brace" 1 braces)
+            [
+              if_ "a" (if_ "b" s (Some s)) (Some s);
+              if_ "a" (if_ "b" s None) None;
+              if_ "a" (Ast.mk_stmt (Ast.Sdo (if_ "b" s None, Ast.ident "c"))) (Some s);
+            ]);
       tc "nested unary minus spaced" (fun () ->
           let e = Ast.unop Ast.Neg (Ast.unop Ast.Neg (Ast.ident "x")) in
           let s = Pretty.expr_to_string e in
@@ -539,8 +609,66 @@ let typecheck_tests =
 (* Ids and RNG                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [Ast_ids.well_formed] as it was before the bitmap, as a reference *)
+let ref_well_formed (tu : Ast.tu) : bool =
+  let seen = Hashtbl.create 64 in
+  let ok = ref true in
+  let check id =
+    if id = Ast.no_id || Hashtbl.mem seen id then ok := false
+    else Hashtbl.add seen id ()
+  in
+  Visit.iter_tu tu ~fe:(fun e -> check e.Ast.eid) ~fs:(fun s -> check s.Ast.sid);
+  !ok
+
+(* [tu] with every node id drawn from [next] *)
+let relabel tu next =
+  let tu =
+    Visit.map_tu tu
+      ~fe:(fun e -> { e with Ast.eid = next () })
+      ~fs:(fun s -> { s with Ast.sid = next () })
+  in
+  {
+    Ast.globals =
+      List.map
+        (function Ast.Gfun fd -> Ast.Gfun { fd with Ast.f_id = next () } | g -> g)
+        tu.Ast.globals;
+  }
+
 let id_rng_tests =
   [
+    tc "well_formed matches the table reference on every kind of id" (fun () ->
+        let big = 1 lsl 24 in
+        let odd = [| Ast.no_id; -2; min_int; big - 1; big; 1 lsl 40; max_int; 0; 5 |] in
+        for i = 0 to 299 do
+          let rng = Rng.create (4000 + i) in
+          let tu = Ast_gen.gen_tu rng in
+          let counter = ref 0 in
+          let seq base step () =
+            incr counter;
+            base + (step * !counter)
+          in
+          let next =
+            match i mod 8 with
+            | 0 -> seq 0 1                                  (* renumbered *)
+            | 1 -> fun () -> Rng.int rng 400               (* duplicates *)
+            | 2 ->                                          (* one no_id *)
+              let hole = 1 + Rng.int rng 50 in
+              fun () -> if seq 0 1 () = hole then Ast.no_id else !counter
+            | 3 -> seq (big - 20) 1                         (* across the bitmap's end *)
+            | 4 -> seq (max_int - 1_000_000) 997            (* huge, then wrapping *)
+            | 5 -> seq (-1) (-1)                            (* negative, from -2 down *)
+            | 6 -> fun () -> max 0 (seq (-2) 1 ())          (* 0 twice *)
+            | _ -> fun () -> odd.(Rng.int rng (Array.length odd))
+          in
+          let tu = relabel tu next in
+          let want = ref_well_formed tu in
+          check Alcotest.bool (Fmt.str "well_formed %d" i) want (Ast_ids.well_formed tu);
+          check
+            Alcotest.(option int)
+            (Fmt.str "well_formed_max %d" i)
+            (if want then Some (Ast_ids.max_id tu) else None)
+            (Ast_ids.well_formed_max tu)
+        done);
     tc "renumber restores uniqueness" (fun () ->
         let tu = parse_ok "int main(void) { return 1 + 2; }" in
         (* duplicate a subtree to break uniqueness *)

@@ -36,6 +36,35 @@ let ctx_of tu = Uast.Ctx.create ~rng:(Rng.create 1) tu
 
 let ctx_tests =
   [
+    tc "type_of on the lazy check equals an eager check" (fun () ->
+        let units =
+          sample
+          :: List.init 40 (fun i -> Ast_gen.gen_tu (Rng.create (300 + i)))
+          @ List.filter_map
+              (fun src -> Result.to_option (Parser.parse src))
+              Fuzzing.Seeds.templates
+        in
+        List.iteri
+          (fun i tu ->
+            (* every other unit loses its ids, so [create] renumbers *)
+            let tu =
+              if i mod 2 = 0 then tu
+              else Visit.map_tu tu ~fe:(fun e -> { e with Ast.eid = Ast.no_id })
+            in
+            let ctx = ctx_of tu in
+            check Alcotest.bool "unchecked at creation" false
+              (Lazy.is_val ctx.Uast.Ctx.tc);
+            check Alcotest.int "name base is the max id"
+              (Ast_ids.max_id ctx.Uast.Ctx.tu) ctx.Uast.Ctx.name_base;
+            let eager = Typecheck.check ctx.Uast.Ctx.tu in
+            Visit.iter_tu ctx.Uast.Ctx.tu ~fe:(fun e ->
+                if Uast.Ctx.type_of ctx e <> Hashtbl.find_opt eager.Typecheck.r_types e.Ast.eid
+                then Alcotest.failf "type_of differs on unit %d, node %d" i e.Ast.eid);
+            let lazy_r = Lazy.force ctx.Uast.Ctx.tc in
+            check Alcotest.bool "diagnostics" true (lazy_r.r_diags = eager.r_diags);
+            check Alcotest.int "typed nodes" (Hashtbl.length eager.r_types)
+              (Hashtbl.length lazy_r.r_types))
+          units);
     tc "type_of computes expression types" (fun () ->
         let ctx = ctx_of sample in
         let binops = Uast.Query.binops ctx.Uast.Ctx.tu in
