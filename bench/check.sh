@@ -5,6 +5,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every intermediate file lives in one private work dir, so two runs at
+# once (say, two checkouts side by side) never read each other's output.
+W=$(mktemp -d)
+trap 'rm -rf "$W"' EXIT
+
+# same A B MSG: fail with MSG and the diff unless A and B are identical.
+same() {
+  if ! cmp -s "$1" "$2"; then
+    echo "FAIL: $3" >&2
+    diff "$1" "$2" >&2 || true
+    exit 1
+  fi
+}
+
 echo "== dune build =="
 dune build
 
@@ -14,38 +28,30 @@ dune runtest
 echo "== smoke: campaign determinism across job counts =="
 CLI=_build/default/bin/metamut_cli.exe
 if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --jobs 1 > /tmp/campaign_j1.txt
-  "$CLI" campaign --iterations 10 --jobs 4 > /tmp/campaign_j4.txt
-  if cmp -s /tmp/campaign_j1.txt /tmp/campaign_j4.txt; then
-    echo "campaign output identical for --jobs 1 and --jobs 4"
-  else
-    echo "FAIL: campaign output differs between --jobs 1 and --jobs 4" >&2
-    diff /tmp/campaign_j1.txt /tmp/campaign_j4.txt >&2 || true
-    exit 1
-  fi
+  "$CLI" campaign --iterations 10 --jobs 1 > "$W/campaign_j1.txt"
+  "$CLI" campaign --iterations 10 --jobs 4 > "$W/campaign_j4.txt"
+  same "$W/campaign_j1.txt" "$W/campaign_j4.txt" \
+    "campaign output differs between --jobs 1 and --jobs 4"
+  echo "campaign output identical for --jobs 1 and --jobs 4"
 fi
 
 echo "== smoke: faulted campaign determinism across job counts =="
 if [ -x "$CLI" ]; then
   FAULTS="hang=0.05,crash=0.2"
   "$CLI" campaign --iterations 10 --jobs 1 --faults "$FAULTS" --fault-seed 3 \
-    > /tmp/campaign_f1.txt
+    > "$W/campaign_f1.txt"
   "$CLI" campaign --iterations 10 --jobs 4 --faults "$FAULTS" --fault-seed 3 \
-    > /tmp/campaign_f4.txt
-  if cmp -s /tmp/campaign_f1.txt /tmp/campaign_f4.txt; then
-    echo "faulted campaign output identical for --jobs 1 and --jobs 4"
-  else
-    echo "FAIL: faulted campaign output differs between job counts" >&2
-    diff /tmp/campaign_f1.txt /tmp/campaign_f4.txt >&2 || true
-    exit 1
-  fi
+    > "$W/campaign_f4.txt"
+  same "$W/campaign_f1.txt" "$W/campaign_f4.txt" \
+    "faulted campaign output differs between job counts"
+  echo "faulted campaign output identical for --jobs 1 and --jobs 4"
 fi
 
 echo "== smoke: campaign checkpoint/resume round-trip =="
 if [ -x "$CLI" ]; then
-  CKPT=$(mktemp -d)
+  CKPT=$(mktemp -d "$W/dir.XXXXXX")
   "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" \
-    > /tmp/campaign_ckpt.txt 2> /dev/null
+    > "$W/campaign_ckpt.txt" 2> /dev/null
   # journals carry coverage maps at rest (sorted pairs): a dense 1 MiB
   # map on disk would blow this bound
   for J in "$CKPT"/journal-*.ckpt; do
@@ -58,30 +64,22 @@ if [ -x "$CLI" ]; then
   # lose one completed cell, as a mid-run kill would
   rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
   "$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" --resume \
-    > /tmp/campaign_resume.txt 2> /dev/null
-  if cmp -s /tmp/campaign_ckpt.txt /tmp/campaign_resume.txt; then
-    echo "resumed campaign output identical to the uninterrupted run"
-  else
-    echo "FAIL: resumed campaign output differs from the original" >&2
-    diff /tmp/campaign_ckpt.txt /tmp/campaign_resume.txt >&2 || true
-    exit 1
-  fi
-  rm -rf "$CKPT"
+    > "$W/campaign_resume.txt" 2> /dev/null
+  same "$W/campaign_ckpt.txt" "$W/campaign_resume.txt" \
+    "resumed campaign output differs from the original"
+  echo "resumed campaign output identical to the uninterrupted run"
 fi
 
 echo "== smoke: telemetry artifacts =="
 if [ -x "$CLI" ]; then
-  TEL=$(mktemp -d)
+  TEL=$(mktemp -d "$W/dir.XXXXXX")
   # Telemetry must be a pure observer: the fuzz result printed on
   # stdout has to be byte-identical with and without --telemetry.
-  "$CLI" fuzz -n 40 --seed 7 > /tmp/fuzz_plain.txt 2> /dev/null
+  "$CLI" fuzz -n 40 --seed 7 > "$W/fuzz_plain.txt" 2> /dev/null
   "$CLI" fuzz -n 40 --seed 7 --telemetry "$TEL" \
-    > /tmp/fuzz_tel.txt 2> /dev/null
-  if ! cmp -s /tmp/fuzz_plain.txt /tmp/fuzz_tel.txt; then
-    echo "FAIL: --telemetry changed the fuzz output" >&2
-    diff /tmp/fuzz_plain.txt /tmp/fuzz_tel.txt >&2 || true
-    exit 1
-  fi
+    > "$W/fuzz_tel.txt" 2> /dev/null
+  same "$W/fuzz_plain.txt" "$W/fuzz_tel.txt" \
+    "--telemetry changed the fuzz output"
   for f in trace.jsonl metrics.prom metrics.json campaign-report.md; do
     if [ ! -s "$TEL/$f" ]; then
       echo "FAIL: telemetry artifact $f missing or empty" >&2
@@ -119,57 +117,47 @@ if [ -x "$CLI" ]; then
     echo "FAIL: campaign-report.md has no sections" >&2
     exit 1
   }
-  rm -rf "$TEL"
   echo "telemetry artifacts well-formed; fuzz output unchanged"
 fi
 
 echo "== smoke: campaign determinism with telemetry enabled =="
 if [ -x "$CLI" ]; then
-  TEL1=$(mktemp -d)
-  TEL4=$(mktemp -d)
+  TEL1=$(mktemp -d "$W/dir.XXXXXX")
+  TEL4=$(mktemp -d "$W/dir.XXXXXX")
   "$CLI" campaign --iterations 10 --jobs 1 --telemetry "$TEL1" \
-    > /tmp/campaign_t1.txt 2> /dev/null
+    > "$W/campaign_t1.txt" 2> /dev/null
   "$CLI" campaign --iterations 10 --jobs 4 --telemetry "$TEL4" \
-    > /tmp/campaign_t4.txt 2> /dev/null
-  if cmp -s /tmp/campaign_t1.txt /tmp/campaign_t4.txt \
-      && cmp -s /tmp/campaign_j1.txt /tmp/campaign_t1.txt; then
-    echo "campaign output identical with telemetry at --jobs 1 and 4"
-  else
-    echo "FAIL: telemetry perturbed campaign output across job counts" >&2
-    diff /tmp/campaign_t1.txt /tmp/campaign_t4.txt >&2 || true
-    exit 1
-  fi
-  rm -rf "$TEL1" "$TEL4"
+    > "$W/campaign_t4.txt" 2> /dev/null
+  same "$W/campaign_t1.txt" "$W/campaign_t4.txt" \
+    "telemetry perturbed campaign output across job counts"
+  same "$W/campaign_j1.txt" "$W/campaign_t1.txt" \
+    "telemetry perturbed campaign output across job counts"
+  echo "campaign output identical with telemetry at --jobs 1 and 4"
 fi
 
 echo "== smoke: faulted resume with telemetry stays byte-identical =="
 if [ -x "$CLI" ]; then
-  CKPT=$(mktemp -d)
-  TELA=$(mktemp -d)
-  TELB=$(mktemp -d)
+  CKPT=$(mktemp -d "$W/dir.XXXXXX")
+  TELA=$(mktemp -d "$W/dir.XXXXXX")
+  TELB=$(mktemp -d "$W/dir.XXXXXX")
   FAULTS="hang=0.05,crash=0.2"
   "$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --telemetry "$TELA" \
-    > /tmp/campaign_ftel.txt 2> /dev/null
+    > "$W/campaign_ftel.txt" 2> /dev/null
   rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
   "$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
     --fault-seed 3 --checkpoint "$CKPT" --resume --telemetry "$TELB" \
-    > /tmp/campaign_ftel_resume.txt 2> /dev/null
-  if cmp -s /tmp/campaign_ftel.txt /tmp/campaign_ftel_resume.txt; then
-    echo "faulted resumed campaign with telemetry identical to uninterrupted"
-  else
-    echo "FAIL: telemetry+faults+resume changed the campaign output" >&2
-    diff /tmp/campaign_ftel.txt /tmp/campaign_ftel_resume.txt >&2 || true
-    exit 1
-  fi
-  rm -rf "$CKPT" "$TELA" "$TELB"
+    > "$W/campaign_ftel_resume.txt" 2> /dev/null
+  same "$W/campaign_ftel.txt" "$W/campaign_ftel_resume.txt" \
+    "telemetry+faults+resume changed the campaign output"
+  echo "faulted resumed campaign with telemetry identical to uninterrupted"
 fi
 
 echo "== smoke: culprit-pass bisection =="
 if [ -x "$CLI" ]; then
   # A canned wrong-code finding (the seeded reassociation miscompile):
   # bisection must name constfold, deterministically.
-  WC=$(mktemp /tmp/wrongcode_XXXXXX.c)
+  WC="$W/wrongcode.c"
   cat > "$WC" <<'EOF'
 int r[6];
 int total;
@@ -184,94 +172,50 @@ int main(void) {
   return total & 255;
 }
 EOF
-  "$CLI" bisect "$WC" -c gcc -O 2 > /tmp/bisect_1.txt
-  grep -q '^culprit passes:  constfold$' /tmp/bisect_1.txt || {
+  "$CLI" bisect "$WC" -c gcc -O 2 > "$W/bisect_1.txt"
+  grep -q '^culprit passes:  constfold$' "$W/bisect_1.txt" || {
     echo "FAIL: bisect did not name constfold as the culprit" >&2
-    cat /tmp/bisect_1.txt >&2
+    cat "$W/bisect_1.txt" >&2
     exit 1
   }
-  grep -q '^first divergent: constfold$' /tmp/bisect_1.txt || {
+  grep -q '^first divergent: constfold$' "$W/bisect_1.txt" || {
     echo "FAIL: per-pass differential did not flag constfold" >&2
-    cat /tmp/bisect_1.txt >&2
+    cat "$W/bisect_1.txt" >&2
     exit 1
   }
-  "$CLI" bisect "$WC" -c gcc -O 2 > /tmp/bisect_2.txt
-  if cmp -s /tmp/bisect_1.txt /tmp/bisect_2.txt; then
-    echo "bisect verdict deterministic: constfold"
-  else
-    echo "FAIL: bisect verdict not deterministic" >&2
-    exit 1
-  fi
+  "$CLI" bisect "$WC" -c gcc -O 2 > "$W/bisect_2.txt"
+  same "$W/bisect_1.txt" "$W/bisect_2.txt" "bisect verdict not deterministic"
+  echo "bisect verdict deterministic: constfold"
   # the per-pass trace behind the differential, end to end through the CLI
-  "$CLI" compile "$WC" -O 2 --dump-ir=constfold > /tmp/dump_ir.txt
-  if grep -q '^;; IR before constfold' /tmp/dump_ir.txt \
-     && grep -q '^;; IR after constfold' /tmp/dump_ir.txt; then
+  "$CLI" compile "$WC" -O 2 --dump-ir=constfold > "$W/dump_ir.txt"
+  if grep -q '^;; IR before constfold' "$W/dump_ir.txt" \
+     && grep -q '^;; IR after constfold' "$W/dump_ir.txt"; then
     echo "dump-ir traces constfold"
   else
     echo "FAIL: --dump-ir=constfold did not print IR around constfold" >&2
-    cat /tmp/dump_ir.txt >&2
+    cat "$W/dump_ir.txt" >&2
     exit 1
   fi
-  rm -f "$WC" /tmp/dump_ir.txt
 fi
 
 echo "== smoke: campaign --bisect determinism across job counts =="
 if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --jobs 1 --bisect > /tmp/campaign_b1.txt
-  "$CLI" campaign --iterations 10 --jobs 4 --bisect > /tmp/campaign_b4.txt
-  if cmp -s /tmp/campaign_b1.txt /tmp/campaign_b4.txt; then
-    echo "campaign --bisect output identical for --jobs 1 and --jobs 4"
-  else
-    echo "FAIL: campaign --bisect output differs between job counts" >&2
-    diff /tmp/campaign_b1.txt /tmp/campaign_b4.txt >&2 || true
-    exit 1
-  fi
-fi
-
-echo "== smoke: fuzz-throughput bench =="
-# Smoke mode keeps CI fast; this gate only checks the bench runs and
-# emits well-formed JSON — perf numbers are informational, not gating.
-# Written under _build/ so a local run never tramples the committed
-# full-mode BENCH_fuzz_throughput.json at the repository root.
-BENCH=_build/default/bench/throughput.exe
-if [ -x "$BENCH" ]; then
-  "$BENCH" --smoke --out _build/BENCH_fuzz_throughput.json
-  grep -q '"bench": "fuzz_throughput"' _build/BENCH_fuzz_throughput.json || {
-    echo "FAIL: _build/BENCH_fuzz_throughput.json malformed" >&2
-    exit 1
-  }
-  # Allocation-regression gate: the smoke run's minor-words/compile is
-  # deterministic for a given build, so compare it against the recorded
-  # baseline with 15% headroom.  Improvements should lower the baseline
-  # (bench/BASELINE_smoke_minor_words) in the same PR.
-  BASELINE=$(cat bench/BASELINE_smoke_minor_words)
-  SMOKE_WORDS=$(sed -n 's/.*"minor_words_per_compile": \([0-9.]*\).*/\1/p' \
-    _build/BENCH_fuzz_throughput.json | head -n 1)
-  if [ -z "$SMOKE_WORDS" ]; then
-    echo "FAIL: minor_words_per_compile missing from bench JSON" >&2
-    exit 1
-  fi
-  if awk -v w="$SMOKE_WORDS" -v b="$BASELINE" 'BEGIN { exit !(w > b * 1.15) }'
-  then
-    echo "FAIL: smoke minor-words/compile $SMOKE_WORDS exceeds baseline $BASELINE x 1.15" >&2
-    exit 1
-  fi
-  echo "smoke minor-words/compile $SMOKE_WORDS within baseline $BASELINE x 1.15"
+  "$CLI" campaign --iterations 10 --jobs 1 --bisect > "$W/campaign_b1.txt"
+  "$CLI" campaign --iterations 10 --jobs 4 --bisect > "$W/campaign_b4.txt"
+  same "$W/campaign_b1.txt" "$W/campaign_b4.txt" \
+    "campaign --bisect output differs between job counts"
+  echo "campaign --bisect output identical for --jobs 1 and --jobs 4"
 fi
 
 echo "== smoke: scheduled fuzzing determinism across job counts =="
 # The corpus scheduler (favored-entry picks + pool trimming) must be
 # deterministic at any job count, like the default path.
 if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --jobs 1 --schedule > /tmp/campaign_s1.txt
-  "$CLI" campaign --iterations 10 --jobs 4 --schedule > /tmp/campaign_s4.txt
-  if cmp -s /tmp/campaign_s1.txt /tmp/campaign_s4.txt; then
-    echo "scheduled campaign output identical for --jobs 1 and --jobs 4"
-  else
-    echo "FAIL: scheduled campaign output differs between job counts" >&2
-    diff /tmp/campaign_s1.txt /tmp/campaign_s4.txt >&2 || true
-    exit 1
-  fi
+  "$CLI" campaign --iterations 10 --jobs 1 --schedule > "$W/campaign_s1.txt"
+  "$CLI" campaign --iterations 10 --jobs 4 --schedule > "$W/campaign_s4.txt"
+  same "$W/campaign_s1.txt" "$W/campaign_s4.txt" \
+    "scheduled campaign output differs between job counts"
+  echo "scheduled campaign output identical for --jobs 1 and --jobs 4"
 fi
 
 echo "== smoke: sharded campaign determinism across shard counts =="
@@ -279,17 +223,13 @@ echo "== smoke: sharded campaign determinism across shard counts =="
 # byte-for-byte: shards:1 (inline) and shards:2 (two forked workers)
 # both have to match the plain --jobs 1 run captured above.
 if [ -x "$CLI" ]; then
-  "$CLI" campaign --iterations 10 --shards 1 > /tmp/campaign_sh1.txt 2> /dev/null
-  "$CLI" campaign --iterations 10 --shards 2 > /tmp/campaign_sh2.txt 2> /dev/null
-  if cmp -s /tmp/campaign_sh1.txt /tmp/campaign_sh2.txt \
-      && cmp -s /tmp/campaign_j1.txt /tmp/campaign_sh1.txt; then
-    echo "sharded campaign output identical for --shards 1, --shards 2, and plain"
-  else
-    echo "FAIL: sharded campaign output differs across shard counts" >&2
-    diff /tmp/campaign_sh1.txt /tmp/campaign_sh2.txt >&2 || true
-    diff /tmp/campaign_j1.txt /tmp/campaign_sh1.txt >&2 || true
-    exit 1
-  fi
+  "$CLI" campaign --iterations 10 --shards 1 > "$W/campaign_sh1.txt" 2> /dev/null
+  "$CLI" campaign --iterations 10 --shards 2 > "$W/campaign_sh2.txt" 2> /dev/null
+  same "$W/campaign_sh1.txt" "$W/campaign_sh2.txt" \
+    "sharded campaign output differs across shard counts"
+  same "$W/campaign_j1.txt" "$W/campaign_sh1.txt" \
+    "sharded campaign output differs across shard counts"
+  echo "sharded campaign output identical for --shards 1, --shards 2, and plain"
 fi
 
 echo "== smoke: sharded worker-kill recovery =="
@@ -300,17 +240,13 @@ echo "== smoke: sharded worker-kill recovery =="
 if [ -x "$CLI" ]; then
   METAMUT_SHARD_KILL="uCFuzz.s-GCC" \
     "$CLI" campaign --iterations 10 --shards 2 \
-    > /tmp/campaign_kill.txt 2> /tmp/campaign_kill.err
-  if cmp -s /tmp/campaign_sh2.txt /tmp/campaign_kill.txt; then
-    echo "campaign output identical after a mid-lease worker kill"
-  else
-    echo "FAIL: worker-kill recovery changed the campaign output" >&2
-    diff /tmp/campaign_sh2.txt /tmp/campaign_kill.txt >&2 || true
-    exit 1
-  fi
-  grep -q 'shard recovery: 1 worker death' /tmp/campaign_kill.err || {
+    > "$W/campaign_kill.txt" 2> "$W/campaign_kill.err"
+  same "$W/campaign_sh2.txt" "$W/campaign_kill.txt" \
+    "worker-kill recovery changed the campaign output"
+  echo "campaign output identical after a mid-lease worker kill"
+  grep -q 'shard recovery: 1 worker death' "$W/campaign_kill.err" || {
     echo "FAIL: worker kill was not reported on stderr" >&2
-    cat /tmp/campaign_kill.err >&2
+    cat "$W/campaign_kill.err" >&2
     exit 1
   }
 fi
@@ -320,16 +256,12 @@ echo "== smoke: opt-matrix determinism across shard counts =="
 # byte-identity contract must hold there too.
 if [ -x "$CLI" ]; then
   "$CLI" campaign --iterations 10 --shards 1 --opt-matrix 0,2 \
-    > /tmp/campaign_om1.txt 2> /dev/null
+    > "$W/campaign_om1.txt" 2> /dev/null
   "$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
-    > /tmp/campaign_om2.txt 2> /dev/null
-  if cmp -s /tmp/campaign_om1.txt /tmp/campaign_om2.txt; then
-    echo "opt-matrix campaign output identical for --shards 1 and --shards 2"
-  else
-    echo "FAIL: opt-matrix campaign output differs between shard counts" >&2
-    diff /tmp/campaign_om1.txt /tmp/campaign_om2.txt >&2 || true
-    exit 1
-  fi
+    > "$W/campaign_om2.txt" 2> /dev/null
+  same "$W/campaign_om1.txt" "$W/campaign_om2.txt" \
+    "opt-matrix campaign output differs between shard counts"
+  echo "opt-matrix campaign output identical for --shards 1 and --shards 2"
 fi
 
 echo "== smoke: chaos-armed sharded campaign =="
@@ -341,22 +273,18 @@ if [ -x "$CLI" ]; then
   CHAOS="frame=0.2,stall=0.1,oom=0.2,coord=0.3"
   "$CLI" campaign --iterations 10 --shards 1 --faults "$CHAOS" \
     --fault-seed 17 --hang-timeout 2 \
-    > /tmp/campaign_ch1.txt 2> /dev/null
+    > "$W/campaign_ch1.txt" 2> /dev/null
   "$CLI" campaign --iterations 10 --shards 2 --faults "$CHAOS" \
     --fault-seed 17 --hang-timeout 2 \
-    > /tmp/campaign_ch2.txt 2> /tmp/campaign_ch2.err
-  if cmp -s /tmp/campaign_ch1.txt /tmp/campaign_ch2.txt \
-      && cmp -s /tmp/campaign_sh2.txt /tmp/campaign_ch2.txt; then
-    echo "chaos-armed campaign output identical across shard counts and to clean"
-  else
-    echo "FAIL: shard-layer chaos changed the campaign output" >&2
-    diff /tmp/campaign_ch1.txt /tmp/campaign_ch2.txt >&2 || true
-    diff /tmp/campaign_sh2.txt /tmp/campaign_ch2.txt >&2 || true
-    exit 1
-  fi
-  grep -q 'shard recovery:' /tmp/campaign_ch2.err || {
+    > "$W/campaign_ch2.txt" 2> "$W/campaign_ch2.err"
+  same "$W/campaign_ch1.txt" "$W/campaign_ch2.txt" \
+    "shard-layer chaos changed the campaign output"
+  same "$W/campaign_sh2.txt" "$W/campaign_ch2.txt" \
+    "shard-layer chaos changed the campaign output"
+  echo "chaos-armed campaign output identical across shard counts and to clean"
+  grep -q 'shard recovery:' "$W/campaign_ch2.err" || {
     echo "FAIL: armed chaos never fired (no recovery line on stderr)" >&2
-    cat /tmp/campaign_ch2.err >&2
+    cat "$W/campaign_ch2.err" >&2
     exit 1
   }
 fi
@@ -367,9 +295,9 @@ echo "== smoke: coordinator SIGKILL + --resume byte-identity =="
 # Its workers must not outlive it: each one reads EOF on its socket (or
 # EPIPE on its next send) and exits.
 if [ -x "$CLI" ]; then
-  CKPT=$(mktemp -d)
+  CKPT=$(mktemp -d "$W/dir.XXXXXX")
   "$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
-    --checkpoint "$CKPT" > /tmp/campaign_crash.txt 2> /dev/null &
+    --checkpoint "$CKPT" > "$W/campaign_crash.txt" 2> /dev/null &
   COORD_PID=$!
   sleep 1
   WORKERS=$(pgrep -P "$COORD_PID" -f 'metamut_cli.exe worker' || true)
@@ -380,10 +308,10 @@ if [ -x "$CLI" ]; then
     exit 1
   fi
   sleep 5
-  for W in $WORKERS; do
-    if kill -0 "$W" 2> /dev/null; then
-      echo "FAIL: worker $W outlived its SIGKILLed coordinator by 5 s" >&2
-      ps -o pid=,ppid=,args= -p "$W" >&2 || true
+  for PID in $WORKERS; do
+    if kill -0 "$PID" 2> /dev/null; then
+      echo "FAIL: worker $PID outlived its SIGKILLed coordinator by 5 s" >&2
+      ps -o pid=,ppid=,args= -p "$PID" >&2 || true
       kill -9 $WORKERS 2> /dev/null || true
       exit 1
     fi
@@ -391,15 +319,10 @@ if [ -x "$CLI" ]; then
   echo "no worker outlived the SIGKILLed coordinator"
   "$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
     --checkpoint "$CKPT" --resume \
-    > /tmp/campaign_crash_resume.txt 2> /dev/null
-  if cmp -s /tmp/campaign_om2.txt /tmp/campaign_crash_resume.txt; then
-    echo "resumed campaign after coordinator SIGKILL identical to uninterrupted"
-  else
-    echo "FAIL: coordinator SIGKILL + resume changed the campaign output" >&2
-    diff /tmp/campaign_om2.txt /tmp/campaign_crash_resume.txt >&2 || true
-    exit 1
-  fi
-  rm -rf "$CKPT"
+    > "$W/campaign_crash_resume.txt" 2> /dev/null
+  same "$W/campaign_om2.txt" "$W/campaign_crash_resume.txt" \
+    "coordinator SIGKILL + resume changed the campaign output"
+  echo "resumed campaign after coordinator SIGKILL identical to uninterrupted"
 fi
 
 echo "== smoke: structured log determinism =="
@@ -411,66 +334,49 @@ if [ -x "$CLI" ]; then
   # in-process faults + checkpointing at :debug so the --jobs log has
   # real records (fault.injected, retry.backoff, checkpoint.saved) to
   # compare, not two empty files
-  CKL1=$(mktemp -d)
-  CKL4=$(mktemp -d)
+  CKL1=$(mktemp -d "$W/dir.XXXXXX")
+  CKL4=$(mktemp -d "$W/dir.XXXXXX")
   "$CLI" campaign --iterations 10 --jobs 1 --faults "hang=0.05,crash=0.2" \
     --fault-seed 3 --checkpoint "$CKL1" \
-    --log /tmp/campaign_lg_j1.jsonl:debug > /dev/null 2> /dev/null
+    --log "$W/campaign_lg_j1.jsonl:debug" > /dev/null 2> /dev/null
   "$CLI" campaign --iterations 10 --jobs 4 --faults "hang=0.05,crash=0.2" \
     --fault-seed 3 --checkpoint "$CKL4" \
-    --log /tmp/campaign_lg_j4.jsonl:debug > /dev/null 2> /dev/null
-  rm -rf "$CKL1" "$CKL4"
-  if cmp -s /tmp/campaign_lg_j1.jsonl /tmp/campaign_lg_j4.jsonl; then
-    echo "log body identical for --jobs 1 and --jobs 4"
-  else
-    echo "FAIL: --log body differs between job counts" >&2
-    diff /tmp/campaign_lg_j1.jsonl /tmp/campaign_lg_j4.jsonl >&2 || true
-    exit 1
-  fi
-  grep -q '"event":"fault.injected"' /tmp/campaign_lg_j1.jsonl || {
+    --log "$W/campaign_lg_j4.jsonl:debug" > /dev/null 2> /dev/null
+  same "$W/campaign_lg_j1.jsonl" "$W/campaign_lg_j4.jsonl" \
+    "--log body differs between job counts"
+  echo "log body identical for --jobs 1 and --jobs 4"
+  grep -q '"event":"fault.injected"' "$W/campaign_lg_j1.jsonl" || {
     echo "FAIL: faulted --jobs log has no fault.injected records" >&2
     exit 1
   }
-  "$CLI" campaign --iterations 10 --shards 1 --log /tmp/campaign_lg_sh1.jsonl \
+  "$CLI" campaign --iterations 10 --shards 1 --log "$W/campaign_lg_sh1.jsonl" \
     > /dev/null 2> /dev/null
-  "$CLI" campaign --iterations 10 --shards 2 --log /tmp/campaign_lg_sh2.jsonl \
+  "$CLI" campaign --iterations 10 --shards 2 --log "$W/campaign_lg_sh2.jsonl" \
     > /dev/null 2> /dev/null
-  if cmp -s /tmp/campaign_lg_sh1.jsonl /tmp/campaign_lg_sh2.jsonl; then
-    echo "log body identical for --shards 1 and --shards 2"
-  else
-    echo "FAIL: --log body differs between shard counts" >&2
-    diff /tmp/campaign_lg_sh1.jsonl /tmp/campaign_lg_sh2.jsonl >&2 || true
-    exit 1
-  fi
+  same "$W/campaign_lg_sh1.jsonl" "$W/campaign_lg_sh2.jsonl" \
+    "--log body differs between shard counts"
+  echo "log body identical for --shards 1 and --shards 2"
   # --jobs and --shards are backends of one driver: the same clean run
   # logs the same body on worker domains as on worker processes
-  "$CLI" campaign --iterations 10 --jobs 1 --log /tmp/campaign_lg_cj1.jsonl \
+  "$CLI" campaign --iterations 10 --jobs 1 --log "$W/campaign_lg_cj1.jsonl" \
     > /dev/null 2> /dev/null
-  "$CLI" campaign --iterations 10 --jobs 4 --log /tmp/campaign_lg_cj4.jsonl \
+  "$CLI" campaign --iterations 10 --jobs 4 --log "$W/campaign_lg_cj4.jsonl" \
     > /dev/null 2> /dev/null
-  if cmp -s /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_cj4.jsonl \
-      && cmp -s /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_sh2.jsonl; then
-    echo "log body identical for --jobs 1, --jobs 4 and --shards 2"
-  else
-    echo "FAIL: --log body differs between --jobs and --shards" >&2
-    diff /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_cj4.jsonl >&2 || true
-    diff /tmp/campaign_lg_cj1.jsonl /tmp/campaign_lg_sh2.jsonl >&2 || true
-    exit 1
-  fi
+  same "$W/campaign_lg_cj1.jsonl" "$W/campaign_lg_cj4.jsonl" \
+    "--log body differs between --jobs and --shards"
+  same "$W/campaign_lg_cj1.jsonl" "$W/campaign_lg_sh2.jsonl" \
+    "--log body differs between --jobs and --shards"
+  echo "log body identical for --jobs 1, --jobs 4 and --shards 2"
   # chaos: worker-OOM kills produce lease.infra / lease.retry /
   # lease.verdict records keyed to the (lease, attempt) fault stream
   "$CLI" campaign --iterations 10 --shards 1 --faults oom=0.5 --fault-seed 5 \
-    --log /tmp/campaign_lg_ch1.jsonl > /dev/null 2> /dev/null
+    --log "$W/campaign_lg_ch1.jsonl" > /dev/null 2> /dev/null
   "$CLI" campaign --iterations 10 --shards 2 --faults oom=0.5 --fault-seed 5 \
-    --log /tmp/campaign_lg_ch2.jsonl > /dev/null 2> /dev/null
-  if cmp -s /tmp/campaign_lg_ch1.jsonl /tmp/campaign_lg_ch2.jsonl; then
-    echo "chaos log body identical for --shards 1 and --shards 2"
-  else
-    echo "FAIL: chaos --log body differs between shard counts" >&2
-    diff /tmp/campaign_lg_ch1.jsonl /tmp/campaign_lg_ch2.jsonl >&2 || true
-    exit 1
-  fi
-  grep -q '"event":"lease.verdict"' /tmp/campaign_lg_ch2.jsonl || {
+    --log "$W/campaign_lg_ch2.jsonl" > /dev/null 2> /dev/null
+  same "$W/campaign_lg_ch1.jsonl" "$W/campaign_lg_ch2.jsonl" \
+    "chaos --log body differs between shard counts"
+  echo "chaos log body identical for --shards 1 and --shards 2"
+  grep -q '"event":"lease.verdict"' "$W/campaign_lg_ch2.jsonl" || {
     echo "FAIL: chaos log has no lease.verdict records" >&2
     exit 1
   }
@@ -478,7 +384,7 @@ fi
 
 echo "== smoke: profiling export (profile.folded, mutator yield) =="
 if [ -x "$CLI" ]; then
-  TEL=$(mktemp -d)
+  TEL=$(mktemp -d "$W/dir.XXXXXX")
   "$CLI" fuzz -n 40 --seed 7 --telemetry "$TEL" > /dev/null 2> /dev/null
   for f in profile.folded mutator-yield.json; do
     if [ ! -s "$TEL/$f" ]; then
@@ -498,7 +404,7 @@ if [ -x "$CLI" ]; then
     exit 1
   }
   if command -v flamegraph.pl > /dev/null 2>&1; then
-    flamegraph.pl "$TEL/profile.folded" > /tmp/flame.svg || {
+    flamegraph.pl "$TEL/profile.folded" > "$W/flame.svg" || {
       echo "FAIL: flamegraph.pl rejected profile.folded" >&2
       exit 1
     }
@@ -514,7 +420,6 @@ if [ -x "$CLI" ]; then
     echo "FAIL: report is missing the self-time table" >&2
     exit 1
   }
-  rm -rf "$TEL"
   echo "profile.folded and mutator-yield.json well-formed"
 fi
 
@@ -524,16 +429,16 @@ echo "== smoke: live observability endpoints (--serve) =="
 # final metrics.prom modulo the wall-clock families (span./gc./
 # telemetry.).  Serving must not perturb stdout.
 if [ -x "$CLI" ] && command -v curl > /dev/null 2>&1; then
-  TEL=$(mktemp -d)
-  : > /tmp/campaign_serve.err
+  TEL=$(mktemp -d "$W/dir.XXXXXX")
+  : > "$W/campaign_serve.err"
   METAMUT_SERVE_LINGER=10 "$CLI" campaign --iterations 10 --jobs 1 \
     --serve 127.0.0.1:0 --telemetry "$TEL" \
-    > /tmp/campaign_serve.txt 2> /tmp/campaign_serve.err &
+    > "$W/campaign_serve.txt" 2> "$W/campaign_serve.err" &
   SRV_PID=$!
   ADDR=""
   i=0
   while [ $i -lt 100 ]; do
-    ADDR=$(sed -n 's/^serving on //p' /tmp/campaign_serve.err | head -n 1)
+    ADDR=$(sed -n 's/^serving on //p' "$W/campaign_serve.err" | head -n 1)
     [ -n "$ADDR" ] && break
     sleep 0.1
     i=$((i + 1))
@@ -563,34 +468,25 @@ if [ -x "$CLI" ] && command -v curl > /dev/null 2>&1; then
     echo "FAIL: /healthz was not ok on a clean run" >&2
     exit 1
   }
-  curl -fsS "http://$ADDR/metrics" > /tmp/serve_metrics.prom || {
+  curl -fsS "http://$ADDR/metrics" > "$W/serve_metrics.prom" || {
     echo "FAIL: /metrics scrape failed" >&2
     exit 1
   }
-  grep -q '^# TYPE metamut_compile_total counter' /tmp/serve_metrics.prom || {
+  grep -q '^# TYPE metamut_compile_total counter' "$W/serve_metrics.prom" || {
     echo "FAIL: live /metrics is not Prometheus text exposition" >&2
     exit 1
   }
   wait "$SRV_PID"
-  grep -Ev 'metamut_(span|gc|telemetry)_' /tmp/serve_metrics.prom \
-    > /tmp/serve_metrics_f.prom
+  grep -Ev 'metamut_(span|gc|telemetry)_' "$W/serve_metrics.prom" \
+    > "$W/serve_metrics_f.prom"
   grep -Ev 'metamut_(span|gc|telemetry)_' "$TEL/metrics.prom" \
-    > /tmp/final_metrics_f.prom
-  if cmp -s /tmp/serve_metrics_f.prom /tmp/final_metrics_f.prom; then
-    echo "live /metrics matches metrics.prom modulo wall-clock families"
-  else
-    echo "FAIL: live /metrics diverged from the final metrics.prom" >&2
-    diff /tmp/serve_metrics_f.prom /tmp/final_metrics_f.prom >&2 || true
-    exit 1
-  fi
-  if cmp -s /tmp/campaign_j1.txt /tmp/campaign_serve.txt; then
-    echo "serving did not perturb campaign stdout"
-  else
-    echo "FAIL: --serve changed the campaign output" >&2
-    diff /tmp/campaign_j1.txt /tmp/campaign_serve.txt >&2 || true
-    exit 1
-  fi
-  rm -rf "$TEL"
+    > "$W/final_metrics_f.prom"
+  same "$W/serve_metrics_f.prom" "$W/final_metrics_f.prom" \
+    "live /metrics diverged from the final metrics.prom"
+  echo "live /metrics matches metrics.prom modulo wall-clock families"
+  same "$W/campaign_j1.txt" "$W/campaign_serve.txt" \
+    "--serve changed the campaign output"
+  echo "serving did not perturb campaign stdout"
 else
   echo "curl not found; skipping serve smoke"
 fi
@@ -600,18 +496,18 @@ echo "== smoke: quarantine flight recorder + degraded /healthz =="
 # so every unit must leave a flight-<unit>.json in the telemetry dir,
 # and a live /healthz must serve 503 once the first breaker trips.
 if [ -x "$CLI" ]; then
-  TELF=$(mktemp -d)
-  : > /tmp/campaign_flight.err
+  TELF=$(mktemp -d "$W/dir.XXXXXX")
+  : > "$W/campaign_flight.err"
   if command -v curl > /dev/null 2>&1; then
     METAMUT_SERVE_LINGER=10 "$CLI" campaign --iterations 10 --shards 2 \
       --faults oom=1.0 --fault-seed 9 --telemetry "$TELF" \
       --serve 127.0.0.1:0 \
-      > /tmp/campaign_flight.txt 2> /tmp/campaign_flight.err &
+      > "$W/campaign_flight.txt" 2> "$W/campaign_flight.err" &
     FL_PID=$!
     ADDR=""
     i=0
     while [ $i -lt 100 ]; do
-      ADDR=$(sed -n 's/^serving on //p' /tmp/campaign_flight.err | head -n 1)
+      ADDR=$(sed -n 's/^serving on //p' "$W/campaign_flight.err" | head -n 1)
       [ -n "$ADDR" ] && break
       sleep 0.1
       i=$((i + 1))
@@ -642,7 +538,7 @@ if [ -x "$CLI" ]; then
   else
     "$CLI" campaign --iterations 10 --shards 2 --faults oom=1.0 \
       --fault-seed 9 --telemetry "$TELF" \
-      > /tmp/campaign_flight.txt 2> /tmp/campaign_flight.err
+      > "$W/campaign_flight.txt" 2> "$W/campaign_flight.err"
   fi
   if ! ls "$TELF"/flight-*.json > /dev/null 2>&1; then
     echo "FAIL: quarantined leases left no flight-<unit>.json" >&2
@@ -662,11 +558,10 @@ if [ -x "$CLI" ]; then
       exit 1
     }
   fi
-  grep -q 'QUARANTINED' /tmp/campaign_flight.err || {
+  grep -q 'QUARANTINED' "$W/campaign_flight.err" || {
     echo "FAIL: quarantine was not reported on stderr" >&2
     exit 1
   }
-  rm -rf "$TELF"
   echo "flight recorder dumped for quarantined leases"
 fi
 
@@ -674,24 +569,20 @@ echo "== smoke: examples run, bughunt is deterministic =="
 EX=_build/default/examples
 if [ -x "$EX/bughunt.exe" ]; then
   for E in quickstart invent_mutators differential bughunt; do
-    "$EX/$E.exe" > "/tmp/example_$E.txt" 2> /dev/null || {
+    "$EX/$E.exe" > "$W/example_$E.txt" 2> /dev/null || {
       echo "FAIL: examples/$E.exe exited nonzero" >&2
       exit 1
     }
   done
   # bughunt is the macro fuzzer's end-to-end caller: a second run must
   # print the same hunt
-  "$EX/bughunt.exe" > /tmp/example_bughunt2.txt 2> /dev/null || {
+  "$EX/bughunt.exe" > "$W/example_bughunt2.txt" 2> /dev/null || {
     echo "FAIL: examples/bughunt.exe exited nonzero on the second run" >&2
     exit 1
   }
-  if cmp -s /tmp/example_bughunt.txt /tmp/example_bughunt2.txt; then
-    echo "examples ran; bughunt output identical across two runs"
-  else
-    echo "FAIL: bughunt output differs between two runs" >&2
-    diff /tmp/example_bughunt.txt /tmp/example_bughunt2.txt >&2 || true
-    exit 1
-  fi
+  same "$W/example_bughunt.txt" "$W/example_bughunt2.txt" \
+    "bughunt output differs between two runs"
+  echo "examples ran; bughunt output identical across two runs"
 fi
 
 echo "OK"

@@ -203,6 +203,47 @@ let mucfuzz_tests =
         check
           Alcotest.(triple int int int)
           "same run" (go ()) (go ()));
+    (* The allocation gate: a fixed 200-iteration run on GCC-sim whose
+       minor words per compile must stay within 1.15x the committed
+       baseline (lower bench/BASELINE_smoke_minor_words in the change
+       that saves allocation).  Gc.minor_words, not quick_stat, which
+       only advances at collection boundaries.  The same run pins the
+       fuzz identity, so a change that moves the numbers says so. *)
+    tc "smoke run allocation within baseline, identity pinned" (fun () ->
+        let baseline =
+          In_channel.with_open_text "../bench/BASELINE_smoke_minor_words"
+            (fun ic -> float_of_string (String.trim (In_channel.input_all ic)))
+        in
+        let cfg =
+          {
+            (Fuzzing.Mucfuzz.default_config ()) with
+            Fuzzing.Mucfuzz.max_attempts_per_iteration = 8;
+            sample_every = 10;
+          }
+        in
+        let seeds = Fuzzing.Seeds.corpus ~n:30 (Rng.create 11) in
+        let engine = Engine.Ctx.create () in
+        let w0 = Gc.minor_words () in
+        let r =
+          Fuzzing.Mucfuzz.run ~cfg ~engine ~rng:(Rng.create 42)
+            ~compiler:Simcomp.Compiler.Gcc ~seeds ~iterations:200 ~name:"gate"
+            ()
+        in
+        let words = Gc.minor_words () -. w0 in
+        let compiles =
+          Engine.Metrics.counter_value
+            (Engine.Metrics.counter engine.Engine.Ctx.metrics "compile.total")
+        in
+        check Alcotest.int "mutants" 727 r.Fuzzing.Fuzz_result.total_mutants;
+        check Alcotest.int "compile.total" 757 compiles;
+        check Alcotest.int "covered branches" 1920
+          (Simcomp.Coverage.covered r.Fuzzing.Fuzz_result.coverage);
+        check Alcotest.int "unique crashes" 8
+          (Fuzzing.Fuzz_result.unique_crashes r);
+        let per_compile = words /. float_of_int compiles in
+        if per_compile > baseline *. 1.15 then
+          Alcotest.failf "%.1f minor words/compile exceeds baseline %.0f x 1.15"
+            per_compile baseline);
     tc "crash records keep first discovery and input" (fun () ->
         let r = Fuzzing.Fuzz_result.make ~fuzzer_name:"x" ~compiler:Simcomp.Compiler.Gcc in
         let crash =
