@@ -323,6 +323,18 @@ let ident_kind src start stop =
       (Array.unsafe_get keyword_buckets
          ((len * 256) + Char.code (String.unsafe_get src start)))
 
+(* Whether [s] reads back as one identifier token: identifier characters
+   only, and not a keyword. *)
+let rec ident_chars s i =
+  i = String.length s
+  || (is_ident_char (String.unsafe_get s i) && ident_chars s (i + 1))
+
+let is_identifier s =
+  String.length s > 0
+  && is_ident_start (String.unsafe_get s 0)
+  && ident_chars s 1
+  && ident_kind s 0 (String.length s) = k_ident
+
 let digit_value c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'

@@ -45,6 +45,10 @@ val kind : tokens -> int -> int
 
 val kind_count : int
 
+val is_identifier : string -> bool
+(** Whether the string lexes as exactly one identifier token (so not as
+    a keyword, and not empty). *)
+
 val kind_example : int -> Token.t
 (** A token of the given kind: for the two integer kinds, one whose
     value falls on that kind's side of 256. *)

@@ -139,10 +139,14 @@ let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
   let result = Fuzz_result.make ~fuzzer_name:name ~compiler in
   let scratch = Simcomp.Coverage.create () in
   for i = 1 to iterations do
-    let src = Ast_gen.gen_source ~cfg rng in
+    (* [gen_source]'s text, rendered from the tree the compile can take
+       in place of a parse *)
+    let tu = Ast_gen.gen_tu ~cfg rng in
+    let src = Simcomp.Scratch.render_tu tu in
     Fuzz_result.record ?engine result ~iteration:i ~input:src
-      (Simcomp.Compiler.compile ~cov:scratch ?engine ?faults ~emit:false
-         compiler options src);
+      (fst
+         (Simcomp.Compiler.compile_tu ~cov:scratch ?engine ?faults ~emit:false
+            ~tree:tu compiler options src));
     ignore
       (Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
          scratch);

@@ -54,12 +54,15 @@ let corrupt (rng : Rng.t) (src : string) : string =
       String.sub src 0 cut
   end
 
-(* Render a mutated unit to text, applying the fragility model.  The
-   pretty-printing goes through the compile arena's render buffer — the
-   bytes are identical to [Pretty.tu_to_string]'s, without growing a
-   fresh buffer per mutant. *)
-let render (rng : Rng.t) (m : Mutators.Mutator.t) (tu : Cparse.Ast.tu) : string =
+(* Render a mutated unit to text, applying the fragility model, and say
+   whether it slipped.  The pretty-printing goes through the compile
+   arena's render buffer — the bytes are identical to
+   [Pretty.tu_to_string]'s, without growing a fresh buffer per mutant. *)
+let render_slip (rng : Rng.t) (m : Mutators.Mutator.t) (tu : Cparse.Ast.tu) :
+    string * bool =
   let src = Simcomp.Scratch.render_tu tu in
   if Rng.flip rng (slip_probability m.Mutators.Mutator.provenance) then
-    corrupt rng src
-  else src
+    (corrupt rng src, true)
+  else (src, false)
+
+let render rng m tu = fst (render_slip rng m tu)

@@ -23,3 +23,9 @@ val corrupt : Cparse.Rng.t -> string -> string
 val render : Cparse.Rng.t -> Mutators.Mutator.t -> Cparse.Ast.tu -> string
 (** Render a mutated unit to text, applying a slip with the mutator's
     provenance-dependent probability. *)
+
+val render_slip :
+  Cparse.Rng.t -> Mutators.Mutator.t -> Cparse.Ast.tu -> string * bool
+(** {!render}, with whether a slip was applied: an unslipped render is
+    [Pretty.tu_to_string] of the unit, so a compile can be handed the
+    unit as its [~tree].  Draws from [rng] exactly as {!render} does. *)

@@ -85,17 +85,18 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
       match !last_mutator with
       | None -> ()
       | Some m ->
-        let src' =
-          if cfg.fragility then Fragility.render inst.i_rng m !mutated
-          else Simcomp.Scratch.render_tu !mutated
+        let src', slipped =
+          if cfg.fragility then Fragility.render_slip inst.i_rng m !mutated
+          else (Simcomp.Scratch.render_tu !mutated, false)
         in
         (* resource limit: discard over-sized mutants *)
         if String.length src' <= cfg.max_program_bytes then begin
           (* random command-line sampling *)
           let options = Simcomp.Compiler.random_options inst.i_rng in
           let outcome, parsed =
-            Simcomp.Compiler.compile_tu ~cov:scratch ~emit:false compiler options
-              src'
+            Simcomp.Compiler.compile_tu ~cov:scratch ~emit:false
+              ?tree:(if slipped then None else Some !mutated)
+              compiler options src'
           in
           Fuzz_result.record result ~iteration:i ~input:src' outcome;
           (* shared coverage across instances; the merged fresh count is

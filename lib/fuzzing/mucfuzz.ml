@@ -181,10 +181,12 @@ let pick_entry (st : state) =
 
 (* Every compile goes through the dedup cache into the scratch map.  The
    loop reads only the outcome and the coverage, so the back-end stops
-   before emission. *)
-let compile (st : state) src =
+   before emission.  [tree], when the source is its unslipped printing,
+   lets the front-end skip the parser. *)
+let compile ?tree (st : state) src =
   Simcomp.Compiler.compile_cached ~cache:st.cache ~cov:st.scratch
-    ~engine:st.engine ?faults:st.faults ~emit:false st.compiler st.options src
+    ~engine:st.engine ?faults:st.faults ~emit:false ?tree st.compiler
+    st.options src
 
 let mutator_counters (st : state) (m : Mutators.Mutator.t) =
   let name = m.Mutators.Mutator.name in
@@ -296,9 +298,9 @@ let step (st : state) ~iteration : unit =
           (match Mutators.Mutator.apply_ctx m ctx with
           | None -> Engine.Metrics.incr mc.mc_inapplicable
           | Some tu' ->
-            let src' =
-              if st.cfg.fragility then Fragility.render st.rng m tu'
-              else Simcomp.Scratch.render_tu tu'
+            let src', slipped =
+              if st.cfg.fragility then Fragility.render_slip st.rng m tu'
+              else (Simcomp.Scratch.render_tu tu', false)
             in
             let cov = st.scratch in
             (* the scratch map is pristine here: merge_consume below
@@ -308,7 +310,9 @@ let step (st : state) ~iteration : unit =
                scratch map stays empty, which is equivalent — the first
                compile's coverage was already merged below, so its
                fresh count would be 0 anyway *)
-            let outcome, parsed = compile st src' in
+            let outcome, parsed =
+              compile ?tree:(if slipped then None else Some tu') st src'
+            in
             Fuzz_result.record ~engine:st.engine st.result ~iteration
               ~input:src' outcome;
             (* one pass: the merged fresh count IS the accept signal,
@@ -336,7 +340,8 @@ let step (st : state) ~iteration : unit =
                  them would collapse the pool's compilable ratio *)
               match outcome with
               | Simcomp.Compiler.Compiled _ -> (
-                (* the compiler already parsed this exact source; fall
+                (* the compiler already produced this source's parse
+                   (by parsing it, or as the parsed form of [tu']); fall
                    back to a fresh parse only on a cache hit *)
                 let reparsed =
                   match parsed with

@@ -20,10 +20,10 @@ type mismatch = {
 let run_ir p = Simcomp.Ir_interp.observable ~fuel:1_000_000 p
 
 (* Check one program at one optimization level against the -O0 baseline. *)
-let check_program (compiler : Simcomp.Compiler.compiler)
+let check_program ?tree (compiler : Simcomp.Compiler.compiler)
     (options : Simcomp.Compiler.options) (src : string) : mismatch option =
   let observe opts =
-    match Simcomp.Compiler.compile_ir compiler opts src with
+    match Simcomp.Compiler.compile_ir ?tree compiler opts src with
     | Ok p -> run_ir p
     | Error _ -> None
   in
@@ -88,7 +88,7 @@ let hunt ?(mutators = Mutators.Registry.core) ~(rng : Rng.t)
             opt_level = 2 + Rng.int rng 2;
           }
         in
-        (match check_program compiler options src with
+        (match check_program ~tree:tu' compiler options src with
         | Some mm ->
           (* deduplicate by the observable difference signature *)
           let key = (mm.mm_reference, mm.mm_observed, String.length src / 64) in

@@ -14,12 +14,15 @@ type mismatch = {
 }
 
 val check_program :
+  ?tree:Cparse.Ast.tu ->
   Simcomp.Compiler.compiler ->
   Simcomp.Compiler.options ->
   string ->
   mismatch option
 (** Difference one program against its -O0 baseline; [None] when the
-    program is outside the IR interpreter's subset or behaves equally. *)
+    program is outside the IR interpreter's subset or behaves equally.
+    [tree], a tree the source is the printing of, is handed to both
+    compiles (see {!Simcomp.Compiler.compile_ir}). *)
 
 type report = { r_mismatches : mismatch list; r_checked : int }
 

@@ -260,45 +260,61 @@ let diag_coverage cov ~salt (diags : Typecheck.diag list) : unit =
 (* ------------------------------------------------------------------ *)
 
 (* The one front-end every entry point runs: lex, parse, type-check and
-   compute the AST features.  The source is tokenized exactly once: the
+   compute the AST features.  The source is tokenized at most once: the
    same stream feeds the parser and lexical coverage (which, for parse
-   errors, stops where a real single-pass front-end would stop).  The
-   expression-type table is recycled from the arena: the result does not
-   outlive the compile (lowering is its last reader).  [check] is the
-   front-end stage's bug check, given the AST features once the parse
-   succeeded; [parsed] receives the tree as soon as it exists, so a
-   crash in a later check still leaves it with the caller.  Errors carry
-   the diagnostics a [Compile_error] reports. *)
-let front_end ?cov ~salt ~check ~parsed (src : string) :
+   errors, stops where a real single-pass front-end would stop).  With a
+   [tree] whose printing is [src] and whose {!Pretty.parsed_form} exists,
+   that form is the parse, so the parser is skipped; the lexer still
+   runs when [cov] wants its token stream, and not at all otherwise.
+   The expression-type table is recycled from the arena: the result does
+   not outlive the compile (lowering is its last reader).  [check] is
+   the front-end stage's bug check, given the AST features once the
+   parse succeeded; [parsed] receives the tree as soon as it exists, so
+   a crash in a later check still leaves it with the caller.  Errors
+   carry the diagnostics a [Compile_error] reports. *)
+let front_end ?cov ?tree ~salt ~check ~parsed (src : string) :
     (Ast.tu * Typecheck.result * Features.ast, string list) result =
   let failed msg =
     check None;
     msg_coverage cov ~salt ~site:0x120 ~bits:0x1f ~b:0 msg;
     Error [ msg ]
   in
-  match Lexer.tokenize src with
-  | exception Lexer.Error (msg, _loc) ->
-    msg_coverage cov ~salt ~site:0x110 ~bits:0x1f ~b:0 msg;
-    failed msg
-  | toks -> (
-    match Parser.parse_tokens toks with
-    | exception Parser.Error (msg, loc) ->
-      lex_coverage ~limit:loc.Loc.offset cov ~salt toks;
+  let analyse tu =
+    parsed := Some tu;
+    ast_coverage cov ~salt tu;
+    let ast = Features.ast_features tu in
+    feature_coverage cov ~salt ast;
+    check (Some ast);
+    let tc = Typecheck.check ~types:(Scratch.get ()).Scratch.types tu in
+    diag_coverage cov ~salt tc.r_diags;
+    if tc.r_ok then Ok (tu, tc, ast)
+    else Error (List.map Typecheck.diag_to_string (Typecheck.errors tc))
+  in
+  let from_tree =
+    match tree with
+    | None -> None
+    | Some t -> ( try Pretty.parsed_form t with Stack_overflow -> None)
+  in
+  match from_tree with
+  | Some tu ->
+    if Option.is_some cov then lex_coverage cov ~salt (Lexer.tokenize src);
+    analyse tu
+  | None -> (
+    match Lexer.tokenize src with
+    | exception Lexer.Error (msg, _loc) ->
+      msg_coverage cov ~salt ~site:0x110 ~bits:0x1f ~b:0 msg;
       failed msg
-    | exception Stack_overflow ->
-      lex_coverage cov ~salt toks;
-      failed "parser stack overflow"
-    | tu ->
-      parsed := Some tu;
-      lex_coverage cov ~salt toks;
-      ast_coverage cov ~salt tu;
-      let ast = Features.ast_features tu in
-      feature_coverage cov ~salt ast;
-      check (Some ast);
-      let tc = Typecheck.check ~types:(Scratch.get ()).Scratch.types tu in
-      diag_coverage cov ~salt tc.r_diags;
-      if tc.r_ok then Ok (tu, tc, ast)
-      else Error (List.map Typecheck.diag_to_string (Typecheck.errors tc)))
+    | toks -> (
+      match Parser.parse_tokens toks with
+      | exception Parser.Error (msg, loc) ->
+        lex_coverage ~limit:loc.Loc.offset cov ~salt toks;
+        failed msg
+      | exception Stack_overflow ->
+        lex_coverage cov ~salt toks;
+        failed "parser stack overflow"
+      | tu ->
+        lex_coverage cov ~salt toks;
+        analyse tu))
 
 (* Deterministically corrupt the optimized IR the way a wrong-code bug
    would: the first subtraction in the largest function gets its operands
@@ -553,7 +569,7 @@ let watchdog_outcome (compiler : compiler) : outcome =
       frames = [ "watchdog_timeout"; "compile_supervisor" ];
     }
 
-let compile_tu ?cov ?engine ?faults ?(emit = true) (compiler : compiler)
+let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree (compiler : compiler)
     (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
   match
     Option.map
@@ -577,7 +593,7 @@ let compile_tu ?cov ?engine ?faults ?(emit = true) (compiler : compiler)
     try
       let frontend =
         span "compile.frontend" (fun () ->
-            front_end ?cov ~salt ~check:(check Crash.Front_end)
+            front_end ?cov ?tree ~salt ~check:(check Crash.Front_end)
               ~parsed:parsed_tu src)
       in
       match frontend with
@@ -638,10 +654,10 @@ let compile ?cov ?engine ?faults ?emit (compiler : compiler) (opts : options)
    shared front-end without bug checks, then lowering.  Seeded ICEs must
    not mask the wrong-code observation channel; the optimizer still
    injects the culprit-keyed miscompilation. *)
-let lower_unchecked (compiler : compiler) (src : string) :
+let lower_unchecked ?tree (compiler : compiler) (src : string) :
     (Ir.program * Features.ast, string) result =
   match
-    front_end ~salt:(salt compiler) ~check:ignore ~parsed:(ref None) src
+    front_end ?tree ~salt:(salt compiler) ~check:ignore ~parsed:(ref None) src
   with
   | Error msgs -> Error (String.concat "\n" msgs)
   | Ok (tu, tc, ast) -> Ok (Lower.lower_tu tu tc, ast)
@@ -676,13 +692,13 @@ let compile_passes ?(verify = false) (compiler : compiler) (opts : options)
 (* Produce the (possibly silently corrupted) optimized IR: the hook the
    EMI-style wrong-code detector (Fuzzing.Wrongcode) differences against
    the -O0 lowering. *)
-let compile_ir (compiler : compiler) (opts : options) (src : string) :
+let compile_ir ?tree (compiler : compiler) (opts : options) (src : string) :
     (Ir.program, string) result =
   Result.map
     (fun (prog, ast) ->
       ignore (run_opt_stage compiler opts ast prog);
       prog)
-    (lower_unchecked compiler src)
+    (lower_unchecked ?tree compiler src)
 
 (* Sample a random command line the way the macro fuzzer does.  The pass
    universe comes from the registry, so a newly registered pass joins
@@ -790,7 +806,7 @@ let entry_matches (compiler : compiler) (opts : options) ~emit (src : string)
   e.ce_compiler = compiler && e.ce_emit = emit && String.equal e.ce_src src
   && e.ce_opts = opts
 
-let compile_cached ~cache ?cov ?engine ?faults ?(emit = true)
+let compile_cached ~cache ?cov ?engine ?faults ?(emit = true) ?tree
     (compiler : compiler) (opts : options) (src : string) :
     outcome * Cparse.Ast.tu option =
   let fp = fp_of cache compiler opts src in
@@ -825,7 +841,9 @@ let compile_cached ~cache ?cov ?engine ?faults ?(emit = true)
     (* the fault draw happens only on real compiles (a cache hit replays
        the memoized outcome, injected hang included), so a pathological
        mutant is pathological every time it is seen *)
-    let outcome, tu = compile_tu ?cov ?engine ?faults ~emit compiler opts src in
+    let outcome, tu =
+      compile_tu ?cov ?engine ?faults ~emit ?tree compiler opts src
+    in
     if cache.c_len >= cache.c_capacity then begin
       Hashtbl.reset cache.c_tbl;
       cache.c_len <- 0

@@ -68,12 +68,22 @@ val compile :
 
 val compile_tu :
   ?cov:Coverage.t -> ?engine:Engine.Ctx.t -> ?faults:Engine.Faults.t ->
-  ?emit:bool -> compiler -> options -> string -> outcome * Cparse.Ast.tu option
+  ?emit:bool -> ?tree:Cparse.Ast.tu -> compiler -> options -> string ->
+  outcome * Cparse.Ast.tu option
 (** Like {!compile}, but also returns the parsed translation unit when
     the front-end parse succeeded (always [Some] when the outcome is
     [Compiled]).  Fuzz loops that pool compiled mutants use this to
     avoid re-parsing a source the compiler just parsed; the returned
-    tree is exactly what [Parser.parse] of the same source yields. *)
+    tree is exactly what [Parser.parse] of the same source yields.
+
+    [tree] is a tree the source is the printing of
+    ([Pretty.tu_to_string tree = src]; the caller's promise, not
+    checked).  When {!Cparse.Pretty.parsed_form} vouches for it, that
+    form stands in for the parse: the parser does not run, and the lexer
+    runs only when [cov] needs its token stream for lexical coverage.
+    Otherwise the source takes the text path.  Either way the outcome,
+    the coverage, the engine accounting and the returned tree are those
+    of a compile without [tree]. *)
 
 type cache
 (** A mutant dedup cache: memoizes compile outcomes.  Lookups go through
@@ -106,9 +116,11 @@ val cache_collisions : cache -> int
 
 val compile_cached :
   cache:cache -> ?cov:Coverage.t -> ?engine:Engine.Ctx.t ->
-  ?faults:Engine.Faults.t -> ?emit:bool -> compiler -> options -> string ->
-  outcome * Cparse.Ast.tu option
-(** {!compile_tu} through the cache.  On a hit the memoized outcome is
+  ?faults:Engine.Faults.t -> ?emit:bool -> ?tree:Cparse.Ast.tu -> compiler ->
+  options -> string -> outcome * Cparse.Ast.tu option
+(** {!compile_tu} through the cache, which is keyed by the source alone;
+    [tree] is passed on to {!compile_tu} on a miss and ignored on a hit
+    (it is normalized only when a compile runs).  On a hit the memoized outcome is
     returned with [None] for the tree, nothing is recorded into [cov]
     (the identical coverage was already produced by the first compile —
     any accumulator the caller merged it into subsumes it), and engine
@@ -153,11 +165,15 @@ val compile_passes :
     rejects, [Error] carries the same diagnostics as its
     [Compile_error], joined by newlines. *)
 
-val compile_ir : compiler -> options -> string -> (Ir.program, string) result
+val compile_ir :
+  ?tree:Cparse.Ast.tu -> compiler -> options -> string ->
+  (Ir.program, string) result
 (** Produce the (possibly silently miscompiled) optimized IR — the hook
     the EMI-style wrong-code detector differences against -O0.  The
     same crash-free pipeline and [Error] as {!compile_passes}, without
-    recording any step. *)
+    recording any step.  [tree] is as for {!compile_tu}; with no
+    coverage to feed, a vouched-for tree skips both the lexer and the
+    parser. *)
 
 val random_options : Cparse.Rng.t -> options
 (** Sample a random command line, as the macro fuzzer does (§3.4). *)

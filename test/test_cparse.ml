@@ -444,6 +444,44 @@ let roundtrip_tests =
               if_ "a" (if_ "b" s None) None;
               if_ "a" (Ast.mk_stmt (Ast.Sdo (if_ "b" s None, Ast.ident "c"))) (Some s);
             ]);
+      tc "parsed_form is the parse of the printing, None where it fails"
+        (fun () ->
+          List.iter
+            (fun (name, tu, parses) ->
+              let printed = Pretty.tu_to_string tu in
+              match (Pretty.parsed_form tu, Parser.parse printed) with
+              | Some t, Ok t' ->
+                if t <> t' then
+                  Alcotest.failf "%s: the parsed form differs from the parse of:@.%s"
+                    name printed;
+                check Alcotest.bool (name ^ ": parses") parses true
+              | None, Error _ -> check Alcotest.bool (name ^ ": parses") parses false
+              | Some _, Error e ->
+                Alcotest.failf "%s: a parsed form for text that fails: %s" name e
+              | None, Ok _ ->
+                Alcotest.failf "%s: no parsed form, yet the text parses:@.%s"
+                  name printed)
+            Shapes.all);
+      tc "parsed_form agrees with the parser on perturbed programs" (fun () ->
+          let rng = Rng.create 7 in
+          let vouched = ref 0 in
+          for k = 1 to 400 do
+            let tu =
+              Visit.map_tu (Ast_gen.gen_tu (Rng.create k)) ~fs:(fun s ->
+                  if Rng.int rng 40 = 0 then Shapes.perturb rng s else s)
+            in
+            let printed = Pretty.tu_to_string tu in
+            match (Pretty.parsed_form tu, Parser.parse printed) with
+            | Some t, Ok t' ->
+              incr vouched;
+              if t <> t' then
+                Alcotest.failf "the parsed form differs from the parse of:@.%s"
+                  printed
+            | Some _, Error e ->
+              Alcotest.failf "a parsed form for text that fails: %s@.%s" e printed
+            | None, _ -> ()
+          done;
+          check Alcotest.bool "a quarter vouched for" true (!vouched >= 100));
       tc "nested unary minus spaced" (fun () ->
           let e = Ast.unop Ast.Neg (Ast.unop Ast.Neg (Ast.ident "x")) in
           let s = Pretty.expr_to_string e in

@@ -79,21 +79,27 @@ let fragility_tests =
           < Fuzzing.Fragility.unsupervised_slip_probability));
     tc "render without slip equals pretty-print" (fun () ->
         (* probability of 200 consecutive slips is negligible; check that
-           at least one render matches the pretty form *)
+           at least one render is clean, that render_slip flags exactly
+           the renders that are not the pretty form, and that it draws
+           as render does *)
         let m = List.hd Mutators.Registry.core in
         let tu =
           match Parser.parse "int main(void) { return 1; }" with
           | Ok tu -> tu
           | Error _ -> assert false
         in
-        let rng = Rng.create 9 in
+        let rng = Rng.create 9 and rng' = Rng.create 9 in
         let pretty = Pretty.tu_to_string tu in
-        let matched = ref false in
+        let clean = ref 0 in
         for _ = 1 to 200 do
-          if String.equal (Fuzzing.Fragility.render rng m tu) pretty then
-            matched := true
+          let src, slipped = Fuzzing.Fragility.render_slip rng m tu in
+          check Alcotest.string "render_slip renders as render" src
+            (Fuzzing.Fragility.render rng' m tu);
+          check Alcotest.bool "slipped iff not the pretty form" slipped
+            (not (String.equal src pretty));
+          if not slipped then incr clean
         done;
-        check Alcotest.bool "some clean renders" true !matched);
+        check Alcotest.bool "some clean renders" true (!clean > 0));
   ]
 
 let aflpp_tests =
@@ -887,6 +893,151 @@ let mutation_score_tests =
         check (Alcotest.float 0.01) "rate" 40. (kill_rate agg));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Compiling from the tree                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The trees the fuzz loop compiles: every mutant of the perfbench
+   fuzz-gcc-O2 round (lanes 42 and 43, 150 iterations, 8 attempts, seeds
+   [Seeds.corpus ~n:30 (Rng.create 11)]), paired with whether its render
+   slipped.  The mutators are wrapped to see each mutant; the slip is
+   the render's next draw, read from a copy of the loop's RNG, so the
+   run itself is unchanged. *)
+let fuzz_round_mutants () =
+  let seeds = Fuzzing.Seeds.corpus ~n:30 (Rng.create 11) in
+  let seen = ref [] in
+  let watch (m : Mutators.Mutator.t) =
+    { m with
+      mutate =
+        (fun ctx ->
+          let r = m.mutate ctx in
+          (match r with
+          | Some tu ->
+            let slip =
+              Fuzzing.Fragility.slip_probability m.Mutators.Mutator.provenance
+            in
+            seen :=
+              (Ast_ids.canonicalize tu, Rng.flip (Rng.copy ctx.Uast.Ctx.rng) slip)
+              :: !seen
+          | None -> ());
+          r) }
+  in
+  let cfg =
+    {
+      (Fuzzing.Mucfuzz.default_config ()) with
+      Fuzzing.Mucfuzz.max_attempts_per_iteration = 8;
+      mutators = List.map watch Mutators.Registry.core;
+    }
+  in
+  List.iter
+    (fun lane ->
+      let st =
+        Fuzzing.Mucfuzz.init ~cfg ~rng:(Rng.create lane)
+          ~compiler:Simcomp.Compiler.Gcc ~seeds ()
+      in
+      for i = 1 to 150 do
+        Fuzzing.Mucfuzz.step st ~iteration:i
+      done)
+    [ 42; 43 ];
+  List.rev !seen
+
+(* Every mutator once on every seed of the same corpus, through one
+   context per seed as the fuzz loop does. *)
+let corpus_mutants () =
+  List.concat
+    (List.mapi
+       (fun i src ->
+         match Parser.parse src with
+         | Error _ -> []
+         | Ok tu ->
+           let ctx = Uast.Ctx.create ~rng:(Rng.create (100 + i)) tu in
+           List.filter_map
+             (fun m -> Mutators.Mutator.apply_ctx m ctx)
+             Mutators.Registry.core)
+       (Fuzzing.Seeds.corpus ~n:30 (Rng.create 11)))
+
+let generated_programs () =
+  List.concat_map
+    (fun (k, cfg) -> List.init 200 (fun i -> Ast_gen.gen_tu ~cfg (Rng.create (k + i))))
+    [
+      (0, Ast_gen.default_config);
+      (1000, Ast_gen.csmith_like_config);
+      (2000, Ast_gen.yarpgen_like_config);
+    ]
+
+(* The two compiles' coverage maps, reset before each use (a map is
+   1 MiB: allocating two per program would dominate the test). *)
+let tree_cov = lazy (Simcomp.Coverage.create ())
+let text_cov = lazy (Simcomp.Coverage.create ())
+
+(* Compile [tu]'s printing from the tree and from the text: the same
+   outcome, coverage, returned tree and features, and a returned tree
+   from the tree compile exactly when [parsed_form tu] exists (the text
+   compile returns the parse whenever the text parses).  True when the
+   tree path was taken. *)
+let check_tree_path ~options what tu =
+  let src = Pretty.tu_to_string tu in
+  let compile ?tree cov =
+    let cov = Lazy.force cov in
+    Simcomp.Coverage.reset cov;
+    let outcome, parsed =
+      Simcomp.Compiler.compile_tu ~cov ~emit:false ?tree Simcomp.Compiler.Gcc
+        options src
+    in
+    (outcome, parsed, cov)
+  in
+  let form = Pretty.parsed_form tu in
+  let o_tree, p_tree, c_tree = compile ~tree:tu tree_cov in
+  let o_text, p_text, c_text = compile text_cov in
+  (match (form, p_text) with
+  | Some t, Some t' ->
+    if t <> t' then
+      Alcotest.failf "%s: the parsed form differs from the parse of:@.%s" what src
+  | Some _, None ->
+    Alcotest.failf "%s: a parsed form for text that does not parse:@.%s" what src
+  | None, _ -> ());
+  if o_tree <> o_text then Alcotest.failf "%s: outcomes differ for:@.%s" what src;
+  if not (Simcomp.Coverage.equal c_tree c_text) then
+    Alcotest.failf "%s: coverage differs for:@.%s" what src;
+  let features = Option.map Simcomp.Features.ast_features in
+  if p_tree <> p_text || features p_tree <> features p_text then
+    Alcotest.failf "%s: trees or features differ for:@.%s" what src;
+  Option.is_some form
+
+(* Beyond the front-end both compiles run on equal trees, so the two
+   populations that only probe shapes compile at -O0, the cheapest
+   level. *)
+let o0 = { Simcomp.Compiler.default_options with opt_level = 0 }
+
+let tree_path_tests =
+  [
+    tc "clean fuzz-round mutants: the tree path is exact and taken" (fun () ->
+        let clean =
+          List.filter_map
+            (fun (tu, slipped) -> if slipped then None else Some tu)
+            (fuzz_round_mutants ())
+        in
+        let taken =
+          List.filter
+            (check_tree_path ~options:Simcomp.Compiler.default_options "fuzz mutant")
+            clean
+        in
+        let n = List.length clean and k = List.length taken in
+        check Alcotest.bool "a full round of clean mutants" true (n >= 700);
+        if 100 * k < 98 * n then
+          Alcotest.failf "only %d of %d clean fuzz mutants took the tree path" k n);
+    tc "every mutator on every seed: the tree path is exact" (fun () ->
+        List.iter
+          (fun tu -> ignore (check_tree_path ~options:o0 "corpus mutant" tu))
+          (corpus_mutants ()));
+    tc "generated programs: the tree path is exact and taken" (fun () ->
+        List.iter
+          (fun tu ->
+            if not (check_tree_path ~options:o0 "generated program" tu) then
+              Alcotest.failf "no parsed form for:@.%s" (Pretty.tu_to_string tu))
+          (generated_programs ()));
+  ]
+
 let () =
   Alcotest.run "fuzzing"
     [
@@ -901,4 +1052,5 @@ let () =
       ("wrongcode", wrongcode_tests);
       ("bisect", bisect_tests);
       ("mutation-score", mutation_score_tests);
+      ("tree-path", tree_path_tests);
     ]

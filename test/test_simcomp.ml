@@ -2201,6 +2201,52 @@ let compile_pipeline_tests =
             check Alcotest.bool (stage ^ " errors exercised") true
               (Hashtbl.mem rejected stage))
           [ "lex"; "parse"; "typecheck" ]);
+    tc "compiling a hand-built shape from its tree equals the text compile"
+      (fun () ->
+        List.iter
+          (fun (name, tu, parses) ->
+            let src = Pretty.tu_to_string tu in
+            let compile ?tree () =
+              let cov = Simcomp.Coverage.create () in
+              let outcome, parsed =
+                Simcomp.Compiler.compile_tu ~cov ?tree Simcomp.Compiler.Gcc opts src
+              in
+              (outcome, parsed, cov)
+            in
+            let o_tree, p_tree, c_tree = compile ~tree:tu () in
+            let o_text, p_text, c_text = compile () in
+            check Alcotest.bool (name ^ ": same outcome") true (o_tree = o_text);
+            check Alcotest.bool (name ^ ": same coverage") true
+              (Simcomp.Coverage.equal c_tree c_text);
+            check Alcotest.bool (name ^ ": same tree") true (p_tree = p_text);
+            check Alcotest.bool (name ^ ": parsed iff it parses") parses
+              (Option.is_some p_text);
+            let ir tree =
+              Result.map Simcomp.Ir.program_to_string
+                (Simcomp.Compiler.compile_ir ?tree Simcomp.Compiler.Gcc opts src)
+            in
+            check
+              Alcotest.(result string string)
+              (name ^ ": same IR") (ir None) (ir (Some tu)))
+          Shapes.all);
+    tc "a compile_cached hit ignores the tree" (fun () ->
+        let cache = Simcomp.Compiler.cache_create () in
+        let compile ?tree src =
+          Simcomp.Compiler.compile_cached ~cache ?tree Simcomp.Compiler.Gcc opts src
+        in
+        let src = Ast_gen.gen_source (Rng.create 5) in
+        let first, parsed = compile src in
+        check Alcotest.bool "the miss returns the parse" true (Option.is_some parsed);
+        (* a tree that is not [src]'s: compiled, it would give another
+           program's outcome, so a hit that normalized it would show *)
+        let other = Ast_gen.gen_tu (Rng.create 6) in
+        let hit, parsed = compile ~tree:other src in
+        check Alcotest.bool "the memoized outcome" true (hit == first);
+        check Alcotest.bool "no tree on a hit" true (Option.is_none parsed);
+        check Alcotest.int "one hit" 1 (Simcomp.Compiler.cache_hits cache);
+        let _, parsed = compile ~tree:other (Pretty.tu_to_string other) in
+        check Alcotest.bool "a miss takes the tree" true
+          (parsed = Pretty.parsed_form other));
     tc "compile_tu parse failure yields no tree" (fun () ->
         match Simcomp.Compiler.compile_tu Simcomp.Compiler.Gcc opts "int main( {" with
         | Simcomp.Compiler.Compile_error _, None -> ()
