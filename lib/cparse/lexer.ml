@@ -288,6 +288,26 @@ let op_code : Token.t -> int = function
 
 let k_eof = op_code Token.Eof
 
+(* The code of a keyword: its [fixed] slot, after [Eof]'s. *)
+let kw_code : Token.kw -> int = function
+  | Kvoid -> 53 | Kchar -> 54 | Kshort -> 55 | Kint -> 56 | Klong -> 57
+  | Kfloat -> 58 | Kdouble -> 59 | Ksigned -> 60 | Kunsigned -> 61
+  | Kbool -> 62 | Kconst -> 63 | Kvolatile -> 64 | Kstatic -> 65
+  | Kextern -> 66 | Kinline -> 67 | Kregister -> 68 | Kstruct -> 69
+  | Kunion -> 70 | Kenum -> 71 | Ktypedef -> 72 | Ksizeof -> 73 | Kif -> 74
+  | Kelse -> 75 | Kwhile -> 76 | Kdo -> 77 | Kfor -> 78 | Kreturn -> 79
+  | Kbreak -> 80 | Kcontinue -> 81 | Kswitch -> 82 | Kcase -> 83
+  | Kdefault -> 84 | Kgoto -> 85
+
+let code : Token.t -> int = function
+  | Ident _ -> k_ident
+  | Int_lit (v, _, _) -> if Int64.compare v 256L < 0 then k_int_small else k_int_large
+  | Float_lit _ -> k_float
+  | Char_lit _ -> k_char
+  | Str_lit _ -> k_str
+  | Kw k -> kw_code k
+  | t -> op_code t
+
 (* Keyword codes, bucketed by [length * 256 + first byte] so that an
    identifier is checked against at most a couple of spellings. *)
 let max_kw_len = 8
@@ -532,7 +552,9 @@ let next_kind st =
 (* Token streams                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type tokens = { src : string; kinds : int array; offsets : int array }
+(* The first [len] kinds and offsets are the stream's.  [tokenize]'s
+   arrays are exact-size copies; [of_stream]'s are the caller's. *)
+type tokens = { src : string; kinds : int array; offsets : int array; len : int }
 
 (* Per-domain arrays [tokenize] fills before copying out the used
    prefix, so the only per-call allocation is that exact-size copy.
@@ -569,9 +591,12 @@ let tokenize src =
     src;
     kinds = Array.sub kinds 0 !len;
     offsets = Array.sub offsets 0 !len;
+    len = !len;
   }
 
-let length t = Array.length t.kinds
+let of_stream src kinds offsets len = { src; kinds; offsets; len }
+
+let length t = t.len
 let kind t i = t.kinds.(i)
 let offset t i = t.offsets.(i)
 let loc t i = loc_at t.src t.offsets.(i)

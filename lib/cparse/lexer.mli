@@ -45,6 +45,18 @@ val kind : tokens -> int -> int
 
 val kind_count : int
 
+val code : Token.t -> int
+(** The kind code {!tokenize} gives the token: an integer literal's by
+    its value, every other token's by its constructor. *)
+
+val of_stream : string -> int array -> int array -> int -> tokens
+(** [of_stream src kinds offsets n] is the stream of the first [n]
+    kind codes and start offsets: what {!tokenize} returns for [src]
+    when they are that text's tokens, which the caller vouches for (the
+    printer does, for the trees {!Pretty.parsed_form} accepts).  The
+    last kind should be [Eof]'s.  The arrays are not copied: the stream
+    reads them, so it changes if they do. *)
+
 val is_identifier : string -> bool
 (** Whether the string lexes as exactly one identifier token (so not as
     a keyword, and not empty). *)

@@ -1,77 +1,309 @@
 (* Pretty-printer: AST back to compilable C text.
 
-   Printing is precedence-aware, so that `parse (print tu)` yields the
-   tree [parsed_form tu] computes whenever that is [Some] (tested against
-   the parser in test/test_cparse.ml, test/test_simcomp.ml and
-   test/test_fuzzing.ml). *)
+   Printing is precedence-aware, so that `parse (tu_to_string tu)` yields
+   the tree [parsed_form tu] computes whenever that is [Some] (tested
+   against the parser in test/test_cparse.ml, test/test_simcomp.ml and
+   test/test_fuzzing.ml).
+
+   The printer writes into a [sink]: a buffer for the text and, when the
+   sink records, the [Lexer] kind code and start offset of every token it
+   writes.  Every token goes through [tok] (a payload-free token, whose
+   spelling and code both come from one [Token.t]) or [lit] (a name or a
+   literal), so the recorded stream is what [Lexer.tokenize] reads back
+   from the text wherever [parsed_form] vouches for the tree.  [render]
+   hands that stream out over the sink's own arrays, so it lasts until
+   the sink's next render.  Writing allocates almost nothing per token:
+   indentation is a slice of one constant run of spaces, small decimals
+   and integer suffixes are constant strings, larger decimals are
+   written digit by digit, and declarators are written piece by
+   piece. *)
 
 open Ast
 
-let ikind_to_string signed = function
-  | Ichar -> if signed then "char" else "unsigned char"
-  | Ishort -> if signed then "short" else "unsigned short"
-  | Iint -> if signed then "int" else "unsigned int"
-  | Ilong -> if signed then "long" else "unsigned long"
-  | Ilonglong -> if signed then "long long" else "unsigned long long"
+type sink = {
+  buf : Buffer.t;
+  record : bool;
+  mutable kinds : int array;
+  mutable offsets : int array;
+  mutable len : int;
+}
 
-(* Render a type applied to a declarator string (possibly empty for
-   abstract type names).  Handles the inside-out C declarator syntax for
-   pointers and arrays. *)
-let rec decl_string (ty : ty) (name : string) : string =
-  match ty with
-  | Tvoid -> ("void" ^ pad name)
-  | Tbool -> ("_Bool" ^ pad name)
-  | Tint (k, signed) -> ikind_to_string signed k ^ pad name
-  | Tfloat -> "float" ^ pad name
-  | Tdouble -> "double" ^ pad name
-  | Tstruct tag -> "struct " ^ tag ^ pad name
-  | Tunion tag -> "union " ^ tag ^ pad name
-  | Tnamed n -> n ^ pad name
-  | Tptr inner ->
-    let name' =
-      match inner with
-      | Tarray _ | Tfunc _ -> "(*" ^ name ^ ")"
-      | _ -> "*" ^ name
-    in
-    decl_string inner name'
-  | Tarray (inner, n) ->
-    let dim = match n with Some n -> string_of_int n | None -> "" in
-    decl_string inner (name ^ "[" ^ dim ^ "]")
+let sink () =
+  { buf = Buffer.create 4096; record = true; kinds = Array.make 1024 0;
+    offsets = Array.make 1024 0; len = 0 }
+
+(* A sink that keeps the text only. *)
+let text_sink buf = { buf; record = false; kinds = [||]; offsets = [||]; len = 0 }
+
+(* Note a token of kind [k] starting at the current end of the text. *)
+let push o k =
+  if o.record then begin
+    let i = o.len in
+    if i = Array.length o.kinds then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      o.kinds <- grow o.kinds;
+      o.offsets <- grow o.offsets
+    end;
+    Array.unsafe_set o.kinds i k;
+    Array.unsafe_set o.offsets i (Buffer.length o.buf);
+    o.len <- i + 1
+  end
+
+let str o s = Buffer.add_string o.buf s
+let chr o c = Buffer.add_char o.buf c
+
+let tok o (t : Token.t) =
+  if o.record then push o (Lexer.code t);
+  str o (Token.to_string t)
+
+let lit o k s =
+  push o k;
+  str o s
+
+(* A token, then a space or a newline. *)
+let word o t =
+  tok o t;
+  chr o ' '
+
+let line o t =
+  tok o t;
+  chr o '\n'
+
+let comma o = word o Comma
+
+let k_ident = Lexer.code Token.(Ident "")
+let k_int_small = Lexer.code Token.(Int_lit (0L, Iint, false))
+let k_int_large = Lexer.code Token.(Int_lit (256L, Iint, false))
+let k_float = Lexer.code Token.(Float_lit (0., true))
+let k_char = Lexer.code Token.(Char_lit ' ')
+let k_str = Lexer.code Token.(Str_lit "")
+let k_eof = Lexer.code Token.Eof
+
+(* A name: one identifier token, or nothing for an empty one. *)
+let name o n = if String.length n > 0 then lit o k_ident n
+
+let spaces = String.make 128 ' '
+
+let indent o n =
+  let w = ref (2 * n) in
+  while !w > 0 do
+    let k = min !w (String.length spaces) in
+    Buffer.add_substring o.buf spaces 0 k;
+    w := !w - k
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Literals                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let small_decimals = Array.init 256 string_of_int
+
+let rec add_digits buf v =
+  if v >= 10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
+
+(* A non-negative integer's digits; its token starts here. *)
+let digits o (v : int64) =
+  if Int64.compare v 256L < 0 then
+    lit o k_int_small (Array.unsafe_get small_decimals (Int64.to_int v))
+  else begin
+    push o k_int_large;
+    if Int64.compare v (Int64.of_int max_int) <= 0 then
+      add_digits o.buf (Int64.to_int v)
+    else str o (Int64.to_string v)
+  end
+
+(* [Int64.to_string v]: a negative value is a '-' token, then the
+   magnitude's digits. *)
+let decimal o (v : int64) =
+  if Int64.compare v 0L >= 0 then digits o v
+  else begin
+    tok o Minus;
+    if Int64.equal v Int64.min_int then
+      lit o k_int_large (String.sub (Int64.to_string v) 1 19)
+    else digits o (Int64.neg v)
+  end
+
+let int_suffix kind unsigned =
+  match kind, unsigned with
+  | (Ichar | Ishort | Iint), false -> ""
+  | (Ichar | Ishort | Iint), true -> "U"
+  | Ilong, false -> "L"
+  | Ilong, true -> "UL"
+  | Ilonglong, false -> "LL"
+  | Ilonglong, true -> "ULL"
+
+(* The C-level conversion behind [Printf]'s [%f] and [%g], without
+   building a format closure per literal. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_lit o v is_double =
+  let s =
+    if Float.is_integer v && Float.abs v < 1e16 then format_float "%.1f" v
+    else format_float "%.17g" v
+  in
+  if s.[0] = '-' then begin
+    tok o Minus;
+    push o k_float;
+    Buffer.add_substring o.buf s 1 (String.length s - 1)
+  end
+  else lit o k_float s;
+  if not is_double then chr o 'f'
+
+let hex_digits = "0123456789abcdef"
+
+(* The body of a char literal holding [c]. *)
+let escaped_char o c =
+  match c with
+  | '\n' -> str o "\\n"
+  | '\t' -> str o "\\t"
+  | '\r' -> str o "\\r"
+  | '\\' -> str o "\\\\"
+  | '\'' -> str o "\\'"
+  | '\000' -> str o "\\0"
+  | c when Char.code c >= 32 && Char.code c < 127 -> chr o c
+  | c ->
+    str o "\\x";
+    chr o hex_digits.[Char.code c lsr 4];
+    chr o hex_digits.[Char.code c land 15]
+
+(* Inside a string a digit may follow NUL, so NUL takes all three octal
+   digits: "\0" then "1" would read back as "\01". *)
+let escaped_string o s =
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> str o "\\\""
+    | '\'' -> chr o '\''
+    | '\000' -> str o "\\000"
+    | c -> escaped_char o c
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Types and declarators                                               *)
+(* ------------------------------------------------------------------ *)
+
+let binop_token : binop -> Token.t = function
+  | Add -> Plus | Sub -> Minus | Mul -> Star | Div -> Slash | Mod -> Percent
+  | Shl -> Shl | Shr -> Shr
+  | Lt -> Lt | Gt -> Gt | Le -> Le | Ge -> Ge | Eq -> EqEq | Ne -> BangEq
+  | Band -> Amp | Bxor -> Caret | Bor -> Pipe
+  | Land -> AmpAmp | Lor -> PipePipe
+
+let assign_token : assign_op -> Token.t = function
+  | A_none -> Eq | A_add -> PlusEq | A_sub -> MinusEq | A_mul -> StarEq
+  | A_div -> SlashEq | A_mod -> PercentEq | A_shl -> ShlEq | A_shr -> ShrEq
+  | A_band -> AmpEq | A_bxor -> CaretEq | A_bor -> PipeEq
+
+let unop_token : unop -> Token.t = function
+  | Neg -> Minus | Lognot -> Bang | Bitnot -> Tilde | Uplus -> Plus
+
+let binop_string op = Token.to_string (binop_token op)
+let assign_op_string op = Token.to_string (assign_token op)
+let unop_string op = Token.to_string (unop_token op)
+
+(* The specifier: the type at the bottom of the declarator chain. *)
+let rec specifier o = function
+  | Tptr t | Tarray (t, _) | Tfunc (t, _, _) -> specifier o t
+  | Tvoid -> tok o (Kw Kvoid)
+  | Tbool -> tok o (Kw Kbool)
+  | Tint (k, signed) ->
+    if not signed then word o (Kw Kunsigned);
+    (match k with
+    | Ichar -> tok o (Kw Kchar)
+    | Ishort -> tok o (Kw Kshort)
+    | Iint -> tok o (Kw Kint)
+    | Ilong -> tok o (Kw Klong)
+    | Ilonglong ->
+      word o (Kw Klong);
+      tok o (Kw Klong))
+  | Tfloat -> tok o (Kw Kfloat)
+  | Tdouble -> tok o (Kw Kdouble)
+  | Tstruct tag ->
+    word o (Kw Kstruct);
+    name o tag
+  | Tunion tag ->
+    word o (Kw Kunion);
+    name o tag
+  | Tnamed n -> name o n
+
+let wraps = function Tarray _ | Tfunc _ -> true | _ -> false
+
+(* C declarators read inside out: the pointers of the chain are written
+   innermost type first before the name, the array and function suffixes
+   outermost first after it, and a pointer to an array or function is
+   parenthesised. *)
+let rec prefix o = function
+  | Tptr t ->
+    prefix o t;
+    if wraps t then tok o Lparen;
+    tok o Star
+  | Tarray (t, _) | Tfunc (t, _, _) -> prefix o t
+  | _ -> ()
+
+let rec suffix o = function
+  | Tptr t ->
+    if wraps t then tok o Rparen;
+    suffix o t
+  | Tarray (t, n) ->
+    tok o Lbracket;
+    (match n with Some n -> decimal o (Int64.of_int n) | None -> ());
+    tok o Rbracket;
+    suffix o t
   | Tfunc (ret, params, variadic) ->
-    let ps =
-      (List.map (fun t -> ty_string t) params
-      @ if variadic then [ "..." ] else [])
-    in
-    let ps = if ps = [] then "void" else String.concat ", " ps in
-    decl_string ret (name ^ "(" ^ ps ^ ")")
+    param_list o abstract params variadic;
+    suffix o ret
+  | _ -> ()
 
-and pad name = if name = "" then "" else " " ^ name
+(* [(p1, p2, ...)], with [...] when variadic and [(void)] when empty. *)
+and param_list : 'a. sink -> (sink -> 'a -> unit) -> 'a list -> bool -> unit =
+ fun o write params variadic ->
+  tok o Lparen;
+  let rec go first = function
+    | [] -> if variadic then begin if not first then comma o; tok o Ellipsis end
+    | p :: ps ->
+      if not first then comma o;
+      write o p;
+      go false ps
+  in
+  (match params with
+  | [] when not variadic -> tok o (Kw Kvoid)
+  | _ -> go true params);
+  tok o Rparen
 
-and ty_string ty = decl_string ty ""
+and abstract o ty = declarator o ty ""
 
-let quals_prefix q =
-  (if q.q_const then "const " else "") ^ (if q.q_volatile then "volatile " else "")
+(* [ty] declaring [n] (nothing for an abstract type name). *)
+and declarator o ty n =
+  specifier o ty;
+  (match ty with
+  | Tptr _ | Tarray _ | Tfunc _ -> chr o ' '
+  | _ -> if String.length n > 0 then chr o ' ');
+  prefix o ty;
+  name o n;
+  suffix o ty
 
-let storage_prefix = function
-  | S_none -> ""
-  | S_static -> "static "
-  | S_extern -> "extern "
-  | S_register -> "register "
+(* A function named [n] returning [ret]: [ret]'s declarator around the
+   name and parameter list. *)
+let fun_declarator o ret n write params variadic =
+  specifier o ret;
+  chr o ' ';
+  prefix o ret;
+  name o n;
+  param_list o write params variadic;
+  suffix o ret
 
-let binop_string = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-  | Shl -> "<<" | Shr -> ">>"
-  | Lt -> "<" | Gt -> ">" | Le -> "<=" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
-  | Band -> "&" | Bxor -> "^" | Bor -> "|"
-  | Land -> "&&" | Lor -> "||"
+(* A one-off text render of [f x]. *)
+let to_string f x =
+  let buf = Buffer.create 32 in
+  f (text_sink buf) x;
+  Buffer.contents buf
 
-let assign_op_string = function
-  | A_none -> "=" | A_add -> "+=" | A_sub -> "-=" | A_mul -> "*="
-  | A_div -> "/=" | A_mod -> "%=" | A_shl -> "<<=" | A_shr -> ">>="
-  | A_band -> "&=" | A_bxor -> "^=" | A_bor -> "|="
+let decl_string ty n = to_string (fun o ty -> declarator o ty n) ty
+let ty_string ty = to_string abstract ty
 
-let unop_string = function
-  | Neg -> "-" | Lognot -> "!" | Bitnot -> "~" | Uplus -> "+"
+(* ------------------------------------------------------------------ *)
+(* Expressions                                                         *)
+(* ------------------------------------------------------------------ *)
 
 let binop_prec = function
   | Mul | Div | Mod -> 10
@@ -98,74 +330,42 @@ let expr_prec e =
   | Int_lit _ | Float_lit _ | Char_lit _ | Str_lit _ | Ident _ | Init_list _ ->
     15
 
-let escape_char c =
-  match c with
-  | '\n' -> "\\n" | '\t' -> "\\t" | '\r' -> "\\r" | '\\' -> "\\\\"
-  | '\'' -> "\\'" | '\000' -> "\\0"
-  | c when Char.code c >= 32 && Char.code c < 127 -> String.make 1 c
-  | c -> Fmt.str "\\x%02x" (Char.code c)
+(* Spaced between its operands. *)
+let infix o t =
+  chr o ' ';
+  tok o t;
+  chr o ' '
 
-(* Inside a string a digit may follow NUL, so NUL takes all three octal
-   digits: "\0" then "1" would read back as "\01". *)
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\'' -> Buffer.add_char buf '\''
-      | '\000' -> Buffer.add_string buf "\\000"
-      | c -> Buffer.add_string buf (escape_char c))
-    s;
-  Buffer.contents buf
-
-let int_suffix kind unsigned =
-  (if unsigned then "U" else "")
-  ^ (match kind with Ilong -> "L" | Ilonglong -> "LL" | _ -> "")
-
-let rec expr_to_buf buf prec (e : expr) =
-  let p = expr_prec e in
-  let need_paren = p < prec in
-  if need_paren then Buffer.add_char buf '(';
+let rec expr o prec (e : expr) =
+  let need_paren = expr_prec e < prec in
+  if need_paren then tok o Lparen;
   (match e.ek with
   | Int_lit (v, k, u) ->
-    if Int64.compare v 0L < 0 then begin
-      (* print negative literals parenthesised to survive re-parsing *)
-      Buffer.add_char buf '(';
-      Buffer.add_string buf (Int64.to_string v);
-      Buffer.add_string buf (int_suffix k u);
-      Buffer.add_char buf ')'
-    end
-    else begin
-      Buffer.add_string buf (Int64.to_string v);
-      Buffer.add_string buf (int_suffix k u)
-    end
-  | Float_lit (v, is_double) ->
-    let s =
-      if Float.is_integer v && Float.abs v < 1e16 then
-        Fmt.str "%.1f" v
-      else Fmt.str "%.17g" v
-    in
-    Buffer.add_string buf s;
-    if not is_double then Buffer.add_char buf 'f'
+    (* negative literals print parenthesised to survive re-parsing *)
+    let neg = Int64.compare v 0L < 0 in
+    if neg then tok o Lparen;
+    decimal o v;
+    str o (int_suffix k u);
+    if neg then tok o Rparen
+  | Float_lit (v, is_double) -> float_lit o v is_double
   | Char_lit c ->
-    Buffer.add_char buf '\'';
-    Buffer.add_string buf (escape_char c);
-    Buffer.add_char buf '\''
+    push o k_char;
+    chr o '\'';
+    escaped_char o c;
+    chr o '\''
   | Str_lit s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape_string s);
-    Buffer.add_char buf '"'
-  | Ident n -> Buffer.add_string buf n
+    push o k_str;
+    chr o '"';
+    escaped_string o s;
+    chr o '"'
+  | Ident n -> name o n
   | Binop (op, a, b) ->
     let bp = 2 + binop_prec op in
-    expr_to_buf buf bp a;
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (binop_string op);
-    Buffer.add_char buf ' ';
-    expr_to_buf buf (bp + 1) b
+    expr o bp a;
+    infix o (binop_token op);
+    expr o (bp + 1) b
   | Unop (op, a) ->
-    Buffer.add_string buf (unop_string op);
+    tok o (unop_token op);
     (* avoid gluing - -x into --x *)
     (match op, a.ek with
     | (Neg | Uplus), (Unop ((Neg | Uplus), _) | Int_lit _ | Float_lit _)
@@ -174,101 +374,106 @@ let rec expr_to_buf buf prec (e : expr) =
            | Float_lit (v, _) -> v < 0.
            | Unop _ -> true
            | _ -> false) ->
-      Buffer.add_char buf ' '
+      chr o ' '
     | _ -> ());
-    expr_to_buf buf 13 a
+    expr o 13 a
   | Assign (op, lhs, rhs) ->
-    expr_to_buf buf 2 lhs;
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (assign_op_string op);
-    Buffer.add_char buf ' ';
-    expr_to_buf buf 1 rhs
+    expr o 2 lhs;
+    infix o (assign_token op);
+    expr o 1 rhs
   | Incdec (inc, prefix, a) ->
-    let op = if inc then "++" else "--" in
+    let op : Token.t = if inc then PlusPlus else MinusMinus in
     if prefix then begin
-      Buffer.add_string buf op;
-      expr_to_buf buf 13 a
+      tok o op;
+      expr o 13 a
     end
     else begin
-      expr_to_buf buf 14 a;
-      Buffer.add_string buf op
+      expr o 14 a;
+      tok o op
     end
   | Call (f, args) ->
-    expr_to_buf buf 14 f;
-    Buffer.add_char buf '(';
-    List.iteri
-      (fun i a ->
-        if i > 0 then Buffer.add_string buf ", ";
-        expr_to_buf buf 1 a)
-      args;
-    Buffer.add_char buf ')'
+    expr o 14 f;
+    tok o Lparen;
+    exprs o args;
+    tok o Rparen
   | Index (a, i) ->
-    expr_to_buf buf 14 a;
-    Buffer.add_char buf '[';
-    expr_to_buf buf 0 i;
-    Buffer.add_char buf ']'
+    expr o 14 a;
+    tok o Lbracket;
+    expr o 0 i;
+    tok o Rbracket
   | Member (a, n) ->
-    expr_to_buf buf 14 a;
-    Buffer.add_char buf '.';
-    Buffer.add_string buf n
+    expr o 14 a;
+    tok o Dot;
+    name o n
   | Arrow (a, n) ->
-    expr_to_buf buf 14 a;
-    Buffer.add_string buf "->";
-    Buffer.add_string buf n
+    expr o 14 a;
+    tok o Arrow;
+    name o n
   | Deref a ->
-    Buffer.add_char buf '*';
-    expr_to_buf buf 13 a
+    tok o Star;
+    expr o 13 a
   | Addrof a ->
-    Buffer.add_char buf '&';
-    expr_to_buf buf 13 a
+    tok o Amp;
+    expr o 13 a
   | Cast (t, a) ->
-    Buffer.add_char buf '(';
-    Buffer.add_string buf (ty_string t);
-    Buffer.add_char buf ')';
-    expr_to_buf buf 13 a
+    tok o Lparen;
+    abstract o t;
+    tok o Rparen;
+    expr o 13 a
   | Cond (c, t, f) ->
-    expr_to_buf buf 3 c;
-    Buffer.add_string buf " ? ";
-    expr_to_buf buf 0 t;
-    Buffer.add_string buf " : ";
-    expr_to_buf buf 2 f
+    expr o 3 c;
+    infix o Question;
+    expr o 0 t;
+    infix o Colon;
+    expr o 2 f
   | Comma (a, b) ->
-    expr_to_buf buf 1 a;
-    Buffer.add_string buf ", ";
-    expr_to_buf buf 0 b
+    expr o 1 a;
+    comma o;
+    expr o 0 b
   | Sizeof_expr a ->
-    Buffer.add_string buf "sizeof ";
-    expr_to_buf buf 13 a
+    tok o (Kw Ksizeof);
+    chr o ' ';
+    expr o 13 a
   | Sizeof_ty t ->
-    Buffer.add_string buf "sizeof(";
-    Buffer.add_string buf (ty_string t);
-    Buffer.add_char buf ')'
+    tok o (Kw Ksizeof);
+    tok o Lparen;
+    abstract o t;
+    tok o Rparen
   | Init_list es ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_string buf ", ";
-        expr_to_buf buf 1 e)
-      es;
-    Buffer.add_char buf '}');
-  if need_paren then Buffer.add_char buf ')'
+    tok o Lbrace;
+    exprs o es;
+    tok o Rbrace);
+  if need_paren then tok o Rparen
 
-let expr_to_string e =
-  let buf = Buffer.create 32 in
-  expr_to_buf buf 0 e;
-  Buffer.contents buf
+(* Comma-separated assignment expressions. *)
+and exprs o = function
+  | [] -> ()
+  | [ e ] -> expr o 1 e
+  | e :: es ->
+    expr o 1 e;
+    comma o;
+    exprs o es
 
-let indent buf n = Buffer.add_string buf (String.make (2 * n) ' ')
+let expr_to_string e = to_string (fun o e -> expr o 0 e) e
 
-let var_decl_to_buf buf (v : var_decl) =
-  Buffer.add_string buf (storage_prefix v.v_storage);
-  Buffer.add_string buf (quals_prefix v.v_quals);
-  Buffer.add_string buf (decl_string v.v_ty v.v_name);
-  (match v.v_init with
+(* ------------------------------------------------------------------ *)
+(* Statements                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let var_decl o (v : var_decl) =
+  (match v.v_storage with
+  | S_none -> ()
+  | S_static -> word o (Kw Kstatic)
+  | S_extern -> word o (Kw Kextern)
+  | S_register -> word o (Kw Kregister));
+  if v.v_quals.q_const then word o (Kw Kconst);
+  if v.v_quals.q_volatile then word o (Kw Kvolatile);
+  declarator o v.v_ty v.v_name;
+  match v.v_init with
   | Some e ->
-    Buffer.add_string buf " = ";
-    expr_to_buf buf 1 e
-  | None -> ())
+    infix o Eq;
+    expr o 1 e
+  | None -> ()
 
 (* Does [s] print ending in an [if] with no [else]?  Trailing [else]
    branches, [while]/[for] bodies and labels are followed. *)
@@ -287,207 +492,236 @@ let then_branch t f =
   if Option.is_some f && ends_in_open_if t then { t with sk = Sblock [ t ] }
   else t
 
-let rec stmt_to_buf buf lvl (s : stmt) =
+(* [kw (], the header of an [if], [while], [for] or [switch]. *)
+let head o lvl t =
+  indent o lvl;
+  word o t;
+  tok o Lparen
+
+let rec stmt o lvl (s : stmt) =
   match s.sk with
   | Sexpr e ->
-    indent buf lvl;
-    expr_to_buf buf 0 e;
-    Buffer.add_string buf ";\n"
-  | Sdecl vs ->
-    List.iter
-      (fun v ->
-        indent buf lvl;
-        var_decl_to_buf buf v;
-        Buffer.add_string buf ";\n")
-      vs
+    indent o lvl;
+    expr o 0 e;
+    line o Semi
+  | Sdecl vs -> decls o lvl vs
   | Sif (c, t, f) ->
-    indent buf lvl;
-    Buffer.add_string buf "if (";
-    expr_to_buf buf 0 c;
-    Buffer.add_string buf ")\n";
-    stmt_as_block buf lvl (then_branch t f);
+    head o lvl (Kw Kif);
+    expr o 0 c;
+    line o Rparen;
+    block o lvl (then_branch t f);
     (match f with
     | Some f ->
-      indent buf lvl;
-      Buffer.add_string buf "else\n";
-      stmt_as_block buf lvl f
+      indent o lvl;
+      line o (Kw Kelse);
+      block o lvl f
     | None -> ())
   | Swhile (c, b) ->
-    indent buf lvl;
-    Buffer.add_string buf "while (";
-    expr_to_buf buf 0 c;
-    Buffer.add_string buf ")\n";
-    stmt_as_block buf lvl b
+    head o lvl (Kw Kwhile);
+    expr o 0 c;
+    line o Rparen;
+    block o lvl b
   | Sdo (b, c) ->
-    indent buf lvl;
-    Buffer.add_string buf "do\n";
-    stmt_as_block buf lvl b;
-    indent buf lvl;
-    Buffer.add_string buf "while (";
-    expr_to_buf buf 0 c;
-    Buffer.add_string buf ");\n"
+    indent o lvl;
+    line o (Kw Kdo);
+    block o lvl b;
+    head o lvl (Kw Kwhile);
+    expr o 0 c;
+    tok o Rparen;
+    line o Semi
   | Sfor (init, cond, step, b) ->
-    indent buf lvl;
-    Buffer.add_string buf "for (";
+    head o lvl (Kw Kfor);
     (match init with
-    | Some (Fi_expr e) -> expr_to_buf buf 0 e
-    | Some (Fi_decl vs) ->
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string buf ", ";
-          if i = 0 then var_decl_to_buf buf v
-          else begin
-            (* subsequent declarators share the specifier *)
-            Buffer.add_string buf v.v_name;
-            match v.v_init with
-            | Some e ->
-              Buffer.add_string buf " = ";
-              expr_to_buf buf 1 e
-            | None -> ()
-          end)
+    | Some (Fi_expr e) -> expr o 0 e
+    | Some (Fi_decl (v :: vs)) ->
+      var_decl o v;
+      (* later declarators share the specifier *)
+      List.iter
+        (fun v ->
+          comma o;
+          name o v.v_name;
+          match v.v_init with
+          | Some e ->
+            infix o Eq;
+            expr o 1 e
+          | None -> ())
         vs
-    | None -> ());
-    Buffer.add_string buf "; ";
-    (match cond with Some c -> expr_to_buf buf 0 c | None -> ());
-    Buffer.add_string buf "; ";
-    (match step with Some s -> expr_to_buf buf 0 s | None -> ());
-    Buffer.add_string buf ")\n";
-    stmt_as_block buf lvl b
+    | Some (Fi_decl []) | None -> ());
+    word o Semi;
+    (match cond with Some c -> expr o 0 c | None -> ());
+    word o Semi;
+    (match step with Some s -> expr o 0 s | None -> ());
+    line o Rparen;
+    block o lvl b
   | Sreturn e ->
-    indent buf lvl;
-    Buffer.add_string buf "return";
+    indent o lvl;
+    tok o (Kw Kreturn);
     (match e with
     | Some e ->
-      Buffer.add_char buf ' ';
-      expr_to_buf buf 0 e
+      chr o ' ';
+      expr o 0 e
     | None -> ());
-    Buffer.add_string buf ";\n"
+    line o Semi
   | Sbreak ->
-    indent buf lvl;
-    Buffer.add_string buf "break;\n"
+    indent o lvl;
+    tok o (Kw Kbreak);
+    line o Semi
   | Scontinue ->
-    indent buf lvl;
-    Buffer.add_string buf "continue;\n"
+    indent o lvl;
+    tok o (Kw Kcontinue);
+    line o Semi
   | Sblock ss ->
-    indent buf lvl;
-    Buffer.add_string buf "{\n";
-    List.iter (stmt_to_buf buf (lvl + 1)) ss;
-    indent buf lvl;
-    Buffer.add_string buf "}\n"
+    indent o lvl;
+    line o Lbrace;
+    stmts o (lvl + 1) ss;
+    indent o lvl;
+    line o Rbrace
   | Sswitch (e, cases) ->
-    indent buf lvl;
-    Buffer.add_string buf "switch (";
-    expr_to_buf buf 0 e;
-    Buffer.add_string buf ") {\n";
+    head o lvl (Kw Kswitch);
+    expr o 0 e;
+    tok o Rparen;
+    chr o ' ';
+    line o Lbrace;
     List.iter
       (fun c ->
         List.iter
           (fun l ->
-            indent buf lvl;
+            indent o lvl;
             match l with
             | L_case e ->
-              Buffer.add_string buf "case ";
-              expr_to_buf buf 3 e;
-              Buffer.add_string buf ":\n"
-            | L_default -> Buffer.add_string buf "default:\n")
+              word o (Kw Kcase);
+              expr o 3 e;
+              line o Colon
+            | L_default ->
+              tok o (Kw Kdefault);
+              line o Colon)
           c.case_labels;
-        List.iter (stmt_to_buf buf (lvl + 1)) c.case_body)
+        stmts o (lvl + 1) c.case_body)
       cases;
-    indent buf lvl;
-    Buffer.add_string buf "}\n"
+    indent o lvl;
+    line o Rbrace
   | Sgoto l ->
-    indent buf lvl;
-    Buffer.add_string buf ("goto " ^ l ^ ";\n")
+    indent o lvl;
+    word o (Kw Kgoto);
+    name o l;
+    line o Semi
   | Slabel (l, inner) ->
-    indent buf lvl;
-    Buffer.add_string buf (l ^ ":\n");
+    indent o lvl;
+    name o l;
+    line o Colon;
     (match inner.sk with
     | Snull ->
-      indent buf (lvl + 1);
-      Buffer.add_string buf ";\n"
-    | _ -> stmt_to_buf buf lvl inner)
+      indent o (lvl + 1);
+      line o Semi
+    | _ -> stmt o lvl inner)
   | Snull ->
-    indent buf lvl;
-    Buffer.add_string buf ";\n"
+    indent o lvl;
+    line o Semi
 
-and stmt_as_block buf lvl s =
+(* Lists are walked by hand: [List.iter (stmt o lvl)] would allocate a
+   closure per block. *)
+and stmts o lvl = function
+  | [] -> ()
+  | s :: ss ->
+    stmt o lvl s;
+    stmts o lvl ss
+
+and decls o lvl = function
+  | [] -> ()
+  | v :: vs ->
+    indent o lvl;
+    var_decl o v;
+    line o Semi;
+    decls o lvl vs
+
+and block o lvl s =
   match s.sk with
-  | Sblock _ -> stmt_to_buf buf lvl s
-  | _ -> stmt_to_buf buf (lvl + 1) s
+  | Sblock _ -> stmt o lvl s
+  | _ -> stmt o (lvl + 1) s
 
-let fundef_to_buf buf (fd : fundef) =
-  if fd.f_static then Buffer.add_string buf "static ";
-  if fd.f_inline then Buffer.add_string buf "inline ";
-  let params =
-    (List.map (fun p -> decl_string p.p_ty p.p_name) fd.f_params
-    @ if fd.f_variadic then [ "..." ] else [])
-  in
-  let params = if params = [] then "void" else String.concat ", " params in
-  Buffer.add_string buf (decl_string fd.f_ret (fd.f_name ^ "(" ^ params ^ ")"));
-  Buffer.add_string buf " {\n";
-  List.iter (stmt_to_buf buf 1) fd.f_body;
-  Buffer.add_string buf "}\n"
+let stmt_to_buf buf lvl s = stmt (text_sink buf) lvl s
 
-let global_to_buf buf = function
-  | Gfun fd -> fundef_to_buf buf fd
+(* ------------------------------------------------------------------ *)
+(* Translation units                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let param o p = declarator o p.p_ty p.p_name
+
+(* [struct tag { fields };] or the same with [union]. *)
+let aggregate o kw tag fs =
+  word o (Kw kw);
+  name o tag;
+  chr o ' ';
+  line o Lbrace;
+  List.iter
+    (fun f ->
+      str o "  ";
+      declarator o f.fld_ty f.fld_name;
+      line o Semi)
+    fs;
+  tok o Rbrace;
+  line o Semi
+
+let global o = function
+  | Gfun fd ->
+    if fd.f_static then word o (Kw Kstatic);
+    if fd.f_inline then word o (Kw Kinline);
+    fun_declarator o fd.f_ret fd.f_name param fd.f_params fd.f_variadic;
+    chr o ' ';
+    line o Lbrace;
+    stmts o 1 fd.f_body;
+    line o Rbrace
   | Gvar v ->
-    var_decl_to_buf buf v;
-    Buffer.add_string buf ";\n"
-  | Gtypedef (name, ty) ->
-    Buffer.add_string buf "typedef ";
-    Buffer.add_string buf (decl_string ty name);
-    Buffer.add_string buf ";\n"
-  | Gstruct (tag, fields) ->
-    Buffer.add_string buf ("struct " ^ tag ^ " {\n");
-    List.iter
-      (fun f ->
-        Buffer.add_string buf "  ";
-        Buffer.add_string buf (decl_string f.fld_ty f.fld_name);
-        Buffer.add_string buf ";\n")
-      fields;
-    Buffer.add_string buf "};\n"
-  | Gunion (tag, fields) ->
-    Buffer.add_string buf ("union " ^ tag ^ " {\n");
-    List.iter
-      (fun f ->
-        Buffer.add_string buf "  ";
-        Buffer.add_string buf (decl_string f.fld_ty f.fld_name);
-        Buffer.add_string buf ";\n")
-      fields;
-    Buffer.add_string buf "};\n"
+    var_decl o v;
+    line o Semi
+  | Gtypedef (n, ty) ->
+    word o (Kw Ktypedef);
+    declarator o ty n;
+    line o Semi
+  | Gstruct (tag, fs) -> aggregate o Kstruct tag fs
+  | Gunion (tag, fs) -> aggregate o Kunion tag fs
   | Genum (tag, items) ->
-    Buffer.add_string buf ("enum " ^ tag ^ " { ");
+    word o (Kw Kenum);
+    name o tag;
+    chr o ' ';
+    word o Lbrace;
     List.iteri
       (fun i (n, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf n;
+        if i > 0 then comma o;
+        name o n;
         match v with
-        | Some v -> Buffer.add_string buf (" = " ^ Int64.to_string v)
+        | Some v ->
+          infix o Eq;
+          decimal o v
         | None -> ())
       items;
-    Buffer.add_string buf " };\n"
+    chr o ' ';
+    tok o Rbrace;
+    line o Semi
   | Gproto p ->
-    let params =
-      (List.map ty_string p.pr_params
-      @ if p.pr_variadic then [ "..." ] else [])
-    in
-    let params = if params = [] then "void" else String.concat ", " params in
-    Buffer.add_string buf (decl_string p.pr_ret (p.pr_name ^ "(" ^ params ^ ")"));
-    Buffer.add_string buf ";\n"
+    fun_declarator o p.pr_ret p.pr_name abstract p.pr_params p.pr_variadic;
+    line o Semi
 
-let tu_to_buf buf (tu : tu) : unit =
+let tu o (tu : tu) =
   List.iteri
     (fun i g ->
-      if i > 0 then Buffer.add_char buf '\n';
-      global_to_buf buf g)
+      if i > 0 then chr o '\n';
+      global o g)
     tu.globals
 
-let tu_to_string (tu : tu) : string =
+let tu_to_buf buf t = tu (text_sink buf) t
+let tu_to_string t =
   let buf = Buffer.create 1024 in
-  tu_to_buf buf tu;
+  tu_to_buf buf t;
   Buffer.contents buf
 
-let print = tu_to_string
+let render o t =
+  Buffer.clear o.buf;
+  o.len <- 0;
+  tu o t;
+  push o k_eof;
+  let src = Buffer.contents o.buf in
+  (src, Lexer.of_stream src o.kinds o.offsets o.len)
 
 (* ------------------------------------------------------------------ *)
 (* The parsed form                                                     *)

@@ -4,7 +4,13 @@
     vouches for, [Parser.parse (tu_to_string tu)] yields exactly
     [parsed_form tu]: [Ast_ids.renumber tu] with the parser's rewrites
     applied (see there).  It is not [tu] up to node ids in general, and
-    some trees print as text that does not parse at all. *)
+    some trees print as text that does not parse at all.
+
+    The printer knows each token's kind as it writes it, so {!render}
+    returns the text with its token stream: for those same trees, the
+    stream [Lexer.tokenize] would read back from the text, kinds and
+    offsets alike.  A compile from the tree walks that stream for
+    lexical coverage, so the lexer does not run at all. *)
 
 val decl_string : Ast.ty -> string -> string
 (** [decl_string ty name] renders a C declarator — the paper's μAST
@@ -21,9 +27,6 @@ val unop_string : Ast.unop -> string
 val expr_prec : Ast.expr -> int
 (** Precedence level used for parenthesisation (higher binds tighter). *)
 
-val expr_to_buf : Buffer.t -> int -> Ast.expr -> unit
-(** Print an expression in a context of the given minimum precedence. *)
-
 val expr_to_string : Ast.expr -> string
 (** Render one expression — the paper's μAST [getSourceText] for
     expressions. *)
@@ -32,14 +35,25 @@ val stmt_to_buf : Buffer.t -> int -> Ast.stmt -> unit
 (** Print a statement at the given indentation level. *)
 
 val tu_to_buf : Buffer.t -> Ast.tu -> unit
-(** Render a whole translation unit into [buf] — the scratch-buffer form
-    of {!tu_to_string} used by the fuzz loops' render hot path. *)
+(** Render a whole translation unit into [buf]. *)
 
 val tu_to_string : Ast.tu -> string
 (** Render a whole translation unit as compilable C. *)
 
-val print : Ast.tu -> string
-(** Alias of {!tu_to_string}. *)
+type sink
+(** A reusable render target: a text buffer and the token stream written
+    with it.  One per domain is enough (the compile arena keeps one). *)
+
+val sink : unit -> sink
+
+val render : sink -> Ast.tu -> string * Lexer.tokens
+(** [render sink tu] is [tu_to_string tu] with its token stream, [Eof]
+    included: [Lexer.tokenize (tu_to_string tu)] wherever
+    [parsed_form tu] is [Some], without lexing.  Elsewhere the stream is
+    the printer's intent, which the text may not lex back to (a keyword
+    used as a name, a non-finite float, [++(long)x] ...).  The stream
+    lives in [sink], as the compile arena's tables do: it is valid until
+    the next render into [sink], which overwrites it. *)
 
 val parsed_form : Ast.tu -> Ast.tu option
 (** [parsed_form tu] is [Some t] where [t] is exactly the tree, node ids

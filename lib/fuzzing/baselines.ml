@@ -142,11 +142,11 @@ let run_generator ?engine ?faults ?(options = Simcomp.Compiler.default_options)
     (* [gen_source]'s text, rendered from the tree the compile can take
        in place of a parse *)
     let tu = Ast_gen.gen_tu ~cfg rng in
-    let src = Simcomp.Scratch.render_tu tu in
+    let src, tokens = Simcomp.Scratch.render_tu tu in
     Fuzz_result.record ?engine result ~iteration:i ~input:src
       (fst
          (Simcomp.Compiler.compile_tu ~cov:scratch ?engine ?faults ~emit:false
-            ~tree:tu compiler options src));
+            ~tree:tu ~tokens compiler options src));
     ignore
       (Simcomp.Coverage.merge_consume ~into:result.Fuzz_result.coverage
          scratch);

@@ -23,6 +23,18 @@ let slip_probability (p : Mutators.Mutator.provenance) =
   | Mutators.Mutator.Supervised -> supervised_slip_probability
   | Mutators.Mutator.Unsupervised -> unsupervised_slip_probability
 
+(* [src] with [drop] bytes at [at] replaced by [ins.[ins_at, ins_at +
+   len)], built in one allocation. *)
+let splice src ~at ~drop ins ins_at len =
+  let n = String.length src in
+  let b = Bytes.create (n - drop + len) in
+  Bytes.blit_string src 0 b 0 at;
+  Bytes.blit_string ins ins_at b at len;
+  Bytes.blit_string src (at + drop) b (at + len) (n - at - drop);
+  Bytes.unsafe_to_string b
+
+let insert src at s = splice src ~at ~drop:0 s 0 (String.length s)
+
 (* One local textual corruption, mimicking Rewriter edit mistakes. *)
 let corrupt (rng : Rng.t) (src : string) : string =
   let n = String.length src in
@@ -33,36 +45,34 @@ let corrupt (rng : Rng.t) (src : string) : string =
     | 0 ->
       (* dropped token: delete a few characters *)
       let len = 1 + Rng.int rng 3 in
-      String.sub src 0 pos ^ String.sub src (pos + len) (n - pos - len)
+      splice src ~at:pos ~drop:len "" 0 0
     | 1 ->
       (* duplicated range: an edit applied twice *)
       let len = 2 + Rng.int rng 8 in
       let len = min len (n - pos) in
-      String.sub src 0 (pos + len)
-      ^ String.sub src pos len
-      ^ String.sub src (pos + len) (n - pos - len)
+      splice src ~at:(pos + len) ~drop:0 src pos len
     | 2 ->
       (* dangling semicolon / stray delimiter insertion *)
-      let c = Rng.choose rng [ ";"; ")"; "}"; "("; "{"; "," ] in
-      String.sub src 0 pos ^ c ^ String.sub src pos (n - pos)
+      insert src pos (Rng.choose rng [ ";"; ")"; "}"; "("; "{"; "," ])
     | 3 ->
       (* missed identifier rewrite: mangle one identifier occurrence *)
-      String.sub src 0 pos ^ "__missed_rewrite" ^ String.sub src pos (n - pos)
+      insert src pos "__missed_rewrite"
     | _ ->
       (* truncated replacement *)
       let cut = pos + Rng.int rng (n - pos) in
       String.sub src 0 cut
   end
 
-(* Render a mutated unit to text, applying the fragility model, and say
-   whether it slipped.  The pretty-printing goes through the compile
-   arena's render buffer — the bytes are identical to
-   [Pretty.tu_to_string]'s, without growing a fresh buffer per mutant. *)
+(* Render a mutated unit to text, applying the fragility model; an
+   unslipped render comes with the printer's token stream.  The
+   pretty-printing goes through the compile arena's render sink — the
+   bytes are identical to [Pretty.tu_to_string]'s, without growing a
+   fresh buffer per mutant. *)
 let render_slip (rng : Rng.t) (m : Mutators.Mutator.t) (tu : Cparse.Ast.tu) :
-    string * bool =
-  let src = Simcomp.Scratch.render_tu tu in
+    string * Lexer.tokens option =
+  let src, tokens = Simcomp.Scratch.render_tu tu in
   if Rng.flip rng (slip_probability m.Mutators.Mutator.provenance) then
-    (corrupt rng src, true)
-  else (src, false)
+    (corrupt rng src, None)
+  else (src, Some tokens)
 
 let render rng m tu = fst (render_slip rng m tu)

@@ -25,7 +25,11 @@ val render : Cparse.Rng.t -> Mutators.Mutator.t -> Cparse.Ast.tu -> string
     provenance-dependent probability. *)
 
 val render_slip :
-  Cparse.Rng.t -> Mutators.Mutator.t -> Cparse.Ast.tu -> string * bool
-(** {!render}, with whether a slip was applied: an unslipped render is
+  Cparse.Rng.t -> Mutators.Mutator.t -> Cparse.Ast.tu ->
+  string * Cparse.Lexer.tokens option
+(** {!render}, with the printer's token stream when no slip was applied
+    ([None] when one was): an unslipped render is
     [Pretty.tu_to_string] of the unit, so a compile can be handed the
-    unit as its [~tree].  Draws from [rng] exactly as {!render} does. *)
+    unit as its [~tree] and the stream as its [~tokens] (valid until
+    the next render on this domain).  Draws from [rng] exactly as
+    {!render} does. *)

@@ -85,9 +85,11 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
       match !last_mutator with
       | None -> ()
       | Some m ->
-        let src', slipped =
+        let src', tokens =
           if cfg.fragility then Fragility.render_slip inst.i_rng m !mutated
-          else (Simcomp.Scratch.render_tu !mutated, false)
+          else
+            let src', tokens = Simcomp.Scratch.render_tu !mutated in
+            (src', Some tokens)
         in
         (* resource limit: discard over-sized mutants *)
         if String.length src' <= cfg.max_program_bytes then begin
@@ -95,7 +97,8 @@ let run ?(cfg = default_config) ~rng ~compiler ~seeds ~iterations () :
           let options = Simcomp.Compiler.random_options inst.i_rng in
           let outcome, parsed =
             Simcomp.Compiler.compile_tu ~cov:scratch ~emit:false
-              ?tree:(if slipped then None else Some !mutated)
+              ?tree:(if Option.is_some tokens then Some !mutated else None)
+              ?tokens
               compiler options src'
           in
           Fuzz_result.record result ~iteration:i ~input:src' outcome;

@@ -181,11 +181,12 @@ let pick_entry (st : state) =
 
 (* Every compile goes through the dedup cache into the scratch map.  The
    loop reads only the outcome and the coverage, so the back-end stops
-   before emission.  [tree], when the source is its unslipped printing,
-   lets the front-end skip the parser. *)
-let compile ?tree (st : state) src =
+   before emission.  [tree] and its printer's [tokens], when the source
+   is its unslipped printing, let the front-end skip the parser and the
+   lexer. *)
+let compile ?tree ?tokens (st : state) src =
   Simcomp.Compiler.compile_cached ~cache:st.cache ~cov:st.scratch
-    ~engine:st.engine ?faults:st.faults ~emit:false ?tree st.compiler
+    ~engine:st.engine ?faults:st.faults ~emit:false ?tree ?tokens st.compiler
     st.options src
 
 let mutator_counters (st : state) (m : Mutators.Mutator.t) =
@@ -298,9 +299,11 @@ let step (st : state) ~iteration : unit =
           (match Mutators.Mutator.apply_ctx m ctx with
           | None -> Engine.Metrics.incr mc.mc_inapplicable
           | Some tu' ->
-            let src', slipped =
+            let src', tokens =
               if st.cfg.fragility then Fragility.render_slip st.rng m tu'
-              else (Simcomp.Scratch.render_tu tu', false)
+              else
+                let src', tokens = Simcomp.Scratch.render_tu tu' in
+                (src', Some tokens)
             in
             let cov = st.scratch in
             (* the scratch map is pristine here: merge_consume below
@@ -311,7 +314,9 @@ let step (st : state) ~iteration : unit =
                compile's coverage was already merged below, so its
                fresh count would be 0 anyway *)
             let outcome, parsed =
-              compile ?tree:(if slipped then None else Some tu') st src'
+              compile
+                ?tree:(if Option.is_some tokens then Some tu' else None)
+                ?tokens st src'
             in
             Fuzz_result.record ~engine:st.engine st.result ~iteration
               ~input:src' outcome;

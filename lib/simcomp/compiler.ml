@@ -264,15 +264,17 @@ let diag_coverage cov ~salt (diags : Typecheck.diag list) : unit =
    same stream feeds the parser and lexical coverage (which, for parse
    errors, stops where a real single-pass front-end would stop).  With a
    [tree] whose printing is [src] and whose {!Pretty.parsed_form} exists,
-   that form is the parse, so the parser is skipped; the lexer still
-   runs when [cov] wants its token stream, and not at all otherwise.
+   that form is the parse, so the parser is skipped, and the printer's
+   [tokens] for [src] are the lexer's, so lexical coverage walks them
+   and the lexer is skipped too.  Without [tokens] the lexer runs only
+   when [cov] wants its stream.
    The expression-type table is recycled from the arena: the result does
    not outlive the compile (lowering is its last reader).  [check] is
    the front-end stage's bug check, given the AST features once the
    parse succeeded; [parsed] receives the tree as soon as it exists, so
    a crash in a later check still leaves it with the caller.  Errors
    carry the diagnostics a [Compile_error] reports. *)
-let front_end ?cov ?tree ~salt ~check ~parsed (src : string) :
+let front_end ?cov ?tree ?tokens ~salt ~check ~parsed (src : string) :
     (Ast.tu * Typecheck.result * Features.ast, string list) result =
   let failed msg =
     check None;
@@ -297,7 +299,9 @@ let front_end ?cov ?tree ~salt ~check ~parsed (src : string) :
   in
   match from_tree with
   | Some tu ->
-    if Option.is_some cov then lex_coverage cov ~salt (Lexer.tokenize src);
+    if Option.is_some cov then
+      lex_coverage cov ~salt
+        (match tokens with Some toks -> toks | None -> Lexer.tokenize src);
     analyse tu
   | None -> (
     match Lexer.tokenize src with
@@ -569,8 +573,9 @@ let watchdog_outcome (compiler : compiler) : outcome =
       frames = [ "watchdog_timeout"; "compile_supervisor" ];
     }
 
-let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree (compiler : compiler)
-    (opts : options) (src : string) : outcome * Cparse.Ast.tu option =
+let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree ?tokens
+    (compiler : compiler) (opts : options) (src : string) :
+    outcome * Cparse.Ast.tu option =
   match
     Option.map
       (fun f -> Engine.Faults.fire ?ctx:engine f Engine.Faults.Compile_hang)
@@ -593,7 +598,7 @@ let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree (compiler : compiler)
     try
       let frontend =
         span "compile.frontend" (fun () ->
-            front_end ?cov ?tree ~salt ~check:(check Crash.Front_end)
+            front_end ?cov ?tree ?tokens ~salt ~check:(check Crash.Front_end)
               ~parsed:parsed_tu src)
       in
       match frontend with
@@ -806,7 +811,7 @@ let entry_matches (compiler : compiler) (opts : options) ~emit (src : string)
   e.ce_compiler = compiler && e.ce_emit = emit && String.equal e.ce_src src
   && e.ce_opts = opts
 
-let compile_cached ~cache ?cov ?engine ?faults ?(emit = true) ?tree
+let compile_cached ~cache ?cov ?engine ?faults ?(emit = true) ?tree ?tokens
     (compiler : compiler) (opts : options) (src : string) :
     outcome * Cparse.Ast.tu option =
   let fp = fp_of cache compiler opts src in
@@ -842,7 +847,7 @@ let compile_cached ~cache ?cov ?engine ?faults ?(emit = true) ?tree
        the memoized outcome, injected hang included), so a pathological
        mutant is pathological every time it is seen *)
     let outcome, tu =
-      compile_tu ?cov ?engine ?faults ~emit ?tree compiler opts src
+      compile_tu ?cov ?engine ?faults ~emit ?tree ?tokens compiler opts src
     in
     if cache.c_len >= cache.c_capacity then begin
       Hashtbl.reset cache.c_tbl;

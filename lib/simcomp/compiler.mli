@@ -68,8 +68,8 @@ val compile :
 
 val compile_tu :
   ?cov:Coverage.t -> ?engine:Engine.Ctx.t -> ?faults:Engine.Faults.t ->
-  ?emit:bool -> ?tree:Cparse.Ast.tu -> compiler -> options -> string ->
-  outcome * Cparse.Ast.tu option
+  ?emit:bool -> ?tree:Cparse.Ast.tu -> ?tokens:Cparse.Lexer.tokens ->
+  compiler -> options -> string -> outcome * Cparse.Ast.tu option
 (** Like {!compile}, but also returns the parsed translation unit when
     the front-end parse succeeded (always [Some] when the outcome is
     [Compiled]).  Fuzz loops that pool compiled mutants use this to
@@ -79,11 +79,16 @@ val compile_tu :
     [tree] is a tree the source is the printing of
     ([Pretty.tu_to_string tree = src]; the caller's promise, not
     checked).  When {!Cparse.Pretty.parsed_form} vouches for it, that
-    form stands in for the parse: the parser does not run, and the lexer
-    runs only when [cov] needs its token stream for lexical coverage.
-    Otherwise the source takes the text path.  Either way the outcome,
-    the coverage, the engine accounting and the returned tree are those
-    of a compile without [tree]. *)
+    form stands in for the parse: the parser does not run.  [tokens] is
+    the printer's token stream of that printing
+    ({!Cparse.Pretty.render}, [Scratch.render_tu]), read during the call
+    only; for a vouched-for tree it stands in for the lexer's, so
+    lexical coverage walks it and the lexer does not run either.
+    Without [tokens] the lexer runs only when [cov] needs its stream.
+    For a tree [parsed_form] refuses, the source takes the text path and
+    [tokens] is ignored.  Either way the outcome, the coverage, the
+    engine accounting and the returned tree are those of a compile
+    without [tree]. *)
 
 type cache
 (** A mutant dedup cache: memoizes compile outcomes.  Lookups go through
@@ -116,11 +121,13 @@ val cache_collisions : cache -> int
 
 val compile_cached :
   cache:cache -> ?cov:Coverage.t -> ?engine:Engine.Ctx.t ->
-  ?faults:Engine.Faults.t -> ?emit:bool -> ?tree:Cparse.Ast.tu -> compiler ->
-  options -> string -> outcome * Cparse.Ast.tu option
+  ?faults:Engine.Faults.t -> ?emit:bool -> ?tree:Cparse.Ast.tu ->
+  ?tokens:Cparse.Lexer.tokens -> compiler -> options -> string ->
+  outcome * Cparse.Ast.tu option
 (** {!compile_tu} through the cache, which is keyed by the source alone;
-    [tree] is passed on to {!compile_tu} on a miss and ignored on a hit
-    (it is normalized only when a compile runs).  On a hit the memoized outcome is
+    [tree] and [tokens] are passed on to {!compile_tu} on a miss and
+    ignored on a hit (the tree is normalized only when a compile runs).
+    On a hit the memoized outcome is
     returned with [None] for the tree, nothing is recorded into [cov]
     (the identical coverage was already produced by the first compile —
     any accumulator the caller merged it into subsumes it), and engine
@@ -173,7 +180,7 @@ val compile_ir :
     same crash-free pipeline and [Error] as {!compile_passes}, without
     recording any step.  [tree] is as for {!compile_tu}; with no
     coverage to feed, a vouched-for tree skips both the lexer and the
-    parser. *)
+    parser without a token stream. *)
 
 val random_options : Cparse.Rng.t -> options
 (** Sample a random command line, as the macro fuzzer does (§3.4). *)

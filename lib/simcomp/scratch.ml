@@ -38,8 +38,9 @@ type t = {
   mutable regmap : int array;
   (* Backend: whole-program assembly buffer. *)
   asm_buf : Buffer.t;
-  (* Mutant rendering (Pretty/Fragility): one buffer per domain. *)
-  render_buf : Buffer.t;
+  (* Mutant rendering (Pretty/Fragility): the text buffer and token
+     stream arrays, one set per domain. *)
+  render : Cparse.Pretty.sink;
   (* Typecheck context reuse: the expression-id → type table threaded
      into [Typecheck.check ~types] by the compile hot path. *)
   types : (int, Cparse.Ast.ty) Hashtbl.t;
@@ -57,7 +58,7 @@ let create () =
     ra_order = Array.make 256 0;
     regmap = Array.make 256 (-2);
     asm_buf = Buffer.create 4096;
-    render_buf = Buffer.create 4096;
+    render = Cparse.Pretty.sink ();
     types = Hashtbl.create 1024;
   }
 
@@ -95,10 +96,8 @@ let intervals_for (s : t) (n : int) : unit =
   end
   else Array.fill s.ra_first 0 (n + 1) (-1)
 
-(* Render a translation unit through the recycled buffer: same bytes as
-   [Pretty.tu_to_string], without per-render buffer growth garbage. *)
-let render_tu (tu : Cparse.Ast.tu) : string =
-  let s = get () in
-  Buffer.clear s.render_buf;
-  Cparse.Pretty.tu_to_buf s.render_buf tu;
-  Buffer.contents s.render_buf
+(* Render a translation unit through the recycled sink: same bytes as
+   [Pretty.tu_to_string], with the printer's token stream, and without
+   per-render buffer growth garbage. *)
+let render_tu (tu : Cparse.Ast.tu) : string * Cparse.Lexer.tokens =
+  Cparse.Pretty.render (get ()).render tu

@@ -20,7 +20,7 @@ type t = {
   mutable ra_order : int array;
   mutable regmap : int array;
   asm_buf : Buffer.t;
-  render_buf : Buffer.t;
+  render : Cparse.Pretty.sink;
   types : (int, Cparse.Ast.ty) Hashtbl.t;
 }
 
@@ -40,6 +40,9 @@ val intervals_for : t -> int -> unit
     cover vregs [0..n] and mark every vreg in that range untouched
     ([ra_first] = -1). *)
 
-val render_tu : Cparse.Ast.tu -> string
-(** Render a translation unit through the recycled buffer: byte-identical
-    to [Pretty.tu_to_string]. *)
+val render_tu : Cparse.Ast.tu -> string * Cparse.Lexer.tokens
+(** Render a translation unit through the recycled sink: the text is
+    byte-identical to [Pretty.tu_to_string], and the token stream is the
+    one {!Cparse.Pretty.render} gives, which a compile from the tree
+    takes as its [~tokens].  The stream is valid until this domain's
+    next [render_tu]. *)

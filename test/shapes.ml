@@ -41,6 +41,12 @@ let program body =
       ];
   }
 
+(* [program body] with [gs] declared first. *)
+let globals gs body = { globals = gs @ (program body).globals }
+
+let char_ty = Tint (Ichar, true)
+let typed ty ?init name = { (var ?init name) with v_ty = ty }
+
 (* (name, tree, whether its printed text parses) *)
 let all : (string * tu * bool) list =
   let case labels body = { case_labels = labels; case_body = body } in
@@ -99,6 +105,68 @@ let all : (string * tu * bool) list =
       (let tu = program [ sexpr (binop Add (ident "T") x) ] in
        { globals = Gtypedef ("T", int_ty) :: tu.globals }),
       false );
+    (* token boundaries: where the printer's token stream is easiest to
+       get wrong *)
+    ( "signs: (-5), - -x and a negative float",
+      program
+        [ set (-5); sexpr (assign g (unop Neg (unop Neg x)));
+          sexpr (assign g (unop Uplus (unop Neg x)));
+          decl [ typed Tdouble ~init:(float_lit (-2.5)) "d" ];
+          sexpr (assign (ident "d") (binop Sub (ident "d") (float_lit (-0.5)))) ],
+      true );
+    ( "ints around 256 and suffixes",
+      program
+        (set 255 :: set 256 :: set 0
+         :: List.map
+              (fun (kind, unsigned) -> sexpr (assign g (int_lit ~kind ~unsigned 7)))
+              [ (Iint, true); (Ilong, false); (Ilong, true); (Ilonglong, false);
+                (Ilonglong, true) ]
+        @ [ sexpr (assign g (int_lit ~kind:Ilong 300)) ]),
+      true );
+    ( "long long and unsigned char",
+      program
+        [ decl [ typed (Tint (Ilonglong, true)) ~init:(int_lit 1) "ll" ];
+          decl [ typed (Tint (Ichar, false)) ~init:(int_lit 2) "uc" ];
+          decl [ typed (Tint (Ishort, false)) "us" ] ],
+      true );
+    ( "char and string escapes",
+      program
+        (List.mapi
+           (fun i c ->
+             decl [ typed char_ty ~init:(mk_expr (Char_lit c)) ("c" ^ string_of_int i) ])
+           [ '\000'; '\n'; '\t'; '\r'; '\\'; '\''; '"'; '\001'; '\127'; '\255'; 'a' ]
+        @ [ decl
+              [ typed (Tptr char_ty)
+                  ~init:(mk_expr (Str_lit "a\000b\"c'\\\n\t\r\001\2551"))
+                  "s" ] ]),
+      true );
+    ( "array declarators",
+      globals
+        [ Gvar (typed (Tarray (Tarray (int_ty, Some 2), Some 3)) "m") ]
+        [ decl [ typed (Tarray (int_ty, Some 3)) "a" ];
+          decl [ typed (Tarray (Tptr int_ty, Some 256)) "p" ];
+          sexpr (assign g (mk_expr (Index (ident "a", int_lit 1)))) ],
+      true );
+    ( "a function-pointer declarator",
+      globals
+        [ Gvar (typed (Tptr (Tfunc (int_ty, [ int_ty; Tptr int_ty ], true))) "fp") ]
+        [ set 1 ],
+      false );
+    ( "a negative enum value and a variadic prototype",
+      globals
+        [ Genum ("E", [ ("A", Some (-5L)); ("B", None); ("C", Some 256L) ]);
+          Gproto
+            { pr_name = "logf"; pr_ret = Tptr int_ty;
+              pr_params = [ Tptr char_ty; Tint (Ilong, false) ]; pr_variadic = true } ]
+        [ set 1 ],
+      true );
+    ( "sizeof(T) and sizeof x",
+      program
+        [ sexpr (assign g (mk_expr (Sizeof_ty int_ty)));
+          sexpr (assign g (mk_expr (Sizeof_ty (Tptr (Tstruct "S")))));
+          sexpr (assign g (mk_expr (Sizeof_expr x)));
+          sexpr (assign g (mk_expr (Sizeof_expr (unop Neg x)))) ],
+      true );
   ]
 
 (* [s] replaced by, or wrapped in, one of the shapes above (and a few

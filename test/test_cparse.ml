@@ -487,6 +487,52 @@ let roundtrip_tests =
           let s = Pretty.expr_to_string e in
           let reparsed = expr_of (Fmt.str "a + %s" s) in
           ignore reparsed);
+      tc "the printer's text is the reference's, its stream the lexer's"
+        (fun () ->
+          List.iter (fun (name, tu, _) -> ignore (Print_check.check name tu)) Shapes.all;
+          let floats vs =
+            Shapes.program
+              (List.map
+                 (fun (v, double) ->
+                   Ast.sexpr (Ast.assign (Ast.ident "d") (Ast.float_lit ~double v)))
+                 vs)
+          in
+          check Alcotest.bool "finite floats vouched for" true
+            (Print_check.check "finite floats"
+               (floats
+                  [ (0.1, true); (-0.0, true); (123456.75, true); (2.5, false);
+                    (5e-324, true); (-1e-5, false); (9.5e15, true) ]));
+          ignore
+            (Print_check.check "non-finite and huge floats"
+               (floats
+                  [ (Float.nan, true); (Float.infinity, true);
+                    (Float.neg_infinity, false); (1e20, true); (-1e300, true) ]));
+          let streams = ref 0 in
+          List.iter
+            (fun (k, cfg) ->
+              for i = 0 to 199 do
+                let tu = Ast_gen.gen_tu ~cfg (Rng.create (k + i)) in
+                if Print_check.check "generated program" tu then incr streams
+              done)
+            [
+              (0, Ast_gen.default_config);
+              (1000, Ast_gen.csmith_like_config);
+              (2000, Ast_gen.yarpgen_like_config);
+            ];
+          check Alcotest.int "every generated program's stream checked" 600 !streams;
+          let rng = Rng.create 7 in
+          for k = 1 to 400 do
+            let tu =
+              Visit.map_tu (Ast_gen.gen_tu (Rng.create k)) ~fs:(fun s ->
+                  if Rng.int rng 40 = 0 then Shapes.perturb rng s else s)
+            in
+            ignore (Print_check.check "perturbed program" tu)
+          done);
+      tc "Lexer.code is the kind tokenize gives each token" (fun () ->
+          for k = 0 to Lexer.kind_count - 1 do
+            check Alcotest.int "code of kind_example" k
+              (Lexer.code (Lexer.kind_example k))
+          done);
     ]
 
 (* Property tests using our own deterministic generator (QCheck drives the

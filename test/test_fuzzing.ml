@@ -57,8 +57,48 @@ let seeds_tests =
         check Alcotest.(list string) "same" a b);
   ]
 
+(* [Fragility.corrupt] as it was when it built each slipped text from
+   two or three [String.sub]/[^] copies: the reference for its output
+   and its draws. *)
+let ref_corrupt (rng : Rng.t) (src : string) : string =
+  let n = String.length src in
+  if n < 8 then src
+  else begin
+    let pos = Rng.int rng (n - 4) in
+    match Rng.int rng 5 with
+    | 0 ->
+      let len = 1 + Rng.int rng 3 in
+      String.sub src 0 pos ^ String.sub src (pos + len) (n - pos - len)
+    | 1 ->
+      let len = 2 + Rng.int rng 8 in
+      let len = min len (n - pos) in
+      String.sub src 0 (pos + len)
+      ^ String.sub src pos len
+      ^ String.sub src (pos + len) (n - pos - len)
+    | 2 ->
+      let c = Rng.choose rng [ ";"; ")"; "}"; "("; "{"; "," ] in
+      String.sub src 0 pos ^ c ^ String.sub src pos (n - pos)
+    | 3 ->
+      String.sub src 0 pos ^ "__missed_rewrite" ^ String.sub src pos (n - pos)
+    | _ ->
+      let cut = pos + Rng.int rng (n - pos) in
+      String.sub src 0 cut
+  end
+
 let fragility_tests =
   [
+    tc "corrupt is the reference corruption, draw for draw" (fun () ->
+        let srcs = "" :: "int x;" :: "int main;" :: Lazy.force seed_corpus in
+        List.iteri
+          (fun i src ->
+            let rng = Rng.create i and rng' = Rng.create i in
+            for _ = 1 to 200 do
+              check Alcotest.string "corrupted text" (ref_corrupt rng' src)
+                (Fuzzing.Fragility.corrupt rng src);
+              check Alcotest.int "next draw" (Rng.int rng' 1_000_000)
+                (Rng.int rng 1_000_000)
+            done)
+          srcs);
     tc "corrupt changes the source" (fun () ->
         let src = List.hd (Lazy.force seed_corpus) in
         let rng = Rng.create 3 in
@@ -92,7 +132,8 @@ let fragility_tests =
         let pretty = Pretty.tu_to_string tu in
         let clean = ref 0 in
         for _ = 1 to 200 do
-          let src, slipped = Fuzzing.Fragility.render_slip rng m tu in
+          let src, tokens = Fuzzing.Fragility.render_slip rng m tu in
+          let slipped = Option.is_none tokens in
           check Alcotest.string "render_slip renders as render" src
             (Fuzzing.Fragility.render rng' m tu);
           check Alcotest.bool "slipped iff not the pretty form" slipped
@@ -941,6 +982,8 @@ let fuzz_round_mutants () =
     [ 42; 43 ];
   List.rev !seen
 
+let fuzz_round = lazy (fuzz_round_mutants ())
+
 (* Every mutator once on every seed of the same corpus, through one
    context per seed as the fuzz loop does. *)
 let corpus_mutants () =
@@ -1009,13 +1052,48 @@ let check_tree_path ~options what tu =
    level. *)
 let o0 = { Simcomp.Compiler.default_options with opt_level = 0 }
 
+(* [check_tree_path] through the render the fuzz loop uses: the tree
+   with the printer's token stream compiles as the text does, coverage
+   included. *)
+let check_stream_path what tu =
+  let src, tokens = Simcomp.Scratch.render_tu tu in
+  let compile ?tree ?tokens cov =
+    let cov = Lazy.force cov in
+    Simcomp.Coverage.reset cov;
+    let outcome, parsed =
+      Simcomp.Compiler.compile_tu ~cov ~emit:false ?tree ?tokens
+        Simcomp.Compiler.Gcc Simcomp.Compiler.default_options src
+    in
+    (outcome, parsed, cov)
+  in
+  let o_tree, p_tree, c_tree = compile ~tree:tu ~tokens tree_cov in
+  let o_text, p_text, c_text = compile text_cov in
+  if o_tree <> o_text || p_tree <> p_text then
+    Alcotest.failf "%s: outcomes or trees differ for:@.%s" what src;
+  if not (Simcomp.Coverage.equal c_tree c_text) then
+    Alcotest.failf "%s: coverage differs for:@.%s" what src
+
 let tree_path_tests =
   [
+    tc "fuzz-round and corpus mutants: the printer's text and stream are exact"
+      (fun () ->
+        let round = Lazy.force fuzz_round in
+        let mutants = List.map fst round @ corpus_mutants () in
+        let streams =
+          List.filter (fun tu -> Print_check.check "mutant" tu) mutants
+        in
+        let n = List.length mutants and k = List.length streams in
+        if 100 * k < 95 * n then
+          Alcotest.failf "only %d of %d mutants had a stream to check" k n;
+        List.iter (check_stream_path "clean fuzz mutant")
+          (List.filter_map
+             (fun (tu, slipped) -> if slipped then None else Some tu)
+             round));
     tc "clean fuzz-round mutants: the tree path is exact and taken" (fun () ->
         let clean =
           List.filter_map
             (fun (tu, slipped) -> if slipped then None else Some tu)
-            (fuzz_round_mutants ())
+            (Lazy.force fuzz_round)
         in
         let taken =
           List.filter
