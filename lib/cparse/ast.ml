@@ -2,9 +2,9 @@
 
    Every expression, statement, and function definition carries a unique
    integer id (within a translation unit) so that mutators can select a
-   node during traversal and later rewrite exactly that node.  Fresh nodes
-   are created with [no_id]; {!Ast_ids.renumber} reassigns ids after a
-   mutation. *)
+   node during traversal and later rewrite exactly that node.  The parser
+   numbers nodes as it builds them; other fresh nodes are created with
+   [no_id], and {!Ast_ids.renumber} reassigns ids after a mutation. *)
 
 type ikind = Ichar | Ishort | Iint | Ilong | Ilonglong
 

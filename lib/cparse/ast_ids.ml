@@ -1,9 +1,11 @@
 (* Unique node-id management.
 
-   Parsing and program generation produce nodes with [Ast.no_id]; mutators
-   create fresh nodes the same way.  [renumber] walks a translation unit and
-   assigns every expression, statement, and function a fresh sequential id,
-   restoring the invariant that ids are unique within the unit. *)
+   Program generation produces nodes with [Ast.no_id]; mutators create
+   fresh nodes the same way.  (The parser numbers its nodes in
+   [renumber]'s order as it builds them.)  [renumber] walks a translation
+   unit and assigns every expression, statement, and function a fresh
+   sequential id, restoring the invariant that ids are unique within the
+   unit. *)
 
 open Ast
 

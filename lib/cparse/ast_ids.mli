@@ -3,7 +3,8 @@
     Mutators select AST nodes by id during traversal and later rewrite
     exactly that node, so ids must be unique within a translation unit.
     Fresh nodes are built with [Ast.no_id]; [renumber] restores the
-    invariant after parsing, generation, or mutation. *)
+    invariant after generation or mutation.  The parser gives the ids
+    [renumber] would as it builds (see {!Parser.parse_tokens}). *)
 
 val canonicalize : Ast.tu -> Ast.tu
 (** Only the literal canonicalisation of {!renumber} — negation of a

@@ -11,15 +11,24 @@ exception Error of string * Loc.t
 
 (* [tok] is token [idx] of [toks], materialized once per [advance]: the
    grammar inspects the current token many times.  [last] is the index
-   of the final [Eof]. *)
+   of the final [Eof].  [next_id] is the last node id handed out: every
+   node takes the next one as it is built, children before parents, left
+   to right, which is the order [Ast_ids.renumber] numbers in. *)
 type state = {
   toks : Lexer.tokens;
   last : int;
   mutable idx : int;
   mutable tok : Token.t;
   typedefs : (string, unit) Hashtbl.t;
-  enum_tags : (string, unit) Hashtbl.t;
+  mutable next_id : int;
 }
+
+let fresh_id st =
+  st.next_id <- st.next_id + 1;
+  st.next_id
+
+let mk_expr st ek = { eid = fresh_id st; ek }
+let mk_stmt st sk = { sid = fresh_id st; sk }
 
 let cur st = st.tok
 let cur_loc st = Lexer.loc st.toks st.idx
@@ -179,8 +188,7 @@ let rec parse_specs st : specs =
         in
         enum_items ();
         expect st Token.Rbrace;
-        newtags := Genum (tag, List.rev !items) :: !newtags;
-        Hashtbl.replace st.enum_tags tag ()
+        newtags := Genum (tag, List.rev !items) :: !newtags
       end;
       (* enums are just ints in this subset *)
       base := Some (Tint (Iint, true));
@@ -305,9 +313,9 @@ and paren_is_type st =
 
 and parse_primary st : expr =
   match cur st with
-  | Token.Int_lit (v, k, u) -> advance st; mk_expr (Int_lit (v, k, u))
-  | Token.Float_lit (v, d) -> advance st; mk_expr (Float_lit (v, d))
-  | Token.Char_lit c -> advance st; mk_expr (Char_lit c)
+  | Token.Int_lit (v, k, u) -> advance st; mk_expr st (Int_lit (v, k, u))
+  | Token.Float_lit (v, d) -> advance st; mk_expr st (Float_lit (v, d))
+  | Token.Char_lit c -> advance st; mk_expr st (Char_lit c)
   | Token.Str_lit s ->
     advance st;
     (* adjacent string literals concatenate *)
@@ -319,8 +327,8 @@ and parse_primary st : expr =
       | _ -> ()
     in
     more ();
-    mk_expr (Str_lit (Buffer.contents buf))
-  | Token.Ident s -> advance st; mk_expr (Ident s)
+    mk_expr st (Str_lit (Buffer.contents buf))
+  | Token.Ident s -> advance st; mk_expr st (Ident s)
   | Token.Lparen ->
     advance st;
     let e = parse_expr st in
@@ -338,7 +346,7 @@ and parse_primary st : expr =
     in
     go ();
     expect st Token.Rbrace;
-    mk_expr (Init_list (List.rev !items))
+    mk_expr st (Init_list (List.rev !items))
   | t -> error st (Fmt.str "unexpected token %s in expression" (Token.to_string t))
 
 and parse_postfix st : expr =
@@ -357,22 +365,22 @@ and parse_postfix st : expr =
         go ()
       end;
       expect st Token.Rparen;
-      e := mk_expr (Call (!e, List.rev !args))
+      e := mk_expr st (Call (!e, List.rev !args))
     | Token.Lbracket ->
       advance st;
       let i = parse_expr st in
       expect st Token.Rbracket;
-      e := mk_expr (Index (!e, i))
+      e := mk_expr st (Index (!e, i))
     | Token.Dot ->
       advance st;
       let n = expect_ident st in
-      e := mk_expr (Member (!e, n))
+      e := mk_expr st (Member (!e, n))
     | Token.Arrow ->
       advance st;
       let n = expect_ident st in
-      e := mk_expr (Arrow (!e, n))
-    | Token.PlusPlus -> advance st; e := mk_expr (Incdec (true, false, !e))
-    | Token.MinusMinus -> advance st; e := mk_expr (Incdec (false, false, !e))
+      e := mk_expr st (Arrow (!e, n))
+    | Token.PlusPlus -> advance st; e := mk_expr st (Incdec (true, false, !e))
+    | Token.MinusMinus -> advance st; e := mk_expr st (Incdec (false, false, !e))
     | _ -> continue_ := false
   done;
   !e
@@ -381,31 +389,32 @@ and parse_unary st : expr =
   match cur st with
   | Token.PlusPlus ->
     advance st;
-    mk_expr (Incdec (true, true, parse_unary st))
+    mk_expr st (Incdec (true, true, parse_unary st))
   | Token.MinusMinus ->
     advance st;
-    mk_expr (Incdec (false, true, parse_unary st))
-  | Token.Plus -> advance st; mk_expr (Unop (Uplus, parse_cast st))
+    mk_expr st (Incdec (false, true, parse_unary st))
+  | Token.Plus -> advance st; mk_expr st (Unop (Uplus, parse_cast st))
   | Token.Minus -> (
     advance st;
-    (* canonicalise negated literals so printing round-trips *)
+    (* canonicalise negated literals so printing round-trips; the folded
+       literal is one node, so it keeps its operand's id *)
     match parse_cast st with
-    | { ek = Int_lit (v, k, u); _ } -> mk_expr (Int_lit (Int64.neg v, k, u))
-    | { ek = Float_lit (v, d); _ } -> mk_expr (Float_lit (-.v, d))
-    | e -> mk_expr (Unop (Neg, e)))
-  | Token.Bang -> advance st; mk_expr (Unop (Lognot, parse_cast st))
-  | Token.Tilde -> advance st; mk_expr (Unop (Bitnot, parse_cast st))
-  | Token.Star -> advance st; mk_expr (Deref (parse_cast st))
-  | Token.Amp -> advance st; mk_expr (Addrof (parse_cast st))
+    | { ek = Int_lit (v, k, u); eid } -> { eid; ek = Int_lit (Int64.neg v, k, u) }
+    | { ek = Float_lit (v, d); eid } -> { eid; ek = Float_lit (-.v, d) }
+    | e -> mk_expr st (Unop (Neg, e)))
+  | Token.Bang -> advance st; mk_expr st (Unop (Lognot, parse_cast st))
+  | Token.Tilde -> advance st; mk_expr st (Unop (Bitnot, parse_cast st))
+  | Token.Star -> advance st; mk_expr st (Deref (parse_cast st))
+  | Token.Amp -> advance st; mk_expr st (Addrof (parse_cast st))
   | Token.Kw Ksizeof ->
     advance st;
     if cur st = Token.Lparen && paren_is_type st then begin
       advance st;
       let ty = parse_type_name st in
       expect st Token.Rparen;
-      mk_expr (Sizeof_ty ty)
+      mk_expr st (Sizeof_ty ty)
     end
-    else mk_expr (Sizeof_expr (parse_unary st))
+    else mk_expr st (Sizeof_expr (parse_unary st))
   | _ -> parse_postfix st
 
 and parse_cast st : expr =
@@ -414,7 +423,7 @@ and parse_cast st : expr =
     let ty = parse_type_name st in
     expect st Token.Rparen;
     (* compound literal: (T){...} is treated as a cast of an init list *)
-    mk_expr (Cast (ty, parse_cast st))
+    mk_expr st (Cast (ty, parse_cast st))
   end
   else parse_unary st
 
@@ -447,7 +456,7 @@ and parse_binary st min_prec : expr =
     | Some (op, prec) when prec >= min_prec ->
       advance st;
       let rhs = parse_binary st (prec + 1) in
-      lhs := mk_expr (Binop (op, !lhs, rhs))
+      lhs := mk_expr st (Binop (op, !lhs, rhs))
     | _ -> continue_ := false
   done;
   !lhs
@@ -458,7 +467,7 @@ and parse_conditional st : expr =
     let t = parse_expr st in
     expect st Token.Colon;
     let f = parse_conditional st in
-    mk_expr (Cond (c, t, f))
+    mk_expr st (Cond (c, t, f))
   end
   else c
 
@@ -482,14 +491,14 @@ and parse_assignment st : expr =
   | Some op ->
     advance st;
     let rhs = parse_assignment st in
-    mk_expr (Assign (op, lhs, rhs))
+    mk_expr st (Assign (op, lhs, rhs))
   | None -> lhs
 
 and parse_expr st : expr =
   let e = parse_assignment st in
   if accept st Token.Comma then begin
     let rest = parse_expr st in
-    mk_expr (Comma (e, rest))
+    mk_expr st (Comma (e, rest))
   end
   else e
 
@@ -509,9 +518,22 @@ and parse_initializer st : expr =
     in
     go ();
     expect st Token.Rbrace;
-    mk_expr (Init_list (List.rev !items))
+    mk_expr st (Init_list (List.rev !items))
   end
   else parse_assignment st
+
+(* The [= initializer] of a declarator, if any.  A typedef's initializer
+   is parsed and dropped, and its nodes give their ids back, so the ids
+   stay 1..N. *)
+and parse_decl_init st specs : expr option =
+  if not (accept st Token.Eq) then None
+  else if specs.sp_typedef then begin
+    let id = st.next_id in
+    ignore (parse_initializer st : expr);
+    st.next_id <- id;
+    None
+  end
+  else Some (parse_initializer st)
 
 and parse_local_decls st : var_decl list =
   let specs = parse_specs st in
@@ -521,7 +543,7 @@ and parse_local_decls st : var_decl list =
   let decls = ref [] in
   let rec go () =
     let ty, name = parse_declarator st specs.sp_ty in
-    let init = if accept st Token.Eq then Some (parse_initializer st) else None in
+    let init = parse_decl_init st specs in
     decls :=
       {
         v_name = name;
@@ -543,7 +565,7 @@ and parse_local_decls st : var_decl list =
 
 and parse_stmt st : stmt =
   match cur st with
-  | Token.Semi -> advance st; mk_stmt Snull
+  | Token.Semi -> advance st; mk_stmt st Snull
   | Token.Lbrace ->
     advance st;
     let ss = ref [] in
@@ -551,7 +573,7 @@ and parse_stmt st : stmt =
       ss := parse_stmt st :: !ss
     done;
     expect st Token.Rbrace;
-    mk_stmt (Sblock (List.rev !ss))
+    mk_stmt st (Sblock (List.rev !ss))
   | Token.Kw Kif ->
     advance st;
     expect st Token.Lparen;
@@ -559,13 +581,13 @@ and parse_stmt st : stmt =
     expect st Token.Rparen;
     let t = parse_stmt st in
     let f = if accept st (Token.Kw Kelse) then Some (parse_stmt st) else None in
-    mk_stmt (Sif (c, t, f))
+    mk_stmt st (Sif (c, t, f))
   | Token.Kw Kwhile ->
     advance st;
     expect st Token.Lparen;
     let c = parse_expr st in
     expect st Token.Rparen;
-    mk_stmt (Swhile (c, parse_stmt st))
+    mk_stmt st (Swhile (c, parse_stmt st))
   | Token.Kw Kdo ->
     advance st;
     let b = parse_stmt st in
@@ -574,7 +596,7 @@ and parse_stmt st : stmt =
     let c = parse_expr st in
     expect st Token.Rparen;
     expect st Token.Semi;
-    mk_stmt (Sdo (b, c))
+    mk_stmt st (Sdo (b, c))
   | Token.Kw Kfor ->
     advance st;
     expect st Token.Lparen;
@@ -593,19 +615,19 @@ and parse_stmt st : stmt =
     expect st Token.Semi;
     let step = if cur st = Token.Rparen then None else Some (parse_expr st) in
     expect st Token.Rparen;
-    mk_stmt (Sfor (init, cond, step, parse_stmt st))
+    mk_stmt st (Sfor (init, cond, step, parse_stmt st))
   | Token.Kw Kreturn ->
     advance st;
     let e = if cur st = Token.Semi then None else Some (parse_expr st) in
     expect st Token.Semi;
-    mk_stmt (Sreturn e)
-  | Token.Kw Kbreak -> advance st; expect st Token.Semi; mk_stmt Sbreak
-  | Token.Kw Kcontinue -> advance st; expect st Token.Semi; mk_stmt Scontinue
+    mk_stmt st (Sreturn e)
+  | Token.Kw Kbreak -> advance st; expect st Token.Semi; mk_stmt st Sbreak
+  | Token.Kw Kcontinue -> advance st; expect st Token.Semi; mk_stmt st Scontinue
   | Token.Kw Kgoto ->
     advance st;
     let l = expect_ident st in
     expect st Token.Semi;
-    mk_stmt (Sgoto l)
+    mk_stmt st (Sgoto l)
   | Token.Kw Kswitch ->
     advance st;
     expect st Token.Lparen;
@@ -647,24 +669,24 @@ and parse_stmt st : stmt =
         :: !cases
     done;
     expect st Token.Rbrace;
-    mk_stmt (Sswitch (e, List.rev !cases))
+    mk_stmt st (Sswitch (e, List.rev !cases))
   | Token.Ident name when peek_ahead st 1 = Token.Colon && not (is_typedef_name st name) ->
     advance st;
     advance st;
     (* label *)
     let inner =
       match cur st with
-      | Token.Rbrace | Token.Kw Kcase | Token.Kw Kdefault -> mk_stmt Snull
+      | Token.Rbrace | Token.Kw Kcase | Token.Kw Kdefault -> mk_stmt st Snull
       | _ -> parse_stmt st
     in
-    mk_stmt (Slabel (name, inner))
+    mk_stmt st (Slabel (name, inner))
   | _ when starts_decl st ->
     let ds = parse_local_decls st in
-    mk_stmt (Sdecl ds)
+    mk_stmt st (Sdecl ds)
   | _ ->
     let e = parse_expr st in
     expect st Token.Semi;
-    mk_stmt (Sexpr e)
+    mk_stmt st (Sexpr e)
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -730,7 +752,7 @@ let parse_global st : global list =
         @ [
             Gfun
               {
-                f_id = no_id;
+                f_id = fresh_id st;
                 f_name = name;
                 f_ret = ty;
                 f_params = params;
@@ -746,9 +768,7 @@ let parse_global st : global list =
       (* global variable(s) or typedef *)
       let decls = ref [] in
       let rec go ty name =
-        let init =
-          if accept st Token.Eq then Some (parse_initializer st) else None
-        in
+        let init = parse_decl_init st specs in
         decls :=
           {
             v_name = name;
@@ -775,7 +795,8 @@ let parse_global st : global list =
   end
 
 (* Parse from an already-lexed buffer: the compile pipeline tokenizes
-   once and feeds the same stream to the parser and to lexical coverage. *)
+   once and feeds the same stream to the parser and to lexical coverage.
+   The ids given during the parse are final. *)
 let parse_tokens (toks : Lexer.tokens) : tu =
   let st =
     {
@@ -784,14 +805,14 @@ let parse_tokens (toks : Lexer.tokens) : tu =
       idx = 0;
       tok = Lexer.token toks 0;
       typedefs = Hashtbl.create 16;
-      enum_tags = Hashtbl.create 8;
+      next_id = 0;
     }
   in
   let globals = ref [] in
   while cur st <> Token.Eof do
     globals := List.rev_append (parse_global st) !globals
   done;
-  Ast_ids.renumber { globals = List.rev !globals }
+  { globals = List.rev !globals }
 
 let parse_tu (src : string) : tu = parse_tokens (Lexer.tokenize src)
 

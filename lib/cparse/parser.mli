@@ -8,7 +8,8 @@
 
     Typedef names are tracked during parsing to disambiguate declarations
     from expressions.  Negated literals are canonicalised ([- 5] parses
-    as the literal [-5]) so pretty-printing round-trips. *)
+    as the literal [-5]) so pretty-printing round-trips.  Nodes are
+    numbered as they are built (see {!parse_tokens}). *)
 
 exception Error of string * Loc.t
 (** Raised by {!parse_tu} on syntax errors. *)
@@ -18,12 +19,19 @@ val parse_tokens : Lexer.tokens -> Ast.tu
     compile pipeline tokenize once for both parsing and lexical
     coverage.  The parser materializes each token once, when it becomes
     current ({!Lexer.token}); an error's location is derived from the
-    offending token's offset only when the error is raised.  The result
-    has fresh unique node ids ({!Ast_ids.renumber}). *)
+    offending token's offset only when the error is raised.
+
+    Node ids are given at construction: each expression and statement
+    takes the next id as it is built (children first, left to right),
+    and a function its [f_id] after its body, which is
+    {!Ast_ids.renumber}'s order, so the result equals [renumber] of
+    itself with ids 1..N.  A folded negated literal keeps its operand's
+    id, and the nodes of a [typedef] declarator's initializer, which is
+    parsed and dropped, give their ids back. *)
 
 val parse_tu : string -> Ast.tu
 (** Parse a full translation unit; raises {!Error} or {!Lexer.Error}.
-    The result has fresh unique node ids ({!Ast_ids.renumber}). *)
+    Ids as {!parse_tokens}. *)
 
 val parse : string -> (Ast.tu, string) result
 (** Total wrapper around {!parse_tu}: lexer errors, parse errors, and

@@ -743,7 +743,8 @@ let render o t =
      next statements), the labels of an empty case merged into the next
      case's, array parameters decayed to pointers, a negated literal
      folded into one literal node, ...
-   - [Ast_ids.renumber], which the parser ends with too, gives the ids. *)
+   - [Ast_ids.renumber] gives the ids, the ones the parser gives as it
+     builds. *)
 
 exception Unvouched
 

@@ -11,6 +11,67 @@ type severity = Error | Warning
 
 type diag = { sev : severity; msg : string; in_func : string option }
 
+(* ------------------------------------------------------------------ *)
+(* The expression-type table                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The parser and [Ast_ids.renumber] number a unit's nodes 1..N, so the
+   table is an array indexed by expression id, grown by doubling up to
+   [Types.limit] cells.  Every other id ([no_id], negative, huge) goes
+   to a side table, so any tree, well formed or not, gets the answers a
+   [Hashtbl] would give.  An empty cell holds [absent], a value built
+   here once that no caller can store. *)
+type types = {
+  mutable cells : ty array;
+  mutable used : int;  (* every cell from [used] on is [absent] *)
+  side : (int, ty) Hashtbl.t;
+}
+
+module Types = struct
+  let limit = 1 lsl 18
+
+  let absent : ty = Tnamed (String.make 1 '\000')
+
+  let create n =
+    {
+      cells = Array.make (max 1 (min n limit)) absent;
+      used = 0;
+      side = Hashtbl.create 1;
+    }
+
+  let grow t id =
+    let len = ref (2 * Array.length t.cells) in
+    while !len <= id do len := 2 * !len done;
+    let cells = Array.make (min !len limit) absent in
+    Array.blit t.cells 0 cells 0 t.used;
+    t.cells <- cells
+
+  let set t id ty =
+    if id >= 0 && id < limit then begin
+      if id >= Array.length t.cells then grow t id;
+      Array.unsafe_set t.cells id ty;
+      if id >= t.used then t.used <- id + 1
+    end
+    else Hashtbl.replace t.side id ty
+
+  let find t id ~default =
+    if id >= 0 && id < Array.length t.cells then begin
+      let ty = Array.unsafe_get t.cells id in
+      if ty == absent then default else ty
+    end
+    else if Hashtbl.length t.side = 0 then default
+    else match Hashtbl.find t.side id with ty -> ty | exception Not_found -> default
+
+  let find_opt t id =
+    let ty = find t id ~default:absent in
+    if ty == absent then None else Some ty
+
+  let clear t =
+    Array.fill t.cells 0 t.used absent;
+    t.used <- 0;
+    Hashtbl.clear t.side
+end
+
 type env = {
   structs : (string, field list) Hashtbl.t;
   unions : (string, field list) Hashtbl.t;
@@ -29,7 +90,7 @@ type env = {
   vars : (string, int * ty * quals) Hashtbl.t;
   mutable depth : int; (* 0 = file scope: declare_local is a no-op *)
   mutable trail : string list ref list; (* names declared per open scope *)
-  types : (int, ty) Hashtbl.t; (* eid -> type *)
+  types : types; (* eid -> type *)
   mutable diags : diag list;
   mutable cur_func : fundef option;
   mutable loop_depth : int;
@@ -40,7 +101,7 @@ type env = {
 
 type result = {
   r_diags : diag list;
-  r_types : (int, ty) Hashtbl.t;
+  r_types : types;
   r_ok : bool;
 }
 
@@ -194,7 +255,7 @@ let assign_compat env ~dst ~src : [ `Ok | `Warn of string | `Err of string ] =
 
 let rec type_expr env (e : expr) : ty =
   let ty = type_expr_kind env e in
-  Hashtbl.replace env.types e.eid ty;
+  Types.set env.types e.eid ty;
   ty
 
 and type_expr_kind env (e : expr) : ty =
@@ -319,7 +380,7 @@ and type_expr_kind env (e : expr) : ty =
       in
       match sigs with
       | Some (ret, params, variadic) ->
-        Hashtbl.replace env.types f.eid (Tfunc (ret, params, variadic));
+        Types.set env.types f.eid (Tfunc (ret, params, variadic));
         let np = List.length params and na = List.length targs in
         if na < np then
           error env (Fmt.str "too few arguments to function '%s'" name)
@@ -537,7 +598,7 @@ let check_var_decl env (v : var_decl) =
   | Some init -> (
     match init.ek with
     | Init_list items ->
-      Hashtbl.replace env.types init.eid ty;
+      Types.set env.types init.eid ty;
       check_init_list env ty items
     | _ -> check_scalar_init env ty init)
   | None -> ());
@@ -683,9 +744,9 @@ let check ?types (tu : tu) : result =
   let types =
     match types with
     | Some t ->
-      Hashtbl.clear t;
+      Types.clear t;
       t
-    | None -> Hashtbl.create 256
+    | None -> Types.create 256
   in
   let env =
     {
@@ -725,11 +786,6 @@ let check ?types (tu : tu) : result =
       | Gproto p ->
         Hashtbl.replace env.funcs p.pr_name (p.pr_ret, p.pr_params, p.pr_variadic)
       | Gfun fd ->
-        if Hashtbl.mem env.funcs fd.f_name
-           && not (List.mem_assoc fd.f_name builtins) then begin
-          (* redefinition only if a body already exists *)
-          ()
-        end;
         Hashtbl.replace env.funcs fd.f_name
           (fd.f_ret, List.map (fun p -> p.p_ty) fd.f_params, fd.f_variadic)
       | Gvar v -> Hashtbl.replace env.globals v.v_name (v.v_ty, v.v_quals))
@@ -756,7 +812,7 @@ let check ?types (tu : tu) : result =
           push_scope env;
           (match init.ek with
           | Init_list items ->
-            Hashtbl.replace env.types init.eid (resolve env v.v_ty);
+            Types.set env.types init.eid (resolve env v.v_ty);
             check_init_list env (resolve env v.v_ty) items
           | _ ->
             check_scalar_init env (resolve env v.v_ty) init;

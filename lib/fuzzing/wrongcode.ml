@@ -80,7 +80,7 @@ let hunt ?(mutators = Mutators.Registry.core) ~(rng : Rng.t)
       match if !changed then Some !mutated else None with
       | None -> ()
       | Some tu' ->
-        let src = Pretty.tu_to_string tu' in
+        let src, _ = Simcomp.Scratch.render_tu tu' in
         incr checked;
         let options =
           {

@@ -12,7 +12,7 @@ exception Lower_error of string
 
 type env = {
   cov : Coverage.t option;
-  types : (int, ty) Hashtbl.t;
+  types : Typecheck.types;
   mutable nregs : int;
   mutable nlabels : int;
   mutable blocks : block list;               (* reverse order *)
@@ -68,9 +68,7 @@ let binop_hash_tag (op : Cparse.Ast.binop) =
   end
 
 let type_of env (e : expr) : ty =
-  match Hashtbl.find_opt env.types e.eid with
-  | Some t -> t
-  | None -> Tint (Iint, true)
+  Typecheck.Types.find env.types e.eid ~default:(Tint (Iint, true))
 
 let fresh_reg env =
   env.nregs <- env.nregs + 1;

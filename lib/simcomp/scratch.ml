@@ -43,7 +43,7 @@ type t = {
   render : Cparse.Pretty.sink;
   (* Typecheck context reuse: the expression-id → type table threaded
      into [Typecheck.check ~types] by the compile hot path. *)
-  types : (int, Cparse.Ast.ty) Hashtbl.t;
+  types : Cparse.Typecheck.types;
 }
 
 let create () =
@@ -59,7 +59,7 @@ let create () =
     regmap = Array.make 256 (-2);
     asm_buf = Buffer.create 4096;
     render = Cparse.Pretty.sink ();
-    types = Hashtbl.create 1024;
+    types = Cparse.Typecheck.Types.create 1024;
   }
 
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)

@@ -21,7 +21,7 @@ type t = {
   mutable regmap : int array;
   asm_buf : Buffer.t;
   render : Cparse.Pretty.sink;
-  types : (int, Cparse.Ast.ty) Hashtbl.t;
+  types : Cparse.Typecheck.types;
 }
 
 val get : unit -> t

@@ -24,11 +24,10 @@ let create ~rng (tu : Ast.tu) : t =
   in
   (* [tc] may outlive a compile of the same source (a fuzz iteration
      holds the context across several mutation attempts and compiles),
-     so it must own its type table — never the compile arena's.  A
-     renumbered unit has at most [base] expressions, and a [Hashtbl]
-     grows only past two bindings per bucket, so [base / 2] buckets
-     never resize. *)
-  let tc = lazy (Typecheck.check ~types:(Hashtbl.create ((base / 2) + 1)) tu) in
+     so it must own its type table — never the compile arena's.  Every
+     id is at most [base], so a table with room for [base + 1] ids never
+     grows. *)
+  let tc = lazy (Typecheck.check ~types:(Typecheck.Types.create (base + 1)) tu) in
   { rng; tu; tc; name_base = base; name_counter = base }
 
 let reset_names ctx = ctx.name_counter <- ctx.name_base
@@ -36,12 +35,11 @@ let reset_names ctx = ctx.name_counter <- ctx.name_base
 (* Semantic type of an expression, as computed by the front-end.  [None]
    for nodes synthesised after the last renumbering. *)
 let type_of ctx (e : Ast.expr) : Ast.ty option =
-  Hashtbl.find_opt (Lazy.force ctx.tc).r_types e.eid
+  Typecheck.Types.find_opt (Lazy.force ctx.tc).r_types e.eid
 
-let type_of_exn ctx e =
-  match type_of ctx e with
-  | Some t -> t
-  | None -> Ast.Tint (Ast.Iint, true)
+let type_of_exn ctx (e : Ast.expr) =
+  Typecheck.Types.find (Lazy.force ctx.tc).r_types e.eid
+    ~default:(Ast.Tint (Ast.Iint, true))
 
 (* μAST: generateUniqueName *)
 let generate_unique_name ctx base =

@@ -169,6 +169,21 @@ let all : (string * tu * bool) list =
       true );
   ]
 
+(* Source texts where the parser builds nodes it does not keep: a
+   negated literal folds into its operand's node, and a typedef
+   declarator's initializer is parsed and dropped.  (name, text) *)
+let texts : (string * string) list =
+  [
+    ("-5", "int g; int main(void) { g = -5; return g + -5; }");
+    ("-(5)", "int g; int main(void) { g = -(5); return g * -(5); }");
+    ("- -5", "int g; int main(void) { g = - -5; return - - -5; }");
+    ("-1.5", "double d = -1.5; int main(void) { d = -1.5 * d; return 0; }");
+    ( "a local typedef with an initializer",
+      "int main(void) { int a = 1; typedef int T = 3; T x = a + 2; return x; }" );
+    ( "a global typedef with an initializer",
+      "int g = 1; typedef int T = 3; T h = 2; int main(void) { return g + h; }" );
+  ]
+
 (* [s] replaced by, or wrapped in, one of the shapes above (and a few
    expression shapes the parser reads differently), picked by [rng]:
    perturbs generated programs for differential tests. *)

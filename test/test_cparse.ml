@@ -686,7 +686,11 @@ let typecheck_tests =
     tc "expr types recorded" (fun () ->
         let tu = parse_ok "int main(void) { return 1 + 2; }" in
         let r = Typecheck.check tu in
-        check Alcotest.bool "has types" true (Hashtbl.length r.Typecheck.r_types > 0));
+        check Alcotest.bool "has types" true
+          (Visit.collect_exprs
+             (fun e -> Typecheck.Types.find_opt r.Typecheck.r_types e.Ast.eid <> None)
+             tu
+          <> []));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -718,8 +722,116 @@ let relabel tu next =
         tu.Ast.globals;
   }
 
+(* every parse in [srcs] is numbered as [Ast_ids.renumber] numbers *)
+let parse_ids_exact srcs =
+  List.iter
+    (fun (name, src) ->
+      let tu = parse_ok src in
+      if tu <> Ast_ids.renumber tu then
+        Alcotest.failf "%s: the parser's ids are not renumber's:@.%s" name src)
+    srcs
+
 let id_rng_tests =
   [
+    tc "the parser numbers nodes as renumber does" (fun () ->
+        parse_ids_exact
+          (List.filter_map
+             (fun (name, tu, parses) ->
+               if parses then Some (name, Pretty.tu_to_string tu) else None)
+             Shapes.all);
+        parse_ids_exact Shapes.texts;
+        List.iter
+          (fun (k, cfg) ->
+            parse_ids_exact
+              (List.init 200 (fun i ->
+                   ( Fmt.str "generated %d" (k + i),
+                     Ast_gen.gen_source ~cfg (Rng.create (k + i)) ))))
+          [
+            (0, Ast_gen.default_config);
+            (1000, Ast_gen.csmith_like_config);
+            (2000, Ast_gen.yarpgen_like_config);
+          ]);
+    tc "the type table answers as a Hashtbl keyed by id" (fun () ->
+        let module T = Typecheck.Types in
+        let tys =
+          [| Ast.Tint (Ast.Iint, true); Ast.Tdouble; Ast.Tptr Ast.Tvoid;
+             Ast.Tnamed "T" |]
+        in
+        for i = 0 to 99 do
+          let rng = Rng.create (7000 + i) in
+          let t = T.create (Rng.int rng 64) in
+          let r = Hashtbl.create 16 in
+          let touched = ref [] in
+          let id () =
+            let id =
+              match Rng.int rng 8 with
+              | 0 -> Ast.no_id
+              | 1 -> -2 - Rng.int rng 50                     (* negative *)
+              | 2 -> T.limit - 1 + Rng.int rng 3             (* across the limit *)
+              | 3 -> max_int - Rng.int rng 3
+              | 4 -> min_int + Rng.int rng 3
+              | _ -> Rng.int rng 300                          (* dense, duplicated *)
+            in
+            touched := id :: !touched;
+            id
+          in
+          let agree id =
+            let want = Hashtbl.find_opt r id in
+            if T.find_opt t id <> want
+               || T.find t id ~default:Ast.Tvoid <> Option.value want ~default:Ast.Tvoid
+            then Alcotest.failf "sequence %d: id %d disagrees" i id
+          in
+          for _ = 1 to 400 do
+            match Rng.int rng 25 with
+            | 0 ->
+              T.clear t;
+              Hashtbl.reset r
+            | n when n < 14 ->
+              let id = id () and ty = tys.(Rng.int rng (Array.length tys)) in
+              T.set t id ty;
+              Hashtbl.replace r id ty
+            | _ -> agree (id ())
+          done;
+          (* every id ever set, and the ranges around the dense and the
+             limit ids, bind exactly what the reference binds *)
+          List.iter agree !touched;
+          for id = -60 to 310 do agree id done;
+          for id = T.limit - 4 to T.limit + 4 do agree id done
+        done);
+    tc "a small unit typed after a large one in the same table" (fun () ->
+        let module T = Typecheck.Types in
+        let t = T.create 1 in
+        let small = parse_ok "int main(void) { int x = 2; return x + 1; }" in
+        let fresh = Typecheck.check small in
+        for seed = 0 to 7 do
+          (* large units with renumbered, duplicate, unassigned and huge ids *)
+          let large = Ast_gen.gen_tu (Rng.create (5000 + seed)) in
+          let rng = Rng.create seed and n = ref 0 in
+          let large =
+            if seed mod 2 = 0 then large
+            else
+              relabel large (fun () ->
+                  incr n;
+                  match Rng.int rng 4 with
+                  | 0 -> Ast.no_id
+                  | 1 -> T.limit + !n
+                  | 2 -> - !n - 1
+                  | _ -> Rng.int rng 100)
+          in
+          let big = Typecheck.check ~types:t large in
+          let large_ids = List.map (fun e -> e.Ast.eid) (Visit.collect_exprs (fun _ -> true) large) in
+          check Alcotest.bool "the large unit is typed" true
+            (List.exists (fun id -> T.find_opt big.r_types id <> None) large_ids);
+          let again = Typecheck.check ~types:t small in
+          let probe id =
+            if T.find_opt again.r_types id <> T.find_opt fresh.r_types id then
+              Alcotest.failf "seed %d: id %d differs from a fresh table" seed id
+          in
+          (* no id the large unit bound is left behind *)
+          List.iter probe large_ids;
+          for id = -3 to Ast_ids.max_id large + 1 do probe id done;
+          List.iter probe [ T.limit; T.limit + 1; min_int; max_int ]
+        done);
     tc "well_formed matches the table reference on every kind of id" (fun () ->
         let big = 1 lsl 24 in
         let odd = [| Ast.no_id; -2; min_int; big - 1; big; 1 lsl 40; max_int; 0; 5 |] in
