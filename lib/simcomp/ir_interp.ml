@@ -11,16 +11,22 @@
    functions and a few numeric builtins; string-manipulating builtins are
    out of scope and reported as [Unsupported].
 
-   A run has two steps.  [resolve] walks the program once and replaces
-   every name with an index: slot names become slot ids, jump targets
-   become block indices, callees become function indices (or builtins),
-   and constant operands are boxed once.  Execution then never hashes a
-   string or scans a list.  Anything malformed that the IR can express —
-   a register outside the function's register file, a jump to a missing
-   label, a function without blocks — resolves to a form that raises
-   [Unsupported] at the point where the name-based reading would have
-   failed, so fuel accounting and failure precedence do not depend on
-   the resolved form. *)
+   A run has two steps.  [compile] walks the program once and lays out
+   one cell space for the run: every name's slot cells and every
+   constant operand get cells, and the registers of the active calls
+   live on a stack above them.  A cell is a kind in an [int array] (int,
+   float, or the address of a slot) and a 64-bit payload in a [Bytes],
+   so writing one allocates nothing.  Instructions are compiled to
+   cell offsets: an operand is a register of the current frame or the
+   cell of a constant.  Execution then never hashes a string, scans a
+   list or boxes a number on its int paths.
+
+   Anything malformed that the IR can express — a register outside the
+   function's register file, a jump to a missing label, a function
+   without blocks — compiles to a form that raises [Unsupported] at the
+   point where the name-based reading would have failed, so fuel
+   accounting and failure precedence do not depend on the compiled
+   form. *)
 
 open Ir
 
@@ -39,173 +45,7 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Resolved form                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type roperand =
-  | Oreg of int           (* in range for the function's register file *)
-  | Oconst of value
-  | Obad_reg              (* a register the function does not have *)
-
-type raddress =
-  | Rvar of int
-  | Rindex of int * roperand
-  | Rptr of roperand
-
-type callee = Func of int | Builtin of string
-
-type rinstr =
-  | Rbin of Cparse.Ast.binop * int * roperand * roperand
-  | Run of Cparse.Ast.unop * int * roperand
-  | Rmov of int * roperand
-  | Rcast of int * Cparse.Ast.ty * roperand
-  | Rload of int * raddress
-  | Rstore of raddress * roperand
-  | Rindex_addr of int * int * roperand        (* destination, slot, index *)
-  | Rcall of int * callee * roperand array     (* destination -1: none *)
-  | Rbad_dest of rinstr
-      (* the instruction writes the scratch register past the function's
-         own, then the out-of-range destination is reported *)
-
-type rterm =
-  | Rret of roperand option
-  | Rjmp of int
-  | Rbr of roperand * int * int
-  | Rswitch of roperand * (int64 * int) array * int   (* first match wins *)
-  | Runreachable
-  | Rmissing of label     (* the block a jump to an absent label enters *)
-
-type rblock = { instrs : rinstr array; term : rterm }
-
-type rfunc = {
-  name : string;
-  params : int array;     (* slot ids, bound in order *)
-  nregs : int;            (* register file size *)
-  blocks : rblock array;  (* entry first; empty when the function has none *)
-}
-
-type state = {
-  funcs : rfunc array;
-  slots : value array array;
-  mutable fuel : int;
-  mutable depth : int;
-}
-
-let zero = VI 0L
-
-(* First-match index over a list, as [List.find_opt] would pick. *)
-let first_index key items =
-  let tbl = Hashtbl.create 16 in
-  List.iteri (fun i x -> if not (Hashtbl.mem tbl (key x)) then Hashtbl.add tbl (key x) i) items;
-  tbl
-
-let resolve_func ~slot_id ~callee (f : func) : rfunc =
-  let n = f.fn_nregs + 1 in
-  let bad_dest = ref false in
-  let with_dest r mk =
-    if r >= 0 && r < n then mk r
-    else begin
-      bad_dest := true;
-      Rbad_dest (mk (max 0 n))
-    end
-  in
-  let operand = function
-    | Reg r -> if r >= 0 && r < n then Oreg r else Obad_reg
-    | Imm v -> Oconst (VI v)
-    | Fimm x -> Oconst (VF x)
-    | Sym s -> Oconst (VAddr (slot_id s, 0))
-  in
-  let address = function
-    | Avar name -> Rvar (slot_id name)
-    | Aindex (name, idx, _) -> Rindex (slot_id name, operand idx)
-    | Areg op -> Rptr (operand op)
-  in
-  let instr = function
-    | Ibin (op, r, a, b) -> with_dest r (fun r -> Rbin (op, r, operand a, operand b))
-    | Iun (op, r, a) -> with_dest r (fun r -> Run (op, r, operand a))
-    | Imov (r, a) -> with_dest r (fun r -> Rmov (r, operand a))
-    | Icast (r, ty, a) -> with_dest r (fun r -> Rcast (r, ty, operand a))
-    | Iload (r, addr) -> with_dest r (fun r -> Rload (r, address addr))
-    | Istore (addr, v) -> Rstore (address addr, operand v)
-    | Iaddr (r, Avar name) -> with_dest r (fun r -> Rmov (r, Oconst (VAddr (slot_id name, 0))))
-    | Iaddr (r, Aindex (name, idx, _)) ->
-      with_dest r (fun r -> Rindex_addr (r, slot_id name, operand idx))
-    | Iaddr (r, Areg op) -> with_dest r (fun r -> Rmov (r, operand op))
-    | Icall (r, fname, args) -> (
-      let args = Array.of_list (List.map operand args) in
-      match r with
-      | None -> Rcall (-1, callee fname, args)
-      | Some r -> with_dest r (fun r -> Rcall (r, callee fname, args)))
-  in
-  let labels = first_index (fun b -> b.b_label) f.fn_blocks in
-  let nblocks = List.length f.fn_blocks in
-  let missing = ref [] in
-  let target l =
-    match Hashtbl.find_opt labels l with
-    | Some i -> i
-    | None -> (
-      match List.assoc_opt l !missing with
-      | Some i -> i
-      | None ->
-        let i = nblocks + List.length !missing in
-        missing := (l, i) :: !missing;
-        i)
-  in
-  let term = function
-    | Tret op -> Rret (Option.map operand op)
-    | Tjmp l -> Rjmp (target l)
-    | Tbr (c, lt, lf) -> Rbr (operand c, target lt, target lf)
-    | Tswitch (c, cases, d) ->
-      Rswitch (operand c, Array.of_list (List.map (fun (v, l) -> (v, target l)) cases), target d)
-    | Tunreachable -> Runreachable
-  in
-  let blocks =
-    Array.of_list
-      (List.map (fun b -> { instrs = Array.of_list (List.map instr b.b_instrs); term = term b.b_term })
-         f.fn_blocks)
-  in
-  let missing_blocks =
-    Array.of_list (List.rev_map (fun (l, _) -> { instrs = [||]; term = Rmissing l }) !missing)
-  in
-  {
-    name = f.fn_name;
-    params = Array.of_list (List.map slot_id f.fn_params);
-    nregs = max 0 n + (if !bad_dest then 1 else 0);
-    blocks = Array.append blocks missing_blocks;
-  }
-
-(* The state a run starts from, and [main]'s index.  Every non-global
-   name gets one fresh zero cell; a global is sized and initialized by
-   its last declaration. *)
-let resolve (p : program) : state * int option =
-  let ids = Hashtbl.create 64 in
-  let slot_id name =
-    match Hashtbl.find_opt ids name with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids name i;
-      i
-  in
-  let func_index = first_index (fun f -> f.fn_name) p.p_funcs in
-  let callee name =
-    match Hashtbl.find_opt func_index name with Some i -> Func i | None -> Builtin name
-  in
-  let funcs = Array.of_list (List.map (resolve_func ~slot_id ~callee) p.p_funcs) in
-  List.iter (fun g -> ignore (slot_id g.g_name)) p.p_globals;
-  let slots = Array.init (Hashtbl.length ids) (fun _ -> [| zero |]) in
-  List.iter
-    (fun g ->
-      let init =
-        if g.g_float then VF (Option.value ~default:0. g.g_finit)
-        else VI (Option.value ~default:0L g.g_init)
-      in
-      slots.(Hashtbl.find ids g.g_name) <- Array.make (max 1 g.g_size) init)
-    p.p_globals;
-  ({ funcs; slots; fuel = 0; depth = 0 }, Hashtbl.find_opt func_index "main")
-
-(* ------------------------------------------------------------------ *)
-(* Values                                                              *)
+(* Values: the semantics, defined once for every path                  *)
 (* ------------------------------------------------------------------ *)
 
 let as_int = function
@@ -218,9 +58,9 @@ let as_float = function
   | VF f -> f
   | VAddr _ -> 1.
 
-let int_binop op a b =
+(* Inlined, so that the int path computes on unboxed payloads. *)
+let[@inline] int_binop op a b =
   let open Int64 in
-  let bool_ x = if x then 1L else 0L in
   match (op : Cparse.Ast.binop) with
   | Add -> add a b
   | Sub -> sub a b
@@ -229,25 +69,30 @@ let int_binop op a b =
   | Mod -> if equal b 0L then raise Trap else rem a b
   | Shl -> shift_left a (to_int (logand b 63L))
   | Shr -> shift_right a (to_int (logand b 63L))
-  | Lt -> bool_ (compare a b < 0)
-  | Gt -> bool_ (compare a b > 0)
-  | Le -> bool_ (compare a b <= 0)
-  | Ge -> bool_ (compare a b >= 0)
-  | Eq -> bool_ (equal a b)
-  | Ne -> bool_ (not (equal a b))
+  | Lt -> if compare a b < 0 then 1L else 0L
+  | Gt -> if compare a b > 0 then 1L else 0L
+  | Le -> if compare a b <= 0 then 1L else 0L
+  | Ge -> if compare a b >= 0 then 1L else 0L
+  | Eq -> if equal a b then 1L else 0L
+  | Ne -> if equal a b then 0L else 1L
   | Band -> logand a b
   | Bxor -> logxor a b
   | Bor -> logor a b
-  | Land -> bool_ ((not (equal a 0L)) && not (equal b 0L))
-  | Lor -> bool_ ((not (equal a 0L)) || not (equal b 0L))
+  | Land -> if (not (equal a 0L)) && not (equal b 0L) then 1L else 0L
+  | Lor -> if (not (equal a 0L)) || not (equal b 0L) then 1L else 0L
+
+(* Inlined, so that the float path computes on unboxed payloads. *)
+let[@inline] float_arith op a b =
+  match (op : Cparse.Ast.binop) with
+  | Add -> a +. b
+  | Sub -> a -. b
+  | Mul -> a *. b
+  | _ -> a /. b
 
 let float_binop op a b : value =
   let bool_ x = VI (if x then 1L else 0L) in
   match (op : Cparse.Ast.binop) with
-  | Add -> VF (a +. b)
-  | Sub -> VF (a -. b)
-  | Mul -> VF (a *. b)
-  | Div -> VF (a /. b)
+  | Add | Sub | Mul | Div -> VF (float_arith op a b)
   | Mod -> VF (Float.rem a b)
   | Lt -> bool_ (a < b)
   | Gt -> bool_ (a > b)
@@ -282,15 +127,20 @@ let eval_binop op (a : value) (b : value) : value =
     | _ -> raise (Unsupported "address-address arithmetic"))
   | VI x, VI y -> VI (int_binop op x y)
 
+let[@inline] int_unop op x =
+  match (op : Cparse.Ast.unop) with
+  | Neg -> Int64.neg x
+  | Uplus -> x
+  | Bitnot -> Int64.lognot x
+  | Lognot -> if Int64.equal x 0L then 1L else 0L
+
 let eval_unop op (v : value) : value =
   match (op : Cparse.Ast.unop), v with
   | Neg, VF f -> VF (-.f)
-  | Neg, v -> VI (Int64.neg (as_int v))
   | Uplus, v -> v
-  | Bitnot, v -> VI (Int64.lognot (as_int v))
   | Lognot, VF f -> VI (if f = 0. then 1L else 0L)
   | Lognot, VAddr _ -> VI 0L
-  | Lognot, v -> VI (if Int64.equal (as_int v) 0L then 1L else 0L)
+  | op, v -> VI (int_unop op (as_int v))
 
 let eval_cast (ty : Cparse.Ast.ty) (v : value) : value =
   match ty with
@@ -317,116 +167,430 @@ let call_builtin name (args : value array) : value =
   | "abort", _ -> raise Trap
   | _ -> raise (Unsupported ("builtin " ^ name))
 
+let truthy = function
+  | VI x -> not (Int64.equal x 0L)
+  | VF x -> x <> 0.
+  | VAddr _ -> true
+
+(* ------------------------------------------------------------------ *)
+(* Cells                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A cell's kind: an int, a float (its payload holds the bits), the
+   address of slot [k - 2] (its payload holds the element index), or
+   poison, the cell a register outside the function's file reads as. *)
+let k_int = 0
+let k_float = 1
+let k_poison = -1
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* The run's cells, in order: poison, the constant int 0, the return
+   cell, then slot cells and constants in order of first use, then the
+   register stack. *)
+let poison = 0
+let zero = 1
+let ret = 2
+
+(* An operand is register [o] of the current frame when [o >= 0], and
+   cell [lnot o] otherwise. *)
+let[@inline] cell fp o = if o >= 0 then fp + o else lnot o
+
+type ins =
+  | Bin of Cparse.Ast.binop * int * int * int   (* destination, operands *)
+  | Un of Cparse.Ast.unop * int * int
+  | Mov of int * int
+  | Cast of Cparse.Ast.ty * int * int
+  | Load of int * int                           (* destination, slot cell *)
+  | Store of int * int                          (* slot cell, operand *)
+  | Load_idx of int * int * int * int           (* destination, slot base, length, index *)
+  | Store_idx of int * int * int * int          (* slot base, length, index, operand *)
+  | Index_addr of int * int * int               (* destination, slot, index *)
+  | Load_ptr of int * int
+  | Store_ptr of int * int                      (* pointer, operand *)
+  | Call of int * int * int array               (* destination -1: none *)
+  | Builtin of int * string * int array
+  | Bad_dest of ins
+      (* the instruction writes the scratch register past the function's
+         own, then the out-of-range destination is reported *)
+
+type term =
+  | Ret of int
+  | Jmp of int
+  | Br of int * int * int
+  | Switch of int * (int64 * int) array * int   (* first match wins *)
+  | Unreachable
+  | Missing of label     (* the block a jump to an absent label enters *)
+
+(* [prepaid]: no instruction calls a user function, so the block may pay
+   for all of its instructions on entry. *)
+type block = { code : ins array; term : term; prepaid : bool }
+
+type fn = {
+  name : string;
+  params : int array;     (* slot cells, bound in order *)
+  nregs : int;            (* register window size *)
+  blocks : block array;   (* entry first; empty when the function has none *)
+}
+
+(* [Bytes.length pay = 8 * Array.length kind]; every access reads or
+   writes [kind] (bounds-checked) before the payload at the same cell. *)
+type state = {
+  mutable kind : int array;
+  mutable pay : Bytes.t;
+  mutable fuel : int;
+  mutable depth : int;
+  mutable funcs : fn array;
+  mutable sbase : int array;   (* slot id -> first cell *)
+  mutable slen : int array;    (* slot id -> cell count *)
+}
+
+(* Grow the space, doubling, until cells [0, n) exist. *)
+let reserve st n =
+  let cap = Array.length st.kind in
+  if n > cap then begin
+    let cap' = max n (2 * cap) in
+    let kind = Array.make cap' k_int and pay = Bytes.create (cap' lsl 3) in
+    Array.blit st.kind 0 kind 0 cap;
+    Bytes.blit st.pay 0 pay 0 (cap lsl 3);
+    st.kind <- kind;
+    st.pay <- pay
+  end
+
+let[@inline] int_at st c = get64 st.pay (c lsl 3)
+
+let[@inline] set_int st c x =
+  st.kind.(c) <- k_int;
+  set64 st.pay (c lsl 3) x
+
+let[@inline] float_at st c = Int64.float_of_bits (int_at st c)
+
+let[@inline] set_float st c x =
+  st.kind.(c) <- k_float;
+  set64 st.pay (c lsl 3) (Int64.bits_of_float x)
+
+let value st c =
+  let k = st.kind.(c) in
+  let x = get64 st.pay (c lsl 3) in
+  if k = k_int then VI x
+  else if k = k_float then VF (Int64.float_of_bits x)
+  else if k = k_poison then raise (Unsupported "register out of range")
+  else VAddr (k - 2, Int64.to_int x)
+
+let[@inline] set_addr st c s i =
+  st.kind.(c) <- s + 2;
+  set64 st.pay (c lsl 3) (Int64.of_int i)
+
+let put st c = function
+  | VI x -> set_int st c x
+  | VF x -> set_float st c x
+  | VAddr (s, i) -> set_addr st c s i
+
+let[@inline] readable st c = if st.kind.(c) = k_poison then raise (Unsupported "register out of range")
+
+let[@inline] copy st ~src ~dst =
+  let k = st.kind.(src) in
+  if k = k_poison then raise (Unsupported "register out of range");
+  st.kind.(dst) <- k;
+  set64 st.pay (dst lsl 3) (get64 st.pay (src lsl 3))
+
+(* An index operand's value, as an address element. *)
+let index st c = Int64.to_int (if st.kind.(c) = k_int then int_at st c else as_int (value st c))
+
+(* The cell of element [i] of slot [s], once it is known to exist. *)
+let[@inline] slot_cell st s i =
+  if i < 0 || i >= st.slen.(s) then raise Trap;
+  st.sbase.(s) + i
+
+(* The cell a pointer operand designates. *)
+let deref st c what =
+  let k = st.kind.(c) in
+  if k >= 2 then slot_cell st (k - 2) (Int64.to_int (int_at st c))
+  else match value st c with VI 0L -> raise Trap | _ -> raise (Unsupported what)
+
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Names = Hashtbl.Make (String)
+module Labels = Hashtbl.Make (Int)
+
+let rec calls_user = function Call _ -> true | Bad_dest i -> calls_user i | _ -> false
+
+(* The state a run starts from, [main]'s index, and the first register
+   cell.  Every non-global name gets one zero cell; a global is sized and
+   initialized by its last declaration. *)
+let compile (p : program) : state * int option * int =
+  let st =
+    { kind = Array.make 256 k_int; pay = Bytes.make 2048 '\000'; fuel = 0; depth = 0;
+      funcs = [||]; sbase = [||]; slen = [||] }
+  in
+  st.kind.(poison) <- k_poison;
+  let used = ref (ret + 1) in
+  let alloc v n =
+    let c = !used in
+    reserve st (c + n);
+    used := c + n;
+    for i = c to c + n - 1 do put st i v done;
+    c
+  in
+  let globals = Names.create 16 in
+  List.iter (fun g -> Names.replace globals g.g_name g) p.p_globals;
+  (* name -> slot id, first cell, cell count *)
+  let slots = Names.create 64 in
+  let slot name =
+    match Names.find_opt slots name with
+    | Some s -> s
+    | None ->
+      let len, init =
+        match Names.find_opt globals name with
+        | Some g when g.g_float -> (max 1 g.g_size, VF (Option.value ~default:0. g.g_finit))
+        | Some g -> (max 1 g.g_size, VI (Option.value ~default:0L g.g_init))
+        | None -> (1, VI 0L)
+      in
+      let s = (Names.length slots, alloc init len, len) in
+      Names.add slots name s;
+      s
+  in
+  let base name = let _, b, _ = slot name in b in
+  (* first match, as [List.find_opt] would pick *)
+  let func_index = Names.create 16 in
+  List.iteri (fun i f -> if not (Names.mem func_index f.fn_name) then Names.add func_index f.fn_name i) p.p_funcs;
+  let func (f : func) : fn =
+    let n = f.fn_nregs + 1 in
+    let scratch = max 0 n in
+    let bad_dest = ref false in
+    let valid r = r >= 0 && r < n in
+    let dst r = if valid r then r else (bad_dest := true; scratch) in
+    let wrap r i = if valid r then i else Bad_dest i in
+    let operand = function
+      | Reg r -> if valid r then r else lnot poison
+      | Imm v -> lnot (alloc (VI v) 1)
+      | Fimm x -> lnot (alloc (VF x) 1)
+      | Sym s -> let id, _, _ = slot s in lnot (alloc (VAddr (id, 0)) 1)
+    in
+    let instr = function
+      | Ibin (op, r, a, b) -> wrap r (Bin (op, dst r, operand a, operand b))
+      | Iun (op, r, a) -> wrap r (Un (op, dst r, operand a))
+      | Imov (r, a) | Iaddr (r, Areg a) -> wrap r (Mov (dst r, operand a))
+      | Icast (r, ty, a) -> wrap r (Cast (ty, dst r, operand a))
+      | Iload (r, Avar x) -> wrap r (Load (dst r, base x))
+      | Iload (r, Aindex (x, i, _)) ->
+        let _, b, len = slot x in
+        wrap r (Load_idx (dst r, b, len, operand i))
+      | Iload (r, Areg a) -> wrap r (Load_ptr (dst r, operand a))
+      | Istore (Avar x, v) -> Store (base x, operand v)
+      | Istore (Aindex (x, i, _), v) ->
+        let _, b, len = slot x in
+        Store_idx (b, len, operand i, operand v)
+      | Istore (Areg a, v) -> Store_ptr (operand a, operand v)
+      | Iaddr (r, Avar x) -> wrap r (Mov (dst r, operand (Sym x)))
+      | Iaddr (r, Aindex (x, i, _)) ->
+        let id, _, _ = slot x in
+        wrap r (Index_addr (dst r, id, operand i))
+      | Icall (r, name, args) -> (
+        let args = Array.of_list (List.map operand args) in
+        let call d =
+          match Names.find_opt func_index name with
+          | Some i -> Call (d, i, args)
+          | None -> Builtin (d, name, args)
+        in
+        match r with None -> call (-1) | Some r -> wrap r (call (dst r)))
+    in
+    let labels = Labels.create 16 in
+    List.iteri (fun i b -> if not (Labels.mem labels b.b_label) then Labels.add labels b.b_label i) f.fn_blocks;
+    let nblocks = List.length f.fn_blocks in
+    let missing = ref [] in
+    let target l =
+      match Labels.find_opt labels l with
+      | Some i -> i
+      | None -> (
+        match List.assoc_opt l !missing with
+        | Some i -> i
+        | None ->
+          let i = nblocks + List.length !missing in
+          missing := (l, i) :: !missing;
+          i)
+    in
+    let term = function
+      | Tret None -> Ret (lnot zero)
+      | Tret (Some op) -> Ret (operand op)
+      | Tjmp l -> Jmp (target l)
+      | Tbr (c, lt, lf) -> Br (operand c, target lt, target lf)
+      | Tswitch (c, cases, d) ->
+        Switch (operand c, Array.of_list (List.map (fun (v, l) -> (v, target l)) cases), target d)
+      | Tunreachable -> Unreachable
+    in
+    let block b =
+      let code = Array.of_list (List.map instr b.b_instrs) in
+      { code; term = term b.b_term; prepaid = not (Array.exists calls_user code) }
+    in
+    let blocks = Array.of_list (List.map block f.fn_blocks) in
+    let missing_blocks =
+      Array.of_list
+        (List.rev_map (fun (l, _) -> { code = [||]; term = Missing l; prepaid = true }) !missing)
+    in
+    let params = Array.of_list (List.map base f.fn_params) in
+    {
+      name = f.fn_name;
+      params;
+      nregs = scratch + (if !bad_dest then 1 else 0);
+      blocks = Array.append blocks missing_blocks;
+    }
+  in
+  st.funcs <- Array.of_list (List.map func p.p_funcs);
+  let nslots = Names.length slots in
+  st.sbase <- Array.make nslots 0;
+  st.slen <- Array.make nslots 0;
+  Names.iter
+    (fun _ (s, b, len) ->
+      st.sbase.(s) <- b;
+      st.slen.(s) <- len)
+    slots;
+  (st, Names.find_opt func_index "main", !used)
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let tick st =
+let[@inline] tick st =
   st.fuel <- st.fuel - 1;
   if st.fuel <= 0 then raise Out_of_fuel
 
-(* [Oreg r] was checked against the register file when resolved. *)
-let operand (regs : value array) = function
-  | Oreg r -> Array.unsafe_get regs r
-  | Oconst v -> v
-  | Obad_reg -> raise (Unsupported "register out of range")
-
-(* Slot [s]'s cells, once element [i] is known to exist. *)
-let cells st s i =
-  let cells = st.slots.(s) in
-  if i < 0 || i >= Array.length cells then raise Trap;
-  cells
-
-let load st regs = function
-  | Rvar s -> st.slots.(s).(0)
-  | Rindex (s, idx) ->
-    let i = Int64.to_int (as_int (operand regs idx)) in
-    (cells st s i).(i)
-  | Rptr op -> (
-    match operand regs op with
-    | VAddr (s, i) -> (cells st s i).(i)
-    | VI 0L -> raise Trap
-    | _ -> raise (Unsupported "load through a non-address value"))
-
-let store st regs addr v =
-  match addr with
-  | Rvar s -> st.slots.(s).(0) <- v
-  | Rindex (s, idx) ->
-    let i = Int64.to_int (as_int (operand regs idx)) in
-    (cells st s i).(i) <- v
-  | Rptr op -> (
-    match operand regs op with
-    | VAddr (s, i) -> (cells st s i).(i) <- v
-    | VI 0L -> raise Trap
-    | _ -> raise (Unsupported "store through a non-address value"))
-
-let rec call st (f : rfunc) (args : value array) : value =
+(* Call [f] with its register window at [fp]; the arguments are operands
+   of the caller's frame at [afp], already known to be readable.  The
+   result is left in the return cell. *)
+let rec call st (f : fn) fp (args : int array) afp =
   tick st;
   st.depth <- st.depth + 1;
   if st.depth > 100 then raise Out_of_fuel;
   for i = 0 to Array.length f.params - 1 do
-    st.slots.(f.params.(i)).(0) <- (if i < Array.length args then args.(i) else zero)
+    if i < Array.length args then copy st ~src:(cell afp args.(i)) ~dst:f.params.(i)
+    else set_int st f.params.(i) 0L
   done;
   if Array.length f.blocks = 0 then raise (Unsupported (Fmt.str "function %s has no blocks" f.name));
-  let result = run_block st f (Array.make f.nregs zero) 0 in
-  st.depth <- st.depth - 1;
-  result
+  (* an unwritten register reads as int 0 *)
+  reserve st (fp + f.nregs);
+  Array.fill st.kind fp f.nregs k_int;
+  Bytes.fill st.pay (fp lsl 3) (f.nregs lsl 3) '\000';
+  run_block st f fp 0;
+  st.depth <- st.depth - 1
 
-and exec st (regs : value array) = function
-  | Rbin (op, r, a, b) ->
-    let a = operand regs a in
-    regs.(r) <- eval_binop op a (operand regs b)
-  | Run (op, r, a) -> regs.(r) <- eval_unop op (operand regs a)
-  | Rmov (r, a) -> regs.(r) <- operand regs a
-  | Rcast (r, ty, a) -> regs.(r) <- eval_cast ty (operand regs a)
-  | Rload (r, addr) -> regs.(r) <- load st regs addr
-  | Rstore (addr, v) -> store st regs addr (operand regs v)
-  | Rindex_addr (r, s, idx) -> regs.(r) <- VAddr (s, Int64.to_int (as_int (operand regs idx)))
-  | Rcall (r, c, args) ->
-    let vargs = Array.map (operand regs) args in
-    let v =
-      match c with
-      | Func i -> call st st.funcs.(i) vargs
-      | Builtin name -> call_builtin name vargs
-    in
-    if r >= 0 then regs.(r) <- v
-  | Rbad_dest i ->
-    exec st regs i;
+(* The int paths: no call is made here but the tail call to
+   [exec_slow], which runs every other case. *)
+and exec st (f : fn) fp ins =
+  match ins with
+  | Bin (op, d, a, b) ->
+    let a = cell fp a and b = cell fp b in
+    if st.kind.(a) = k_int && st.kind.(b) = k_int then
+      set_int st (fp + d) (int_binop op (int_at st a) (int_at st b))
+    else float_bin st f fp ins op d a b
+  | Un (op, d, a) ->
+    let a = cell fp a in
+    if st.kind.(a) = k_int then set_int st (fp + d) (int_unop op (int_at st a))
+    else exec_slow st f fp ins
+  | Mov (d, a) -> copy st ~src:(cell fp a) ~dst:(fp + d)
+  | Load (d, c) -> copy st ~src:c ~dst:(fp + d)
+  | Store (c, a) -> copy st ~src:(cell fp a) ~dst:c
+  | Load_idx (d, b, len, i) ->
+    let i = cell fp i in
+    if st.kind.(i) <> k_int then exec_slow st f fp ins
+    else begin
+      let i = Int64.to_int (int_at st i) in
+      if i < 0 || i >= len then raise Trap;
+      copy st ~src:(b + i) ~dst:(fp + d)
+    end
+  | Store_idx (b, len, i, a) ->
+    (* the stored value is read before the address *)
+    let a = cell fp a and i = cell fp i in
+    readable st a;
+    if st.kind.(i) <> k_int then exec_slow st f fp ins
+    else begin
+      let i = Int64.to_int (int_at st i) in
+      if i < 0 || i >= len then raise Trap;
+      copy st ~src:a ~dst:(b + i)
+    end
+  | _ -> exec_slow st f fp ins
+
+(* Float arithmetic on two floats; its bit casts are C calls, so it is
+   kept out of [exec]. *)
+and float_bin st f fp ins op d a b =
+  match op with
+  | (Add | Sub | Mul | Div) when st.kind.(a) = k_float && st.kind.(b) = k_float ->
+    set_float st (fp + d) (float_arith op (float_at st a) (float_at st b))
+  | _ -> exec_slow st f fp ins
+
+(* Every operand decoded to a [value], through the same semantics. *)
+and exec_slow st f fp = function
+  | Bin (op, d, a, b) ->
+    let a = value st (cell fp a) in
+    put st (fp + d) (eval_binop op a (value st (cell fp b)))
+  | Un (op, d, a) -> put st (fp + d) (eval_unop op (value st (cell fp a)))
+  | (Mov _ | Load _ | Store _) as i -> exec st f fp i
+  | Cast (ty, d, a) -> put st (fp + d) (eval_cast ty (value st (cell fp a)))
+  | Load_idx (d, b, len, i) ->
+    let i = index st (cell fp i) in
+    if i < 0 || i >= len then raise Trap;
+    copy st ~src:(b + i) ~dst:(fp + d)
+  | Store_idx (b, len, i, a) ->
+    let a = cell fp a in
+    readable st a;
+    let i = index st (cell fp i) in
+    if i < 0 || i >= len then raise Trap;
+    copy st ~src:a ~dst:(b + i)
+  | Index_addr (d, s, i) -> set_addr st (fp + d) s (index st (cell fp i))
+  | Load_ptr (d, p) ->
+    copy st ~src:(deref st (cell fp p) "load through a non-address value") ~dst:(fp + d)
+  | Store_ptr (p, a) ->
+    let a = cell fp a in
+    readable st a;
+    copy st ~src:a ~dst:(deref st (cell fp p) "store through a non-address value")
+  | Call (d, i, args) ->
+    for k = 0 to Array.length args - 1 do readable st (cell fp args.(k)) done;
+    call st st.funcs.(i) (fp + f.nregs) args fp;
+    if d >= 0 then copy st ~src:ret ~dst:(fp + d)
+  | Builtin (d, name, args) ->
+    let v = call_builtin name (Array.map (fun o -> value st (cell fp o)) args) in
+    if d >= 0 then put st (fp + d) v
+  | Bad_dest i ->
+    exec st f fp i;
     raise (Unsupported "destination register out of range")
 
-and run_block st f regs bi =
+and run_block st f fp bi =
   tick st;
   let b = f.blocks.(bi) in
-  for k = 0 to Array.length b.instrs - 1 do
-    tick st;
-    exec st regs b.instrs.(k)
-  done;
+  let code = b.code in
+  let n = Array.length code in
+  (* no tick in a prepaid block can reach zero, and leftover fuel is
+     never observed, so paying on entry is exact *)
+  if b.prepaid && st.fuel > n then begin
+    st.fuel <- st.fuel - n;
+    for k = 0 to n - 1 do exec st f fp code.(k) done
+  end
+  else
+    for k = 0 to n - 1 do
+      tick st;
+      exec st f fp code.(k)
+    done;
   match b.term with
-  | Rret None -> zero
-  | Rret (Some op) -> operand regs op
-  | Rjmp l -> run_block st f regs l
-  | Rbr (c, lt, lf) ->
-    let truthy =
-      match operand regs c with
-      | VI x -> not (Int64.equal x 0L)
-      | VF x -> x <> 0.
-      | VAddr _ -> true
-    in
-    run_block st f regs (if truthy then lt else lf)
-  | Rswitch (c, cases, d) ->
-    let v = as_int (operand regs c) in
-    let rec find k =
-      if k = Array.length cases then d
-      else
-        let key, l = cases.(k) in
-        if Int64.equal key v then l else find (k + 1)
-    in
-    run_block st f regs (find 0)
-  | Runreachable -> raise Trap
-  | Rmissing l -> raise (Unsupported (Fmt.str "missing block L%d" l))
+  | Ret o -> copy st ~src:(cell fp o) ~dst:ret
+  | Jmp l -> run_block st f fp l
+  | Br (c, lt, lf) ->
+    let c = cell fp c in
+    let t = if st.kind.(c) = k_int then not (Int64.equal (int_at st c) 0L) else truthy (value st c) in
+    run_block st f fp (if t then lt else lf)
+  | Switch (c, cases, d) ->
+    let c = cell fp c in
+    let v = if st.kind.(c) = k_int then int_at st c else as_int (value st c) in
+    let k = ref 0 in
+    while !k < Array.length cases && not (Int64.equal (fst cases.(!k)) v) do incr k done;
+    run_block st f fp (if !k < Array.length cases then snd cases.(!k) else d)
+  | Unreachable -> raise Trap
+  | Missing l -> raise (Unsupported (Fmt.str "missing block L%d" l))
 
 let run ?(fuel = 500_000) (p : program) : outcome =
-  let st, main = resolve p in
+  let st, main, stack = compile p in
   st.fuel <- fuel;
   let finish exit trapped hang unsupported =
     { o_exit = exit; o_trapped = trapped; o_hang = hang; o_unsupported = unsupported }
@@ -434,8 +598,8 @@ let run ?(fuel = 500_000) (p : program) : outcome =
   match main with
   | None -> finish 0 false false None
   | Some main -> (
-    match call st st.funcs.(main) [||] with
-    | v -> finish (Int64.to_int (as_int v) land 0xff) false false None
+    match call st st.funcs.(main) stack [||] 0 with
+    | () -> finish (Int64.to_int (as_int (value st ret)) land 0xff) false false None
     | exception Trap -> finish 134 true false None
     | exception Out_of_fuel -> finish 124 false true None
     | exception Unsupported what -> finish 0 false false (Some what))

@@ -10,9 +10,12 @@
     Programs outside the subset report [o_unsupported] rather than a
     wrong answer.
 
-    Each {!run} first resolves the program — slot names, jump targets
-    and callees to indices — and then executes the resolved form; the
-    outcome is a function of the program and the fuel alone.
+    Each {!run} first compiles the program — slot names, jump targets,
+    callees and operands to indices into one cell space per run — and
+    then executes the compiled form.  A cell holds its kind and a 64-bit
+    payload unboxed, registers live on a stack of call windows, and the
+    int paths allocate nothing per instruction or call.  The outcome is
+    a function of the program and the fuel alone.
 
     {b Fuel.}  One unit is spent on every call, on every block entry
     (also when the jump target does not exist) and on every instruction,

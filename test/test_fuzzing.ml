@@ -758,6 +758,25 @@ let wrongcode_tests =
         in
         check Alcotest.bool "checked some" true
           (r.Fuzzing.Wrongcode.r_checked > 0));
+    tc "a pinned hunt finds the same mismatches" (fun () ->
+        (* level, reference -> observed exit code, MD5 prefix of the source *)
+        let r =
+          Fuzzing.Wrongcode.hunt ~rng:(Rng.create 77) ~compiler:Simcomp.Compiler.Gcc
+            ~seeds:(Fuzzing.Seeds.corpus ~n:60 (Rng.create 21))
+            ~iterations:200 ()
+        in
+        check Alcotest.int "checked" 175 r.Fuzzing.Wrongcode.r_checked;
+        check
+          Alcotest.(list string)
+          "mismatches"
+          [ "O3 247->190 d720410b"; "O2 3->2 c760cb03"; "O2 113->25 01b9486b";
+            "O3 247->190 a604f3d6"; "O2 247->190 805fd3f9"; "O2 113->25 89fc4118" ]
+          (List.map
+             (fun (mm : Fuzzing.Wrongcode.mismatch) ->
+               Fmt.str "O%d %d->%d %s" mm.mm_options.opt_level (fst mm.mm_reference)
+                 (fst mm.mm_observed)
+                 (String.sub (Digest.to_hex (Digest.string mm.mm_source)) 0 8))
+             r.Fuzzing.Wrongcode.r_mismatches));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1932,6 +1932,373 @@ let ir_interp_tests =
             ]
         in
         check Alcotest.string "first f, first L1" "1" (outcome p));
+    tc "a run allocates nothing per instruction or call" (fun () ->
+        List.iter
+          (fun src ->
+            let p =
+              match
+                Simcomp.Compiler.compile_ir Simcomp.Compiler.Gcc
+                  { Simcomp.Compiler.default_options with opt_level = 0 }
+                  src
+              with
+              | Ok p -> p
+              | Error e -> Alcotest.failf "%s: %s" src e
+            in
+            let words fuel =
+              let w0 = Gc.minor_words () in
+              ignore (Simcomp.Ir_interp.run ~fuel p);
+              Gc.minor_words () -. w0
+            in
+            let d = words 1_000_000 -. words 10_000 in
+            if d >= 1000. then Alcotest.failf "%s: fuel 1M allocates %.0f more words than fuel 10k" src d)
+          [
+            "int g; int main(void) { int x = 1; int i = 0; while (1) { x = x * 3 + (x >> 2) - i; \
+             i = i + 1; g = x; } return x; }";
+            "int g; int f(int a, int b) { return a * b + g; } int main(void) { int i = 0; \
+             while (1) { g = f(i, g) & 1023; i = i + 1; } return g; }";
+            "int a[16]; int main(void) { int i = 0; while (1) { a[i & 15] = a[(i + 3) & 15] + i; \
+             i = i + 1; } return a[0]; }";
+          ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* IR interpreter against its reference                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The full outcome record of both interpreters, as one comparable
+   value. *)
+let outcome_key (o : Simcomp.Ir_interp.outcome) = (o.o_exit, o.o_trapped, o.o_hang, o.o_unsupported)
+
+let ref_outcome_key (o : Ref_ir_interp.outcome) = (o.o_exit, o.o_trapped, o.o_hang, o.o_unsupported)
+
+(* Default fuel, 1, 2, 3 and 300, then the least fuel with which the
+   program completes, -1, ±0 and +1, when that is at most 50_000 (as in
+   the golden above: the search runs the program ~16 times). *)
+let fuel_ladder p =
+  let completes fuel = not (Simcomp.Ir_interp.run ~fuel p).o_hang in
+  let least =
+    if not (completes 50_000) then []
+    else begin
+      let lo = ref 1 and hi = ref 50_000 in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if completes mid then hi := mid else lo := mid + 1
+      done;
+      [ Some (!lo - 1); Some !lo; Some (!lo + 1) ]
+    end
+  in
+  [ None; Some 1; Some 2; Some 3; Some 300 ] @ least
+
+(* Every disagreement of the two interpreters over [programs] (a
+   sequence of labelled IR programs, made as it is consumed), each run on
+   its fuel ladder. *)
+let reference_disagreements programs =
+  Seq.concat_map
+    (fun (label, p) ->
+      List.filter_map
+        (fun fuel ->
+          let got = outcome_key (Simcomp.Ir_interp.run ?fuel p)
+          and want = ref_outcome_key (Ref_ir_interp.run ?fuel p) in
+          if got = want then None
+          else
+            let show (e, t, h, u) =
+              Fmt.str "%d%s%s%s" e (if t then "t" else "") (if h then "h" else "")
+                (match u with Some s -> "!" ^ s | None -> "")
+            in
+            Some
+              (Fmt.str "%s at fuel %s: reference %s, got %s" label
+                 (match fuel with Some f -> string_of_int f | None -> "default")
+                 (show want) (show got)))
+        (fuel_ladder p)
+      |> List.to_seq)
+    programs
+
+let check_reference what programs =
+  match List.of_seq (reference_disagreements programs) with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%s: %d disagreements, first: %s" what (List.length all) first
+
+(* Each source compiled by GCC-sim at -O0..-O3. *)
+let ir_of_sources tag sources =
+  Seq.concat_map
+    (fun (i, src) ->
+      Seq.filter_map
+        (fun opt ->
+          match
+            Simcomp.Compiler.compile_ir Simcomp.Compiler.Gcc
+              { Simcomp.Compiler.default_options with opt_level = opt }
+              src
+          with
+          | Ok p -> Some (Fmt.str "%s %d -O%d" tag i opt, p)
+          | Error _ -> None)
+        (List.to_seq [ 0; 1; 2; 3 ]))
+    (Seq.mapi (fun i src -> (i, src)) (List.to_seq sources))
+
+(* The IR programs of the hunt pinned in test_fuzzing
+   ([Wrongcode.hunt], GCC-sim, RNG 77, 60 seeds from RNG 21, 200
+   iterations): its mutant loop, replayed draw for draw, and each mutant
+   compiled at -O0 and at its drawn level. *)
+let hunt_programs () =
+  let rng = Rng.create 77 in
+  let pool =
+    Array.of_list
+      (List.filter_map
+         (fun src -> Result.to_option (Parser.parse src))
+         (Fuzzing.Seeds.corpus ~n:60 (Rng.create 21)))
+  in
+  let programs = ref [] and checked = ref 0 in
+  for _ = 1 to 200 do
+    let tu = pool.(Rng.int rng (Array.length pool)) in
+    let rounds = 1 + Rng.int rng 4 in
+    let mutated = ref tu and changed = ref false in
+    for _ = 1 to rounds do
+      let m = Rng.choose rng Mutators.Registry.core in
+      match Mutators.Mutator.apply m ~rng !mutated with
+      | Some tu' ->
+        mutated := tu';
+        changed := true
+      | None -> ()
+    done;
+    if !changed then begin
+      let src, _ = Simcomp.Scratch.render_tu !mutated in
+      incr checked;
+      let level = 2 + Rng.int rng 2 in
+      List.iter
+        (fun opt ->
+          match
+            Simcomp.Compiler.compile_ir ~tree:!mutated Simcomp.Compiler.Gcc
+              { Simcomp.Compiler.default_options with opt_level = opt }
+              src
+          with
+          | Ok p -> programs := (Fmt.str "hunt %d -O%d" !checked opt, p) :: !programs
+          | Error _ -> ())
+        [ 0; level ]
+    end
+  done;
+  (!checked, List.rev !programs)
+
+(* Hand-built IR for the shapes Lower never produces.  Globals: [g] an
+   int, [a] four ints, [d] a float.  Registers 1..3 of [main] hold the
+   address of a[2], the address of g and a float; register 0 is never
+   written, register 99 is out of range. *)
+let hand_globals =
+  let slot ?(size = 1) ?init ?finit name =
+    { Simcomp.Ir.g_name = name; g_size = size; g_init = init; g_finit = finit;
+      g_float = Option.is_some finit }
+  in
+  [ slot ~init:7L "g"; slot ~size:4 ~init:3L "a"; slot ~finit:1.5 "d"; slot ~size:0 "z" ]
+
+let hand_prelude =
+  Simcomp.Ir.
+    [ Iaddr (1, Aindex ("a", Imm 2L, 8)); Iaddr (2, Avar "g"); Imov (3, Fimm (-2.5)) ]
+
+let hand_operands =
+  Simcomp.Ir.
+    [ Imm 0L; Imm 5L; Imm (-3L); Imm Int64.min_int; Imm Int64.max_int; Imm 64L; Fimm 2.5;
+      Fimm Float.nan; Fimm 0.; Sym "g"; Sym "a"; Reg 0; Reg 1; Reg 2; Reg 3; Reg 99; Reg (-1) ]
+
+let hand_main ?(nregs = 8) ?(globals = hand_globals) ?(extra = []) instrs term =
+  {
+    Simcomp.Ir.p_funcs =
+      func ~nregs "main" [ block 0 (hand_prelude @ instrs) term; block 1 [] (Tret (Some (Imm 1L)));
+                           block 2 [] (Tret (Some (Imm 2L))) ]
+      :: extra;
+    p_globals = globals;
+  }
+
+let hand_built_programs () =
+  let open Simcomp.Ir in
+  let ops = hand_operands in
+  let n = ref 0 in
+  let named p = incr n; (Fmt.str "hand-built %d" !n, p) in
+  let binops =
+    Cparse.Ast.[ Add; Sub; Mul; Div; Mod; Shl; Shr; Lt; Gt; Le; Ge; Eq; Ne; Band; Bxor; Bor; Land; Lor ]
+  in
+  let unops = Cparse.Ast.[ Neg; Uplus; Bitnot; Lognot ] in
+  let casts =
+    Cparse.Ast.
+      [ Tbool; Tint (Ichar, true); Tint (Ichar, false); Tint (Ishort, true); Tint (Ishort, false);
+        Tint (Iint, true); Tint (Ilong, false); Tfloat; Tdouble; Tptr (Tint (Iint, true)); Tvoid;
+        Tstruct "s" ]
+  in
+  let ret5 = Tret (Some (Reg 5)) in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) ops) ops in
+  let binary =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun (a, b) ->
+            [ hand_main [ Ibin (op, 5, a, b) ] ret5;
+              hand_main [ Ibin (op, 5, a, b); Iload (6, Areg (Reg 5)) ] (Tret (Some (Reg 6))) ])
+          pairs)
+      binops
+  in
+  let single =
+    List.concat_map
+      (fun a ->
+        List.map (fun op -> hand_main [ Iun (op, 5, a) ] ret5) unops
+        @ List.map (fun ty -> hand_main [ Icast (5, ty, a) ] ret5) casts
+        @ [
+            hand_main [] (Tbr (a, 1, 2));
+            hand_main [] (Tswitch (a, [ (0L, 1); (5L, 2); (5L, 1); (1L, 1) ], 2));
+            hand_main [] (Tret (Some a));
+            hand_main [ Imov (5, a) ] ret5;
+            hand_main [ Iload (5, Areg a) ] ret5;
+            hand_main [ Iload (5, Aindex ("a", a, 8)) ] ret5;
+            hand_main [ Iload (5, Aindex ("z", a, 8)) ] ret5;
+            hand_main [ Iaddr (5, Aindex ("a", a, 8)); Iload (6, Areg (Reg 5)) ] (Tret (Some (Reg 6)));
+            hand_main [ Iaddr (5, Areg a) ] ret5;
+            hand_main [ Istore (Avar "g", a); Iload (5, Avar "g") ] ret5;
+            hand_main [ Icall (Some 5, "abs", [ a ]) ] ret5;
+            hand_main [ Icall (Some 5, "abs", [ a; a ]) ] ret5;
+            hand_main [ Icall (Some 5, "rand", [ a ]) ] ret5;
+            hand_main [ Icall (None, "abort", [ a ]) ] ret5;
+            hand_main [ Icall (Some 5, "f", [ a ]) ] ret5
+              ~extra:[ { (func ~nregs:2 "f" [ block 0 [ Iload (0, Avar "p") ] (Tret (Some (Reg 0))) ])
+                         with fn_params = [ "p"; "q" ] } ];
+          ]
+        @ List.concat_map
+            (fun v ->
+              [ hand_main [ Istore (Areg a, v); Iload (5, Avar "g"); Iload (6, Aindex ("a", Imm 2L, 8)) ]
+                  (Tret (Some (Reg 5)));
+                hand_main [ Istore (Areg a, v); Iload (6, Aindex ("a", Imm 2L, 8)) ] (Tret (Some (Reg 6)));
+                hand_main [ Istore (Aindex ("a", a, 8), v); Iload (6, Aindex ("a", Imm 3L, 8)) ]
+                  (Tret (Some (Reg 6))) ])
+            [ Imm 9L; Fimm 0.25; Sym "d"; Reg 99 ])
+      ops
+  in
+  (* calls: too few and too many arguments, bad arguments, a hanging or
+     trapping callee behind an out-of-range destination *)
+  let callee body = { (func ~nregs:3 "f" [ block 0 body (Tret (Some (Reg 0))) ]) with fn_params = [ "p"; "q" ] } in
+  let sum = [ Iload (1, Avar "p"); Iload (2, Avar "q"); Ibin (Cparse.Ast.Add, 0, Reg 1, Reg 2) ] in
+  let calls =
+    List.concat_map
+      (fun args ->
+        [ hand_main [ Icall (Some 5, "f", args) ] ret5 ~extra:[ callee sum ];
+          hand_main [ Icall (Some 50, "f", args) ] ret5 ~extra:[ callee sum ];
+          hand_main [ Icall (None, "f", args) ] (Tret (Some (Reg 0))) ~extra:[ callee sum ] ])
+      [ []; [ Imm 1L ]; [ Imm 1L; Imm 2L ]; [ Imm 1L; Imm 2L; Imm 3L ]; [ Reg 99; Imm 2L ];
+        [ Imm 1L; Reg 99 ]; [ Fimm 1.5; Reg 2 ]; [ Sym "a"; Imm 2L; Reg 99 ] ]
+    @ [ hand_main [ Icall (Some 50, "f", []) ] ret5
+          ~extra:[ func "f" [ block 0 [] (Tjmp 0) ] ];
+        hand_main [ Icall (Some 50, "f", []) ] ret5
+          ~extra:[ func "f" [ block 0 [ Ibin (Cparse.Ast.Div, 0, Imm 1L, Imm 0L) ] (Tret None) ] ];
+        (* a callee's registers start at 0 whatever the last callee left *)
+        hand_main [ Icall (Some 5, "w", []); Icall (Some 5, "r", []) ] ret5
+          ~extra:[ func ~nregs:2 "w" [ block 0 [ Imov (0, Imm 7L); Imov (1, Fimm 2.) ] (Tret (Some (Reg 0))) ];
+                   func ~nregs:2 "r" [ block 0 [ Ibin (Cparse.Ast.Add, 2, Reg 0, Reg 1) ] (Tret (Some (Reg 2))) ] ];
+        hand_main [ Icall (Some 5, "main", []) ] ret5 ]
+  in
+  (* labels, functions and register files the lowering never makes *)
+  let structure =
+    [ prog [ func "main" [ block 0 [] (Tjmp 3); block 3 [] (Tret (Some (Imm 4L))); block 3 [] (Tret None) ] ];
+      prog [ func "main" [ block 0 [] (Tbr (Imm 1L, 7, 8)) ] ];
+      prog [ func "main" [ block 0 [] (Tswitch (Imm 2L, [ (2L, 9) ], 9)) ] ];
+      prog [ func "main" [ block 0 [] Tunreachable ] ];
+      prog [ func "main" [] ];
+      prog [ func "f" [ block 0 [] (Tret (Some (Imm 1L))) ] ];
+      prog [ func ~nregs:(-1) "main" [ block 0 [ Imov (0, Imm 3L) ] (Tret (Some (Reg 0))) ] ];
+      prog [ func ~nregs:(-5) "main" [ block 0 [] (Tret (Some (Imm 3L))) ] ];
+      prog [ func ~nregs:(-5) "main" [ block 0 [ Imov (0, Imm 3L) ] (Tret (Some (Imm 3L))) ] ];
+      prog [ func ~nregs:(-5) "main" [ block 0 [] (Tret (Some (Reg 0))) ] ];
+      prog [ func "main" [ block 0 [ Icall (Some 0, "f", []) ] (Tret (Some (Reg 0))) ];
+             func "f" [ block 0 [] (Tret (Some (Imm 1L))) ]; func "f" [] ];
+      prog [ func "main" [ block 0 [ Icall (Some 0, "f", []) ] (Tret (Some (Reg 0))) ];
+             func "f" []; func "f" [ block 0 [] (Tret (Some (Imm 1L))) ] ];
+      prog [ func "main" [ block 0 [] (Tret (Some (Imm 5L))) ]; func "main" [ block 0 [] (Tret None) ] ];
+    ]
+  in
+  List.map named (binary @ single @ calls @ structure)
+
+(* Randomly malformed copies of lowered IR: registers moved out of
+   range, operands swapped for floats, addresses and edge constants,
+   arguments dropped or added, callees renamed, blocks dropped or
+   duplicated, register files shrunk. *)
+let malform rng (p : Simcomp.Ir.program) : Simcomp.Ir.program =
+  let open Simcomp.Ir in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let names = List.map (fun g -> g.g_name) p.p_globals @ [ "fresh" ] in
+  let funcs = List.map (fun f -> f.fn_name) p.p_funcs @ [ "abs"; "rand"; "abort"; "frobnicate" ] in
+  let chance k = Rng.int rng k = 0 in
+  let mutate_fn (f : func) =
+    let reg r = if chance 12 then Rng.int rng (f.fn_nregs + 4) - 2 else r in
+    let op o =
+      if chance 10 then
+        pick [ Reg (Rng.int rng (f.fn_nregs + 4) - 2); Imm 0L; Imm (-1L); Imm Int64.min_int; Imm 63L;
+               Imm 1_000_000L; Fimm 0.5; Fimm (-3.75); Sym (pick names) ]
+      else match o with Reg r -> Reg (reg r) | o -> o
+    in
+    let addr = function
+      | Avar _ when chance 10 -> Areg (op (Reg (Rng.int rng (f.fn_nregs + 1))))
+      | Avar x -> Avar x
+      | Aindex (x, i, s) -> Aindex (x, op i, s)
+      | Areg o -> Areg (op o)
+    in
+    let instr = function
+      | Ibin (b, r, x, y) -> Ibin (b, reg r, op x, op y)
+      | Iun (u, r, x) -> Iun (u, reg r, op x)
+      | Imov (r, x) -> Imov (reg r, op x)
+      | Icast (r, ty, x) ->
+        Icast (reg r, (if chance 6 then pick Cparse.Ast.[ Tbool; Tfloat; Tint (Ichar, true); Tvoid ] else ty), op x)
+      | Iload (r, a) -> Iload (reg r, addr a)
+      | Istore (a, x) -> Istore (addr a, op x)
+      | Iaddr (r, a) -> Iaddr (reg r, addr a)
+      | Icall (r, name, args) ->
+        let args = List.map op args in
+        let args =
+          if chance 6 then (match args with [] -> [ Imm 1L ] | _ :: rest -> rest)
+          else if chance 6 then args @ [ op (Imm 2L) ] else args
+        in
+        Icall (Option.map reg r, (if chance 8 then pick funcs else name), args)
+    in
+    let term = function
+      | Tret (Some o) -> Tret (Some (op o))
+      | Tbr (c, a, b) -> Tbr (op c, a, if chance 20 then b + 1000 else b)
+      | Tswitch (c, cases, d) -> Tswitch (op c, cases, d)
+      | t -> if chance 30 then Tunreachable else t
+    in
+    let blocks =
+      List.concat_map
+        (fun b ->
+          let b' = { b_label = b.b_label; b_instrs = List.map instr b.b_instrs; b_term = term b.b_term } in
+          if chance 25 then [] else if chance 25 then [ b'; { b' with b_label = b.b_label } ] else [ b' ])
+        f.fn_blocks
+    in
+    { f with fn_blocks = blocks; fn_nregs = (if chance 15 then f.fn_nregs - Rng.int rng 3 else f.fn_nregs) }
+  in
+  { p with p_funcs = List.map mutate_fn p.p_funcs }
+
+let ir_reference_tests =
+  [
+    tc "golden programs at -O0..-O3 agree with the reference" (fun () ->
+        check_reference "golden" (ir_of_sources "golden" (golden_programs ())));
+    tc "generated programs at -O0..-O3 agree with the reference" (fun () ->
+        let sources cfg seed =
+          List.init 200 (fun i -> Ast_gen.gen_source ~cfg (Rng.create (seed + i)))
+        in
+        check_reference "generated"
+          (Seq.concat
+             (List.to_seq
+                [ ir_of_sources "default" (sources Ast_gen.default_config 11_000);
+                  ir_of_sources "csmith" (sources Ast_gen.csmith_like_config 12_000);
+                  ir_of_sources "yarpgen" (sources Ast_gen.yarpgen_like_config 13_000) ])));
+    tc "the pinned hunt's programs agree with the reference" (fun () ->
+        let checked, programs = hunt_programs () in
+        check Alcotest.int "mutants checked, as the hunt reports" 175 checked;
+        check_reference "hunt" (List.to_seq programs));
+    tc "hand-built IR agrees with the reference" (fun () ->
+        check_reference "hand-built" (List.to_seq (hand_built_programs ())));
+    tc "randomly malformed IR agrees with the reference" (fun () ->
+        let rng = Rng.create 2024 in
+        let bases =
+          ir_of_sources "base" (List.init 40 (fun i -> Ast_gen.gen_source (Rng.create (14_000 + i))))
+        in
+        check_reference "malformed"
+          (Seq.concat_map
+             (fun (label, p) ->
+               List.to_seq (List.init 3 (fun k -> (Fmt.str "%s malformed %d" label k, malform rng p))))
+             bases));
   ]
 
 (* Front-end golden.  For each input it pins the token count ("E" on a
@@ -2850,5 +3217,5 @@ let () =
       ("backend-differential", backend_differential_tests);
       ("bugs-and-pipeline", bug_tests @ pipeline_props);
       ("differential", differential_tests @ [ mutant_differential ]);
-      ("ir-interp", ir_interp_tests);
+      ("ir-interp", ir_interp_tests @ ir_reference_tests);
     ]
