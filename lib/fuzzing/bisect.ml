@@ -5,6 +5,8 @@
    With the pass manager this is answerable by experiment — re-compile
    the offending source with passes disabled and watch the finding
    (crash identity, or the wrong-code differential) appear and vanish.
+   An ICE probe recompiles the source through the checked pipeline; a
+   wrong-code probe only re-optimizes a copy of one shared lowering.
 
    The search is greedy rather than a full ddmin: first probe each
    planned pass individually (a pass whose lone disabling clears the
@@ -36,22 +38,59 @@ type verdict = {
   v_recompiles : int;
 }
 
+(* A finding, with the probe that asks whether the same finding
+   survives other options, and the first divergent pass (wrong code
+   only).  A wrong-code finding is lowered and observed at -O0 once;
+   every probe optimizes a copy of that lowering. *)
+type subject = {
+  s_finding : finding;
+  s_present : Simcomp.Compiler.options -> bool;
+  s_first_divergent : string option;
+}
+
 let detect (compiler : Simcomp.Compiler.compiler)
-    (opts : Simcomp.Compiler.options) (src : string) : finding option =
+    (opts : Simcomp.Compiler.options) (src : string) : subject option =
   match Simcomp.Compiler.compile compiler opts src with
   | Simcomp.Compiler.Crashed c ->
-    Some (Ice { key = Simcomp.Crash.unique_key c; bug_id = c.Simcomp.Crash.bug_id })
+    let key = Simcomp.Crash.unique_key c in
+    let present probe_opts =
+      match Simcomp.Compiler.compile compiler probe_opts src with
+      | Simcomp.Compiler.Crashed c -> String.equal (Simcomp.Crash.unique_key c) key
+      | _ -> false
+    in
+    Some
+      {
+        s_finding = Ice { key; bug_id = c.Simcomp.Crash.bug_id };
+        s_present = present;
+        s_first_divergent = None;
+      }
   | Simcomp.Compiler.Compile_error _ -> None
   | Simcomp.Compiler.Compiled _ -> (
-    match Wrongcode.check_program compiler opts src with
-    | Some mm ->
-      Some
-        (Wrong_code
-           {
-             reference = mm.Wrongcode.mm_reference;
-             observed = mm.Wrongcode.mm_observed;
-           })
-    | None -> None)
+    match Simcomp.Compiler.lower compiler src with
+    | Error _ -> None
+    | Ok (prog, ast) -> (
+      match Wrongcode.run_ir prog with
+      | None -> None
+      | Some reference -> (
+        let fork () = (Simcomp.Ir.copy prog, ast) in
+        (* any remaining divergence counts: the corrupted values
+           legitimately shift as the downstream pipeline changes *)
+        let diverges probe_opts =
+          match Wrongcode.observe compiler probe_opts (fork ()) with
+          | Some o when o <> reference -> Some o
+          | _ -> None
+        in
+        match diverges opts with
+        | None -> None
+        | Some observed ->
+          Some
+            {
+              s_finding = Wrong_code { reference; observed };
+              s_present = (fun o -> Option.is_some (diverges o));
+              s_first_divergent =
+                (Simcomp.Compiler.optimize ~reference compiler opts (fork ()))
+                  .Simcomp.Compiler.pt_first_divergent;
+            })))
 
 let dedup_keep_order names =
   let seen = Hashtbl.create 8 in
@@ -68,31 +107,21 @@ let run ?engine (compiler : Simcomp.Compiler.compiler)
     (opts : Simcomp.Compiler.options) (src : string) : verdict option =
   match detect compiler opts src with
   | None -> None
-  | Some finding ->
+  | Some subject ->
     Option.iter (fun ctx -> Engine.Ctx.incr ctx "bisect.runs") engine;
     let recompiles = ref 0 in
     (* is the *same* finding still present with [extra] passes also
        disabled?  Crash identity must match; for wrong-code any
-       remaining divergence counts (the corrupted values legitimately
-       shift as the downstream pipeline changes). *)
+       remaining divergence counts. *)
     let present extra =
       incr recompiles;
       Option.iter (fun ctx -> Engine.Ctx.incr ctx "bisect.recompiles") engine;
-      let probe_opts =
+      subject.s_present
         {
           opts with
           Simcomp.Compiler.disabled_passes =
             opts.Simcomp.Compiler.disabled_passes @ extra;
         }
-      in
-      match finding with
-      | Ice { key; _ } -> (
-        match Simcomp.Compiler.compile compiler probe_opts src with
-        | Simcomp.Compiler.Crashed c ->
-          String.equal (Simcomp.Crash.unique_key c) key
-        | _ -> false)
-      | Wrong_code _ ->
-        Option.is_some (Wrongcode.check_program compiler probe_opts src)
     in
     let pipeline = Simcomp.Compiler.pipeline_of opts in
     let uniq = dedup_keep_order pipeline in
@@ -115,22 +144,12 @@ let run ?engine (compiler : Simcomp.Compiler.compiler)
     in
     if not attributable then
       Option.iter (fun ctx -> Engine.Ctx.incr ctx "bisect.unattributable") engine;
-    let first_divergent =
-      match finding with
-      | Ice _ -> None
-      | Wrong_code _ -> (
-        match
-          Simcomp.Compiler.compile_passes ~verify:true compiler opts src
-        with
-        | Ok tr -> tr.Simcomp.Compiler.pt_first_divergent
-        | Error _ -> None)
-    in
     Some
       {
-        v_finding = finding;
+        v_finding = subject.s_finding;
         v_pipeline = pipeline;
         v_culprits = culprits;
-        v_first_divergent = first_divergent;
+        v_first_divergent = subject.s_first_divergent;
         v_attributable = attributable;
         v_recompiles = !recompiles;
       }

@@ -29,7 +29,9 @@ type verdict = {
   v_attributable : bool;
       (** false when the finding persists with every pass disabled
           (front-end or level-gated, not pass-attributable) *)
-  v_recompiles : int;  (** probe compiles spent *)
+  v_recompiles : int;
+      (** probes spent: compiles for an ICE, optimizations of a copy of
+          the one lowering for wrong code *)
 }
 
 val run :

@@ -4,9 +4,16 @@
    The paper's related work (Orion/EMI, Athena, Hermes) finds
    miscompilations by comparing semantics across equivalent programs or
    configurations.  This module implements the configuration-differential
-   variant: compile the same program at -O0 and at the target level, run
-   both IRs in the IR interpreter, and flag any observable difference.
-   μCFuzz's mutators supply the program diversity. *)
+   variant: run the same program at -O0 and at the target level in the
+   IR interpreter, and flag any observable difference.  μCFuzz's
+   mutators supply the program diversity.
+
+   The front-end and lowering read no options, so a check runs them
+   once ([Compiler.lower]).  The -O0 pipeline plans no pass, so the
+   lowered IR is the reference; the target level then optimizes that
+   same program in place ([Compiler.optimize]) and runs it again.  A
+   program with no reference (it does not compile, hangs or leaves the
+   interpreter's subset) is never optimized. *)
 
 open Cparse
 
@@ -19,29 +26,29 @@ type mismatch = {
 
 let run_ir p = Simcomp.Ir_interp.observable ~fuel:1_000_000 p
 
+let observe compiler options lowered =
+  run_ir (Simcomp.Compiler.optimize compiler options lowered).pt_program
+
 (* Check one program at one optimization level against the -O0 baseline. *)
 let check_program ?tree (compiler : Simcomp.Compiler.compiler)
     (options : Simcomp.Compiler.options) (src : string) : mismatch option =
-  let observe opts =
-    match Simcomp.Compiler.compile_ir ?tree compiler opts src with
-    | Ok p -> run_ir p
-    | Error _ -> None
-  in
-  (* the reference must be truly unoptimized: clear any explicit
-     pipeline override along with the level *)
-  let reference_opts =
-    {
-      options with
-      Simcomp.Compiler.opt_level = 0;
-      disabled_passes = [];
-      pass_list = None;
-    }
-  in
-  match observe reference_opts, observe options with
-  | Some reference, Some observed when reference <> observed ->
-    Some
-      { mm_source = src; mm_options = options; mm_reference = reference; mm_observed = observed }
-  | _ -> None
+  match Simcomp.Compiler.lower ?tree compiler src with
+  | Error _ -> None
+  | Ok ((prog, _) as lowered) -> (
+    (* an unknown pass in [pass_list] raises even when there is no
+       reference to difference against *)
+    ignore (Simcomp.Compiler.pipeline_of options);
+    (* -O0 plans no pass, so the lowered IR is the reference as it
+       stands; the target then optimizes that same program *)
+    match run_ir prog with
+    | None -> None
+    | Some reference -> (
+      match observe compiler options lowered with
+      | Some observed when observed <> reference ->
+        Some
+          { mm_source = src; mm_options = options; mm_reference = reference;
+            mm_observed = observed }
+      | _ -> None))
 
 type report = {
   r_mismatches : mismatch list;

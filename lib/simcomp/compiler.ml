@@ -407,19 +407,16 @@ let pass_counters (ctx : Engine.Ctx.t) (name : string) : pass_counters =
 
 (* Run the optimizer pipeline over [prog]: per-pass engine accounting
    (spans + opt.pass.<name>.{runs,changes}), the culprit-keyed wrong-code
-   injection, and optional per-step IR snapshots / differential checks.
-   Shared by [compile_tu] and [compile_ir] (no [collect]) and
-   [compile_passes]. *)
-let run_opt_stage ?cov ?engine ?collect ?(verify = false)
-    (compiler : compiler) (opts : options) (ast : Features.ast)
-    (prog : Ir.program) : (string * int) list * (int * bool) option =
+   injection, and optional per-step IR snapshots and differential checks
+   against the pre-opt [reference] behaviour.  Shared by [compile_tu]
+   (no [collect]) and [optimize]. *)
+let run_opt_stage ?cov ?engine ?collect ?reference (compiler : compiler)
+    (opts : options) (ast : Features.ast) (prog : Ir.program) :
+    (string * int) list =
   let planned = pipeline_of opts in
   let mc =
     Bugdb.check_miscompile ~compiler ~opt_level:opts.opt_level
       ~pipeline:planned ~ast
-  in
-  let reference =
-    if verify then Ir_interp.observable ~fuel:interp_fuel prog else None
   in
   let dump_wanted name =
     match opts.dump_ir with
@@ -477,11 +474,8 @@ let run_opt_stage ?cov ?engine ?collect ?(verify = false)
           st_diverged = diverged;
         }
   in
-  let results =
-    Opt.run_pipeline ?cov ~observer ~instrument ?pass_list:opts.pass_list
-      ~level:opts.opt_level ~disabled:opts.disabled_passes prog
-  in
-  (results, reference)
+  Opt.run_pipeline ?cov ~observer ~instrument ?pass_list:opts.pass_list
+    ~level:opts.opt_level ~disabled:opts.disabled_passes prog
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)
@@ -615,9 +609,7 @@ let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree ?tokens
         (* optimization: the stage runner handles per-pass accounting
            and the culprit-keyed wrong-code injection *)
         span "compile.opt" (fun () ->
-            let results, _ =
-              run_opt_stage ?cov ?engine compiler opts ast prog
-            in
+            let results = run_opt_stage ?cov ?engine compiler opts ast prog in
             let executed = List.map fst results in
             Bugdb.check_passes ~compiler ~executed ~ast;
             check ~executed Crash.Optimization (Some ast));
@@ -655,11 +647,12 @@ let compile ?cov ?engine ?faults ?emit (compiler : compiler) (opts : options)
     (src : string) : outcome =
   fst (compile_tu ?cov ?engine ?faults ?emit compiler opts src)
 
-(* The crash-free entry behind [compile_passes] and [compile_ir]: the
-   shared front-end without bug checks, then lowering.  Seeded ICEs must
-   not mask the wrong-code observation channel; the optimizer still
-   injects the culprit-keyed miscompilation. *)
-let lower_unchecked ?tree (compiler : compiler) (src : string) :
+(* The crash-free stages behind [compile_passes], [compile_ir] and the
+   wrong-code oracle.  [lower] is the shared front-end without bug
+   checks, then lowering: seeded ICEs must not mask the wrong-code
+   observation channel.  It reads no options, so one lowering serves
+   every level. *)
+let lower ?tree (compiler : compiler) (src : string) :
     (Ir.program * Features.ast, string) result =
   match
     front_end ?tree ~salt:(salt compiler) ~check:ignore ~parsed:(ref None) src
@@ -667,43 +660,42 @@ let lower_unchecked ?tree (compiler : compiler) (src : string) :
   | Error msgs -> Error (String.concat "\n" msgs)
   | Ok (tu, tc, ast) -> Ok (Lower.lower_tu tu tc, ast)
 
-(* Run the pipeline step by step, recording each executed pass: change
-   counts, IR snapshots per [opts.dump_ir], and (with [verify]) a
-   per-pass differential check against the pre-opt IR semantics. *)
+(* Optimize a lowered program in place, recording each executed pass:
+   change counts, IR snapshots per [opts.dump_ir], and (given the
+   program's pre-opt [reference] behaviour) a per-pass differential
+   check against it.  The culprit pass still injects its
+   miscompilation. *)
+let optimize ?reference (compiler : compiler) (opts : options)
+    ((prog, ast) : Ir.program * Features.ast) : pass_trace =
+  let steps = ref [] in
+  let collect st = steps := st :: !steps in
+  ignore (run_opt_stage ~collect ?reference compiler opts ast prog);
+  let steps = List.rev !steps in
+  {
+    pt_steps = steps;
+    pt_reference = reference;
+    pt_first_divergent =
+      List.find_map
+        (fun st -> if st.st_diverged = Some true then Some st.st_pass else None)
+        steps;
+    pt_program = prog;
+  }
+
 let compile_passes ?(verify = false) (compiler : compiler) (opts : options)
     (src : string) : (pass_trace, string) result =
   Result.map
-    (fun (prog, ast) ->
-      let steps = ref [] in
-      let collect st = steps := st :: !steps in
-      let _, reference = run_opt_stage ~collect ~verify compiler opts ast prog in
-      let steps = List.rev !steps in
-      let first_divergent =
-        List.find_map
-          (fun st ->
-            match st.st_diverged with
-            | Some true -> Some st.st_pass
-            | _ -> None)
-          steps
+    (fun ((prog, _) as lowered) ->
+      let reference =
+        if verify then Ir_interp.observable ~fuel:interp_fuel prog else None
       in
-      {
-        pt_steps = steps;
-        pt_reference = reference;
-        pt_first_divergent = first_divergent;
-        pt_program = prog;
-      })
-    (lower_unchecked compiler src)
+      optimize ?reference compiler opts lowered)
+    (lower compiler src)
 
-(* Produce the (possibly silently corrupted) optimized IR: the hook the
-   EMI-style wrong-code detector (Fuzzing.Wrongcode) differences against
-   the -O0 lowering. *)
 let compile_ir ?tree (compiler : compiler) (opts : options) (src : string) :
     (Ir.program, string) result =
   Result.map
-    (fun (prog, ast) ->
-      ignore (run_opt_stage compiler opts ast prog);
-      prog)
-    (lower_unchecked ?tree compiler src)
+    (fun lowered -> (optimize compiler opts lowered).pt_program)
+    (lower ?tree compiler src)
 
 (* Sample a random command line the way the macro fuzzer does.  The pass
    universe comes from the registry, so a newly registered pass joins

@@ -159,28 +159,48 @@ type pass_trace = {
   pt_program : Ir.program;  (** the final (possibly miscompiled) IR *)
 }
 
+val lower :
+  ?tree:Cparse.Ast.tu -> compiler -> string ->
+  (Ir.program * Features.ast, string) result
+(** The first stage of the crash-free pipeline behind {!compile_passes},
+    {!compile_ir} and the wrong-code oracle: the front-end {!compile}
+    runs (same lexer, parser and type checker), but without the seeded
+    bug checks, then lowering.  The result is the unoptimized IR with
+    the AST features the optimizer's miscompile gates read.  It reads
+    no options, so one lowering serves every level: [-O0] plans no
+    pass, so the lowered IR is the [-O0] program as it stands, and
+    {!optimize} on an {!Ir.copy} forks it across levels.  The channel
+    is crash-free, so seeded ICEs cannot mask a wrong-code finding.  On
+    an input {!compile} rejects, [Error] carries the same diagnostics
+    as its [Compile_error], joined by newlines.  [tree] is as for
+    {!compile_tu}; with no coverage to feed, a vouched-for tree skips
+    both the lexer and the parser without a token stream. *)
+
+val optimize :
+  ?reference:int * bool -> compiler -> options ->
+  Ir.program * Features.ast -> pass_trace
+(** Run the optimizer pipeline under the options over a {!lower}ed
+    program, in place, recording each executed pass (change counts and
+    IR snapshots per [options.dump_ir]).  The culprit pass still
+    injects its miscompilation.  Given [reference], the program's
+    pre-opt observable behaviour, the IR is interpreted after every
+    pass and compared against it ([st_diverged], [pt_first_divergent]);
+    without it no pass is interpreted.  [pt_program] is the program
+    passed in.
+    @raise Invalid_argument if [pass_list] names an unknown pass. *)
+
 val compile_passes :
   ?verify:bool -> compiler -> options -> string ->
   (pass_trace, string) result
-(** Run the pipeline step by step, recording each executed pass; with
-    [verify] (default false) the IR is interpreted after every pass and
-    compared against the pre-opt semantics.  The front-end is the one
-    {!compile} runs (same lexer, parser and type checker), but without
-    the seeded bug checks: the observation channel is crash-free, so
-    seeded ICEs cannot mask a wrong-code finding, while the culprit
-    pass still injects its miscompilation.  On an input {!compile}
-    rejects, [Error] carries the same diagnostics as its
-    [Compile_error], joined by newlines. *)
+(** {!lower}, then {!optimize}; with [verify] (default false) the
+    lowered IR's observable behaviour is the [reference], so every pass
+    is checked against the pre-opt semantics. *)
 
 val compile_ir :
   ?tree:Cparse.Ast.tu -> compiler -> options -> string ->
   (Ir.program, string) result
-(** Produce the (possibly silently miscompiled) optimized IR — the hook
-    the EMI-style wrong-code detector differences against -O0.  The
-    same crash-free pipeline and [Error] as {!compile_passes}, without
-    recording any step.  [tree] is as for {!compile_tu}; with no
-    coverage to feed, a vouched-for tree skips both the lexer and the
-    parser without a token stream. *)
+(** {!lower}, then {!optimize}, returning the (possibly silently
+    miscompiled) optimized IR. *)
 
 val random_options : Cparse.Rng.t -> options
 (** Sample a random command line, as the macro fuzzer does (§3.4). *)

@@ -82,6 +82,20 @@ let instr_count func =
 
 let program_size p = List.fold_left (fun acc f -> acc + instr_count f) 0 p.p_funcs
 
+(* A copy that the optimizer can rewrite without touching [p].  Passes
+   mutate only the mutable fields of blocks and functions; everything
+   they hold (instruction lists, terminators, globals) is immutable and
+   can be shared, so fresh block and function records are enough. *)
+let copy p =
+  {
+    p with
+    p_funcs =
+      List.map
+        (fun f ->
+          { f with fn_blocks = List.map (fun b -> { b with b_instrs = b.b_instrs }) f.fn_blocks })
+        p.p_funcs;
+  }
+
 (* Destination register of an instruction, if any. *)
 let dest = function
   | Ibin (_, r, _, _) | Iun (_, r, _) | Imov (r, _) | Icast (r, _, _)

@@ -258,7 +258,12 @@ let mucfuzz_tests =
        fuzz identity, so a change that moves the numbers says so. *)
     tc "smoke run allocation within baseline, identity pinned" (fun () ->
         let baseline =
-          In_channel.with_open_text "../bench/BASELINE_smoke_minor_words"
+          (* beside the binary's directory in the build tree, wherever
+             the binary is run from *)
+          In_channel.with_open_text
+            (Filename.concat
+               (Filename.dirname Sys.executable_name)
+               "../bench/BASELINE_smoke_minor_words")
             (fun ic -> float_of_string (String.trim (In_channel.input_all ic)))
         in
         let cfg =
@@ -703,6 +708,40 @@ int main(void) {
 }
 |}
 
+(* One trigger per seeded miscompile, validated against the Bugdb ground
+   truth (mc_culprit).  Where the bug needs a masking pass absent, the
+   options disable it. *)
+let bisect_cases =
+  [
+    ( "gcc-wrongcode-reassoc", Simcomp.Compiler.Gcc,
+      { Simcomp.Compiler.default_options with opt_level = 2 },
+      "constfold", wrongcode_trigger );
+    ( "gcc-wrongcode-narrowing", Simcomp.Compiler.Gcc,
+      { Simcomp.Compiler.default_options with opt_level = 3 },
+      "loop-opt",
+      "int main(void) { int x = (int)(char)200; int s = 3; int n = 1; while \
+       (--n) s += 5; return (s - x) & 255; }" );
+    ( "clang-wrongcode-instsimplify", Simcomp.Compiler.Clang,
+      { Simcomp.Compiler.default_options with opt_level = 2 },
+      "dce",
+      "int main(void) { int a = 120; int b = 3; int c = a > b ? 1 : 2; int d \
+       = b > a ? 3 : 4; int e; e = (c, d); switch (c) { case 1: e += 1; \
+       break; default: e += 2; break; } return (a - b - e) & 255; }" );
+    ( "gcc-wrongcode-strlen-nofold", Simcomp.Compiler.Gcc,
+      { Simcomp.Compiler.default_options with
+        opt_level = 2; disabled_passes = [ "constfold" ] },
+      "strlen-opt",
+      "char buf[16];\n\
+       int helper(void) { return sprintf(buf, \"%s-pad\", buf); }\n\
+       int main(void) { int a = 90; int b = 7; return (a - b) & 255; }" );
+    ( "clang-wrongcode-jumpthread", Simcomp.Compiler.Clang,
+      { Simcomp.Compiler.default_options with
+        opt_level = 2; disabled_passes = [ "dce" ] },
+      "simplify-cfg",
+      "int main(void) { int a = 100; int b = 9; goto skip; a = 1; skip: \
+       return (a - b) & 255; }" );
+  ]
+
 let wrongcode_tests =
   [
     tc "crafted trigger is detected as a miscompilation" (fun () ->
@@ -777,45 +816,144 @@ let wrongcode_tests =
                  (fst mm.mm_observed)
                  (String.sub (Digest.to_hex (Digest.string mm.mm_source)) 0 8))
              r.Fuzzing.Wrongcode.r_mismatches));
+    tc "check_program is the two-compile reference" (fun () ->
+        let gcc = Simcomp.Compiler.Gcc and clang = Simcomp.Compiler.Clang in
+        let at level = { Simcomp.Compiler.default_options with opt_level = level } in
+        let mismatches = ref 0 and no_reference = ref 0 in
+        let same ?tree what compiler options src =
+          let want = Ref_wrongcode.check_program ?tree compiler options src in
+          if Option.is_some want then incr mismatches;
+          let got = Fuzzing.Wrongcode.check_program ?tree compiler options src in
+          if want <> got then
+            Alcotest.failf "%s (%s): the reference says %s" what
+              (Simcomp.Compiler.options_to_string options)
+              (match want with
+              | Some mm -> Fmt.str "%d->%d" (fst mm.mm_reference) (fst mm.mm_observed)
+              | None -> "no mismatch")
+        in
+        (* does the -O0 lowering have no observable behaviour? *)
+        let unobservable compiler src =
+          match Simcomp.Compiler.compile_ir compiler (at 0) src with
+          | Ok p -> Fuzzing.Wrongcode.run_ir p = None
+          | Error _ -> true
+        in
+        (* every mutant of both pinned hunts, at its drawn level *)
+        List.iter
+          (fun (compiler, iterations) ->
+            List.iteri
+              (fun i (tree, src, level) ->
+                if compiler = gcc && unobservable compiler src then incr no_reference;
+                same ~tree (Fmt.str "hunt mutant %d" i) compiler (at level) src)
+              (Hunt_replay.mutants ~iterations))
+          [ (gcc, 200); (clang, 800) ];
+        check Alcotest.bool "the hunts' mutants include mismatches" true
+          (!mismatches >= 7);
+        check Alcotest.bool "and mutants with no reference" true (!no_reference > 0);
+        (* a reference that runs out of fuel while the optimized program
+           finishes, one that calls a builtin outside the interpreter's
+           subset, and two that do not compile *)
+        let hang =
+          (* 24 fuel per iteration at -O0, 21 once constfold and dce ran *)
+          "int main(void) { int s = 0; for (int i = 0; i < 45000; i++) { int \
+           a = 3 * 4 + 5 - 2; int b = a * 2 + a; int c = b - a; s = s + 1; } \
+           return s & 255; }"
+        in
+        let builtin =
+          "char buf[8];\nint main(void) { sprintf(buf, \"%d\", 7); return 1; }"
+        in
+        let outcome src =
+          match Simcomp.Compiler.compile_ir gcc (at 0) src with
+          | Ok p -> Some (Simcomp.Ir_interp.run ~fuel:1_000_000 p)
+          | Error _ -> None
+        in
+        check Alcotest.bool "the hang hangs at -O0" true
+          (match outcome hang with Some o -> o.o_hang | None -> false);
+        check Alcotest.bool "and finishes at -O2" true
+          (match Simcomp.Compiler.compile_ir gcc (at 2) hang with
+          | Ok p -> Fuzzing.Wrongcode.run_ir p <> None
+          | Error _ -> false);
+        check Alcotest.bool "the builtin is unsupported at -O0" true
+          (match outcome builtin with
+          | Some o -> Option.is_some o.o_unsupported
+          | None -> false);
+        let parse_error = "int main(void) { return 1 +; }"
+        and type_error = "int main(void) { return nope; }" in
+        check Alcotest.bool "the errors do not compile" true
+          (outcome parse_error = None && outcome type_error = None);
+        let pass_lists =
+          [ Some [ "constfold"; "dce" ]; Some [ "simplify-cfg"; "inline"; "constfold" ];
+            Some [] ]
+        and disabled = [ [ "constfold" ]; [ "dce"; "simplify-cfg" ]; [ "strlen-opt" ] ] in
+        let option_sets =
+          List.concat_map
+            (fun level ->
+              at level
+              :: List.map (fun l -> { (at level) with pass_list = l }) pass_lists
+              @ List.map (fun d -> { (at level) with disabled_passes = d }) disabled)
+            [ 0; 1; 2; 3 ]
+        in
+        let sources =
+          hang :: builtin :: parse_error :: type_error
+          :: List.map (fun (_, _, _, _, src) -> src) bisect_cases
+        in
+        List.iter
+          (fun options ->
+            List.iter
+              (fun src ->
+                same "program" gcc options src;
+                same "program" clang options src)
+              sources)
+          option_sets;
+        (* an unknown pass raises whenever the program compiles, with or
+           without a reference, and is never reached when it does not *)
+        let unknown = { (at 2) with pass_list = Some [ "constfold"; "no-such-pass" ] } in
+        List.iter
+          (fun src ->
+            let raises check_program =
+              match check_program gcc unknown src with
+              | _ -> false
+              | exception Invalid_argument _ -> true
+            in
+            check Alcotest.bool "raises as the reference does"
+              (raises (fun c o s -> Ref_wrongcode.check_program c o s))
+              (raises (fun c o s -> Fuzzing.Wrongcode.check_program c o s)))
+          (hang :: builtin :: parse_error :: wrongcode_trigger :: []);
+        check Alcotest.bool "the reference raises on a compiling program" true
+          (match Ref_wrongcode.check_program gcc unknown hang with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
+    tc "a pinned Clang-sim hunt finds its one mismatch" (fun () ->
+        (* EXPERIMENTS.md's Clang-sim claim: Clang-sim's miscompiles are
+           rarer, so the hunt runs 800 iterations; each mismatch is
+           named by the seeded miscompile that explains it *)
+        let r =
+          Fuzzing.Wrongcode.hunt ~rng:(Rng.create 77)
+            ~compiler:Simcomp.Compiler.Clang
+            ~seeds:(Fuzzing.Seeds.corpus ~n:60 (Rng.create 21))
+            ~iterations:800 ()
+        in
+        check Alcotest.int "checked" 692 r.Fuzzing.Wrongcode.r_checked;
+        check
+          Alcotest.(list string)
+          "mismatches" [ "clang-wrongcode-instsimplify" ]
+          (List.map
+             (fun (mm : Fuzzing.Wrongcode.mismatch) ->
+               match
+                 Simcomp.Bugdb.check_miscompile ~compiler:Simcomp.Compiler.Clang
+                   ~opt_level:mm.mm_options.opt_level
+                   ~pipeline:(Simcomp.Compiler.pipeline_of mm.mm_options)
+                   ~ast:
+                     (Simcomp.Features.ast_features
+                        (Result.get_ok (Parser.parse mm.mm_source)))
+               with
+               | Some mc -> mc.Simcomp.Bugdb.mc_id
+               | None -> "unexplained")
+             r.Fuzzing.Wrongcode.r_mismatches));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Culprit-pass bisection                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* One trigger per seeded miscompile, validated against the Bugdb ground
-   truth (mc_culprit).  Where the bug needs a masking pass absent, the
-   options disable it. *)
-let bisect_cases =
-  [
-    ( "gcc-wrongcode-reassoc", Simcomp.Compiler.Gcc,
-      { Simcomp.Compiler.default_options with opt_level = 2 },
-      "constfold", wrongcode_trigger );
-    ( "gcc-wrongcode-narrowing", Simcomp.Compiler.Gcc,
-      { Simcomp.Compiler.default_options with opt_level = 3 },
-      "loop-opt",
-      "int main(void) { int x = (int)(char)200; int s = 3; int n = 1; while \
-       (--n) s += 5; return (s - x) & 255; }" );
-    ( "clang-wrongcode-instsimplify", Simcomp.Compiler.Clang,
-      { Simcomp.Compiler.default_options with opt_level = 2 },
-      "dce",
-      "int main(void) { int a = 120; int b = 3; int c = a > b ? 1 : 2; int d \
-       = b > a ? 3 : 4; int e; e = (c, d); switch (c) { case 1: e += 1; \
-       break; default: e += 2; break; } return (a - b - e) & 255; }" );
-    ( "gcc-wrongcode-strlen-nofold", Simcomp.Compiler.Gcc,
-      { Simcomp.Compiler.default_options with
-        opt_level = 2; disabled_passes = [ "constfold" ] },
-      "strlen-opt",
-      "char buf[16];\n\
-       int helper(void) { return sprintf(buf, \"%s-pad\", buf); }\n\
-       int main(void) { int a = 90; int b = 7; return (a - b) & 255; }" );
-    ( "clang-wrongcode-jumpthread", Simcomp.Compiler.Clang,
-      { Simcomp.Compiler.default_options with
-        opt_level = 2; disabled_passes = [ "dce" ] },
-      "simplify-cfg",
-      "int main(void) { int a = 100; int b = 9; goto skip; a = 1; skip: \
-       return (a - b) & 255; }" );
-  ]
 
 let bisect_tests =
   let open Fuzzing.Bisect in
@@ -881,6 +1019,45 @@ let bisect_tests =
           check Alcotest.bool "dce among culprits" true
             (List.mem "dce" v.v_culprits)
         | None -> Alcotest.fail "expected an ICE finding");
+    (* The whole verdict, recompile count included, for the crafted
+       trigger and every other seeded miscompile: a rework of how the
+       probes compile must leave the reports byte-identical. *)
+    tc "every seeded miscompile's full verdict is pinned" (fun () ->
+        let render (id, compiler, opts, _, src) =
+          match run compiler opts src with
+          | None -> id ^ ": no finding"
+          | Some v ->
+            Fmt.str "%s: %s | %s | %s | %s | %b | %d" id
+              (finding_to_string v.v_finding)
+              (String.concat "," v.v_pipeline)
+              (String.concat "," v.v_culprits)
+              (Option.value ~default:"-" v.v_first_divergent)
+              v.v_attributable v.v_recompiles
+        in
+        (* id: finding | pipeline | culprits | first divergent |
+           attributable | probe recompiles *)
+        check
+          Alcotest.(list string)
+          "verdicts"
+          [
+            "gcc-wrongcode-reassoc: wrong-code (exit 93 at -O0, exit 163 \
+             optimized) | constfold,simplify-cfg,inline,strlen-opt,constfold,dce \
+             | constfold | constfold | true | 5";
+            "gcc-wrongcode-narrowing: wrong-code (exit 59 at -O0, exit 197 \
+             optimized) | \
+             constfold,simplify-cfg,inline,strlen-opt,loop-opt,constfold,simplify-cfg,dce \
+             | loop-opt | loop-opt | true | 6";
+            "clang-wrongcode-instsimplify: wrong-code (exit 112 at -O0, exit 122 \
+             optimized) | constfold,simplify-cfg,inline,strlen-opt,constfold,dce \
+             | dce | dce | true | 5";
+            "gcc-wrongcode-strlen-nofold: wrong-code (exit 83 at -O0, exit 173 \
+             optimized) | simplify-cfg,inline,strlen-opt,dce | strlen-opt | \
+             strlen-opt | true | 4";
+            "clang-wrongcode-jumpthread: wrong-code (exit 91 at -O0, exit 165 \
+             optimized) | constfold,simplify-cfg,inline,strlen-opt,constfold | \
+             simplify-cfg | simplify-cfg | true | 4";
+          ]
+          (List.map render bisect_cases));
     tc "bisection verdicts are deterministic" (fun () ->
         let _, compiler, opts, _, src = List.hd bisect_cases in
         let v1 = run compiler opts src and v2 = run compiler opts src in

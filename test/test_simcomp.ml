@@ -2037,46 +2037,24 @@ let ir_of_sources tag sources =
 
 (* The IR programs of the hunt pinned in test_fuzzing
    ([Wrongcode.hunt], GCC-sim, RNG 77, 60 seeds from RNG 21, 200
-   iterations): its mutant loop, replayed draw for draw, and each mutant
-   compiled at -O0 and at its drawn level. *)
+   iterations): each mutant compiled at -O0 and at its drawn level. *)
 let hunt_programs () =
-  let rng = Rng.create 77 in
-  let pool =
-    Array.of_list
-      (List.filter_map
-         (fun src -> Result.to_option (Parser.parse src))
-         (Fuzzing.Seeds.corpus ~n:60 (Rng.create 21)))
-  in
-  let programs = ref [] and checked = ref 0 in
-  for _ = 1 to 200 do
-    let tu = pool.(Rng.int rng (Array.length pool)) in
-    let rounds = 1 + Rng.int rng 4 in
-    let mutated = ref tu and changed = ref false in
-    for _ = 1 to rounds do
-      let m = Rng.choose rng Mutators.Registry.core in
-      match Mutators.Mutator.apply m ~rng !mutated with
-      | Some tu' ->
-        mutated := tu';
-        changed := true
-      | None -> ()
-    done;
-    if !changed then begin
-      let src, _ = Simcomp.Scratch.render_tu !mutated in
-      incr checked;
-      let level = 2 + Rng.int rng 2 in
-      List.iter
-        (fun opt ->
-          match
-            Simcomp.Compiler.compile_ir ~tree:!mutated Simcomp.Compiler.Gcc
-              { Simcomp.Compiler.default_options with opt_level = opt }
-              src
-          with
-          | Ok p -> programs := (Fmt.str "hunt %d -O%d" !checked opt, p) :: !programs
-          | Error _ -> ())
-        [ 0; level ]
-    end
-  done;
-  (!checked, List.rev !programs)
+  let mutants = Hunt_replay.mutants ~iterations:200 in
+  ( List.length mutants,
+    List.concat
+      (List.mapi
+         (fun i (tree, src, level) ->
+           List.filter_map
+             (fun opt ->
+               match
+                 Simcomp.Compiler.compile_ir ~tree Simcomp.Compiler.Gcc
+                   { Simcomp.Compiler.default_options with opt_level = opt }
+                   src
+               with
+               | Ok p -> Some (Fmt.str "hunt %d -O%d" (i + 1) opt, p)
+               | Error _ -> None)
+             [ 0; level ])
+         mutants) )
 
 (* Hand-built IR for the shapes Lower never produces.  Globals: [g] an
    int, [a] four ints, [d] a float.  Registers 1..3 of [main] hold the
@@ -2498,6 +2476,76 @@ let golden_frontend =
 (* The single-lex pipeline entries: compile_tu's returned tree, the
    crash-free observation entry and the dedup cache must be
    indistinguishable from plain compile. *)
+(* The staged crash-free pipeline: [Compiler.lower] once, then
+   [Compiler.optimize] on an [Ir.copy] per level — the fork the
+   wrong-code oracle and bisection take. *)
+let staged_tests =
+  let at level = { Simcomp.Compiler.default_options with opt_level = level } in
+  [
+    tc "-O0 plans no pass, so the lowered IR is the -O0 program" (fun () ->
+        check Alcotest.(list string) "-O0 pipeline" []
+          (Simcomp.Compiler.pipeline_of (at 0));
+        List.iter
+          (fun src ->
+            match Simcomp.Compiler.lower Simcomp.Compiler.Gcc src with
+            | Error _ -> ()
+            | Ok ((prog, _) as lowered) ->
+              let text = Simcomp.Ir.program_to_string prog in
+              let tr = Simcomp.Compiler.optimize Simcomp.Compiler.Gcc (at 0) lowered in
+              check Alcotest.int "no step" 0 (List.length tr.pt_steps);
+              check Alcotest.string "unchanged" text
+                (Simcomp.Ir.program_to_string tr.pt_program))
+          (golden_programs ()));
+    tc "optimizing an Ir.copy leaves the lowering alone and is a fresh compile"
+      (fun () ->
+        let sources =
+          List.map (fun src -> (None, src)) (golden_programs ())
+          @ List.map
+              (fun (tree, src, _) -> (Some tree, src))
+              (Hunt_replay.mutants ~iterations:200)
+        in
+        let changed = ref 0 and forks = ref 0 in
+        List.iteri
+          (fun i (tree, src) ->
+            let compiler = Simcomp.Compiler.Gcc in
+            match Simcomp.Compiler.lower ?tree compiler src with
+            | Error _ -> ()
+            | Ok (prog, ast) ->
+              let text = Simcomp.Ir.program_to_string prog in
+              let observable () = Simcomp.Ir_interp.observable ~fuel:50_000 prog in
+              let seen = observable () in
+              List.iter
+                (fun level ->
+                  let what = Fmt.str "program %d -O%d" i level in
+                  let copy =
+                    (Simcomp.Compiler.optimize compiler (at level)
+                       (Simcomp.Ir.copy prog, ast))
+                      .pt_program
+                  in
+                  let fresh =
+                    match Simcomp.Compiler.compile_ir ?tree compiler (at level) src with
+                    | Ok p -> Simcomp.Ir.program_to_string p
+                    | Error e -> Alcotest.failf "%s: %s" what e
+                  in
+                  let copy = Simcomp.Ir.program_to_string copy in
+                  check Alcotest.string (what ^ ": the copy is a fresh compile") fresh
+                    copy;
+                  incr forks;
+                  if not (String.equal copy text) then incr changed)
+                [ 1; 2; 3 ];
+              check Alcotest.string
+                (Fmt.str "program %d: the lowering prints as before" i)
+                text (Simcomp.Ir.program_to_string prog);
+              check
+                Alcotest.(option (pair int bool))
+                (Fmt.str "program %d: the lowering behaves as before" i)
+                seen (observable ()))
+          sources;
+        (* the optimizer rewrote most copies, so most checks above saw
+           a rewrite that did not reach the lowering *)
+        check Alcotest.bool "most copies were rewritten" true (!changed * 2 > !forks));
+  ]
+
 let compile_pipeline_tests =
   let opts = Simcomp.Compiler.default_options in
   let gen_sources n seed =
@@ -3218,4 +3266,5 @@ let () =
       ("bugs-and-pipeline", bug_tests @ pipeline_props);
       ("differential", differential_tests @ [ mutant_differential ]);
       ("ir-interp", ir_interp_tests @ ir_reference_tests);
+      ("staged", staged_tests);
     ]
