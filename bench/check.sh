@@ -1,22 +1,22 @@
 #!/bin/sh
-# Tier-1 verification: full build + test suite, as required by ROADMAP.md.
-# Usage: bench/check.sh  (from the repository root)
+# CI's check, a superset of tier 1 (`dune build && dune runtest`): the
+# build and the suite, then the CLI's determinism contracts as one table
+# of rows over one table of runs, then the examples.
+# Usage: sh bench/check.sh  (from anywhere in the repository)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# Every intermediate file lives in one private work dir, so two runs at
-# once (say, two checkouts side by side) never read each other's output.
+# Every file lives in one private work dir, so two runs at once (say,
+# two checkouts side by side) never read each other's output.
+# BG is the run in flight, if any.
 W=$(mktemp -d)
-trap 'rm -rf "$W"' EXIT
+BG=""
+trap 'kill -9 $BG 2> /dev/null || true; rm -rf "$W"' EXIT
 
-# same A B MSG: fail with MSG and the diff unless A and B are identical.
-same() {
-  if ! cmp -s "$1" "$2"; then
-    echo "FAIL: $3" >&2
-    diff "$1" "$2" >&2 || true
-    exit 1
-  fi
+fail() {
+  echo "FAIL: $*" >&2
+  exit 1
 }
 
 echo "== dune build =="
@@ -25,128 +25,14 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== smoke: campaign determinism across job counts =="
 CLI=_build/default/bin/metamut_cli.exe
-[ -x "$CLI" ] || { echo "FAIL: $CLI not built" >&2; exit 1; }
-"$CLI" campaign --iterations 10 --jobs 1 > "$W/campaign_j1.txt"
-"$CLI" campaign --iterations 10 --jobs 4 > "$W/campaign_j4.txt"
-same "$W/campaign_j1.txt" "$W/campaign_j4.txt" \
-  "campaign output differs between --jobs 1 and --jobs 4"
-echo "campaign output identical for --jobs 1 and --jobs 4"
+EX=_build/default/examples
+[ -x "$CLI" ] || fail "$CLI not built"
+[ -x "$EX/bughunt.exe" ] || fail "$EX not built"
 
-echo "== smoke: faulted campaign determinism across job counts =="
-FAULTS="hang=0.05,crash=0.2"
-"$CLI" campaign --iterations 10 --jobs 1 --faults "$FAULTS" --fault-seed 3 \
-  > "$W/campaign_f1.txt"
-"$CLI" campaign --iterations 10 --jobs 4 --faults "$FAULTS" --fault-seed 3 \
-  > "$W/campaign_f4.txt"
-same "$W/campaign_f1.txt" "$W/campaign_f4.txt" \
-  "faulted campaign output differs between job counts"
-echo "faulted campaign output identical for --jobs 1 and --jobs 4"
-
-echo "== smoke: campaign checkpoint/resume round-trip =="
-CKPT=$(mktemp -d "$W/dir.XXXXXX")
-"$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" \
-  > "$W/campaign_ckpt.txt" 2> /dev/null
-# journals carry coverage maps at rest (sorted pairs): a dense 1 MiB
-# map on disk would blow this bound
-for J in "$CKPT"/journal-*.ckpt; do
-  SIZE=$(wc -c < "$J")
-  if [ "$SIZE" -gt 65536 ]; then
-    echo "FAIL: $(basename "$J") is $SIZE bytes (over 64 KiB)" >&2
-    exit 1
-  fi
-done
-# lose one completed cell, as a mid-run kill would
-rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
-"$CLI" campaign --iterations 10 --jobs 2 --checkpoint "$CKPT" --resume \
-  > "$W/campaign_resume.txt" 2> /dev/null
-same "$W/campaign_ckpt.txt" "$W/campaign_resume.txt" \
-  "resumed campaign output differs from the original"
-echo "resumed campaign output identical to the uninterrupted run"
-
-echo "== smoke: telemetry artifacts =="
-TEL=$(mktemp -d "$W/dir.XXXXXX")
-# Telemetry must be a pure observer: the fuzz result printed on
-# stdout has to be byte-identical with and without --telemetry.
-"$CLI" fuzz -n 40 --seed 7 > "$W/fuzz_plain.txt" 2> /dev/null
-"$CLI" fuzz -n 40 --seed 7 --telemetry "$TEL" \
-  > "$W/fuzz_tel.txt" 2> /dev/null
-same "$W/fuzz_plain.txt" "$W/fuzz_tel.txt" \
-  "--telemetry changed the fuzz output"
-for f in trace.jsonl metrics.prom metrics.json campaign-report.md; do
-  if [ ! -s "$TEL/$f" ]; then
-    echo "FAIL: telemetry artifact $f missing or empty" >&2
-    exit 1
-  fi
-done
-# Chrome trace and JSON snapshot must each be one valid JSON document.
-if command -v jq > /dev/null 2>&1; then
-  jq -e . "$TEL/trace.jsonl" > /dev/null || {
-    echo "FAIL: trace.jsonl is not valid JSON" >&2
-    exit 1
-  }
-  jq -e '.counters and .gauges and .histograms' "$TEL/metrics.json" \
-    > /dev/null || {
-    echo "FAIL: metrics.json missing counters/gauges/histograms" >&2
-    exit 1
-  }
-else
-  echo "jq not found; skipping JSON validation"
-fi
-# Prometheus text exposition: TYPE comments and sane sample lines.
-grep -q '^# TYPE metamut_compile_total counter' "$TEL/metrics.prom" || {
-  echo "FAIL: metrics.prom missing compile counter TYPE line" >&2
-  exit 1
-}
-grep -q '^metamut_.*_bucket{le="+Inf"} ' "$TEL/metrics.prom" || {
-  echo "FAIL: metrics.prom missing histogram +Inf bucket" >&2
-  exit 1
-}
-grep -q '"name":"compile.' "$TEL/trace.jsonl" || {
-  echo "FAIL: trace.jsonl has no compile spans" >&2
-  exit 1
-}
-grep -q '^## ' "$TEL/campaign-report.md" || {
-  echo "FAIL: campaign-report.md has no sections" >&2
-  exit 1
-}
-echo "telemetry artifacts well-formed; fuzz output unchanged"
-
-echo "== smoke: campaign determinism with telemetry enabled =="
-TEL1=$(mktemp -d "$W/dir.XXXXXX")
-TEL4=$(mktemp -d "$W/dir.XXXXXX")
-"$CLI" campaign --iterations 10 --jobs 1 --telemetry "$TEL1" \
-  > "$W/campaign_t1.txt" 2> /dev/null
-"$CLI" campaign --iterations 10 --jobs 4 --telemetry "$TEL4" \
-  > "$W/campaign_t4.txt" 2> /dev/null
-same "$W/campaign_t1.txt" "$W/campaign_t4.txt" \
-  "telemetry perturbed campaign output across job counts"
-same "$W/campaign_j1.txt" "$W/campaign_t1.txt" \
-  "telemetry perturbed campaign output across job counts"
-echo "campaign output identical with telemetry at --jobs 1 and 4"
-
-echo "== smoke: faulted resume with telemetry stays byte-identical =="
-CKPT=$(mktemp -d "$W/dir.XXXXXX")
-TELA=$(mktemp -d "$W/dir.XXXXXX")
-TELB=$(mktemp -d "$W/dir.XXXXXX")
-FAULTS="hang=0.05,crash=0.2"
-"$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
-  --fault-seed 3 --checkpoint "$CKPT" --telemetry "$TELA" \
-  > "$W/campaign_ftel.txt" 2> /dev/null
-rm "$CKPT/journal-uCFuzz.s-GCC.ckpt"
-"$CLI" campaign --iterations 10 --jobs 2 --faults "$FAULTS" \
-  --fault-seed 3 --checkpoint "$CKPT" --resume --telemetry "$TELB" \
-  > "$W/campaign_ftel_resume.txt" 2> /dev/null
-same "$W/campaign_ftel.txt" "$W/campaign_ftel_resume.txt" \
-  "telemetry+faults+resume changed the campaign output"
-echo "faulted resumed campaign with telemetry identical to uninterrupted"
-
-echo "== smoke: culprit-pass bisection =="
-# A canned wrong-code finding (the seeded reassociation miscompile):
-# bisection must name constfold, deterministically.
-WC="$W/wrongcode.c"
-cat > "$WC" <<'EOF'
+# The culprit-pass bisection input: the seeded reassociation miscompile,
+# which bisection must pin on constfold.
+cat > "$W/wrongcode.c" <<'EOF'
 int r[6];
 int total;
 int main(void) {
@@ -160,395 +46,317 @@ int main(void) {
   return total & 255;
 }
 EOF
-"$CLI" bisect "$WC" -c gcc -O 2 > "$W/bisect_1.txt"
-grep -q '^culprit passes:  constfold$' "$W/bisect_1.txt" || {
-  echo "FAIL: bisect did not name constfold as the culprit" >&2
-  cat "$W/bisect_1.txt" >&2
-  exit 1
-}
-grep -q '^first divergent: constfold$' "$W/bisect_1.txt" || {
-  echo "FAIL: per-pass differential did not flag constfold" >&2
-  cat "$W/bisect_1.txt" >&2
-  exit 1
-}
-"$CLI" bisect "$WC" -c gcc -O 2 > "$W/bisect_2.txt"
-same "$W/bisect_1.txt" "$W/bisect_2.txt" "bisect verdict not deterministic"
-echo "bisect verdict deterministic: constfold"
-# the per-pass trace behind the differential, end to end through the CLI
-"$CLI" compile "$WC" -O 2 --dump-ir=constfold > "$W/dump_ir.txt"
-if grep -q '^;; IR before constfold' "$W/dump_ir.txt" \
-   && grep -q '^;; IR after constfold' "$W/dump_ir.txt"; then
-  echo "dump-ir traces constfold"
-else
-  echo "FAIL: --dump-ir=constfold did not print IR around constfold" >&2
-  cat "$W/dump_ir.txt" >&2
-  exit 1
-fi
 
-echo "== smoke: campaign --bisect determinism across job counts =="
-"$CLI" campaign --iterations 10 --jobs 1 --bisect > "$W/campaign_b1.txt"
-"$CLI" campaign --iterations 10 --jobs 4 --bisect > "$W/campaign_b4.txt"
-same "$W/campaign_b1.txt" "$W/campaign_b4.txt" \
-  "campaign --bisect output differs between job counts"
-echo "campaign --bisect output identical for --jobs 1 and --jobs 4"
+# ------------------------------------------------------------------ runs
+# One invocation per line: a name, then the CLI's arguments (or
+# `example NAME` for examples/NAME.exe).  A leading VAR=value word goes
+# to the run's environment.  Each run is made at most once, when the
+# first row that reads it comes up, and must exit 0.  It leaves out
+# (stdout) and err (stderr) in $W/<name>/, and the placeholders add:
+#   @tel         --telemetry <name>/tel
+#   @log[:LVL]   --log <name>/log.jsonl[:LVL]
+#   @ckpt        --checkpoint <name>/ckpt, where every journal must stay
+#                within 64 KiB (coverage maps rest as sorted pairs; one
+#                dense 1 MiB map would blow it)
+#   @lose=RUN    --resume from RUN's checkpoint once the uCFuzz.s-GCC
+#                journal is gone, as a mid-run kill would lose it
+#   @resume=RUN  --resume from RUN's checkpoint as RUN left it
+#   @serve=S     --serve on a free port: once /status.json reports done
+#                (within S s), <name>/healthz keeps "<status> <body>"
+#                and <name>/scrape.prom the live /metrics
+#   @kill        SIGKILL the coordinator mid-run; none of its workers
+#                may outlive it by 5 s
+#   @wc          the bisection input above
+FAULTS='--faults hang=0.05,crash=0.2 --fault-seed 3'
+CHAOS='--faults frame=0.2,stall=0.1,oom=0.2,coord=0.3 --fault-seed 17 --hang-timeout 2'
+RUNS="
+c.j1       campaign -n 10 --jobs 1
+c.obs      campaign -n 10 --jobs 1 @serve=15 @tel @log
+c.j4       campaign -n 10 --jobs 4 @tel @log
+c.sh1      campaign -n 10 --shards 1 @tel @log
+c.sh2      campaign -n 10 --shards 2 @tel @log
+c.ckpt     campaign -n 10 --jobs 2 @ckpt
+c.lose     campaign -n 10 --jobs 2 @lose=c.ckpt
+c.kill     METAMUT_SHARD_KILL=uCFuzz.s-GCC campaign -n 10 --shards 2
+f.j1       campaign -n 10 --jobs 1 $FAULTS @ckpt @log:debug
+f.j4       campaign -n 10 --jobs 4 $FAULTS @ckpt @log:debug
+f.lose     campaign -n 10 --jobs 2 $FAULTS @lose=f.j4 @tel
+b.j1       campaign -n 10 --jobs 1 --bisect
+b.j4       campaign -n 10 --jobs 4 --bisect
+s.j1       campaign -n 10 --jobs 1 --schedule
+s.j4       campaign -n 10 --jobs 4 --schedule
+om.sh1     campaign -n 10 --shards 1 --opt-matrix 0,2
+om.sh2     campaign -n 10 --shards 2 --opt-matrix 0,2
+om.kill    campaign -n 10 --shards 2 --opt-matrix 0,2 @ckpt @kill
+om.resume  campaign -n 10 --shards 2 --opt-matrix 0,2 @resume=om.kill
+ch.sh1     campaign -n 10 --shards 1 $CHAOS
+ch.sh2     campaign -n 10 --shards 2 $CHAOS
+oom.sh1    campaign -n 10 --shards 1 --faults oom=0.5 --fault-seed 5 @log
+oom.sh2    campaign -n 10 --shards 2 --faults oom=0.5 --fault-seed 5 @log
+flight     campaign -n 10 --shards 2 --faults oom=1.0 --fault-seed 9 @tel @serve=30
+fuzz       fuzz -n 40 --seed 7
+fuzz.tel   fuzz -n 40 --seed 7 @tel
+bisect     bisect @wc -c gcc -O 2
+bisect.2   bisect @wc -c gcc -O 2
+dump-ir    compile @wc -O 2 --dump-ir=constfold
+quickstart example quickstart
+invent     example invent_mutators
+diff       example differential
+hunt       example bughunt
+hunt.2     example bughunt
+"
 
-echo "== smoke: scheduled fuzzing determinism across job counts =="
-# The corpus scheduler (favored-entry picks + pool trimming) must be
-# deterministic at any job count, like the default path.
-"$CLI" campaign --iterations 10 --jobs 1 --schedule > "$W/campaign_s1.txt"
-"$CLI" campaign --iterations 10 --jobs 4 --schedule > "$W/campaign_s4.txt"
-same "$W/campaign_s1.txt" "$W/campaign_s4.txt" \
-  "scheduled campaign output differs between job counts"
-echo "scheduled campaign output identical for --jobs 1 and --jobs 4"
+# ------------------------------------------------------------------ rows
+# A row holds when the two artifacts (<run>/<file>) are byte-identical
+# and non-empty after the filter: wallclock drops the metric families
+# that read the clock or the GC (span, gc, telemetry), untimed the
+# report's two span-timing sections.
+ROWS='
+# contract       reference                     variant                       filter
+observer≡plain   c.j1/out                      c.obs/out
+observer≡plain   fuzz/out                      fuzz.tel/out
+jobs:1≡4         c.j1/out                      c.j4/out
+jobs:1≡2         c.j1/out                      c.ckpt/out
+jobs:1≡4         c.obs/log.jsonl               c.j4/log.jsonl
+jobs:1≡4         f.j1/out                      f.j4/out
+jobs:1≡4         f.j1/log.jsonl                f.j4/log.jsonl
+jobs:1≡4         b.j1/out                      b.j4/out
+jobs:1≡4         s.j1/out                      s.j4/out
+shards:1≡2       c.j1/out                      c.sh1/out
+shards:1≡2       c.j1/out                      c.sh2/out
+shards:1≡2       c.sh1/log.jsonl               c.sh2/log.jsonl
+shards:1≡2       c.sh1/tel/metrics.prom        c.sh2/tel/metrics.prom        wallclock
+shards:1≡2       c.sh1/tel/campaign-report.md  c.sh2/tel/campaign-report.md  untimed
+shards:1≡2       c.sh1/tel/mutator-yield.json  c.sh2/tel/mutator-yield.json
+shards:1≡2       om.sh1/out                    om.sh2/out
+shards:1≡2       oom.sh1/log.jsonl             oom.sh2/log.jsonl
+jobs≡shards      c.obs/log.jsonl               c.sh2/log.jsonl
+jobs≡shards      c.j4/tel/metrics.prom         c.sh1/tel/metrics.prom        wallclock
+resume≡whole     c.ckpt/out                    c.lose/out
+resume≡whole     f.j4/out                      f.lose/out
+resume≡whole     om.sh2/out                    om.resume/out
+chaos≡clean      c.j1/out                      c.kill/out
+chaos≡clean      c.j1/out                      ch.sh1/out
+chaos≡clean      c.j1/out                      ch.sh2/out
+scrape≡final     c.obs/tel/metrics.prom        c.obs/scrape.prom             wallclock
+rerun≡run        bisect/out                    bisect.2/out
+rerun≡run        hunt/out                      hunt.2/out
+'
 
-echo "== smoke: sharded campaign determinism across shard counts =="
-# The fork/socket coordinator must reproduce the sequential campaign
-# byte-for-byte: shards:1 (inline) and shards:2 (two forked workers)
-# both have to match the plain --jobs 1 run captured above.
-"$CLI" campaign --iterations 10 --shards 1 > "$W/campaign_sh1.txt" 2> /dev/null
-"$CLI" campaign --iterations 10 --shards 2 > "$W/campaign_sh2.txt" 2> /dev/null
-same "$W/campaign_sh1.txt" "$W/campaign_sh2.txt" \
-  "sharded campaign output differs across shard counts"
-same "$W/campaign_j1.txt" "$W/campaign_sh1.txt" \
-  "sharded campaign output differs across shard counts"
-echo "sharded campaign output identical for --shards 1, --shards 2, and plain"
+# Each well-formedness check reads one artifact: `has` greps it for a
+# basic regex, `every` matches each of its lines against an extended
+# regex, and `json` loads every file the path matches as one JSON
+# document d and evaluates a Python expression over it.
+CHECKS='
+# artifact                        test   argument
+fuzz.tel/tel/trace.jsonl          json   True
+fuzz.tel/tel/trace.jsonl          has    "name":"compile.
+fuzz.tel/tel/metrics.json         json   all(isinstance(d[k], dict) for k in ("counters", "gauges", "histograms"))
+fuzz.tel/tel/metrics.prom         has    ^# TYPE metamut_compile_total counter
+fuzz.tel/tel/metrics.prom         has    ^metamut_.*_bucket{le="+Inf"} [0-9]
+fuzz.tel/tel/campaign-report.md   has    ^## .
+fuzz.tel/tel/campaign-report.md   has    ^## Where the time goes
+fuzz.tel/tel/profile.folded       every  ^[^ ]+ [0-9]+$
+fuzz.tel/tel/profile.folded       has    compile
+fuzz.tel/tel/mutator-yield.json   json   d[0]["mutator"] and d[0]["fresh_edges"] >= 0
+c.obs/healthz                     has    ^200 ok$
+c.obs/scrape.prom                 has    ^# TYPE metamut_compile_total counter
+f.j1/log.jsonl                    has    "event":"fault.injected"
+oom.sh2/log.jsonl                 has    "event":"lease.verdict"
+c.kill/err                        has    shard recovery: 1 worker death
+ch.sh2/err                        has    shard recovery:
+flight/healthz                    has    ^503
+flight/err                        has    QUARANTINED
+flight/tel/flight-*.json          json   d["unit"] and d["reason"] and isinstance(d["events"], list)
+bisect/out                        has    ^culprit passes:  constfold$
+bisect/out                        has    ^first divergent: constfold$
+dump-ir/out                       has    ^;; IR before constfold
+dump-ir/out                       has    ^;; IR after constfold
+quickstart/out                    has    .
+invent/out                        has    .
+diff/out                          has    .
+'
 
-echo "== smoke: sharded worker-kill recovery =="
-# Kill the worker holding one lease mid-campaign (test hook fires on the
-# first attempt only): the coordinator must requeue the lease, respawn,
-# and still produce byte-identical stdout; the intervention is reported
-# on stderr only.
-METAMUT_SHARD_KILL="uCFuzz.s-GCC" \
-  "$CLI" campaign --iterations 10 --shards 2 \
-  > "$W/campaign_kill.txt" 2> "$W/campaign_kill.err"
-same "$W/campaign_sh2.txt" "$W/campaign_kill.txt" \
-  "worker-kill recovery changed the campaign output"
-echo "campaign output identical after a mid-lease worker kill"
-grep -q 'shard recovery: 1 worker death' "$W/campaign_kill.err" || {
-  echo "FAIL: worker kill was not reported on stderr" >&2
-  cat "$W/campaign_kill.err" >&2
-  exit 1
-}
-
-echo "== smoke: opt-matrix determinism across shard counts =="
-# The -O axis multiplies the unit list; the shards:1 = shards:K
-# byte-identity contract must hold there too.
-"$CLI" campaign --iterations 10 --shards 1 --opt-matrix 0,2 \
-  > "$W/campaign_om1.txt" 2> /dev/null
-"$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
-  > "$W/campaign_om2.txt" 2> /dev/null
-same "$W/campaign_om1.txt" "$W/campaign_om2.txt" \
-  "opt-matrix campaign output differs between shard counts"
-echo "opt-matrix campaign output identical for --shards 1 and --shards 2"
-
-echo "== smoke: chaos-armed sharded campaign =="
-# Every shard-layer fault site armed at once: injected frame garbles,
-# mid-frame stalls, worker OOM kills and coordinator crash-restarts must
-# all be recovered (or quarantined) without touching stdout, which stays
-# byte-identical to the clean sharded run at every shard count.
-CHAOS="frame=0.2,stall=0.1,oom=0.2,coord=0.3"
-"$CLI" campaign --iterations 10 --shards 1 --faults "$CHAOS" \
-  --fault-seed 17 --hang-timeout 2 \
-  > "$W/campaign_ch1.txt" 2> /dev/null
-"$CLI" campaign --iterations 10 --shards 2 --faults "$CHAOS" \
-  --fault-seed 17 --hang-timeout 2 \
-  > "$W/campaign_ch2.txt" 2> "$W/campaign_ch2.err"
-same "$W/campaign_ch1.txt" "$W/campaign_ch2.txt" \
-  "shard-layer chaos changed the campaign output"
-same "$W/campaign_sh2.txt" "$W/campaign_ch2.txt" \
-  "shard-layer chaos changed the campaign output"
-echo "chaos-armed campaign output identical across shard counts and to clean"
-grep -q 'shard recovery:' "$W/campaign_ch2.err" || {
-  echo "FAIL: armed chaos never fired (no recovery line on stderr)" >&2
-  cat "$W/campaign_ch2.err" >&2
-  exit 1
-}
-
-echo "== smoke: coordinator SIGKILL + --resume byte-identity =="
-# Kill the coordinator process mid-campaign; per-lease result journaling
-# must let --resume reproduce the uninterrupted run's stdout exactly.
-# Its workers must not outlive it: each one reads EOF on its socket (or
-# EPIPE on its next send) and exits.
-CKPT=$(mktemp -d "$W/dir.XXXXXX")
-"$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
-  --checkpoint "$CKPT" > "$W/campaign_crash.txt" 2> /dev/null &
-COORD_PID=$!
-sleep 1
-WORKERS=$(pgrep -P "$COORD_PID" -f 'metamut_cli.exe worker' || true)
-kill -9 "$COORD_PID" 2> /dev/null || true
-wait "$COORD_PID" 2> /dev/null || true
-if [ -z "$WORKERS" ]; then
-  echo "FAIL: the coordinator had no worker processes to check" >&2
-  exit 1
-fi
-sleep 5
-for PID in $WORKERS; do
-  if kill -0 "$PID" 2> /dev/null; then
-    echo "FAIL: worker $PID outlived its SIGKILLed coordinator by 5 s" >&2
-    ps -o pid=,ppid=,args= -p "$PID" >&2 || true
-    kill -9 $WORKERS 2> /dev/null || true
-    exit 1
-  fi
-done
-echo "no worker outlived the SIGKILLed coordinator"
-"$CLI" campaign --iterations 10 --shards 2 --opt-matrix 0,2 \
-  --checkpoint "$CKPT" --resume \
-  > "$W/campaign_crash_resume.txt" 2> /dev/null
-same "$W/campaign_om2.txt" "$W/campaign_crash_resume.txt" \
-  "coordinator SIGKILL + resume changed the campaign output"
-echo "resumed campaign after coordinator SIGKILL identical to uninterrupted"
-
-echo "== smoke: structured log determinism =="
-# The --log body carries no wall clock and renders grouped by scope, so
-# it must be byte-identical across job counts, across shard counts, and
-# under worker-process chaos (in-worker and shard-level fault records are
-# pure functions of the per-lease fault stream).
-# in-process faults + checkpointing at :debug so the --jobs log has
-# real records (fault.injected, retry.backoff, checkpoint.saved) to
-# compare, not two empty files
-CKL1=$(mktemp -d "$W/dir.XXXXXX")
-CKL4=$(mktemp -d "$W/dir.XXXXXX")
-"$CLI" campaign --iterations 10 --jobs 1 --faults "hang=0.05,crash=0.2" \
-  --fault-seed 3 --checkpoint "$CKL1" \
-  --log "$W/campaign_lg_j1.jsonl:debug" > /dev/null 2> /dev/null
-"$CLI" campaign --iterations 10 --jobs 4 --faults "hang=0.05,crash=0.2" \
-  --fault-seed 3 --checkpoint "$CKL4" \
-  --log "$W/campaign_lg_j4.jsonl:debug" > /dev/null 2> /dev/null
-same "$W/campaign_lg_j1.jsonl" "$W/campaign_lg_j4.jsonl" \
-  "--log body differs between job counts"
-echo "log body identical for --jobs 1 and --jobs 4"
-grep -q '"event":"fault.injected"' "$W/campaign_lg_j1.jsonl" || {
-  echo "FAIL: faulted --jobs log has no fault.injected records" >&2
-  exit 1
-}
-"$CLI" campaign --iterations 10 --shards 1 --log "$W/campaign_lg_sh1.jsonl" \
-  > /dev/null 2> /dev/null
-"$CLI" campaign --iterations 10 --shards 2 --log "$W/campaign_lg_sh2.jsonl" \
-  > /dev/null 2> /dev/null
-same "$W/campaign_lg_sh1.jsonl" "$W/campaign_lg_sh2.jsonl" \
-  "--log body differs between shard counts"
-echo "log body identical for --shards 1 and --shards 2"
-# --jobs and --shards are backends of one driver: the same clean run
-# logs the same body on worker domains as on worker processes
-"$CLI" campaign --iterations 10 --jobs 1 --log "$W/campaign_lg_cj1.jsonl" \
-  > /dev/null 2> /dev/null
-"$CLI" campaign --iterations 10 --jobs 4 --log "$W/campaign_lg_cj4.jsonl" \
-  > /dev/null 2> /dev/null
-same "$W/campaign_lg_cj1.jsonl" "$W/campaign_lg_cj4.jsonl" \
-  "--log body differs between --jobs and --shards"
-same "$W/campaign_lg_cj1.jsonl" "$W/campaign_lg_sh2.jsonl" \
-  "--log body differs between --jobs and --shards"
-echo "log body identical for --jobs 1, --jobs 4 and --shards 2"
-# chaos: worker-OOM kills produce lease.infra / lease.retry /
-# lease.verdict records keyed to the (lease, attempt) fault stream
-"$CLI" campaign --iterations 10 --shards 1 --faults oom=0.5 --fault-seed 5 \
-  --log "$W/campaign_lg_ch1.jsonl" > /dev/null 2> /dev/null
-"$CLI" campaign --iterations 10 --shards 2 --faults oom=0.5 --fault-seed 5 \
-  --log "$W/campaign_lg_ch2.jsonl" > /dev/null 2> /dev/null
-same "$W/campaign_lg_ch1.jsonl" "$W/campaign_lg_ch2.jsonl" \
-  "chaos --log body differs between shard counts"
-echo "chaos log body identical for --shards 1 and --shards 2"
-grep -q '"event":"lease.verdict"' "$W/campaign_lg_ch2.jsonl" || {
-  echo "FAIL: chaos log has no lease.verdict records" >&2
-  exit 1
+# scrape DIR LIMIT: once the run writing DIR/err names its address
+# (within 10 s), poll its /status.json until "done" (within LIMIT s),
+# then keep DIR/healthz and DIR/scrape.prom.
+scrape() {
+  python3 - "$@" <<'EOF'
+import json, sys, time, urllib.error, urllib.request
+d, limit = sys.argv[1], float(sys.argv[2])
+http = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+def poll(seconds, probe, what):
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        got = probe()
+        if got:
+            return got
+        time.sleep(0.1)
+    sys.exit("FAIL: %s: %s" % (d, what))
+def address():
+    for line in open(d + "/err"):
+        if line.startswith("serving on "):
+            return line[len("serving on "):].strip()
+addr = poll(10, address, "--serve never reported its bound address")
+def get(path):
+    try:
+        with http.open("http://" + addr + path, timeout=5) as r:
+            return r.status, r.read().decode()
+    except urllib.error.HTTPError as e:
+        return e.code, e.read().decode()
+    except OSError:
+        return None, ""
+def done():
+    code, body = get("/status.json")
+    try:
+        return code == 200 and json.loads(body)["done"] is True
+    except (ValueError, KeyError):
+        return False
+poll(limit, done, "/status.json never reported done")
+code, body = get("/healthz")
+open(d + "/healthz", "w").write("%s %s\n" % (code, body.strip()))
+code, body = get("/metrics")
+if code != 200:
+    sys.exit("FAIL: %s: /metrics scrape answered %s" % (d, code))
+open(d + "/scrape.prom", "w").write(body)
+EOF
 }
 
-echo "== smoke: profiling export (profile.folded, mutator yield) =="
-TEL=$(mktemp -d "$W/dir.XXXXXX")
-"$CLI" fuzz -n 40 --seed 7 --telemetry "$TEL" > /dev/null 2> /dev/null
-for f in profile.folded mutator-yield.json; do
-  if [ ! -s "$TEL/$f" ]; then
-    echo "FAIL: telemetry artifact $f missing or empty" >&2
-    exit 1
-  fi
-done
-# every folded line is "stack;frames NNN" — the exact grammar
-# flamegraph.pl and speedscope consume
-if grep -qvE '^[^ ]+ [0-9]+$' "$TEL/profile.folded"; then
-  echo "FAIL: profile.folded has malformed folded-stack lines" >&2
-  head "$TEL/profile.folded" >&2
-  exit 1
-fi
-grep -q 'compile' "$TEL/profile.folded" || {
-  echo "FAIL: profile.folded has no compile stacks" >&2
-  exit 1
-}
-if command -v flamegraph.pl > /dev/null 2>&1; then
-  flamegraph.pl "$TEL/profile.folded" > "$W/flame.svg" || {
-    echo "FAIL: flamegraph.pl rejected profile.folded" >&2
-    exit 1
-  }
-fi
-if command -v jq > /dev/null 2>&1; then
-  jq -e '.[0].mutator and (.[0].fresh_edges >= 0)' "$TEL/mutator-yield.json" \
-    > /dev/null || {
-    echo "FAIL: mutator-yield.json malformed" >&2
-    exit 1
-  }
-fi
-grep -q '## Where the time goes' "$TEL/campaign-report.md" || {
-  echo "FAIL: report is missing the self-time table" >&2
-  exit 1
-}
-echo "profile.folded and mutator-yield.json well-formed"
-
-echo "== smoke: live observability endpoints (--serve) =="
-# Scrape the campaign during its post-run linger window: /status.json
-# must report done, /healthz must be 200, and /metrics must match the
-# final metrics.prom modulo the wall-clock families (span./gc./
-# telemetry.).  Serving must not perturb stdout.
-if command -v curl > /dev/null 2>&1; then
-  TEL=$(mktemp -d "$W/dir.XXXXXX")
-  : > "$W/campaign_serve.err"
-  METAMUT_SERVE_LINGER=10 "$CLI" campaign --iterations 10 --jobs 1 \
-    --serve 127.0.0.1:0 --telemetry "$TEL" \
-    > "$W/campaign_serve.txt" 2> "$W/campaign_serve.err" &
-  SRV_PID=$!
-  ADDR=""
+# kill_mid_run DIR PID: SIGKILL the coordinator PID once it has a worker
+# and has journaled a unit, or after about 1 s (it must have a worker by
+# then), then give its workers at most 5 s to read EOF on their sockets
+# (or EPIPE on their next send) and exit.
+kill_mid_run() {
   i=0
-  while [ $i -lt 100 ]; do
-    ADDR=$(sed -n 's/^serving on //p' "$W/campaign_serve.err" | head -n 1)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-    i=$((i + 1))
-  done
-  if [ -z "$ADDR" ]; then
-    echo "FAIL: --serve never reported its bound address" >&2
-    exit 1
-  fi
-  DONE=""
-  i=0
-  while [ $i -lt 150 ]; do
-    if curl -fsS "http://$ADDR/status.json" 2> /dev/null \
-        | grep -q '"done": true'; then
-      DONE=yes
+  workers=""
+  while [ $i -lt 20 ]; do
+    workers=$(pgrep -P "$2" -f 'metamut_cli.exe worker' || true)
+    if [ -n "$workers" ] && ls "$1"/ckpt/journal-*.ckpt > /dev/null 2>&1; then
       break
     fi
-    sleep 0.1
+    sleep 0.05
     i=$((i + 1))
   done
-  if [ -z "$DONE" ]; then
-    echo "FAIL: /status.json never reported done" >&2
-    kill "$SRV_PID" 2> /dev/null || true
-    exit 1
-  fi
-  HB=$(curl -fsS "http://$ADDR/healthz")
-  [ "$HB" = "ok" ] || {
-    echo "FAIL: /healthz was not ok on a clean run" >&2
-    exit 1
-  }
-  curl -fsS "http://$ADDR/metrics" > "$W/serve_metrics.prom" || {
-    echo "FAIL: /metrics scrape failed" >&2
-    exit 1
-  }
-  grep -q '^# TYPE metamut_compile_total counter' "$W/serve_metrics.prom" || {
-    echo "FAIL: live /metrics is not Prometheus text exposition" >&2
-    exit 1
-  }
-  wait "$SRV_PID"
-  grep -Ev 'metamut_(span|gc|telemetry)_' "$W/serve_metrics.prom" \
-    > "$W/serve_metrics_f.prom"
-  grep -Ev 'metamut_(span|gc|telemetry)_' "$TEL/metrics.prom" \
-    > "$W/final_metrics_f.prom"
-  same "$W/serve_metrics_f.prom" "$W/final_metrics_f.prom" \
-    "live /metrics diverged from the final metrics.prom"
-  echo "live /metrics matches metrics.prom modulo wall-clock families"
-  same "$W/campaign_j1.txt" "$W/campaign_serve.txt" \
-    "--serve changed the campaign output"
-  echo "serving did not perturb campaign stdout"
-else
-  echo "SKIP: serve smoke (curl not found)"
-fi
-
-echo "== smoke: quarantine flight recorder + degraded /healthz =="
-# Guaranteed-lethal faults: every lease OOMs until its breaker trips,
-# so every unit must leave a flight-<unit>.json in the telemetry dir,
-# and a live /healthz must serve 503 once the first breaker trips.
-TELF=$(mktemp -d "$W/dir.XXXXXX")
-: > "$W/campaign_flight.err"
-if command -v curl > /dev/null 2>&1; then
-  METAMUT_SERVE_LINGER=10 "$CLI" campaign --iterations 10 --shards 2 \
-    --faults oom=1.0 --fault-seed 9 --telemetry "$TELF" \
-    --serve 127.0.0.1:0 \
-    > "$W/campaign_flight.txt" 2> "$W/campaign_flight.err" &
-  FL_PID=$!
-  ADDR=""
+  kill -9 "$2" 2> /dev/null || true
+  wait "$2" 2> /dev/null || true
+  [ -n "$workers" ] || fail "${1##*/}: the coordinator had no worker processes to check"
   i=0
-  while [ $i -lt 100 ]; do
-    ADDR=$(sed -n 's/^serving on //p' "$W/campaign_flight.err" | head -n 1)
-    [ -n "$ADDR" ] && break
+  while :; do
+    alive=""
+    for p in $workers; do
+      if kill -0 "$p" 2> /dev/null; then alive="$alive $p"; fi
+    done
+    [ -n "$alive" ] && [ $i -lt 50 ] || break
     sleep 0.1
     i=$((i + 1))
   done
-  DONE=""
-  i=0
-  while [ $i -lt 300 ]; do
-    if curl -fsS "http://$ADDR/status.json" 2> /dev/null \
-        | grep -q '"done": true'; then
-      DONE=yes
-      break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-  done
-  if [ -z "$DONE" ]; then
-    echo "FAIL: flight-smoke /status.json never reported done" >&2
-    kill "$FL_PID" 2> /dev/null || true
-    exit 1
+  if [ -n "$alive" ]; then
+    ps -o pid=,ppid=,args= -p "$(echo $alive | tr ' ' ,)" >&2 || true
+    kill -9 $alive 2> /dev/null || true
+    fail "${1##*/}: worker(s)$alive outlived the SIGKILLed coordinator by 5 s"
   fi
-  CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz")
-  [ "$CODE" = "503" ] || {
-    echo "FAIL: /healthz served $CODE after breaker trips (want 503)" >&2
-    exit 1
-  }
-  echo "/healthz degraded to 503 after breaker trips"
-  wait "$FL_PID"
-else
-  "$CLI" campaign --iterations 10 --shards 2 --faults oom=1.0 \
-    --fault-seed 9 --telemetry "$TELF" \
-    > "$W/campaign_flight.txt" 2> "$W/campaign_flight.err"
-fi
-if ! ls "$TELF"/flight-*.json > /dev/null 2>&1; then
-  echo "FAIL: quarantined leases left no flight-<unit>.json" >&2
-  ls "$TELF" >&2 || true
-  exit 1
-fi
-FLIGHT=$(ls "$TELF"/flight-*.json | head -n 1)
-grep -q '"reason"' "$FLIGHT" && grep -q '"events"' "$FLIGHT" || {
-  echo "FAIL: flight record missing reason/events" >&2
-  cat "$FLIGHT" >&2
-  exit 1
 }
-if command -v jq > /dev/null 2>&1; then
-  jq -e '.unit and .reason and (.events | type == "array")' "$FLIGHT" \
-    > /dev/null || {
-    echo "FAIL: flight record is not valid JSON" >&2
-    exit 1
-  }
-fi
-grep -q 'QUARANTINED' "$W/campaign_flight.err" || {
-  echo "FAIL: quarantine was not reported on stderr" >&2
-  exit 1
-}
-echo "flight recorder dumped for quarantined leases"
 
-echo "== smoke: examples run, bughunt is deterministic =="
-EX=_build/default/examples
-[ -x "$EX/bughunt.exe" ] || { echo "FAIL: $EX not built" >&2; exit 1; }
-for E in quickstart invent_mutators differential bughunt; do
-  "$EX/$E.exe" > "$W/example_$E.txt" 2> /dev/null || {
-    echo "FAIL: examples/$E.exe exited nonzero" >&2
-    exit 1
-  }
-done
-# bughunt is the macro fuzzer's end-to-end caller: a second run must
-# print the same hunt
-"$EX/bughunt.exe" > "$W/example_bughunt2.txt" 2> /dev/null || {
-  echo "FAIL: examples/bughunt.exe exited nonzero on the second run" >&2
-  exit 1
+# run NAME: make the run NAME of the table, unless it is made already.
+run() {
+  [ ! -e "$W/$1/done" ] || return 0
+  local name="$1" spec word dir env="" serve="" kill="" prog="$CLI" pid
+  spec=$(printf '%s\n' "$RUNS" | awk -v n="$name" '$1 == n { $1 = ""; print; exit }')
+  [ -n "$spec" ] || fail "no run named $name"
+  dir="$W/$name"
+  mkdir -p "$dir"
+  set --
+  for word in $spec; do
+    case $word in
+      [A-Z]*=*) env="$env $word" ;;
+      example) prog=example ;;
+      @tel) set -- "$@" --telemetry "$dir/tel" ;;
+      @log) set -- "$@" --log "$dir/log.jsonl" ;;
+      @log:*) set -- "$@" --log "$dir/log.jsonl:${word#@log:}" ;;
+      @ckpt) set -- "$@" --checkpoint "$dir/ckpt" ;;
+      @lose=*)
+        run "${word#*=}"
+        rm "$W/${word#*=}/ckpt/journal-uCFuzz.s-GCC.ckpt"
+        set -- "$@" --checkpoint "$W/${word#*=}/ckpt" --resume ;;
+      @resume=*)
+        run "${word#*=}"
+        set -- "$@" --checkpoint "$W/${word#*=}/ckpt" --resume ;;
+      @serve=*)
+        serve="${word#*=}"
+        env="$env METAMUT_SERVE_LINGER=10"
+        set -- "$@" --serve 127.0.0.1:0 ;;
+      @kill) kill=yes ;;
+      @wc) set -- "$@" "$W/wrongcode.c" ;;
+      *)
+        if [ "$prog" = example ]; then prog="$EX/$word.exe"; else set -- "$@" "$word"; fi ;;
+    esac
+  done
+  echo "-- run $name:$spec"
+  env $env "$prog" "$@" < /dev/null > "$dir/out" 2> "$dir/err" &
+  pid=$!
+  BG=$pid
+  if [ -n "$kill" ]; then
+    kill_mid_run "$dir" "$pid"
+  else
+    [ -z "$serve" ] || scrape "$dir" "$serve" || exit 1
+    wait "$pid" || { cat "$dir/err" >&2; fail "run $name exited nonzero"; }
+  fi
+  BG=""
+  if [ -d "$dir/ckpt" ]; then
+    for j in "$dir"/ckpt/journal-*.ckpt; do
+      [ -e "$j" ] || continue
+      size=$(wc -c < "$j")
+      [ "$size" -le 65536 ] || fail "$name: $(basename "$j") is $size bytes (over 64 KiB)"
+    done
+  fi
+  : > "$dir/done"
 }
-same "$W/example_bughunt.txt" "$W/example_bughunt2.txt" \
-  "bughunt output differs between two runs"
-echo "examples ran; bughunt output identical across two runs"
+
+wallclock() { grep -Ev 'metamut_(span|gc|telemetry)_' "$1" || true; }
+untimed() {
+  awk '/^## (Time by span|Where the time goes)/ { s = 1; next } /^## / { s = 0 } !s' "$1"
+}
+
+# table TEXT: the lines of TEXT that are neither blank nor comments.
+table() { printf '%s\n' "$1" | grep -v -e '^ *#' -e '^ *$'; }
+
+echo "== determinism contracts =="
+while read -r contract ref var filter; do
+  run "${ref%%/*}"
+  run "${var%%/*}"
+  for a in "$ref" "$var"; do
+    [ -s "$W/$a" ] || fail "$contract: $a is missing or empty"
+  done
+  "${filter:-cat}" "$W/$ref" > "$W/ref"
+  "${filter:-cat}" "$W/$var" > "$W/var"
+  if ! cmp -s "$W/ref" "$W/var"; then
+    diff "$W/ref" "$W/var" | head -n 40 >&2 || true
+    fail "$contract: $var differs from $ref"
+  fi
+  echo "ok $contract: $ref = $var"
+done <<EOF
+$(table "$ROWS")
+EOF
+
+echo "== artifacts well-formed =="
+while read -r path test arg; do
+  run "${path%%/*}"
+  case $test in
+    has) grep -q -- "$arg" "$W/$path" ;;
+    every) [ -s "$W/$path" ] && ! grep -qvE -- "$arg" "$W/$path" ;;
+    json) python3 -c '
+import glob, json, sys
+files = glob.glob(sys.argv[1])
+for f in files:
+    d = json.load(open(f))
+    if not eval(sys.argv[2]):
+        sys.exit(1)
+sys.exit(0 if files else 1)' "$W/$path" "$arg" ;;
+    *) false ;;
+  esac || fail "$path: $test $arg"
+  echo "ok $path: $test $arg"
+done <<EOF
+$(table "$CHECKS")
+EOF
 
 echo "OK"

@@ -515,102 +515,6 @@ let supervision_tests =
           (Engine.Metrics.snapshot ctx.Engine.Ctx.metrics = []));
   ]
 
-(* Run the campaign matrix through the one driver on [jobs] domains. *)
-let run_campaign ?fuzzers ?engine ?faults ~jobs cfg =
-  Fuzzing.Coordinator.to_campaign
-    (Fuzzing.Coordinator.run ~cfg ?fuzzers ?engine ?faults ~shards:jobs
-       ~backend:Engine.Shard.Domains ())
-
-(* The acceptance-criterion guarantee: a worker-parallel campaign must
-   reproduce the sequential per-cell results exactly. *)
-let determinism_tests =
-  [
-    tc "campaign jobs:1 and jobs:4 produce identical results" (fun () ->
-        let base =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 12;
-            seeds = 10;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
-        let fingerprint jobs =
-          let t = run_campaign ~jobs base in
-          List.map
-            (fun ((f, c), (r : Fuzzing.Fuzz_result.t)) ->
-              ( (Fuzzing.Campaign.fuzzer_tag f, Fuzzing.Campaign.compiler_tag c),
-                ( List.sort compare
-                    (Simcomp.Coverage.branch_ids r.Fuzzing.Fuzz_result.coverage),
-                  List.sort compare (Fuzzing.Fuzz_result.crash_keys r),
-                  r.Fuzzing.Fuzz_result.coverage_trend,
-                  ( r.Fuzzing.Fuzz_result.total_mutants,
-                    r.Fuzzing.Fuzz_result.compilable_mutants ) ) ))
-            t.Fuzzing.Campaign.results
-        in
-        let seq = fingerprint 1 and par = fingerprint 4 in
-        check Alcotest.bool "identical coverage/crash/trend sets" true
-          (seq = par));
-    tc "parallel metrics merge equals the sequential registry" (fun () ->
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 8;
-            seeds = 6;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
-        let counters jobs =
-          let engine = Engine.Ctx.create () in
-          ignore
-            (run_campaign ~jobs ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
-               ~engine cfg);
-          List.filter
-            (function _, Engine.Metrics.Counter _ -> true | _ -> false)
-            (Engine.Metrics.snapshot engine.Engine.Ctx.metrics)
-        in
-        check Alcotest.bool "same counters" true (counters 1 = counters 2));
-    tc "faulted campaign is identical at any job count" (fun () ->
-        (* the CI fault job raises these rates via METAMUT_FAULTS; the
-           invariance must hold at whatever configuration is injected *)
-        let config =
-          match Engine.Faults.config_from_env () with
-          | Some c -> c
-          | None ->
-            {
-              Engine.Faults.no_faults with
-              Engine.Faults.compile_hang = 0.05;
-              worker_crash = 0.3;
-            }
-        in
-        let base =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
-        let run jobs =
-          let faults =
-            Engine.Faults.create ~seed:(Engine.Faults.seed_from_env ()) config
-          in
-          (run_campaign ~jobs ~faults base).Fuzzing.Campaign.results
-        in
-        let a = run 1 and b = run 4 in
-        check Alcotest.int "same cells" (List.length a) (List.length b);
-        List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
-            check Alcotest.bool
-              ("equal result for " ^ Fuzzing.Campaign.fuzzer_name (fst c1))
-              true
-              (Fuzzing.Fuzz_result.equal r1 r2))
-          a b);
-  ]
-
 let mucfuzz_engine_tests =
   [
     tc "trend starts with the seed baseline sample" (fun () ->
@@ -689,6 +593,6 @@ let () =
       ("retry", retry_tests);
       ("checkpoint", checkpoint_tests);
       ("supervision", supervision_tests);
-      ("determinism", determinism_tests);
+      ("determinism", Contracts.tests "determinism");
       ("mucfuzz-engine", mucfuzz_engine_tests);
     ]

@@ -257,15 +257,7 @@ let mucfuzz_tests =
        only advances at collection boundaries.  The same run pins the
        fuzz identity, so a change that moves the numbers says so. *)
     tc "smoke run allocation within baseline, identity pinned" (fun () ->
-        let baseline =
-          (* beside the binary's directory in the build tree, wherever
-             the binary is run from *)
-          In_channel.with_open_text
-            (Filename.concat
-               (Filename.dirname Sys.executable_name)
-               "../bench/BASELINE_smoke_minor_words")
-            (fun ic -> float_of_string (String.trim (In_channel.input_all ic)))
-        in
+        let baseline = float_of_string (String.trim Smoke_baseline.minor_words) in
         let cfg =
           {
             (Fuzzing.Mucfuzz.default_config ()) with
@@ -530,11 +522,6 @@ let macro_tests =
              ~iterations:40 ()));
   ]
 
-(* Run the campaign matrix through the one driver on [jobs] domains. *)
-let run_campaign ?fuzzers ?faults ?checkpoint ?resume ~jobs cfg =
-  Fuzzing.Coordinator.run ~cfg ?fuzzers ?faults ?checkpoint ?resume
-    ~shards:jobs ~backend:Engine.Shard.Domains ()
-
 let campaign_tests =
   [
     tc "campaign produces one result per fuzzer and compiler" (fun () ->
@@ -547,7 +534,10 @@ let campaign_tests =
             max_attempts = 4;
           }
         in
-        let t = run_campaign ~jobs:cfg.jobs cfg in
+        let t =
+          Fuzzing.Coordinator.run ~cfg ~shards:cfg.jobs
+            ~backend:Engine.Shard.Domains ()
+        in
         check Alcotest.int "results" 12 (List.length t.Fuzzing.Coordinator.results));
     tc "crash sets are prefixed by compiler" (fun () ->
         let cfg =
@@ -561,8 +551,8 @@ let campaign_tests =
         in
         let t =
           Fuzzing.Coordinator.to_campaign
-            (run_campaign ~jobs:cfg.jobs ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_s ]
-               cfg)
+            (Fuzzing.Coordinator.run ~cfg ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_s ]
+               ~shards:cfg.jobs ~backend:Engine.Shard.Domains ())
         in
         Hashtbl.iter
           (fun k () ->
@@ -574,89 +564,6 @@ let campaign_tests =
         check Alcotest.(list string) "names"
           [ "uCFuzz.s"; "uCFuzz.u"; "AFL++"; "GrayC"; "Csmith"; "YARPGen" ]
           (List.map Fuzzing.Campaign.fuzzer_name Fuzzing.Campaign.all_fuzzers));
-    tc "worker-crash faults do not change results" (fun () ->
-        (* deaths strike between items, so supervision must requeue and
-           reproduce the fault-free campaign exactly *)
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 8;
-            seeds = 6;
-            sample_every = 4;
-            max_attempts = 4;
-            jobs = 3;
-          }
-        in
-        let fuzzers = Fuzzing.Campaign.[ MuCFuzz_u; AFLpp ] in
-        let clean = run_campaign ~jobs:3 ~fuzzers cfg in
-        let faults =
-          Engine.Faults.create ~seed:5
-            { Engine.Faults.no_faults with Engine.Faults.worker_crash = 1.0 }
-        in
-        let faulted = run_campaign ~jobs:3 ~fuzzers ~faults cfg in
-        check Alcotest.int "no failures" 0
-          (List.length faulted.Fuzzing.Coordinator.failures);
-        List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
-            check Alcotest.bool "equal result" true
-              (Fuzzing.Fuzz_result.equal r1 r2))
-          clean.Fuzzing.Coordinator.results faulted.Fuzzing.Coordinator.results);
-    tc "scheduled campaigns are identical across job counts" (fun () ->
-        (* corpus scheduling lives inside each cell's private RNG and
-           pool, so parallelism must not perturb it *)
-        let cfg jobs =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 4;
-            max_attempts = 4;
-            schedule = true;
-            jobs;
-          }
-        in
-        let fuzzers = Fuzzing.Campaign.[ MuCFuzz_s; MuCFuzz_u ] in
-        let serial = run_campaign ~jobs:1 ~fuzzers (cfg 1) in
-        let par = run_campaign ~jobs:4 ~fuzzers (cfg 4) in
-        List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
-            check Alcotest.bool "equal result" true
-              (Fuzzing.Fuzz_result.equal r1 r2))
-          serial.Fuzzing.Coordinator.results par.Fuzzing.Coordinator.results);
-    tc "campaign resume reproduces the uninterrupted result" (fun () ->
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 4;
-            max_attempts = 4;
-            jobs = 2;
-          }
-        in
-        let fuzzers = Fuzzing.Campaign.[ MuCFuzz_u; Csmith ] in
-        let full = run_campaign ~jobs:2 ~fuzzers cfg in
-        let dir = Filename.temp_dir "metamut-campaign" "" in
-        let first = run_campaign ~jobs:2 ~fuzzers ~checkpoint:dir cfg in
-        check Alcotest.int "first run computes everything" 0
-          first.Fuzzing.Coordinator.resumed_units;
-        (* simulate a crash that lost one completed cell's result *)
-        Sys.remove (Filename.concat dir "journal-uCFuzz.u-GCC.ckpt");
-        let resumed =
-          run_campaign ~jobs:2 ~fuzzers ~checkpoint:dir ~resume:true cfg
-        in
-        check Alcotest.int "three cells restored" 3
-          resumed.Fuzzing.Coordinator.resumed_units;
-        check Alcotest.int "no failures" 0
-          (List.length resumed.Fuzzing.Coordinator.failures);
-        List.iter2
-          (fun (c1, r1) (c2, r2) ->
-            check Alcotest.bool "same cell" true (c1 = c2);
-            check Alcotest.bool "equal result" true
-              (Fuzzing.Fuzz_result.equal r1 r2))
-          full.Fuzzing.Coordinator.results resumed.Fuzzing.Coordinator.results);
   ]
 
 let report_tests =
@@ -1321,7 +1228,7 @@ let () =
       ("mucfuzz", mucfuzz_tests);
       ("baselines", baseline_tests);
       ("macro", macro_tests);
-      ("campaign", campaign_tests);
+      ("campaign", campaign_tests @ Contracts.tests "campaign");
       ("report", report_tests);
       ("wrongcode", wrongcode_tests);
       ("bisect", bisect_tests);

@@ -6,8 +6,7 @@
    byte-identical report, opt-matrix determinism, coordinator-crash
    resume), and Status TTY ownership. *)
 
-let check = Alcotest.check
-let tc name f = Alcotest.test_case name `Quick f
+open Contracts
 
 let frame_eq (a : Engine.Shard.frame) (b : Engine.Shard.frame) = a = b
 
@@ -176,11 +175,6 @@ let verdict_testable =
     (fun (a : Engine.Shard.verdict) b -> a = b)
 
 let verdicts_testable = Alcotest.array verdict_testable
-
-let faults_of_spec ?(seed = 11) spec =
-  match Engine.Faults.parse_spec spec with
-  | Ok cfg -> Engine.Faults.create ~seed cfg
-  | Error msg -> Alcotest.fail msg
 
 let pool_tests =
   [
@@ -441,125 +435,11 @@ let chaos_tests =
 (* Sharded campaign coordinator                                        *)
 (* ------------------------------------------------------------------ *)
 
-let small_cfg =
-  {
-    Fuzzing.Campaign.default_config with
-    iterations = 60;
-    seeds = 12;
-    sample_every = 15;
-    jobs = 1;
-  }
-
-let some_fuzzers = Fuzzing.Campaign.[ MuCFuzz_s; AFLpp ]
-
-let result_testable =
-  Alcotest.testable
-    (fun ppf (r : Fuzzing.Fuzz_result.t) ->
-      Fmt.pf ppf "%s: %d mutants, %d covered, %d crashes" r.fuzzer_name
-        r.total_mutants
-        (Simcomp.Coverage.covered r.coverage)
-        (Fuzzing.Fuzz_result.unique_crashes r))
-    Fuzzing.Fuzz_result.equal
-
-let run_coordinator ?opt_levels ?faults ?limits ?checkpoint ?resume ~shards
-    () =
-  Fuzzing.Coordinator.run ~cfg:small_cfg ~fuzzers:some_fuzzers ?opt_levels
-    ?faults ?limits ?checkpoint ?resume ~shards ~backend:Engine.Shard.Fork ()
-
 let coordinator_tests =
   [
-    tc "shards:1 ≡ shards:4: results, coverage, crashes, report" (fun () ->
-        let t1 = run_coordinator ~shards:1 () in
-        let t4 = run_coordinator ~shards:4 () in
-        check Alcotest.int "unit count"
-          (List.length t1.Fuzzing.Coordinator.results)
-          (List.length t4.Fuzzing.Coordinator.results);
-        List.iter2
-          (fun (u1, r1) (u4, r4) ->
-            check Alcotest.string "unit order"
-              (Fuzzing.Coordinator.unit_name u1)
-              (Fuzzing.Coordinator.unit_name u4);
-            check result_testable
-              (Fuzzing.Coordinator.unit_name u1)
-              r1 r4)
-          t1.Fuzzing.Coordinator.results t4.Fuzzing.Coordinator.results;
-        check Alcotest.(list string) "crash sets"
-          (Fuzzing.Coordinator.all_crashes t1)
-          (Fuzzing.Coordinator.all_crashes t4);
-        check Alcotest.bool "aggregate coverage" true
-          (Simcomp.Coverage.equal
-             (Fuzzing.Coordinator.aggregate_coverage t1)
-             (Fuzzing.Coordinator.aggregate_coverage t4));
-        (* the campaign report (no engine: the span table is wall-clock)
-           is byte-identical *)
-        check Alcotest.string "campaign-report.md"
-          (Fuzzing.Coordinator.report t1)
-          (Fuzzing.Coordinator.report t4);
-        check Alcotest.int "no failures" 0
-          (List.length t4.Fuzzing.Coordinator.failures);
-        check Alcotest.int "no interventions" 0
-          t4.Fuzzing.Coordinator.shard_stats.Engine.Shard.st_died);
-    tc "worker death mid-lease: same final result, requeue counted"
-      (fun () ->
-        let baseline = run_coordinator ~shards:1 () in
-        Unix.putenv "METAMUT_SHARD_KILL" "uCFuzz.s-GCC";
-        let killed =
-          Fun.protect
-            ~finally:(fun () -> Unix.putenv "METAMUT_SHARD_KILL" "")
-            (fun () -> run_coordinator ~shards:2 ())
-        in
-        check Alcotest.bool "a worker died" true
-          (killed.Fuzzing.Coordinator.shard_stats.Engine.Shard.st_died >= 1);
-        check Alcotest.bool "the lease was requeued" true
-          (killed.Fuzzing.Coordinator.shard_stats.Engine.Shard.st_requeued
-           >= 1);
-        check Alcotest.string "report identical after recovery"
-          (Fuzzing.Coordinator.report baseline)
-          (Fuzzing.Coordinator.report killed));
-    tc "opt-matrix: deterministic across shard counts, levels differ"
-      (fun () ->
-        let t1 = run_coordinator ~opt_levels:[ 0; 2 ] ~shards:1 () in
-        let t2 = run_coordinator ~opt_levels:[ 0; 2 ] ~shards:2 () in
-        check Alcotest.string "opt-matrix report"
-          (Fuzzing.Coordinator.report t1)
-          (Fuzzing.Coordinator.report t2);
-        check Alcotest.int "levels x cells" 8
-          (List.length t1.Fuzzing.Coordinator.results);
-        (* -O0 and -O2 run different pass pipelines: coverage differs *)
-        let cov u =
-          List.assoc_opt u t1.Fuzzing.Coordinator.results
-          |> Option.map (fun (r : Fuzzing.Fuzz_result.t) ->
-                 Simcomp.Coverage.covered r.coverage)
-        in
-        let u l =
-          {
-            Fuzzing.Coordinator.u_fuzzer = Fuzzing.Campaign.MuCFuzz_s;
-            u_compiler = Simcomp.Compiler.Gcc;
-            u_opt = Some l;
-          }
-        in
-        check Alcotest.bool "distinct coverage across -O levels" true
-          (cov (u 0) <> cov (u 2)));
-    tc "chaos-armed campaign: shards:1 ≡ shards:2, report identical"
-      (fun () ->
-        let faults () = faults_of_spec ~seed:7 "frame=0.3,oom=0.3,coord=0.5" in
-        let t1 = run_coordinator ~shards:1 ~faults:(faults ()) () in
-        let t2 = run_coordinator ~shards:2 ~faults:(faults ()) () in
-        check Alcotest.string "report identical under chaos"
-          (Fuzzing.Coordinator.report t1)
-          (Fuzzing.Coordinator.report t2);
-        check Alcotest.int "unit count"
-          (List.length t1.Fuzzing.Coordinator.results
-          + List.length t1.Fuzzing.Coordinator.quarantined)
-          (List.length t2.Fuzzing.Coordinator.results
-          + List.length t2.Fuzzing.Coordinator.quarantined);
-        check Alcotest.int "nothing failed outright" 0
-          (List.length t2.Fuzzing.Coordinator.failures));
     tc "permanent oom: every unit quarantined, report grows the table"
       (fun () ->
-        let t =
-          run_coordinator ~shards:2 ~faults:(faults_of_spec "oom=1.0") ()
-        in
+        let t = (campaign ~faults:(faults_of_spec "oom=1.0") 2).t in
         check Alcotest.int "no results" 0
           (List.length t.Fuzzing.Coordinator.results);
         check Alcotest.int "all units quarantined" 4
@@ -578,101 +458,51 @@ let coordinator_tests =
           (Astring.String.is_infix ~affix:"uCFuzz.s-GCC" report));
     tc "checkpoints with the previous magic are refused; units start fresh"
       (fun () ->
-        let dir =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Fmt.str "metamut-shard-oldmagic-%d" (Unix.getpid ()))
-        in
-        let files () =
-          Array.to_list (try Sys.readdir dir with _ -> [||])
-          |> List.filter (fun f -> Filename.check_suffix f ".ckpt")
-          |> List.map (Filename.concat dir)
-        in
-        let baseline = run_coordinator ~shards:1 ~checkpoint:dir () in
-        (* rewrite every journal and snapshot under the previous magic,
-           keeping fingerprint and payload: only the magic tells them
-           apart from files this build wrote *)
-        let old_magic = "METAMUT-CKPT5" in
-        List.iter
-          (fun path ->
-            let body = In_channel.with_open_bin path In_channel.input_all in
-            let nl = String.index body '\n' in
-            check Alcotest.bool "the magic moved on" true
-              (String.sub body 0 nl <> old_magic);
-            Out_channel.with_open_bin path (fun oc ->
-                output_string oc old_magic;
-                output_string oc
-                  (String.sub body nl (String.length body - nl))))
-          (files ());
-        check Alcotest.bool "journals were written" true
-          (List.exists
-             (fun f ->
-               Astring.String.is_prefix ~affix:"journal-" (Filename.basename f))
-             (files ()));
-        List.iter
-          (fun path ->
-            match Engine.Checkpoint.load ~path ~fingerprint:"any" with
-            | Ok (_ : Fuzzing.Fuzz_result.t) ->
-              Alcotest.failf "%s loaded under the previous magic" path
-            | Error _ -> ()
-            | exception e ->
-              Alcotest.failf "%s: raised %s" path (Printexc.to_string e))
-          (files ());
-        let resumed =
-          run_coordinator ~shards:2 ~checkpoint:dir ~resume:true ()
-        in
-        check Alcotest.int "no unit resumed" 0
-          resumed.Fuzzing.Coordinator.resumed_units;
-        List.iter2
-          (fun (u, r) (_, r') ->
-            check result_testable (Fuzzing.Coordinator.unit_name u) r r')
-          baseline.Fuzzing.Coordinator.results
-          resumed.Fuzzing.Coordinator.results;
-        List.iter Sys.remove (files ());
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-          (try Sys.readdir dir with _ -> [||]);
-        (try Unix.rmdir dir with _ -> ()));
-    tc "coordinator SIGKILL mid-campaign + resume ≡ uninterrupted \
-        (opt-matrix)" (fun () ->
-        let dir =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Fmt.str "metamut-shard-crash-%d" (Unix.getpid ()))
-        in
-        let baseline = run_coordinator ~opt_levels:[ 0; 2 ] ~shards:1 () in
-        (* a real coordinator crash: fork one, SIGKILL it mid-run *)
-        flush stdout;
-        flush stderr;
-        (match Unix.fork () with
-        | 0 ->
-          (try
-             ignore
-               (run_coordinator ~opt_levels:[ 0; 2 ] ~shards:2
-                  ~checkpoint:dir ())
-           with _ -> ());
-          Unix._exit 0
-        | pid ->
-          Unix.sleepf 0.5;
-          (try Unix.kill pid Sys.sigkill with _ -> ());
-          ignore (Unix.waitpid [] pid));
-        let resumed =
-          run_coordinator ~opt_levels:[ 0; 2 ] ~shards:2 ~checkpoint:dir
-            ~resume:true ()
-        in
-        check Alcotest.string "resumed report ≡ uninterrupted"
-          (Fuzzing.Coordinator.report baseline)
-          (Fuzzing.Coordinator.report resumed);
-        check Alcotest.(list string) "crash sets survive the crash"
-          (Fuzzing.Coordinator.all_crashes baseline)
-          (Fuzzing.Coordinator.all_crashes resumed);
-        check Alcotest.bool "aggregate coverage survives the crash" true
-          (Simcomp.Coverage.equal
-             (Fuzzing.Coordinator.aggregate_coverage baseline)
-             (Fuzzing.Coordinator.aggregate_coverage resumed));
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-          (try Sys.readdir dir with _ -> [||]);
-        (try Unix.rmdir dir with _ -> ()));
+        in_scratch_dir (fun dir ->
+            let files () =
+              Array.to_list (Sys.readdir dir)
+              |> List.filter (fun f -> Filename.check_suffix f ".ckpt")
+              |> List.map (Filename.concat dir)
+            in
+            let baseline = campaign ~checkpoint:dir 1 in
+            (* rewrite every journal and snapshot under the previous magic,
+               keeping fingerprint and payload: only the magic tells them
+               apart from files this build wrote *)
+            let old_magic = "METAMUT-CKPT5" in
+            List.iter
+              (fun path ->
+                let body = In_channel.with_open_bin path In_channel.input_all in
+                let nl = String.index body '\n' in
+                check Alcotest.bool "the magic moved on" true
+                  (String.sub body 0 nl <> old_magic);
+                Out_channel.with_open_bin path (fun oc ->
+                    output_string oc old_magic;
+                    output_string oc
+                      (String.sub body nl (String.length body - nl))))
+              (files ());
+            check Alcotest.bool "journals were written" true
+              (List.exists
+                 (fun f ->
+                   Astring.String.is_prefix ~affix:"journal-"
+                     (Filename.basename f))
+                 (files ()));
+            List.iter
+              (fun path ->
+                match Engine.Checkpoint.load ~path ~fingerprint:"any" with
+                | Ok (_ : Fuzzing.Fuzz_result.t) ->
+                  Alcotest.failf "%s loaded under the previous magic" path
+                | Error _ -> ()
+                | exception e ->
+                  Alcotest.failf "%s: raised %s" path (Printexc.to_string e))
+              (files ());
+            let resumed = campaign ~checkpoint:dir ~resume:true 2 in
+            check Alcotest.int "no unit resumed" 0 resumed.t.resumed_units;
+            List.iter2
+              (fun (u, r) (_, r') ->
+                check result_testable (Fuzzing.Coordinator.unit_name u) r r')
+              baseline.t.results resumed.t.results));
   ]
+
 
 (* ------------------------------------------------------------------ *)
 (* Domain backend                                                      *)
@@ -752,7 +582,7 @@ let () =
       ("protocol", protocol_tests);
       ("pool", pool_tests);
       ("chaos", chaos_tests);
-      ("coordinator", coordinator_tests);
+      ("coordinator", Contracts.tests "coordinator" @ coordinator_tests);
       ("status", status_tests);
       (* after every fork case: see [domain_tests] *)
       ("domains", domain_tests);

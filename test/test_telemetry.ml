@@ -428,27 +428,6 @@ let telemetry_tests =
         Engine.Ctx.emit ctx
           (Engine.Event.Coverage_sampled { iteration = 2; covered = 6 });
         check Alcotest.int "sink detached" before (flushes ()));
-    tc "merged telemetry is identical at jobs:1 and jobs:4" (fun () ->
-        let cfg =
-          {
-            Fuzzing.Campaign.default_config with
-            iterations = 10;
-            seeds = 8;
-            sample_every = 4;
-            max_attempts = 4;
-          }
-        in
-        let snapshot jobs =
-          let engine = Engine.Ctx.create () in
-          ignore (Engine.Ctx.enable_trace engine);
-          ignore (Engine.Ctx.enable_probe engine);
-          ignore
-            (Fuzzing.Coordinator.run ~cfg ~engine ~shards:jobs
-               ~backend:Engine.Shard.Domains ());
-          Engine.Telemetry.deterministic_snapshot engine.Engine.Ctx.metrics
-        in
-        check Alcotest.bool "identical deterministic snapshots" true
-          (snapshot 1 = snapshot 4));
     tc "campaign report renders the load-bearing sections" (fun () ->
         let cfg =
           {
@@ -855,7 +834,7 @@ let () =
       ("probe", probe_tests);
       ("status", status_tests);
       ("trend-tail", trend_tail_tests);
-      ("telemetry", telemetry_tests);
+      ("telemetry", telemetry_tests @ Contracts.tests "telemetry");
       ("folded", folded_tests);
       ("yield", yield_tests);
       ("log", log_tests);
