@@ -180,6 +180,23 @@ let add_int buf n =
   end
   else add_pos_int buf n
 
+(* The digits of a negative [n], most significant first. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+(* [Int64.to_string v] into the buffer; a value that fits an [int] is
+   written digit by digit, without the intermediate string.  Negative
+   values count down from zero, so [min_int] needs no negation. *)
+let add_int64 buf (v : int64) =
+  let n = Int64.to_int v in
+  if not (Int64.equal (Int64.of_int n) v) then Buffer.add_string buf (Int64.to_string v)
+  else if n >= 0 then add_pos_int buf n
+  else begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+
 let add_sep buf = Buffer.add_string buf ", "
 
 (* "  %-6s " — the line prefix of one assembly instruction. *)
@@ -219,7 +236,7 @@ let add_operand buf regmap nregs (op : operand) =
   | Reg r -> add_vreg buf regmap nregs r
   | Imm v ->
     Buffer.add_char buf '#';
-    Buffer.add_string buf (Int64.to_string v)
+    add_int64 buf v
   | Fimm f -> Buffer.add_string buf (Printf.sprintf "#%g" f)
   | Sym s ->
     Buffer.add_char buf '@';
@@ -277,9 +294,9 @@ let instr_event cov (i : instr) =
   let site = 0x4000 in
   match i with
   | Ibin (op, _, x, y) ->
-    Coverage.branch3 cov site (Hashtbl.hash op land 0xff)
+    Coverage.branch3 cov site (Lower.binop_hash_tag op)
       ((4 * operand_kind x) + operand_kind y)
-  | Iun (op, _, _) -> Coverage.branch3 cov site 200 (Hashtbl.hash op land 0xff)
+  | Iun (op, _, _) -> Coverage.branch3 cov site 200 (Lower.unop_hash_tag op)
   | Imov _ -> Coverage.branch3 cov site 201 0
   | Icast (_, ty, _) -> Coverage.branch3 cov site 202 (Lower.ty_tag ty)
   | Iload (_, addr) -> Coverage.branch3 cov site 203 (address_kind addr)
@@ -425,7 +442,7 @@ let emit_term buf regmap nregs (t : terminator) : unit =
       List.iter
         (fun (v, l) ->
           add_sep buf;
-          Buffer.add_string buf (Int64.to_string v);
+          add_int64 buf v;
           Buffer.add_char buf ':';
           add_label buf l)
         cases;
@@ -440,7 +457,7 @@ let emit_term buf regmap nregs (t : terminator) : unit =
           add_operand buf regmap nregs c;
           add_sep buf;
           Buffer.add_char buf '#';
-          Buffer.add_string buf (Int64.to_string v);
+          add_int64 buf v;
           add_sep buf;
           add_label buf l;
           end_instr buf)

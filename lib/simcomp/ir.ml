@@ -68,8 +68,6 @@ type program = {
 (* Utilities                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let block_of func label = List.find_opt (fun b -> b.b_label = label) func.fn_blocks
-
 let successors term =
   match term with
   | Tret _ | Tunreachable -> []

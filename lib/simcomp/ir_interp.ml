@@ -314,7 +314,6 @@ let deref st c what =
 (* ------------------------------------------------------------------ *)
 
 module Names = Hashtbl.Make (String)
-module Labels = Hashtbl.Make (Int)
 
 let rec calls_user = function Call _ -> true | Bad_dest i -> calls_user i | _ -> false
 
@@ -398,20 +397,22 @@ let compile (p : program) : state * int option * int =
         in
         match r with None -> call (-1) | Some r -> wrap r (call (dst r)))
     in
-    let labels = Labels.create 16 in
-    List.iteri (fun i b -> if not (Labels.mem labels b.b_label) then Labels.add labels b.b_label i) f.fn_blocks;
-    let nblocks = List.length f.fn_blocks in
+    (* the arena's label index: the first block with a label wins;
+       targets need positions only, not the blocks *)
+    let arena = Scratch.get () in
+    let nblocks = Scratch.index_labels arena f in
+    Scratch.release_blocks arena;
     let missing = ref [] in
     let target l =
-      match Labels.find_opt labels l with
-      | Some i -> i
-      | None -> (
+      let i = Scratch.block_index arena l in
+      if i >= 0 then i
+      else
         match List.assoc_opt l !missing with
         | Some i -> i
         | None ->
           let i = nblocks + List.length !missing in
           missing := (l, i) :: !missing;
-          i)
+          i
     in
     let term = function
       | Tret None -> Ret (lnot zero)

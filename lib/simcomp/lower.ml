@@ -67,6 +67,16 @@ let binop_hash_tag (op : Cparse.Ast.binop) =
     v
   end
 
+(* [Hashtbl.hash op land 0xff] for unops, computed once per
+   constructor. *)
+let unop_hash_tag =
+  let tags = Array.map (fun op -> Hashtbl.hash op land 0xff) [| Neg; Lognot; Bitnot; Uplus |] in
+  fun (op : unop) ->
+    Array.unsafe_get tags (match op with Neg -> 0 | Lognot -> 1 | Bitnot -> 2 | Uplus -> 3)
+
+(* [Hashtbl.hash] of a name, for coverage contexts keyed by a callee. *)
+let name_hash (name : string) = Hashtbl.hash name
+
 let type_of env (e : expr) : ty =
   Typecheck.Types.find env.types e.eid ~default:(Tint (Iint, true))
 
@@ -194,7 +204,7 @@ let rec lower_expr env (e : expr) : operand =
     let oargs = List.map (lower_expr env) args in
     let callee_tag =
       if List.exists (fun (n, _) -> String.equal n fname) Typecheck.builtins
-      then 32 + (Hashtbl.hash fname land 0x1f)
+      then 32 + (name_hash fname land 0x1f)
       else 1
     in
     cov_event env 0x1200 callee_tag (List.length args);

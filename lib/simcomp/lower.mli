@@ -26,6 +26,13 @@ val binop_hash_tag : Cparse.Ast.binop -> int
 (** [Hashtbl.hash op land 0xff], memoized per constructor — the
     allocation- and C-call-free spelling for per-node instrumentation. *)
 
+val unop_hash_tag : Cparse.Ast.unop -> int
+(** [Hashtbl.hash op land 0xff], computed once per constructor. *)
+
+val name_hash : string -> int
+(** [Hashtbl.hash name]: the tag of coverage contexts keyed by a
+    callee. *)
+
 val lower_tu :
   ?cov:Coverage.t -> Cparse.Ast.tu -> Cparse.Typecheck.result -> Ir.program
 (** Lower a type-checked unit.  Local slots are registered in the

@@ -86,147 +86,177 @@ let eval_unop op (a : int64) : int64 =
   | Bitnot -> Int64.lognot a
   | Lognot -> if Int64.equal a 0L then 1L else 0L
 
+(* Per-function pass state lives in the arena, in arrays indexed by
+   register or by label.  A register outside [0, fn_nregs] has no cell
+   and is refused, as the back-end's allocator refuses it. *)
+let check_reg n r =
+  if r < 0 || r > n then invalid_arg "Opt: register out of range"
+
+(* constfold's per-block constant table: a register holds a constant
+   while its stamp is the block's ([Scratch.cf_block]), and [cf_live]
+   counts those registers, as the table's length did. *)
+let[@inline] cf_mem (s : Scratch.t) n r =
+  check_reg n r;
+  Array.unsafe_get s.cf_stamp r = s.cf_block
+
+let cf_set (s : Scratch.t) n r v =
+  if not (cf_mem s n r) then begin
+    s.cf_stamp.(r) <- s.cf_block;
+    s.cf_live <- s.cf_live + 1
+  end;
+  Bytes.set_int64_ne s.cf_val (8 * r) v
+
+let cf_remove (s : Scratch.t) n r =
+  if cf_mem s n r then begin
+    s.cf_stamp.(r) <- 0;
+    s.cf_live <- s.cf_live - 1
+  end
+
+let subst (s : Scratch.t) n changes (op : operand) =
+  match op with
+  | Reg r when cf_mem s n r ->
+    incr changes;
+    Imm (Bytes.get_int64_ne s.cf_val (8 * r))
+  | _ -> op
+
+let rec subst_list s n changes = function
+  | [] -> []
+  | x :: tl as l ->
+    let x' = subst s n changes x in
+    let tl' = subst_list s n changes tl in
+    if x' == x && tl' == tl then l else x' :: tl'
+
+let subst_addr s n changes (addr : address) =
+  match addr with
+  | Aindex (sl, op, sz) ->
+    let op' = subst s n changes op in
+    if op' == op then addr else Aindex (sl, op', sz)
+  | Areg op ->
+    let op' = subst s n changes op in
+    if op' == op then addr else Areg op'
+  | a -> a
+
+let rec log2 x acc =
+  if Int64.compare x 1L <= 0 then acc
+  else log2 (Int64.shift_right_logical x 1) (acc + 1)
+
+let fold_instr cov s n changes i =
+  match i with
+  | Ibin (bop, r, a, bb) -> (
+    let a' = subst s n changes a and bb' = subst s n changes bb in
+    match a', bb' with
+    | Imm va, Imm vb -> (
+      match eval_binop bop va vb with
+      | Some v ->
+        cf_set s n r v;
+        cov_event cov 0x3000 (Lower.binop_hash_tag bop) 1;
+        (* folded-value bucket: constants drive distinct value-range
+           paths downstream *)
+        let magnitude = log2 (Int64.abs v) 0 in
+        cov_event cov 0x3001
+          (Lower.binop_hash_tag bop land 0xf)
+          ((2 * magnitude) + if Int64.compare v 0L < 0 then 1 else 0);
+        incr changes;
+        Imov (r, Imm v)
+      | None -> if a' == a && bb' == bb then i else Ibin (bop, r, a', bb'))
+    | _ ->
+      cov_event cov 0x3000 (Lower.binop_hash_tag bop) 0;
+      if a' == a && bb' == bb then i else Ibin (bop, r, a', bb'))
+  | Iun (uop, r, a) -> (
+    match subst s n changes a with
+    | Imm v ->
+      let v = eval_unop uop v in
+      cf_set s n r v;
+      incr changes;
+      Imov (r, Imm v)
+    | a' -> if a' == a then i else Iun (uop, r, a'))
+  | Imov (r, a) -> (
+    match subst s n changes a with
+    | Imm v as a' ->
+      cf_set s n r v;
+      if a' == a then i else Imov (r, a')
+    | a' -> if a' == a then i else Imov (r, a'))
+  | Icast (r, ty, a) -> (
+    match subst s n changes a with
+    | Imm v ->
+      (* integer truncations fold *)
+      let v' =
+        match ty with
+        | Cparse.Ast.Tint (Ichar, true) ->
+          Int64.of_int ((Int64.to_int v land 0xff) - (if Int64.to_int v land 0x80 <> 0 then 0x100 else 0))
+        | Cparse.Ast.Tint (Ichar, false) ->
+          Int64.of_int (Int64.to_int v land 0xff)
+        | Cparse.Ast.Tbool -> if Int64.equal v 0L then 0L else 1L
+        | _ -> v
+      in
+      cf_set s n r v';
+      incr changes;
+      Imov (r, Imm v')
+    | a' -> if a' == a then i else Icast (r, ty, a'))
+  | Iload (r, addr) ->
+    cf_remove s n r;
+    let addr' = subst_addr s n changes addr in
+    if addr' == addr then i else Iload (r, addr')
+  | Istore (addr, v) ->
+    let addr' = subst_addr s n changes addr in
+    let v' = subst s n changes v in
+    if addr' == addr && v' == v then i else Istore (addr', v')
+  | Iaddr (r, _) ->
+    cf_remove s n r;
+    i
+  | Icall (r, fn, args) ->
+    (match r with Some r -> cf_remove s n r | None -> ());
+    let args' = subst_list s n changes args in
+    if args' == args then i else Icall (r, fn, args')
+
+(* [map_same (fold_instr ...)], in instruction order, without a closure
+   per block *)
+let rec fold_instrs cov s n changes = function
+  | [] -> []
+  | x :: tl as l ->
+    let x' = fold_instr cov s n changes x in
+    let tl' = fold_instrs cov s n changes tl in
+    if x' == x && tl' == tl then l else x' :: tl'
+
+let fold_block cov (s : Scratch.t) n changes b =
+  s.cf_block <- s.cf_block + 1;
+  s.cf_live <- 0;
+  b.b_instrs <- fold_instrs cov s n changes b.b_instrs;
+  (* per-block optimization context: block size vs fold count *)
+  let nb = List.length b.b_instrs in
+  let bucket =
+    if nb <= 2 then 0 else if nb <= 6 then 1 else if nb <= 15 then 2
+    else if nb <= 40 then 3 else 4
+  in
+  cov_event cov 0x3002 bucket (s.cf_live land 0x7);
+  (* fold conditional branches on constants *)
+  match b.b_term with
+  | Tbr (Reg r, lt, lf) ->
+    if cf_mem s n r then begin
+      cov_event cov 0x3010 1 0;
+      incr changes;
+      b.b_term <- Tjmp (if Int64.equal (Bytes.get_int64_ne s.cf_val (8 * r)) 0L then lf else lt)
+    end
+  | Tbr (Imm v, lt, lf) ->
+    incr changes;
+    b.b_term <- Tjmp (if Int64.equal v 0L then lf else lt)
+  | Tswitch (Imm v, cases, d) ->
+    incr changes;
+    let target = match List.assoc_opt v cases with Some l -> l | None -> d in
+    b.b_term <- Tjmp target
+  | Tret (Some (Reg r)) ->
+    if cf_mem s n r then b.b_term <- Tret (Some (Imm (Bytes.get_int64_ne s.cf_val (8 * r))))
+  | _ -> ()
+
 let const_fold_pass =
   let run ?cov (p : program) =
+    let s = Scratch.get () in
     let changes = ref 0 in
-    (* the per-block constant table comes from the arena: cleared per
-       block, never folded/iterated, so recycling cannot affect results *)
-    let consts = (Scratch.get ()).Scratch.consts in
     List.iter
       (fun f ->
-        List.iter
-          (fun b ->
-            Hashtbl.clear consts;
-            let subst (op : operand) =
-              match op with
-              | Reg r -> (
-                match Hashtbl.find_opt consts r with
-                | Some v ->
-                  incr changes;
-                  Imm v
-                | None -> op)
-              | _ -> op
-            in
-            let subst_addr (addr : address) =
-              match addr with
-              | Aindex (s, op, sz) ->
-                let op' = subst op in
-                if op' == op then addr else Aindex (s, op', sz)
-              | Areg op ->
-                let op' = subst op in
-                if op' == op then addr else Areg op'
-              | a -> a
-            in
-            b.b_instrs <-
-              map_same
-                (fun i ->
-                  match i with
-                  | Ibin (bop, r, a, bb) -> (
-                    let a' = subst a and bb' = subst bb in
-                    match a', bb' with
-                    | Imm va, Imm vb -> (
-                      match eval_binop bop va vb with
-                      | Some v ->
-                        Hashtbl.replace consts r v;
-                        cov_event cov 0x3000 (Hashtbl.hash bop land 0xff) 1;
-                        (* folded-value bucket: constants drive distinct
-                           value-range paths downstream *)
-                        let magnitude =
-                          let abs = Int64.abs v in
-                          let rec log2 x acc =
-                            if Int64.compare x 1L <= 0 then acc
-                            else log2 (Int64.shift_right_logical x 1) (acc + 1)
-                          in
-                          log2 abs 0
-                        in
-                        cov_event cov 0x3001
-                          (Hashtbl.hash bop land 0xf)
-                          ((2 * magnitude) + if Int64.compare v 0L < 0 then 1 else 0);
-                        incr changes;
-                        Imov (r, Imm v)
-                      | None ->
-                        if a' == a && bb' == bb then i else Ibin (bop, r, a', bb'))
-                    | _ ->
-                      cov_event cov 0x3000 (Hashtbl.hash bop land 0xff) 0;
-                      if a' == a && bb' == bb then i else Ibin (bop, r, a', bb'))
-                  | Iun (uop, r, a) -> (
-                    match subst a with
-                    | Imm v ->
-                      let v = eval_unop uop v in
-                      Hashtbl.replace consts r v;
-                      incr changes;
-                      Imov (r, Imm v)
-                    | a' -> if a' == a then i else Iun (uop, r, a'))
-                  | Imov (r, a) -> (
-                    match subst a with
-                    | Imm v as a' ->
-                      Hashtbl.replace consts r v;
-                      if a' == a then i else Imov (r, a')
-                    | a' -> if a' == a then i else Imov (r, a'))
-                  | Icast (r, ty, a) -> (
-                    match subst a with
-                    | Imm v ->
-                      (* integer truncations fold *)
-                      let v' =
-                        match ty with
-                        | Cparse.Ast.Tint (Ichar, true) ->
-                          Int64.of_int ((Int64.to_int v land 0xff) - (if Int64.to_int v land 0x80 <> 0 then 0x100 else 0))
-                        | Cparse.Ast.Tint (Ichar, false) ->
-                          Int64.of_int (Int64.to_int v land 0xff)
-                        | Cparse.Ast.Tbool -> if Int64.equal v 0L then 0L else 1L
-                        | _ -> v
-                      in
-                      Hashtbl.replace consts r v';
-                      incr changes;
-                      Imov (r, Imm v')
-                    | a' -> if a' == a then i else Icast (r, ty, a'))
-                  | Iload (r, addr) ->
-                    Hashtbl.remove consts r;
-                    let addr' = subst_addr addr in
-                    if addr' == addr then i else Iload (r, addr')
-                  | Istore (addr, v) ->
-                    let addr' = subst_addr addr in
-                    let v' = subst v in
-                    if addr' == addr && v' == v then i else Istore (addr', v')
-                  | Iaddr (r, _) ->
-                    Hashtbl.remove consts r;
-                    i
-                  | Icall (r, fn, args) ->
-                    Option.iter (Hashtbl.remove consts) r;
-                    let args' = map_same subst args in
-                    if args' == args then i else Icall (r, fn, args'))
-                b.b_instrs;
-            (* per-block optimization context: block size vs fold count *)
-            let nb = List.length b.b_instrs in
-            let bucket n =
-              if n <= 2 then 0 else if n <= 6 then 1 else if n <= 15 then 2
-              else if n <= 40 then 3 else 4
-            in
-            cov_event cov 0x3002 (bucket nb) (Hashtbl.length consts land 0x7);
-            (* fold conditional branches on constants *)
-            (match b.b_term with
-            | Tbr (Reg r, lt, lf) -> (
-              match Hashtbl.find_opt consts r with
-              | Some v ->
-                cov_event cov 0x3010 1 0;
-                incr changes;
-                b.b_term <- Tjmp (if Int64.equal v 0L then lf else lt)
-              | None -> ())
-            | Tbr (Imm v, lt, lf) ->
-              incr changes;
-              b.b_term <- Tjmp (if Int64.equal v 0L then lf else lt)
-            | Tswitch (Imm v, cases, d) ->
-              incr changes;
-              let target =
-                match List.assoc_opt v cases with Some l -> l | None -> d
-              in
-              b.b_term <- Tjmp target
-            | Tret (Some (Reg r)) -> (
-              match Hashtbl.find_opt consts r with
-              | Some v -> b.b_term <- Tret (Some (Imm v))
-              | None -> ())
-            | _ -> ()))
-          f.fn_blocks)
+        let n = f.fn_nregs in
+        Scratch.regs_for s n;
+        List.iter (fun b -> fold_block cov s n changes b) f.fn_blocks)
       p.p_funcs;
     !changes
   in
@@ -236,72 +266,106 @@ let const_fold_pass =
 (* CFG simplification: drop unreachable blocks, thread trivial jumps   *)
 (* ------------------------------------------------------------------ *)
 
+(* [Scratch.lbl_mark] flags *)
+let fwd_bit = 1
+let reach_bit = 2
+
+let[@inline] marked (s : Scratch.t) k bit = Char.code (Bytes.unsafe_get s.lbl_mark k) land bit <> 0
+
+let mark (s : Scratch.t) k bit =
+  Bytes.unsafe_set s.lbl_mark k (Char.unsafe_chr (Char.code (Bytes.unsafe_get s.lbl_mark k) lor bit))
+
+(* Follow forwarding blocks from [l], counting each hop, until a label
+   with no forwarding block or one this resolution already left. *)
+let rec resolve_from (s : Scratch.t) changes stamp l =
+  let k = l - s.lbl_lo in
+  if k < 0 || k >= s.lbl_span || not (marked s k fwd_bit) || s.lbl_hop.(k) = stamp then l
+  else begin
+    s.lbl_hop.(k) <- stamp;
+    incr changes;
+    resolve_from s changes stamp s.lbl_fwd.(k)
+  end
+
+let resolve (s : Scratch.t) changes l =
+  s.hop_stamp <- s.hop_stamp + 1;
+  resolve_from s changes s.hop_stamp l
+
+let rec resolve_cases s changes = function
+  | [] -> []
+  | ((v, l) as case) :: tl as cases ->
+    let l' = resolve s changes l in
+    let case' = if l' = l then case else (v, l') in
+    let tl' = resolve_cases s changes tl in
+    if case' == case && tl' == tl then cases else case' :: tl'
+
+let thread_term s changes = function
+  | Tjmp l as t ->
+    let l' = resolve s changes l in
+    if l' = l then t else Tjmp l'
+  | Tbr (c, a, b') as t ->
+    let a' = resolve s changes a in
+    let b'' = resolve s changes b' in
+    if a' = a && b'' = b' then t else Tbr (c, a', b'')
+  | Tswitch (c, cases, d) as t ->
+    let cases' = resolve_cases s changes cases in
+    let d' = resolve s changes d in
+    if cases' == cases && d' = d then t else Tswitch (c, cases', d')
+  | t -> t
+
+(* Mark [l] reachable and, the first time, the successors of the first
+   block with that label.  A label with no block has nothing to mark. *)
+let rec visit (s : Scratch.t) l =
+  let k = l - s.lbl_lo in
+  if k >= 0 && k < s.lbl_span && not (marked s k reach_bit) then begin
+    mark s k reach_bit;
+    let i = s.lbl_first.(k) in
+    if i >= 0 then
+      match s.lbl_blocks.(i).b_term with
+      | Tret _ | Tunreachable -> ()
+      | Tjmp l -> visit s l
+      | Tbr (_, a, b) ->
+        visit s a;
+        visit s b
+      | Tswitch (_, cases, d) ->
+        visit s d;
+        visit_cases s cases
+  end
+
+and visit_cases s = function
+  | [] -> ()
+  | (_, l) :: tl ->
+    visit s l;
+    visit_cases s tl
+
 let simplify_cfg_pass =
   let run ?cov (p : program) =
+    let s = Scratch.get () in
     let changes = ref 0 in
     List.iter
       (fun f ->
         match f.fn_blocks with
         | [] -> ()
         | entry :: _ ->
-          (* thread jumps to empty forwarding blocks; arena tables are
-             only probed (find/mem), never iterated, so recycling is
-             result-neutral *)
-          let s = Scratch.get () in
-          let forward = s.Scratch.forward in
-          Hashtbl.clear forward;
+          ignore (Scratch.index_labels s f);
+          Bytes.fill s.lbl_mark 0 s.lbl_span '\000';
+          (* thread jumps to empty forwarding blocks; the last
+             forwarding block with a label wins *)
           List.iter
             (fun b ->
               match b.b_instrs, b.b_term with
-              | [], Tjmp l when l <> b.b_label -> Hashtbl.replace forward b.b_label l
+              | [], Tjmp l when l <> b.b_label ->
+                let k = b.b_label - s.lbl_lo in
+                s.lbl_fwd.(k) <- l;
+                mark s k fwd_bit
               | _ -> ())
             f.fn_blocks;
-          let rec resolve seen l =
-            if List.mem l seen then l
-            else
-              match Hashtbl.find_opt forward l with
-              | Some l' ->
-                incr changes;
-                resolve (l :: seen) l'
-              | None -> l
-          in
-          List.iter
-            (fun b ->
-              b.b_term <-
-                (match b.b_term with
-                | Tjmp l as t ->
-                  let l' = resolve [] l in
-                  if l' = l then t else Tjmp l'
-                | Tbr (c, a, b') as t ->
-                  let a' = resolve [] a and b'' = resolve [] b' in
-                  if a' = a && b'' = b' then t else Tbr (c, a', b'')
-                | Tswitch (c, cases, d) as t ->
-                  let cases' =
-                    map_same
-                      (fun ((v, l) as case) ->
-                        let l' = resolve [] l in
-                        if l' = l then case else (v, l'))
-                      cases
-                  in
-                  let d' = resolve [] d in
-                  if cases' == cases && d' = d then t else Tswitch (c, cases', d')
-                | t -> t))
-            f.fn_blocks;
+          List.iter (fun b -> b.b_term <- thread_term s changes b.b_term) f.fn_blocks;
           (* reachability *)
-          let reachable = s.Scratch.reach in
-          Hashtbl.clear reachable;
-          let rec visit l =
-            if not (Hashtbl.mem reachable l) then begin
-              Hashtbl.replace reachable l ();
-              match block_of f l with
-              | Some b -> List.iter visit (successors b.b_term)
-              | None -> ()
-            end
-          in
-          visit entry.b_label;
+          visit s entry.b_label;
+          Scratch.release_blocks s;
           let before = List.length f.fn_blocks in
           f.fn_blocks <-
-            filter_same (fun b -> Hashtbl.mem reachable b.b_label) f.fn_blocks;
+            filter_same (fun b -> marked s (b.b_label - s.lbl_lo) reach_bit) f.fn_blocks;
           let removed = before - List.length f.fn_blocks in
           if removed > 0 then begin
             cov_event cov 0x3100 removed 0;
@@ -318,27 +382,34 @@ let simplify_cfg_pass =
 
 let dce_pass =
   let run ?cov (p : program) =
+    let s = Scratch.get () in
     let changes = ref 0 in
     List.iter
       (fun f ->
-        (* arena table: membership-only, so recycling is result-neutral *)
-        let used = (Scratch.get ()).Scratch.used in
-        Hashtbl.clear used;
-        let mark r = Hashtbl.replace used r () in
+        let n = f.fn_nregs in
+        Scratch.regs_for s n;
+        let used = s.Scratch.used in
+        Bytes.fill used 0 (max 0 (n + 1)) '\000';
+        let mark r =
+          check_reg n r;
+          Bytes.unsafe_set used r '\001'
+        in
         List.iter
           (fun b ->
-            List.iter (fun i -> iter_uses mark i) b.b_instrs;
+            List.iter (iter_uses mark) b.b_instrs;
             iter_term_regs mark b.b_term)
           f.fn_blocks;
+        let live i =
+          let r = dest_reg i in
+          not
+            (r >= 0 && is_pure_instr i
+            && (check_reg n r;
+                Bytes.unsafe_get used r = '\000'))
+        in
         List.iter
           (fun b ->
             let before = List.length b.b_instrs in
-            b.b_instrs <-
-              filter_same
-                (fun i ->
-                  let r = dest_reg i in
-                  not (r >= 0 && is_pure_instr i && not (Hashtbl.mem used r)))
-                b.b_instrs;
+            b.b_instrs <- filter_same live b.b_instrs;
             let removed = before - List.length b.b_instrs in
             if removed > 0 then begin
               cov_event cov 0x3200 removed 0;
@@ -384,7 +455,7 @@ let inline_pass =
                     match List.assoc_opt fn const_fns with
                     | Some v ->
                       incr changes;
-                      cov_event cov 0x3300 (Hashtbl.hash fn land 0xff) 0;
+                      cov_event cov 0x3300 (Lower.name_hash fn land 0xff) 0;
                       Imov (r, Imm v)
                     | None -> i)
                   | i -> i)
@@ -433,9 +504,11 @@ let strlen_pass =
    lowering for loops, and fully unroll small trip counts. *)
 let loop_pass =
   let run ?cov (p : program) =
+    let s = Scratch.get () in
     let changes = ref 0 in
     List.iter
       (fun f ->
+        ignore (Scratch.index_labels s f);
         (* find back edges: block whose terminator jumps to a dominator;
            approximate by "jumps to an earlier label" *)
         List.iter
@@ -446,17 +519,19 @@ let loop_pass =
               (* loop header found; attempt trip-count estimate: header
                  must end in Tbr (Reg r, body, exit) where r compares a
                  slot against an Imm *)
-              (match block_of f l with
-              | Some header -> (
+              let i = Scratch.block_index s l in
+              if i >= 0 then begin
+                let header = s.Scratch.lbl_blocks.(i) in
                 match header.b_term, List.rev header.b_instrs with
                 | Tbr (Reg r, _, _), Ibin ((Lt | Gt | Le | Ge), r', Reg _, Imm bound) :: _
                   when r = r' ->
                   cov_event cov 0x3510 (Int64.to_int (Int64.logand bound 63L)) 0;
                   changes := !changes + 1
-                | _ -> cov_event cov 0x3511 0 0)
-              | None -> ())
+                | _ -> cov_event cov 0x3511 0 0
+              end
             | _ -> ())
-          f.fn_blocks)
+          f.fn_blocks;
+        Scratch.release_blocks s)
       p.p_funcs;
     !changes
   in

@@ -1219,7 +1219,9 @@ let ir_tests =
                 List.iter
                   (fun l ->
                     check Alcotest.bool "target exists" true
-                      (Simcomp.Ir.block_of f l <> None))
+                      (List.exists
+                         (fun b -> b.Simcomp.Ir.b_label = l)
+                         f.Simcomp.Ir.fn_blocks))
                   (Simcomp.Ir.successors b.Simcomp.Ir.b_term))
               f.Simcomp.Ir.fn_blocks)
           p.Simcomp.Ir.p_funcs);
@@ -3249,6 +3251,282 @@ let backend_differential_tests =
           [ None; Some (fun _ -> 42) ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Optimizer golden and reference                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The 100 golden programs and 200 generated ones, a third per
+   generator configuration. *)
+let opt_golden_sources () =
+  golden_programs ()
+  @ List.init 200 (fun i ->
+        let cfg =
+          match i mod 3 with
+          | 0 -> Ast_gen.default_config
+          | 1 -> Ast_gen.csmith_like_config
+          | _ -> Ast_gen.yarpgen_like_config
+        in
+        Ast_gen.gen_source ~cfg (Rng.create (16_000 + i)))
+
+(* One line per (compiler, level): an MD5 prefix of every pass's IR
+   before and after it with its change count ([Compiler.optimize] with
+   [Dump_all] over [Compiler.lower]'s output), the summed change count,
+   an MD5 prefix of [Compiler.compile]'s outcomes (assembly, error or
+   crash id), how many compiled, the summed spill count and an MD5
+   prefix of each compile's coverage map. *)
+let opt_golden_line sources (compiler, level) =
+  let opts = { Simcomp.Compiler.default_options with opt_level = level } in
+  let ir = Buffer.create 4096 and asm = Buffer.create 4096 and cov_ids = Buffer.create 4096 in
+  let changes = ref 0 and compiled = ref 0 and spills = ref 0 in
+  let cov = Simcomp.Coverage.create () in
+  let add buf s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\000'
+  in
+  List.iter
+    (fun src ->
+      (match Simcomp.Compiler.lower compiler src with
+      | Error e -> add ir ("E " ^ e)
+      | Ok lowered ->
+        let tr =
+          Simcomp.Compiler.optimize compiler
+            { opts with dump_ir = Simcomp.Compiler.Dump_all } lowered
+        in
+        List.iter
+          (fun (st : Simcomp.Compiler.pass_step) ->
+            changes := !changes + st.st_changes;
+            add ir (Fmt.str "%s %d" st.st_pass st.st_changes);
+            add ir (Option.value ~default:"-" st.st_ir_before);
+            add ir (Option.value ~default:"-" st.st_ir_after))
+          tr.pt_steps);
+      Simcomp.Coverage.reset cov;
+      (match Simcomp.Compiler.compile ~cov compiler opts src with
+      | Simcomp.Compiler.Compiled c ->
+        incr compiled;
+        spills := !spills + c.spills;
+        add asm c.asm
+      | Simcomp.Compiler.Compile_error msgs -> add asm ("E " ^ String.concat "\n" msgs)
+      | Simcomp.Compiler.Crashed c -> add asm ("C " ^ c.Simcomp.Crash.bug_id));
+      add cov_ids
+        (String.concat ","
+           (List.map string_of_int
+              (Simcomp.Coverage.total_hits cov :: Simcomp.Coverage.branch_ids cov))))
+    sources;
+  let md5 buf = md5_prefix (Buffer.contents buf) in
+  Fmt.str "%s -O%d ir=%s changes=%d asm=%s compiled=%d spills=%d cov=%s"
+    (match compiler with Simcomp.Compiler.Gcc -> "gcc" | Clang -> "clang")
+    level (md5 ir) !changes (md5 asm) !compiled !spills (md5 cov_ids)
+
+let golden_opt =
+  [
+    "gcc -O0 ir=d41d8cd9 changes=0 asm=db84bd2a compiled=299 spills=1 cov=c3f3e863";
+    "gcc -O1 ir=a562e526 changes=52242 asm=b87c60d9 compiled=299 spills=1 cov=132e9fd1";
+    "gcc -O2 ir=35b71c11 changes=52244 asm=1fbd14ab compiled=298 spills=1 cov=609f9df0";
+    "gcc -O3 ir=af91b2e0 changes=57939 asm=1f87e0dd compiled=134 spills=0 cov=8e453052";
+    "clang -O0 ir=d41d8cd9 changes=0 asm=51a5fa3a compiled=300 spills=1 cov=f921d00e";
+    "clang -O1 ir=a562e526 changes=52242 asm=d13bbd1e compiled=300 spills=1 cov=400738ab";
+    "clang -O2 ir=e4678c99 changes=52244 asm=ac16691a compiled=298 spills=1 cov=38b21d78";
+    "clang -O3 ir=5598b36f changes=57939 asm=ac16691a compiled=298 spills=1 cov=b96ab5a0";
+  ]
+
+(* Run the pipeline [names] over two copies of [p]: [Opt]'s passes on
+   one, the reference's (where a pass has one) on the other, comparing
+   the IR text, the change count and the coverage after every pass. *)
+let opt_cov = lazy (Simcomp.Coverage.create (), Simcomp.Coverage.create ())
+
+let check_opt_reference what (p : Simcomp.Ir.program) names =
+  let mine = Simcomp.Ir.copy p and theirs = Simcomp.Ir.copy p in
+  let cov, ref_cov = Lazy.force opt_cov in
+  List.iteri
+    (fun k name ->
+      let pass = Option.get (Simcomp.Opt.find_pass name) in
+      Simcomp.Coverage.reset cov;
+      Simcomp.Coverage.reset ref_cov;
+      let changes = pass.Simcomp.Opt.run ~cov mine in
+      let ref_changes =
+        match Ref_opt.find name with
+        | Some run -> run ~cov:ref_cov theirs
+        | None -> pass.Simcomp.Opt.run ~cov:ref_cov theirs
+      in
+      let at = Fmt.str "%s, pass %d (%s)" what k name in
+      (* [compare], not [=]: a NaN operand equals itself *)
+      if compare mine.Simcomp.Ir.p_funcs theirs.Simcomp.Ir.p_funcs <> 0 then
+        check Alcotest.string (at ^ ": IR") (Simcomp.Ir.program_to_string theirs)
+          (Simcomp.Ir.program_to_string mine);
+      check Alcotest.int (at ^ ": changes") ref_changes changes;
+      check Alcotest.bool (at ^ ": coverage") true (Simcomp.Coverage.equal ref_cov cov))
+    names
+
+(* Every level's spec, then each reference pass twice on its own. *)
+let opt_reference_pipelines =
+  List.map (fun (s : Simcomp.Opt.spec) -> s.spec_passes) Simcomp.Opt.specs
+  @ [ [ "constfold"; "constfold" ]; [ "simplify-cfg"; "simplify-cfg" ]; [ "dce"; "dce" ];
+      [ "loop-opt"; "loop-opt" ] ]
+
+let check_opt_reference_all what p =
+  List.iteri (fun i names -> check_opt_reference (Fmt.str "%s, pipeline %d" what i) p names)
+    opt_reference_pipelines
+
+(* Each source lowered (the lowering is the same for both compilers). *)
+let lowered_sources tag sources =
+  List.concat
+    (List.mapi
+       (fun i (tree, src) ->
+         match Simcomp.Compiler.lower ?tree Simcomp.Compiler.Gcc src with
+         | Ok (p, _) -> [ (Fmt.str "%s %d" tag i, p) ]
+         | Error _ -> [])
+       sources)
+
+(* Hand-built functions for what lowering never makes: duplicate labels,
+   forwarding cycles, jumps to missing and negative labels, blocks
+   holding many constants, a constant replaced then removed. *)
+let opt_hand_built () =
+  let open Simcomp.Ir in
+  let add = Cparse.Ast.Add and lt = Cparse.Ast.Lt in
+  let ret r = Tret (Some (Reg r)) in
+  let header = [ Iload (1, Avar "i"); Ibin (lt, 2, Reg 1, Imm 10L) ] in
+  let many n =
+    List.init n (fun k -> Imov (k + 1, Imm (Int64.of_int (k * 37 - 500))))
+    @ [ Ibin (add, n + 1, Reg 3, Reg n) ]
+  in
+  let named = List.mapi (fun i p -> (Fmt.str "opt hand-built %d" i, p)) in
+  named
+    [
+      (* duplicate labels: the last forwarding block wins the forward
+         table, the first block the label lookup *)
+      prog [ func ~nregs:2 "main"
+               [ block 0 [] (Tjmp 2); block 2 [] (Tjmp 3); block 2 [] (Tjmp 4);
+                 block 3 [ Imov (1, Imm 3L) ] (ret 1); block 4 [ Imov (2, Imm 4L) ] (ret 2) ] ];
+      prog [ func ~nregs:2 "main"
+               [ block 0 [] (Tjmp 2); block 2 [] (Tjmp 3); block 2 [ Imov (1, Imm 1L) ] (Tjmp 4);
+                 block 3 [] (ret 1); block 4 [] (ret 2); block 5 [] (Tjmp 5) ] ];
+      prog [ func ~nregs:2 "main"
+               [ block 0 [] (Tbr (Imm 0L, 1, 1)); block 1 [ Imov (1, Imm 1L) ] (Tjmp 3);
+                 block 1 [] (Tjmp 2); block 2 [] (ret 1); block 3 [] (ret 1) ] ];
+      (* a two-block forwarding cycle, reached and unreached, and a
+         self-loop *)
+      prog [ func "main" [ block 0 [] (Tjmp 1); block 1 [] (Tjmp 2); block 2 [] (Tjmp 1) ] ];
+      prog [ func "main" [ block 0 [] (Tret None); block 1 [] (Tjmp 2); block 2 [] (Tjmp 1) ] ];
+      prog [ func ~nregs:1 "main"
+               [ block 0 [] (Tbr (Reg 1, 3, 1)); block 1 [] (Tjmp 2); block 2 [] (Tjmp 3);
+                 block 3 [] (Tjmp 2); block 4 [] (Tjmp 4) ] ];
+      (* jumps to labels with no block, negative labels included *)
+      prog [ func ~nregs:1 "main"
+               [ block 0 [] (Tbr (Reg 1, 77, 1)); block 1 [] (Tjmp (-3)); block 2 [] (Tret None) ] ];
+      prog [ func ~nregs:1 "main"
+               [ block 0 [] (Tswitch (Reg 1, [ (1L, 9); (2L, -4); (3L, 1) ], 1000));
+                 block 1 [] (Tjmp 1_000_000); block (-4) [] (Tjmp 2); block 2 [] (Tret None) ] ];
+      (* loop headers: a back edge to a counted header, to a duplicate
+         label, to a missing label and to a negative one *)
+      prog [ func ~nregs:2 "main"
+               [ block 0 [] (Tjmp 1); block 1 header (Tbr (Reg 2, 2, 3));
+                 block 2 [ Istore (Avar "i", Imm 1L) ] (Tjmp 1); block 3 [] (ret 2) ] ];
+      prog [ func ~nregs:2 "main"
+               [ block 0 [] (Tjmp 1); block 1 [] (Tjmp 2); block 1 header (Tbr (Reg 2, 2, 3));
+                 block 2 header (Tjmp 1); block 3 [] (Tjmp 0); block 5 [] (Tjmp 4);
+                 block 6 [] (Tjmp (-2)); block (-2) header (Tbr (Reg 2, 6, 3)) ] ];
+      (* more than 64 constants in one block, some reloaded *)
+      prog [ func ~nregs:101 "main"
+               [ block 0 (many 100 @ [ Iload (7, Avar "g"); Iload (70, Avar "g") ]) (Tbr (Reg 5, 1, 2));
+                 block 1 [ Ibin (add, 1, Reg 1, Reg 2) ] (ret 101); block 2 [] (ret 70) ] ];
+      prog [ func ~nregs:71 "main" [ block 0 (many 70) (Tswitch (Imm 3L, [ (3L, 1) ], 0));
+                                     block 1 [] (ret 71) ] ];
+      (* a register replaced, then removed, then replaced again, and
+         removals of registers holding no constant *)
+      prog [ func ~nregs:6 "main"
+               [ block 0
+                   [ Imov (5, Imm 3L); Iload (5, Avar "g"); Ibin (add, 6, Reg 5, Imm 1L) ]
+                   (ret 6) ] ];
+      prog [ func ~nregs:6 "main"
+               [ block 0
+                   [ Imov (5, Imm 3L); Imov (5, Imm 4L); Iaddr (5, Avar "g"); Iaddr (4, Avar "g");
+                     Icall (Some 3, "f", [ Reg 5 ]); Icall (None, "f", []); Iun (Cparse.Ast.Neg, 5, Imm 2L);
+                     Icast (2, Cparse.Ast.Tint (Ichar, true), Imm 200L);
+                     Ibin (add, 1, Reg 2, Reg 5) ]
+                   (Tbr (Reg 5, 1, 0));
+                 block 1 [ Iload (3, Areg (Reg 5)); Istore (Aindex ("a", Reg 2, 4), Reg 1) ] (ret 3) ] ];
+      (* two functions sharing labels: the second must not inherit the
+         first's reachable set, forward table or constants *)
+      prog [ func ~nregs:3 "main" [ block 0 [ Imov (3, Imm 1L) ] (Tjmp 3); block 3 [] (Tjmp 5);
+                                    block 5 [] (ret 3) ];
+             func ~nregs:3 "f" [ block 0 [] (ret 3); block 3 [] (Tret None); block 5 [] (Tjmp 3) ] ];
+      prog [ func "main" [] ];
+    ]
+
+let opt_reference_tests =
+  [
+    tc "golden: per-pass IR, changes, asm, spills and coverage per level" (fun () ->
+        let sources = opt_golden_sources () in
+        check
+          Alcotest.(list string)
+          "optimizer lines" golden_opt
+          (List.map (opt_golden_line sources)
+             (List.concat_map
+                (fun c -> List.map (fun l -> (c, l)) levels)
+                [ Simcomp.Compiler.Gcc; Simcomp.Compiler.Clang ])));
+    tc "golden and generated programs pass like the reference passes" (fun () ->
+        List.iter
+          (fun (what, p) -> check_opt_reference_all what p)
+          (lowered_sources "golden"
+             (List.map (fun src -> (None, src)) (opt_golden_sources ()))));
+    tc "the pinned hunt's programs pass like the reference passes" (fun () ->
+        List.iter
+          (fun (what, p) -> check_opt_reference_all what p)
+          (lowered_sources "hunt"
+             (List.map (fun (tree, src, _) -> (Some tree, src))
+                (Hunt_replay.mutants ~iterations:200))));
+    tc "hand-built functions pass like the reference passes" (fun () ->
+        List.iter (fun (what, p) -> check_opt_reference_all what p) (opt_hand_built ()));
+    tc "a register outside [0, fn_nregs] is refused" (fun () ->
+        let open Simcomp.Ir in
+        List.iter
+          (fun (name, instrs, term) ->
+            let p = prog [ func ~nregs:8 "main" [ block 0 instrs term ] ] in
+            match (Option.get (Simcomp.Opt.find_pass name)).Simcomp.Opt.run p with
+            | _ -> Alcotest.failf "%s ran" name
+            | exception Invalid_argument _ -> ())
+          [ ("constfold", [ Imov (9, Imm 1L) ], Tret None);
+            ("constfold", [ Imov (1, Reg 9) ], Tret None);
+            ("constfold", [], Tbr (Reg (-1), 0, 0));
+            ("constfold", [ Iload (-2, Avar "g") ], Tret None);
+            ("dce", [ Imov (1, Reg 9) ], Tret None);
+            ("dce", [ Imov (9, Imm 1L) ], Tret None);
+            ("dce", [], Tret (Some (Reg (-1)))) ]);
+  ]
+
+(* The back-end writes small immediates digit by digit: the bytes must
+   be [Int64.to_string]'s. *)
+let immediate_tests =
+  [
+    tc "immediates print as Int64.to_string" (fun () ->
+        let open Simcomp.Ir in
+        let values =
+          [ 0L; 1L; -1L; 9L; 10L; -9L; -10L; 2047L; -2048L; 1_000_000_007L;
+            Int64.of_int max_int; Int64.of_int min_int; Int64.succ (Int64.of_int max_int);
+            Int64.pred (Int64.of_int min_int); Int64.max_int; Int64.min_int ]
+        in
+        List.iter
+          (fun v ->
+            let p =
+              prog
+                [ func ~nregs:1 "main"
+                    [ block 0 [ Ibin (Cparse.Ast.Add, 1, Reg 1, Imm v) ]
+                        (* a sparse switch (a compare chain), then a dense one *)
+                        (Tswitch (Reg 1, [ (v, 1); (Int64.(if compare v 0L > 0 then sub v 100L else add v 100L), 1) ], 1));
+                      block 1 [] (Tswitch (Reg 1, [ (v, 2) ], 2));
+                      block 2 [] (Tret (Some (Imm v))) ] ]
+            in
+            let asm, _ = Simcomp.Backend.emit_program p in
+            let v = Int64.to_string v in
+            List.iter
+              (fun line ->
+                if not (Astring.String.is_infix ~affix:line asm) then
+                  Alcotest.failf "%s: no %S in\n%s" v line asm)
+              [ ", #" ^ v ^ "\n"; "  mov    rv, #" ^ v ^ "\n"; ", #" ^ v ^ ", L1\n";
+                ", " ^ v ^ ":L2, L2\n" ])
+          values);
+  ]
+
 let () =
   Alcotest.run "simcomp"
     [
@@ -3262,9 +3540,10 @@ let () =
       ("opt", opt_tests);
       ("pass-manager", pass_manager_tests);
       ("backend", backend_tests);
-      ("backend-differential", backend_differential_tests);
+      ("backend-differential", backend_differential_tests @ immediate_tests);
       ("bugs-and-pipeline", bug_tests @ pipeline_props);
       ("differential", differential_tests @ [ mutant_differential ]);
       ("ir-interp", ir_interp_tests @ ir_reference_tests);
       ("staged", staged_tests);
+      ("opt-reference", opt_reference_tests);
     ]
