@@ -99,6 +99,7 @@ fuzz.tel   fuzz -n 40 --seed 7 @tel
 bisect     bisect @wc -c gcc -O 2
 bisect.2   bisect @wc -c gcc -O 2
 dump-ir    compile @wc -O 2 --dump-ir=constfold
+emit-ir    compile @wc -O 2 --emit-ir
 quickstart example quickstart
 invent     example invent_mutators
 diff       example differential
@@ -172,6 +173,7 @@ bisect/out                        has    ^culprit passes:  constfold$
 bisect/out                        has    ^first divergent: constfold$
 dump-ir/out                       has    ^;; IR before constfold
 dump-ir/out                       has    ^;; IR after constfold
+emit-ir/out                       has    ^func main
 quickstart/out                    has    .
 invent/out                        has    .
 diff/out                          has    .

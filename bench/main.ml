@@ -15,7 +15,6 @@
      Table 5  compilable mutants
      Table 6  bug-hunting overview (macro fuzzer field study)
      Ablations (coverage guidance, havoc rounds, corpus choice)
-     Microbenchmarks (Bechamel)
 
    Scale via METAMUT_BENCH_ITERS (default 400). *)
 
@@ -539,52 +538,6 @@ let mutation_score () =
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let microbenchmarks () =
-  section "Microbenchmarks (Bechamel)";
-  let open Bechamel in
-  let rng = Cparse.Rng.create 17 in
-  let src = Cparse.Ast_gen.gen_source rng in
-  let tu =
-    match Cparse.Parser.parse src with Ok tu -> tu | Error _ -> assert false
-  in
-  let mut = List.hd Mutators.Registry.core in
-  let tests =
-    [
-      Test.make ~name:"parse" (Staged.stage (fun () -> Cparse.Parser.parse src));
-      Test.make ~name:"typecheck"
-        (Staged.stage (fun () -> Cparse.Typecheck.check tu));
-      Test.make ~name:"pretty-print"
-        (Staged.stage (fun () -> Cparse.Pretty.tu_to_string tu));
-      Test.make ~name:"mutate"
-        (Staged.stage (fun () -> Mutators.Mutator.apply mut ~rng tu));
-      Test.make ~name:"compile-O2"
-        (Staged.stage (fun () ->
-             Simcomp.Compiler.compile Simcomp.Compiler.Gcc
-               Simcomp.Compiler.default_options src));
-      Test.make ~name:"interpret"
-        (Staged.stage (fun () -> Simcomp.Interp.run ~fuel:50_000 tu));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"metamut" tests) in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Fmt.pr "%-22s %12.0f ns/run@." name est
-      | _ -> Fmt.pr "%-22s (no estimate)@." name)
-    results
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Fmt.pr "MetaMut reproduction benchmark harness (iterations=%d)@." iters;
@@ -601,5 +554,4 @@ let () =
   ablations ();
   wrongcode ();
   mutation_score ();
-  microbenchmarks ();
   Fmt.pr "@.done.@."

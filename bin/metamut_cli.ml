@@ -407,25 +407,23 @@ let compile file compiler options dump_ir emit_ir =
   let options = { options with Simcomp.Compiler.dump_ir } in
   let dumping = dump_ir <> Simcomp.Compiler.Dump_none in
   if emit_ir || dumping then begin
-    match Simcomp.Compiler.compile_passes compiler options src with
+    match Simcomp.Compiler.lower compiler src with
     | Error e ->
       Fmt.epr "%s@." e;
       exit 1
-    | Ok tr ->
-      List.iter
-        (fun (st : Simcomp.Compiler.pass_step) ->
+    | Ok ((prog, _) as lowered) ->
+      List.iteri
+        (fun i (st : Simcomp.Compiler.pass_step) ->
           (match st.st_ir_before with
-          | Some ir ->
-            Fmt.pr ";; IR before %s [%d]@.%s" st.st_pass st.st_index ir
+          | Some ir -> Fmt.pr ";; IR before %s [%d]@.%s" st.st_pass i ir
           | None -> ());
           match st.st_ir_after with
           | Some ir ->
-            Fmt.pr ";; IR after %s [%d] (%d changes)@.%s" st.st_pass
-              st.st_index st.st_changes ir
+            Fmt.pr ";; IR after %s [%d] (%d changes)@.%s" st.st_pass i
+              st.st_changes ir
           | None -> ())
-        tr.Simcomp.Compiler.pt_steps;
-      if emit_ir then
-        print_string (Simcomp.Ir.program_to_string tr.Simcomp.Compiler.pt_program)
+        (Simcomp.Compiler.optimize compiler options lowered).pt_steps;
+      if emit_ir then print_string (Simcomp.Ir.program_to_string prog)
   end
   else begin
     let cov = Simcomp.Coverage.create () in

@@ -6,8 +6,8 @@
     pass subsets) additionally disabled and report the minimal set of
     passes whose disabling makes the finding vanish.  For wrong-code
     findings the per-pass differential channel
-    ({!Simcomp.Compiler.compile_passes}) supplies an independent
-    first-divergent-pass estimate. *)
+    ({!Simcomp.Compiler.optimize} given the [-O0] reference) supplies an
+    independent first-divergent-pass estimate. *)
 
 type finding =
   | Ice of { key : string; bug_id : string }

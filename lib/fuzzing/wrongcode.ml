@@ -26,8 +26,9 @@ type mismatch = {
 
 let run_ir p = Simcomp.Ir_interp.observable ~fuel:1_000_000 p
 
-let observe compiler options lowered =
-  run_ir (Simcomp.Compiler.optimize compiler options lowered).pt_program
+let observe compiler options ((prog, _) as lowered) =
+  ignore (Simcomp.Compiler.optimize compiler options lowered);
+  run_ir prog
 
 (* Check one program at one optimization level against the -O0 baseline. *)
 let check_program ?tree (compiler : Simcomp.Compiler.compiler)

@@ -25,7 +25,7 @@ val check_program :
     ({!Simcomp.Compiler.lower}): the lowered IR is the -O0 reference,
     and only when it has an observable behaviour is it optimized for
     the target.  [tree], a tree the source is the printing of, is
-    handed to the lowering (see {!Simcomp.Compiler.compile_ir}).
+    handed to the lowering (see {!Simcomp.Compiler.lower}).
     @raise Invalid_argument if the options' [pass_list] names an
     unknown pass and the program compiles. *)
 
@@ -39,9 +39,9 @@ val observe :
   Simcomp.Ir.program * Simcomp.Features.ast ->
   (int * bool) option
 (** Optimize a lowered program in place under the options
-    ({!Simcomp.Compiler.optimize}) and observe it with {!run_ir}.  Pass
-    an {!Simcomp.Ir.copy} to keep the lowered program for other
-    levels. *)
+    ({!Simcomp.Compiler.optimize}) and observe the optimized program
+    with {!run_ir}.  Pass an {!Simcomp.Ir.copy} to keep the lowered
+    program for other levels. *)
 
 type report = { r_mismatches : mismatch list; r_checked : int }
 

@@ -323,8 +323,7 @@ let front_end ?cov ?tree ?tokens ~salt ~check ~parsed (src : string) :
 (* Deterministically corrupt the optimized IR the way a wrong-code bug
    would: the first subtraction in the largest function gets its operands
    swapped (a classic reassociation-style miscompilation). *)
-let miscompile_ir (mc : Bugdb.miscompile) (prog : Ir.program) : unit =
-  ignore mc;
+let miscompile_ir (prog : Ir.program) : unit =
   let budget = ref 3 in
   List.iter
     (fun f ->
@@ -344,137 +343,155 @@ let miscompile_ir (mc : Bugdb.miscompile) (prog : Ir.program) : unit =
     prog.Ir.p_funcs
 
 (* ------------------------------------------------------------------ *)
-(* Optimizer stage                                                     *)
+(* Engine counters                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One executed pipeline step, as recorded by [compile_passes]. *)
-type pass_step = {
-  st_pass : string;
-  st_index : int;                 (* position in the executed pipeline *)
-  st_changes : int;
-  st_ir_before : string option;   (* per [options.dump_ir] *)
-  st_ir_after : string option;
-  st_diverged : bool option;
-      (* with [verify]: does the IR's observable behaviour after this
-         pass differ from the pre-opt IR's?  [None] when either run
-         falls outside the interpreter's subset. *)
-}
-
-type pass_trace = {
-  pt_steps : pass_step list;
-  pt_reference : (int * bool) option;  (* pre-opt observable, with [verify] *)
-  pt_first_divergent : string option;
-  pt_program : Ir.program;
-}
-
-let interp_fuel = 1_000_000
-
-(* Per-pass optimizer counters (opt.pass.<name>.{runs,changes}),
-   pre-resolved per context like [outcome_counters] below: the pipeline
-   runs up to eight passes per compile, so per-pass registry lookups on
-   the hot path would dwarf the passes themselves on small inputs.  The
-   memo is domain-local, so parallel campaign workers never contend. *)
+(* The per-compile engine counters (compile.total, compile.outcome.*,
+   compile.cached, opt.pass.<name>.{runs,changes}), resolved from their
+   string keys once per context instead of on every compile: the
+   pipeline runs up to eight passes per compile, so per-pass registry
+   lookups (plus a name concatenation) would dwarf the passes themselves
+   on small inputs.  A pass's counters are resolved when it first runs:
+   a pass no compile ran must have no counter in the metrics output.
+   The memo is domain-local: parallel campaign workers each own their
+   context, so a one-slot cache per domain never sees contention and
+   re-resolves only when the context changes. *)
 type pass_counters = {
   pc_runs : Engine.Metrics.counter;
   pc_changes : Engine.Metrics.counter;
 }
 
-let pass_counters_memo :
-    (Engine.Ctx.t * (string, pass_counters) Hashtbl.t) option ref
-    Domain.DLS.key =
+type counters = {
+  k_ctx : Engine.Ctx.t;
+  k_total : Engine.Metrics.counter;
+  k_ok : Engine.Metrics.counter;
+  k_error : Engine.Metrics.counter;
+  k_crash : Engine.Metrics.counter;
+  k_cached : Engine.Metrics.counter;
+  mutable k_passes : (Opt.pass * pass_counters) list;  (* by physical pass *)
+}
+
+let counters_memo : counters option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let pass_counters (ctx : Engine.Ctx.t) (name : string) : pass_counters =
-  let memo = Domain.DLS.get pass_counters_memo in
-  let tbl =
-    match !memo with
-    | Some (c, tbl) when c == ctx -> tbl
-    | _ ->
-      let tbl = Hashtbl.create 16 in
-      memo := Some (ctx, tbl);
-      tbl
-  in
-  match Hashtbl.find_opt tbl name with
-  | Some k -> k
+let counters (ctx : Engine.Ctx.t) : counters =
+  let memo = Domain.DLS.get counters_memo in
+  match !memo with
+  | Some k when k.k_ctx == ctx -> k
+  | _ ->
+    let c name = Engine.Metrics.counter ctx.Engine.Ctx.metrics name in
+    let outcome k = c ("compile.outcome." ^ Engine.Event.outcome_kind_to_string k) in
+    let k =
+      {
+        k_ctx = ctx;
+        k_total = c "compile.total";
+        k_ok = outcome Engine.Event.Compiled_ok;
+        k_error = outcome Engine.Event.Compile_failed;
+        k_crash = outcome Engine.Event.Crashed;
+        k_cached = c "compile.cached";
+        k_passes = [];
+      }
+    in
+    memo := Some k;
+    k
+
+let pass_counters (ctx : Engine.Ctx.t) (pass : Opt.pass) : pass_counters =
+  let k = counters ctx in
+  match List.assq_opt pass k.k_passes with
+  | Some pc -> pc
   | None ->
     let c suffix =
       Engine.Metrics.counter ctx.Engine.Ctx.metrics
-        ("opt.pass." ^ name ^ suffix)
+        ("opt.pass." ^ pass.Opt.pass_name ^ suffix)
     in
-    let k = { pc_runs = c ".runs"; pc_changes = c ".changes" } in
-    Hashtbl.replace tbl name k;
-    k
+    let pc = { pc_runs = c ".runs"; pc_changes = c ".changes" } in
+    k.k_passes <- (pass, pc) :: k.k_passes;
+    pc
 
-(* Run the optimizer pipeline over [prog]: per-pass engine accounting
-   (spans + opt.pass.<name>.{runs,changes}), the culprit-keyed wrong-code
-   injection, and optional per-step IR snapshots and differential checks
-   against the pre-opt [reference] behaviour.  Shared by [compile_tu]
-   (no [collect]) and [optimize]. *)
+(* ------------------------------------------------------------------ *)
+(* Optimizer stage                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One executed pipeline step, as recorded by [optimize]. *)
+type pass_step = {
+  st_pass : string;
+  st_changes : int;
+  st_ir_before : string option;   (* per [options.dump_ir] *)
+  st_ir_after : string option;
+  st_diverged : bool option;
+      (* given a [reference]: does the IR's observable behaviour after
+         this pass differ from the pre-opt IR's?  [None] when either run
+         falls outside the interpreter's subset. *)
+}
+
+type pass_trace = {
+  pt_steps : pass_step list;
+  pt_first_divergent : string option;
+}
+
+let interp_fuel = 1_000_000
+
+(* Run the optimizer pipeline over [prog] with one per-pass hook, which
+   runs the pass under its span and then, in this order, bumps its
+   opt.pass.<name>.{runs,changes} counters, lands the culprit-keyed
+   wrong-code injection, and hands [collect] the step: IR snapshots per
+   [opts.dump_ir] and the differential check against the pre-opt
+   [reference] behaviour.  Shared by [compile_tu] (no [collect]) and
+   [optimize]. *)
 let run_opt_stage ?cov ?engine ?collect ?reference (compiler : compiler)
     (opts : options) (ast : Features.ast) (prog : Ir.program) :
     (string * int) list =
-  let planned = pipeline_of opts in
   let mc =
     Bugdb.check_miscompile ~compiler ~opt_level:opts.opt_level
-      ~pipeline:planned ~ast
+      ~pipeline:(pipeline_of opts) ~ast
   in
   let dump_wanted name =
-    match opts.dump_ir with
-    | Dump_none -> false
-    | Dump_all -> true
-    | Dump_pass p -> String.equal p name
+    Option.is_some collect
+    && (match opts.dump_ir with
+       | Dump_none -> false
+       | Dump_all -> true
+       | Dump_pass p -> String.equal p name)
   in
   let mc_applied = ref false in
-  let pending_before = ref None in
   let instrument (pass : Opt.pass) execute =
-    pending_before :=
-      (if Option.is_some collect && dump_wanted pass.Opt.pass_name then
-         Some (Ir.program_to_string prog)
-       else None);
-    Engine.Span.with_opt engine ~name:("opt.pass." ^ pass.Opt.pass_name)
-      execute
-  in
-  let observer ~index ~pass ~changes p =
     let name = pass.Opt.pass_name in
-    (match engine with
-    | Some ctx ->
-      let k = pass_counters ctx name in
-      Engine.Metrics.incr k.pc_runs;
-      if changes > 0 then Engine.Metrics.incr ~by:changes k.pc_changes
-    | None -> ());
+    let dump = dump_wanted name in
+    let before = if dump then Some (Ir.program_to_string prog) else None in
+    let changes =
+      match engine with
+      | None -> execute ()
+      | Some ctx ->
+        let changes = Engine.Span.with_ ctx ~name:("opt.pass." ^ name) execute in
+        let k = pass_counters ctx pass in
+        Engine.Metrics.incr k.pc_runs;
+        if changes > 0 then Engine.Metrics.incr ~by:changes k.pc_changes;
+        changes
+    in
     (* a latent wrong-code bug is the culprit pass's own miscompilation:
        the corruption lands when that pass executes, so per-pass dumps
        and differential checks can localize it *)
     (match mc with
     | Some m when (not !mc_applied) && String.equal m.Bugdb.mc_culprit name ->
       mc_applied := true;
-      miscompile_ir m p
+      miscompile_ir prog
     | _ -> ());
-    match collect with
+    (match collect with
     | None -> ()
     | Some push ->
-      let after =
-        if dump_wanted name then Some (Ir.program_to_string p) else None
-      in
-      let diverged =
-        match reference with
-        | None -> None
-        | Some r -> (
-          match Ir_interp.observable ~fuel:interp_fuel p with
-          | Some o -> Some (o <> r)
-          | None -> None)
-      in
       push
         {
           st_pass = name;
-          st_index = index;
           st_changes = changes;
-          st_ir_before = !pending_before;
-          st_ir_after = after;
-          st_diverged = diverged;
-        }
+          st_ir_before = before;
+          st_ir_after = (if dump then Some (Ir.program_to_string prog) else None);
+          st_diverged =
+            Option.bind reference (fun r ->
+                Ir_interp.observable ~fuel:interp_fuel prog
+                |> Option.map (fun o -> o <> r));
+        });
+    changes
   in
-  Opt.run_pipeline ?cov ~observer ~instrument ?pass_list:opts.pass_list
+  Opt.run_pipeline ?cov ~instrument ?pass_list:opts.pass_list
     ~level:opts.opt_level ~disabled:opts.disabled_passes prog
 
 (* ------------------------------------------------------------------ *)
@@ -488,42 +505,6 @@ let engine_stage = function
   | Crash.Optimization -> Engine.Event.Opt
   | Crash.Back_end -> Engine.Event.Backend
 
-(* Per-compile engine counters, resolved once per context instead of two
-   string-keyed registry lookups (plus a name concatenation) per compile.
-   The memo is domain-local: parallel campaign workers each own their
-   context, so a one-slot cache per domain never sees contention and
-   re-resolves only when the context changes. *)
-type outcome_counters = {
-  oc_total : Engine.Metrics.counter;
-  oc_ok : Engine.Metrics.counter;
-  oc_error : Engine.Metrics.counter;
-  oc_crash : Engine.Metrics.counter;
-  oc_cached : Engine.Metrics.counter;
-}
-
-let counters_memo : (Engine.Ctx.t * outcome_counters) option ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let outcome_counters (ctx : Engine.Ctx.t) : outcome_counters =
-  let memo = Domain.DLS.get counters_memo in
-  match !memo with
-  | Some (c, k) when c == ctx -> k
-  | _ ->
-    let c name = Engine.Metrics.counter ctx.Engine.Ctx.metrics name in
-    let outcome k = c ("compile.outcome." ^ Engine.Event.outcome_kind_to_string k) in
-    let k =
-      {
-        oc_total = c "compile.total";
-        oc_ok = outcome Engine.Event.Compiled_ok;
-        oc_error = outcome Engine.Event.Compile_failed;
-        oc_crash = outcome Engine.Event.Crashed;
-        oc_cached = c "compile.cached";
-      }
-    in
-    memo := Some (ctx, k);
-    k
-
 let record_outcome ?(cached = false) engine (outcome : outcome) =
   match engine with
   | None -> ()
@@ -534,14 +515,14 @@ let record_outcome ?(cached = false) engine (outcome : outcome) =
       | Compile_error _ -> (Engine.Event.Compile_failed, Engine.Event.Frontend)
       | Crashed c -> (Engine.Event.Crashed, engine_stage c.Crash.stage)
     in
-    let k = outcome_counters ctx in
-    Engine.Metrics.incr k.oc_total;
+    let k = counters ctx in
+    Engine.Metrics.incr k.k_total;
     Engine.Metrics.incr
       (match kind with
-      | Engine.Event.Compiled_ok -> k.oc_ok
-      | Engine.Event.Compile_failed -> k.oc_error
-      | Engine.Event.Crashed -> k.oc_crash);
-    if cached then Engine.Metrics.incr k.oc_cached
+      | Engine.Event.Compiled_ok -> k.k_ok
+      | Engine.Event.Compile_failed -> k.k_error
+      | Engine.Event.Crashed -> k.k_crash);
+    if cached then Engine.Metrics.incr k.k_cached
     else begin
       (* cache hits replay a memoized outcome without compiling, so they
          don't advance the GC probe batch: minor-words-per-compile means
@@ -647,11 +628,10 @@ let compile ?cov ?engine ?faults ?emit (compiler : compiler) (opts : options)
     (src : string) : outcome =
   fst (compile_tu ?cov ?engine ?faults ?emit compiler opts src)
 
-(* The crash-free stages behind [compile_passes], [compile_ir] and the
-   wrong-code oracle.  [lower] is the shared front-end without bug
-   checks, then lowering: seeded ICEs must not mask the wrong-code
-   observation channel.  It reads no options, so one lowering serves
-   every level. *)
+(* The crash-free stages behind [compile_ir] and the wrong-code
+   oracle.  [lower] is the shared front-end without bug checks, then
+   lowering: seeded ICEs must not mask the wrong-code observation
+   channel.  It reads no options, so one lowering serves every level. *)
 let lower ?tree (compiler : compiler) (src : string) :
     (Ir.program * Features.ast, string) result =
   match
@@ -673,33 +653,23 @@ let optimize ?reference (compiler : compiler) (opts : options)
   let steps = List.rev !steps in
   {
     pt_steps = steps;
-    pt_reference = reference;
     pt_first_divergent =
       List.find_map
         (fun st -> if st.st_diverged = Some true then Some st.st_pass else None)
         steps;
-    pt_program = prog;
   }
-
-let compile_passes ?(verify = false) (compiler : compiler) (opts : options)
-    (src : string) : (pass_trace, string) result =
-  Result.map
-    (fun ((prog, _) as lowered) ->
-      let reference =
-        if verify then Ir_interp.observable ~fuel:interp_fuel prog else None
-      in
-      optimize ?reference compiler opts lowered)
-    (lower compiler src)
 
 let compile_ir ?tree (compiler : compiler) (opts : options) (src : string) :
     (Ir.program, string) result =
   Result.map
-    (fun lowered -> (optimize compiler opts lowered).pt_program)
+    (fun ((prog, _) as lowered) ->
+      ignore (optimize compiler opts lowered);
+      prog)
     (lower ?tree compiler src)
 
 (* Sample a random command line the way the macro fuzzer does.  The pass
-   universe comes from the registry, so a newly registered pass joins
-   option fuzzing automatically. *)
+   universe is [Opt]'s pass list, so a pass appended to it joins option
+   fuzzing automatically. *)
 let random_options (rng : Rng.t) : options =
   let opt_level = Rng.int rng 4 in
   let disabled_passes =

@@ -9,7 +9,8 @@
 
 type compiler = Bugdb.compiler = Gcc | Clang
 
-(** IR-snapshot requests honoured by {!compile_passes}. *)
+(** IR-snapshot requests honoured by {!optimize}: the CLI's
+    [compile --dump-ir[=PASS]]. *)
 type dump_ir =
   | Dump_none
   | Dump_all  (** [-fdump-ir]: snapshot around every pass *)
@@ -136,36 +137,35 @@ val compile_cached :
     happens only on misses: a byte-identical mutant replays its
     memoized outcome, injected hang included. *)
 
-(** One executed pipeline step, as recorded by {!compile_passes}. *)
+(** One executed pipeline step, as recorded by {!optimize}.  A step's
+    position in [pt_steps] is its position in the executed
+    pipeline. *)
 type pass_step = {
   st_pass : string;
-  st_index : int;  (** position in the executed pipeline *)
   st_changes : int;
   st_ir_before : string option;  (** per [options.dump_ir] *)
   st_ir_after : string option;
   st_diverged : bool option;
-      (** with [verify]: does the IR's observable behaviour after this
-          pass differ from the pre-opt IR's?  [None] when either run
-          falls outside the interpreter's subset. *)
+      (** given a [reference]: does the IR's observable behaviour after
+          this pass differ from the pre-opt IR's?  [None] without a
+          [reference], or when either run falls outside the
+          interpreter's subset. *)
 }
 
 type pass_trace = {
   pt_steps : pass_step list;
-  pt_reference : (int * bool) option;
-      (** the pre-opt IR's observable behaviour (with [verify]) *)
   pt_first_divergent : string option;
       (** the first pass after which behaviour diverged — per-pass
           differential testing's culprit estimate *)
-  pt_program : Ir.program;  (** the final (possibly miscompiled) IR *)
 }
 
 val lower :
   ?tree:Cparse.Ast.tu -> compiler -> string ->
   (Ir.program * Features.ast, string) result
-(** The first stage of the crash-free pipeline behind {!compile_passes},
-    {!compile_ir} and the wrong-code oracle: the front-end {!compile}
-    runs (same lexer, parser and type checker), but without the seeded
-    bug checks, then lowering.  The result is the unoptimized IR with
+(** The first stage of the crash-free pipeline behind {!compile_ir},
+    the CLI's [compile --dump-ir/--emit-ir] and the wrong-code oracle:
+    the front-end {!compile} runs (same lexer, parser and type
+    checker), but without the seeded bug checks, then lowering.  The result is the unoptimized IR with
     the AST features the optimizer's miscompile gates read.  It reads
     no options, so one lowering serves every level: [-O0] plans no
     pass, so the lowered IR is the [-O0] program as it stands, and
@@ -183,18 +183,12 @@ val optimize :
     program, in place, recording each executed pass (change counts and
     IR snapshots per [options.dump_ir]).  The culprit pass still
     injects its miscompilation.  Given [reference], the program's
-    pre-opt observable behaviour, the IR is interpreted after every
-    pass and compared against it ([st_diverged], [pt_first_divergent]);
-    without it no pass is interpreted.  [pt_program] is the program
-    passed in.
+    pre-opt observable behaviour (say, {!Ir_interp.observable} of the
+    lowered IR), the IR is interpreted after every pass and compared
+    against it ([st_diverged], [pt_first_divergent]); without it no
+    pass is interpreted.  The optimized (possibly miscompiled) program
+    is the one passed in.
     @raise Invalid_argument if [pass_list] names an unknown pass. *)
-
-val compile_passes :
-  ?verify:bool -> compiler -> options -> string ->
-  (pass_trace, string) result
-(** {!lower}, then {!optimize}; with [verify] (default false) the
-    lowered IR's observable behaviour is the [reference], so every pass
-    is checked against the pre-opt semantics. *)
 
 val compile_ir :
   ?tree:Cparse.Ast.tu -> compiler -> options -> string ->

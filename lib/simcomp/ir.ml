@@ -181,61 +181,73 @@ let is_pure_instr = function
 (* Printing (for -emit-ir debugging and tests)                         *)
 (* ------------------------------------------------------------------ *)
 
-let operand_to_string = function
-  | Reg r -> Fmt.str "%%r%d" r
-  | Imm v -> Int64.to_string v
-  | Fimm f -> Fmt.str "%g" f
-  | Sym s -> "@" ^ s
+(* The printers append to the one buffer [program_to_string] makes
+   rather than formatting a string per operand and per instruction:
+   per-pass dumps print the whole program around every pass. *)
+let add_int buf n = Buffer.add_string buf (Int.to_string n)
+let add_reg buf r = Buffer.add_string buf "%r"; add_int buf r
+let add_label buf l = Buffer.add_char buf 'L'; add_int buf l
 
-let address_to_string = function
-  | Avar s -> "[" ^ s ^ "]"
-  | Aindex (b, i, sz) -> Fmt.str "[%s + %s*%d]" b (operand_to_string i) sz
-  | Areg op -> Fmt.str "[%s]" (operand_to_string op)
+let add_list buf sep add l =
+  List.iteri (fun i x -> if i > 0 then Buffer.add_string buf sep; add buf x) l
 
-let instr_to_string = function
+let add_operand buf = function
+  | Reg r -> add_reg buf r
+  | Imm v -> Buffer.add_string buf (Int64.to_string v)
+  | Fimm f -> Printf.bprintf buf "%g" f
+  | Sym s -> Buffer.add_char buf '@'; Buffer.add_string buf s
+
+let add_address buf a =
+  Buffer.add_char buf '[';
+  (match a with
+  | Avar s -> Buffer.add_string buf s
+  | Aindex (b, i, sz) ->
+    Buffer.add_string buf b; Buffer.add_string buf " + "; add_operand buf i;
+    Buffer.add_char buf '*'; add_int buf sz
+  | Areg op -> add_operand buf op);
+  Buffer.add_char buf ']'
+
+let add_instr buf i =
+  let str = Buffer.add_string buf in
+  let def r text = add_reg buf r; str " = "; str text in
+  match i with
   | Ibin (op, r, a, b) ->
-    Fmt.str "%%r%d = %s %s, %s" r
-      (Cparse.Pretty.binop_string op)
-      (operand_to_string a) (operand_to_string b)
-  | Iun (op, r, a) ->
-    Fmt.str "%%r%d = %s %s" r (Cparse.Pretty.unop_string op) (operand_to_string a)
-  | Imov (r, a) -> Fmt.str "%%r%d = %s" r (operand_to_string a)
-  | Icast (r, ty, a) ->
-    Fmt.str "%%r%d = cast<%s> %s" r (Cparse.Pretty.ty_string ty)
-      (operand_to_string a)
-  | Iload (r, addr) -> Fmt.str "%%r%d = load %s" r (address_to_string addr)
-  | Istore (addr, v) -> Fmt.str "store %s, %s" (address_to_string addr) (operand_to_string v)
-  | Iaddr (r, addr) -> Fmt.str "%%r%d = addr %s" r (address_to_string addr)
+    def r (Cparse.Pretty.binop_string op); str " "; add_operand buf a; str ", "; add_operand buf b
+  | Iun (op, r, a) -> def r (Cparse.Pretty.unop_string op); str " "; add_operand buf a
+  | Imov (r, a) -> def r ""; add_operand buf a
+  | Icast (r, ty, a) -> def r "cast<"; str (Cparse.Pretty.ty_string ty); str "> "; add_operand buf a
+  | Iload (r, addr) -> def r "load "; add_address buf addr
+  | Istore (addr, v) -> str "store "; add_address buf addr; str ", "; add_operand buf v
+  | Iaddr (r, addr) -> def r "addr "; add_address buf addr
   | Icall (r, f, args) ->
-    Fmt.str "%scall %s(%s)"
-      (match r with Some r -> Fmt.str "%%r%d = " r | None -> "")
-      f
-      (String.concat ", " (List.map operand_to_string args))
+    Option.iter (fun r -> def r "") r;
+    str "call "; str f; str "("; add_list buf ", " add_operand args; str ")"
 
-let term_to_string = function
-  | Tret None -> "ret"
-  | Tret (Some op) -> "ret " ^ operand_to_string op
-  | Tjmp l -> Fmt.str "jmp L%d" l
-  | Tbr (c, a, b) -> Fmt.str "br %s, L%d, L%d" (operand_to_string c) a b
+let add_term buf t =
+  let str = Buffer.add_string buf in
+  match t with
+  | Tret None -> str "ret"
+  | Tret (Some op) -> str "ret "; add_operand buf op
+  | Tjmp l -> str "jmp "; add_label buf l
+  | Tbr (c, a, b) ->
+    str "br "; add_operand buf c; str ", "; add_label buf a; str ", "; add_label buf b
   | Tswitch (op, cases, d) ->
-    Fmt.str "switch %s [%s] default L%d" (operand_to_string op)
-      (String.concat "; " (List.map (fun (v, l) -> Fmt.str "%Ld->L%d" v l) cases))
-      d
-  | Tunreachable -> "unreachable"
+    str "switch "; add_operand buf op; str " [";
+    add_list buf "; " (fun buf (v, l) -> str (Int64.to_string v); str "->"; add_label buf l) cases;
+    str "] default "; add_label buf d
+  | Tunreachable -> str "unreachable"
 
-let func_to_string f =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Fmt.str "func %s(%s):\n" f.fn_name (String.concat ", " f.fn_params));
+let add_func buf f =
+  let str = Buffer.add_string buf in
+  str "func "; str f.fn_name; str "("; add_list buf ", " Buffer.add_string f.fn_params; str "):\n";
   List.iter
     (fun b ->
-      Buffer.add_string buf (Fmt.str "L%d:\n" b.b_label);
-      List.iter
-        (fun i -> Buffer.add_string buf ("  " ^ instr_to_string i ^ "\n"))
-        b.b_instrs;
-      Buffer.add_string buf ("  " ^ term_to_string b.b_term ^ "\n"))
-    f.fn_blocks;
-  Buffer.contents buf
+      add_label buf b.b_label; str ":\n";
+      List.iter (fun i -> str "  "; add_instr buf i; str "\n") b.b_instrs;
+      str "  "; add_term buf b.b_term; str "\n")
+    f.fn_blocks
 
 let program_to_string p =
-  String.concat "\n" (List.map func_to_string p.p_funcs)
+  let buf = Buffer.create 4096 in
+  add_list buf "\n" add_func p.p_funcs;
+  Buffer.contents buf

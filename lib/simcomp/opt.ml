@@ -1,12 +1,13 @@
-(* The optimizer of the simulated compiler: a registered pass pipeline.
+(* The optimizer of the simulated compiler: a fixed list of passes run
+   as a pipeline.
 
-   Every pass registers a name, a default placement (the lowest -O level
-   that schedules it), and a [run] that mutates the IR in place and
-   returns a change count.  Levels are named pipeline specs — ordered
-   pass-name lists resolved against the registry, GCC-passes.def style —
-   so drivers can introspect the pipeline, disable passes, override the
-   order outright ([pass_list]), and observe each pass as it executes
-   (per-pass IR dumps, differential testing, culprit bisection).
+   Every pass has a name, a default placement (the lowest -O level that
+   schedules it), and a [run] that mutates the IR in place and returns a
+   change count.  Levels are named pipeline specs — ordered pass-name
+   lists resolved against the pass list, GCC-passes.def style — so
+   drivers can introspect the pipeline, disable passes, override the
+   order outright ([pass_list]), and wrap each pass as it executes
+   (spans, per-pass IR dumps, differential testing, culprit bisection).
 
    Default specs:
      -O1: constfold, simplify-cfg, dce
@@ -538,31 +539,23 @@ let loop_pass =
   { pass_name = "loop-opt"; pass_since = 3; run }
 
 (* ------------------------------------------------------------------ *)
-(* Pass registry                                                       *)
+(* Pass list                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let registry : pass list ref = ref []
-
-let register (p : pass) =
-  if List.exists (fun q -> String.equal q.pass_name p.pass_name) !registry
-  then invalid_arg ("Opt.register: duplicate pass " ^ p.pass_name);
-  registry := !registry @ [ p ]
-
-(* Registration order is the canonical pass enumeration order: it feeds
+(* The canonical pass enumeration order: it feeds
    [Compiler.random_options]' per-pass coin flips, so reordering it
    reshuffles every seeded option stream. Append new passes at the end. *)
-let () =
-  List.iter register
-    [
-      const_fold_pass; simplify_cfg_pass; dce_pass; inline_pass;
-      strlen_pass; loop_pass;
-    ]
+let passes =
+  [
+    const_fold_pass; simplify_cfg_pass; dce_pass; inline_pass; strlen_pass;
+    loop_pass;
+  ]
 
-let all_passes () = !registry
-let pass_names () = List.map (fun p -> p.pass_name) !registry
+let all_passes () = passes
+let pass_names () = List.map (fun p -> p.pass_name) passes
 
 let find_pass name =
-  List.find_opt (fun p -> String.equal p.pass_name name) !registry
+  List.find_opt (fun p -> String.equal p.pass_name name) passes
 
 let resolve name =
   match find_pass name with
@@ -600,8 +593,8 @@ let specs =
     };
   ]
 
-(* Every spec entry must resolve against the registry and respect the
-   pass's default placement; fail loudly at module init otherwise. *)
+(* Every spec entry must name a pass and respect that pass's default
+   placement; fail loudly at module init otherwise. *)
 let () =
   List.iter
     (fun s ->
@@ -619,8 +612,6 @@ let spec_for_level level =
   let level = if level <= 0 then 0 else if level >= 3 then 3 else level in
   List.find (fun s -> s.spec_level = level) specs
 
-let passes_for_level level = List.map resolve (spec_for_level level).spec_passes
-
 let planned ?pass_list ~level ~disabled () : string list =
   let base =
     match pass_list with
@@ -631,18 +622,11 @@ let planned ?pass_list ~level ~disabled () : string list =
   in
   List.filter (fun n -> not (List.mem n disabled)) base
 
-let run_pipeline ?cov ?observer ?instrument ?pass_list ~level ~disabled
-    (p : program) : (string * int) list =
-  let names = planned ?pass_list ~level ~disabled () in
-  List.mapi
-    (fun index name ->
+let run_pipeline ?cov ?instrument ?pass_list ~level ~disabled (p : program) :
+    (string * int) list =
+  List.map
+    (fun name ->
       let pass = resolve name in
       let execute () = pass.run ?cov p in
-      let changes =
-        match instrument with Some f -> f pass execute | None -> execute ()
-      in
-      (match observer with
-      | Some f -> f ~index ~pass ~changes p
-      | None -> ());
-      (pass.pass_name, changes))
-    names
+      (name, match instrument with Some f -> f pass execute | None -> execute ()))
+    (planned ?pass_list ~level ~disabled ())

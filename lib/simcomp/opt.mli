@@ -1,11 +1,13 @@
-(** The optimizer of the simulated compiler: a registered pass pipeline.
+(** The optimizer of the simulated compiler: a fixed list of passes run
+    as a pipeline.
 
-    Each pass registers a name, a default placement (the lowest [-O]
-    level that schedules it), and a [run] over the IR. Optimization
-    levels are named pipeline {e specs} — ordered pass-name lists
-    resolved against the registry — so drivers can introspect the
-    pipeline, disable passes, override the order, and observe each pass
-    as it executes (IR dumps, differential testing, culprit bisection).
+    Each pass has a name, a default placement (the lowest [-O] level
+    that schedules it), and a [run] over the IR. Optimization levels
+    are named pipeline {e specs} — ordered pass-name lists resolved
+    against the pass list — so drivers can introspect the pipeline,
+    disable passes, override the order, and wrap each pass as it
+    executes (spans, IR dumps, differential testing, culprit
+    bisection).
 
     Default specs:
     {ul
@@ -46,14 +48,12 @@ val loop_pass : pass
 (** Back-edge detection and trip-count analysis (coverage-bearing; the
     stage where the vectorizer-hang bug is keyed). *)
 
-(** {1 Registry} *)
-
-val register : pass -> unit
-(** Append a pass to the registry. Registration order is the canonical
-    enumeration order (option fuzzing depends on it).
-    @raise Invalid_argument on a duplicate name. *)
+(** {1 Pass list} *)
 
 val all_passes : unit -> pass list
+(** Every pass, in the canonical enumeration order (option fuzzing draws
+    one coin per pass in this order). *)
+
 val pass_names : unit -> string list
 
 val find_pass : string -> pass option
@@ -68,8 +68,6 @@ val specs : spec list
 val spec_for_level : int -> spec
 (** Clamps the level into [0, 3]. *)
 
-val passes_for_level : int -> pass list
-
 val planned :
   ?pass_list:string list -> level:int -> disabled:string list -> unit ->
   string list
@@ -80,7 +78,6 @@ val planned :
 
 val run_pipeline :
   ?cov:Coverage.t ->
-  ?observer:(index:int -> pass:pass -> changes:int -> Ir.program -> unit) ->
   ?instrument:(pass -> (unit -> int) -> int) ->
   ?pass_list:string list ->
   level:int ->
@@ -88,7 +85,9 @@ val run_pipeline :
   Ir.program ->
   (string * int) list
 (** Run the planned pipeline over the program; returns [(pass, changes)]
-    per executed pass. [instrument] wraps each pass execution (spans);
-    [observer] fires after each pass with the mutated program (metrics,
-    IR snapshots, differential checks).
+    per executed pass. [instrument], the one per-pass hook, is handed
+    each pass and the thunk that runs it, and returns the thunk's change
+    count: around the call it can time the pass (spans), and after it
+    read or rewrite the program (metrics, IR snapshots, differential
+    checks, injected miscompilations).
     @raise Invalid_argument if [pass_list] names an unknown pass. *)

@@ -895,11 +895,12 @@ let bisect_tests =
         in
         for _ = 1 to 10 do
           let src = Ast_gen.gen_source ~cfg rng in
-          match
-            Simcomp.Compiler.compile_passes ~verify:true Simcomp.Compiler.Gcc
-              Simcomp.Compiler.default_options src
-          with
-          | Ok tr ->
+          match Simcomp.Compiler.lower Simcomp.Compiler.Gcc src with
+          | Ok ((prog, _) as lowered) ->
+            let tr =
+              Simcomp.Compiler.optimize ?reference:(Fuzzing.Wrongcode.run_ir prog)
+                Simcomp.Compiler.Gcc Simcomp.Compiler.default_options lowered
+            in
             check
               Alcotest.(option string)
               "no divergence" None tr.Simcomp.Compiler.pt_first_divergent
