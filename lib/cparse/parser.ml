@@ -45,14 +45,18 @@ let advance st =
 
 let error st msg = raise (Error (msg, cur_loc st))
 
+(* Is the current token [tok]?  [Token.equal], not the polymorphic [=]:
+   the grammar asks this at nearly every step. *)
+let is st tok = Token.equal st.tok tok
+
 let expect st tok =
-  if cur st = tok then advance st
+  if is st tok then advance st
   else
     error st
       (Fmt.str "expected %s but found %s" (Token.to_string tok)
          (Token.to_string (cur st)))
 
-let accept st tok = if cur st = tok then (advance st; true) else false
+let accept st tok = if is st tok then (advance st; true) else false
 
 let expect_ident st =
   match cur st with
@@ -101,7 +105,7 @@ let rec parse_specs st : specs =
     (* struct/union member list *)
     let fields = ref [] in
     expect st Token.Lbrace;
-    while cur st <> Token.Rbrace do
+    while not (is st Token.Rbrace) do
       let fspecs = parse_specs_aux st in
       let rec members () =
         let fld_ty, fld_name = parse_declarator st fspecs.sp_ty in
@@ -141,14 +145,14 @@ let rec parse_specs st : specs =
     | Token.Kw Kinline -> advance st; inline := true; go ()
     | Token.Kw Ktypedef -> advance st; is_typedef := true; go ()
     | Token.Kw Kstruct | Token.Kw Kunion ->
-      let is_struct = cur st = Token.Kw Kstruct in
+      let is_struct = is st (Token.Kw Kstruct) in
       advance st;
       let tag =
         match cur st with
         | Token.Ident s -> advance st; s
         | _ -> fresh_tag ()
       in
-      if cur st = Token.Lbrace then begin
+      if is st Token.Lbrace then begin
         let fields = parse_tag_body_fields () in
         newtags :=
           (if is_struct then Gstruct (tag, fields) else Gunion (tag, fields))
@@ -163,7 +167,7 @@ let rec parse_specs st : specs =
         | Token.Ident s -> advance st; s
         | _ -> fresh_tag ()
       in
-      if cur st = Token.Lbrace then begin
+      if is st Token.Lbrace then begin
         advance st;
         let items = ref [] in
         let rec enum_items () =
@@ -339,7 +343,7 @@ and parse_primary st : expr =
     advance st;
     let items = ref [] in
     let rec go () =
-      if cur st <> Token.Rbrace then begin
+      if not (is st Token.Rbrace) then begin
         items := parse_assignment st :: !items;
         if accept st Token.Comma then go ()
       end
@@ -357,7 +361,7 @@ and parse_postfix st : expr =
     | Token.Lparen ->
       advance st;
       let args = ref [] in
-      if cur st <> Token.Rparen then begin
+      if not (is st Token.Rparen) then begin
         let rec go () =
           args := parse_assignment st :: !args;
           if accept st Token.Comma then go ()
@@ -408,7 +412,7 @@ and parse_unary st : expr =
   | Token.Amp -> advance st; mk_expr st (Addrof (parse_cast st))
   | Token.Kw Ksizeof ->
     advance st;
-    if cur st = Token.Lparen && paren_is_type st then begin
+    if is st Token.Lparen && paren_is_type st then begin
       advance st;
       let ty = parse_type_name st in
       expect st Token.Rparen;
@@ -418,7 +422,7 @@ and parse_unary st : expr =
   | _ -> parse_postfix st
 
 and parse_cast st : expr =
-  if cur st = Token.Lparen && paren_is_type st then begin
+  if is st Token.Lparen && paren_is_type st then begin
     advance st;
     let ty = parse_type_name st in
     expect st Token.Rparen;
@@ -507,11 +511,11 @@ and parse_expr st : expr =
 (* ------------------------------------------------------------------ *)
 
 and parse_initializer st : expr =
-  if cur st = Token.Lbrace then begin
+  if is st Token.Lbrace then begin
     advance st;
     let items = ref [] in
     let rec go () =
-      if cur st <> Token.Rbrace then begin
+      if not (is st Token.Rbrace) then begin
         items := parse_initializer st :: !items;
         if accept st Token.Comma then go ()
       end
@@ -569,7 +573,7 @@ and parse_stmt st : stmt =
   | Token.Lbrace ->
     advance st;
     let ss = ref [] in
-    while cur st <> Token.Rbrace do
+    while not (is st Token.Rbrace) do
       ss := parse_stmt st :: !ss
     done;
     expect st Token.Rbrace;
@@ -601,7 +605,7 @@ and parse_stmt st : stmt =
     advance st;
     expect st Token.Lparen;
     let init =
-      if cur st = Token.Semi then (advance st; None)
+      if is st Token.Semi then (advance st; None)
       else if starts_decl st then Some (Fi_decl (parse_local_decls st))
       else begin
         let e = parse_expr st in
@@ -610,15 +614,15 @@ and parse_stmt st : stmt =
       end
     in
     let cond =
-      if cur st = Token.Semi then None else Some (parse_expr st)
+      if is st Token.Semi then None else Some (parse_expr st)
     in
     expect st Token.Semi;
-    let step = if cur st = Token.Rparen then None else Some (parse_expr st) in
+    let step = if is st Token.Rparen then None else Some (parse_expr st) in
     expect st Token.Rparen;
     mk_stmt st (Sfor (init, cond, step, parse_stmt st))
   | Token.Kw Kreturn ->
     advance st;
-    let e = if cur st = Token.Semi then None else Some (parse_expr st) in
+    let e = if is st Token.Semi then None else Some (parse_expr st) in
     expect st Token.Semi;
     mk_stmt st (Sreturn e)
   | Token.Kw Kbreak -> advance st; expect st Token.Semi; mk_stmt st Sbreak
@@ -635,7 +639,7 @@ and parse_stmt st : stmt =
     expect st Token.Rparen;
     expect st Token.Lbrace;
     let cases = ref [] in
-    while cur st <> Token.Rbrace do
+    while not (is st Token.Rbrace) do
       (* one or more labels *)
       let labels = ref [] in
       let rec parse_labels () =
@@ -670,7 +674,7 @@ and parse_stmt st : stmt =
     done;
     expect st Token.Rbrace;
     mk_stmt st (Sswitch (e, List.rev !cases))
-  | Token.Ident name when peek_ahead st 1 = Token.Colon && not (is_typedef_name st name) ->
+  | Token.Ident name when Token.equal (peek_ahead st 1) Token.Colon && not (is_typedef_name st name) ->
     advance st;
     advance st;
     (* label *)
@@ -695,7 +699,7 @@ and parse_stmt st : stmt =
 and parse_params st : param list * bool =
   (* after the opening paren *)
   if accept st Token.Rparen then ([], false)
-  else if cur st = Token.Kw Kvoid && peek_ahead st 1 = Token.Rparen then begin
+  else if is st (Token.Kw Kvoid) && Token.equal (peek_ahead st 1) Token.Rparen then begin
     advance st;
     advance st;
     ([], false)
@@ -726,7 +730,7 @@ let parse_global st : global list =
     specs.sp_newtags
   else begin
     let ty, name = parse_declarator st specs.sp_ty in
-    if cur st = Token.Lparen then begin
+    if is st Token.Lparen then begin
       (* function definition or prototype *)
       advance st;
       let params, variadic = parse_params st in
@@ -744,7 +748,7 @@ let parse_global st : global list =
       else begin
         expect st Token.Lbrace;
         let body = ref [] in
-        while cur st <> Token.Rbrace do
+        while not (is st Token.Rbrace) do
           body := parse_stmt st :: !body
         done;
         expect st Token.Rbrace;
@@ -809,7 +813,7 @@ let parse_tokens (toks : Lexer.tokens) : tu =
     }
   in
   let globals = ref [] in
-  while cur st <> Token.Eof do
+  while not (is st Token.Eof) do
     globals := List.rev_append (parse_global st) !globals
   done;
   { globals = List.rev !globals }

@@ -30,6 +30,18 @@ type t =
   | ShlEq | ShrEq | AmpEq | PipeEq | CaretEq
   | Eof
 
+(* Structural equality without the polymorphic compare's C call: the
+   parser tests the current token against a constant at nearly every
+   step.  Floats compare as [=] does (nan differs from itself). *)
+let equal (a : t) (b : t) =
+  match a, b with
+  | Ident x, Ident y | Str_lit x, Str_lit y -> String.equal x y
+  | Int_lit (v, k, u), Int_lit (v', k', u') -> Int64.equal v v' && k == k' && u = u'
+  | Float_lit (x, d), Float_lit (y, d') -> x = y && d = d'
+  | Char_lit x, Char_lit y -> Char.equal x y
+  | Kw x, Kw y -> x == y
+  | _ -> a == b
+
 let keyword_of_string = function
   | "void" -> Some Kvoid
   | "char" -> Some Kchar

@@ -72,22 +72,27 @@ module Types = struct
     Hashtbl.clear t.side
 end
 
+(* The name-keyed tables: [Hashtbl.Make] over [String] hashes and
+   compares names without the polymorphic [compare_val] the generic
+   [Hashtbl] calls on every probe (same hash, so the same buckets). *)
+module Names = Hashtbl.Make (String)
+
 type env = {
-  structs : (string, field list) Hashtbl.t;
-  unions : (string, field list) Hashtbl.t;
-  typedefs : (string, ty) Hashtbl.t;
-  enum_consts : (string, int64) Hashtbl.t;
-  funcs : (string, ty * ty list * bool) Hashtbl.t; (* ret, params, variadic *)
-  globals : (string, ty * quals) Hashtbl.t;
+  structs : field list Names.t;
+  unions : field list Names.t;
+  typedefs : ty Names.t;
+  enum_consts : int64 Names.t;
+  funcs : (ty * ty list * bool) Names.t; (* ret, params, variadic *)
+  globals : (ty * quals) Names.t;
   (* Block scoping as one table plus an undo trail, not a Hashtbl per
-     scope: [vars] stacks shadowed bindings with [Hashtbl.add] (find
+     scope: [vars] stacks shadowed bindings with [Names.add] (find
      returns the innermost), each binding is tagged with the depth it
      was declared at (same-depth redeclaration is the redefinition
      error), and leaving a scope removes exactly the names its trail
      recorded.  Deeply nested blocks — which mutants grow without bound
      — cost one string hash per lookup instead of one per enclosing
      scope. *)
-  vars : (string, int * ty * quals) Hashtbl.t;
+  vars : (int * ty * quals) Names.t;
   mutable depth : int; (* 0 = file scope: declare_local is a no-op *)
   mutable trail : string list ref list; (* names declared per open scope *)
   types : types; (* eid -> type *)
@@ -95,7 +100,7 @@ type env = {
   mutable cur_func : fundef option;
   mutable loop_depth : int;
   mutable switch_depth : int;
-  mutable labels : (string, unit) Hashtbl.t;
+  mutable labels : unit Names.t;
   mutable gotos : string list;
 }
 
@@ -144,7 +149,7 @@ let warn env msg =
 let rec resolve env ty =
   match ty with
   | Tnamed n -> (
-    match Hashtbl.find_opt env.typedefs n with
+    match Names.find_opt env.typedefs n with
     | Some t -> resolve env t
     | None ->
       error env (Fmt.str "unknown type name '%s'" n);
@@ -153,8 +158,8 @@ let rec resolve env ty =
 
 let fields_of env ty =
   match resolve env ty with
-  | Tstruct tag -> Hashtbl.find_opt env.structs tag
-  | Tunion tag -> Hashtbl.find_opt env.unions tag
+  | Tstruct tag -> Names.find_opt env.structs tag
+  | Tunion tag -> Names.find_opt env.unions tag
   | _ -> None
 
 (* Usual arithmetic conversions. *)
@@ -175,9 +180,9 @@ let arith_conv a b =
 let decay ty = match ty with Tarray (t, _) -> Tptr t | t -> t
 
 let lookup_var env name =
-  match Hashtbl.find_opt env.vars name with
+  match Names.find_opt env.vars name with
   | Some (_, ty, quals) -> Some (ty, quals)
-  | None -> Hashtbl.find_opt env.globals name
+  | None -> Names.find_opt env.globals name
 
 let push_scope env =
   env.depth <- env.depth + 1;
@@ -186,7 +191,7 @@ let push_scope env =
 let pop_scope env =
   match env.trail with
   | declared :: rest ->
-    List.iter (Hashtbl.remove env.vars) !declared;
+    List.iter (Names.remove env.vars) !declared;
     env.trail <- rest;
     env.depth <- env.depth - 1
   | [] -> ()
@@ -194,12 +199,12 @@ let pop_scope env =
 let declare_local env name ty quals =
   match env.trail with
   | declared :: _ ->
-    (match Hashtbl.find_opt env.vars name with
+    (match Names.find_opt env.vars name with
     | Some (d, _, _) when d = env.depth ->
       error env (Fmt.str "redefinition of '%s'" name)
     | _ -> ());
     (* [add], not [replace]: the outer binding must come back on pop *)
-    Hashtbl.add env.vars name (env.depth, ty, quals);
+    Names.add env.vars name (env.depth, ty, quals);
     declared := name :: !declared
   | [] -> ()
 
@@ -218,7 +223,7 @@ let rec lvalue_status env (e : expr) : (unit, string) Stdlib.result =
       end
     | None ->
       (* enum constants are rvalues *)
-      if Hashtbl.mem env.enum_consts n then
+      if Names.mem env.enum_consts n then
         Stdlib.Error (Fmt.str "assignment to enum constant '%s'" n)
       else Ok () (* undeclared: reported elsewhere *))
   | Index _ | Deref _ | Member _ | Arrow _ -> Ok ()
@@ -268,9 +273,9 @@ and type_expr_kind env (e : expr) : ty =
     match lookup_var env n with
     | Some (ty, _) -> resolve env ty
     | None ->
-      if Hashtbl.mem env.enum_consts n then Tint (Iint, true)
-      else if Hashtbl.mem env.funcs n then begin
-        let r, ps, v = Hashtbl.find env.funcs n in
+      if Names.mem env.enum_consts n then Tint (Iint, true)
+      else if Names.mem env.funcs n then begin
+        let r, ps, v = Names.find env.funcs n in
         Tfunc (r, ps, v)
       end
       else begin
@@ -374,7 +379,7 @@ and type_expr_kind env (e : expr) : ty =
     match f.ek with
     | Ident name -> (
       let sigs =
-        match Hashtbl.find_opt env.funcs name with
+        match Names.find_opt env.funcs name with
         | Some s -> Some s
         | None -> List.assoc_opt name builtins
       in
@@ -533,7 +538,7 @@ and check_init_list env ty items =
         | _ -> check_scalar_init env elt item)
       items
   | Tstruct tag -> (
-    match Hashtbl.find_opt env.structs tag with
+    match Names.find_opt env.structs tag with
     | Some fields ->
       if List.length items > List.length fields then
         warn env "excess elements in struct initializer";
@@ -548,7 +553,7 @@ and check_init_list env ty items =
         items
     | None -> error env (Fmt.str "initializer for incomplete type 'struct %s'" tag))
   | Tunion tag -> (
-    match Hashtbl.find_opt env.unions tag with
+    match Names.find_opt env.unions tag with
     | Some (f :: _) -> (
       match items with
       | [ item ] -> check_scalar_init env f.fld_ty item
@@ -589,9 +594,9 @@ let check_var_decl env (v : var_decl) =
   | Tvoid -> error env (Fmt.str "variable '%s' declared void" v.v_name)
   | Tarray (_, Some n) when n <= 0 ->
     error env (Fmt.str "array '%s' has non-positive size" v.v_name)
-  | Tstruct tag when not (Hashtbl.mem env.structs tag) ->
+  | Tstruct tag when not (Names.mem env.structs tag) ->
     error env (Fmt.str "storage of unknown struct '%s'" tag)
-  | Tunion tag when not (Hashtbl.mem env.unions tag) ->
+  | Tunion tag when not (Names.mem env.unions tag) ->
     error env (Fmt.str "storage of unknown union '%s'" tag)
   | _ -> ());
   (match v.v_init with
@@ -706,15 +711,15 @@ let rec check_stmt env (s : stmt) =
     env.switch_depth <- env.switch_depth - 1
   | Sgoto l -> env.gotos <- l :: env.gotos
   | Slabel (l, inner) ->
-    if Hashtbl.mem env.labels l then
+    if Names.mem env.labels l then
       error env (Fmt.str "duplicate label '%s'" l)
-    else Hashtbl.replace env.labels l ();
+    else Names.replace env.labels l ();
     check_stmt env inner
   | Snull -> ()
 
 let check_function env (fd : fundef) =
   env.cur_func <- Some fd;
-  env.labels <- Hashtbl.create 8;
+  env.labels <- Names.create 8;
   env.gotos <- [];
   env.loop_depth <- 0;
   env.switch_depth <- 0;
@@ -727,7 +732,7 @@ let check_function env (fd : fundef) =
   List.iter (check_stmt env) fd.f_body;
   List.iter
     (fun l ->
-      if not (Hashtbl.mem env.labels l) then
+      if not (Names.mem env.labels l) then
         error env (Fmt.str "label '%s' used but not defined" l))
     env.gotos;
   pop_scope env;
@@ -750,13 +755,13 @@ let check ?types (tu : tu) : result =
   in
   let env =
     {
-      structs = Hashtbl.create 8;
-      unions = Hashtbl.create 8;
-      typedefs = Hashtbl.create 8;
-      enum_consts = Hashtbl.create 8;
-      funcs = Hashtbl.create 16;
-      globals = Hashtbl.create 16;
-      vars = Hashtbl.create 64;
+      structs = Names.create 8;
+      unions = Names.create 8;
+      typedefs = Names.create 8;
+      enum_consts = Names.create 8;
+      funcs = Names.create 16;
+      globals = Names.create 16;
+      vars = Names.create 64;
       depth = 0;
       trail = [];
       types;
@@ -764,40 +769,40 @@ let check ?types (tu : tu) : result =
       cur_func = None;
       loop_depth = 0;
       switch_depth = 0;
-      labels = Hashtbl.create 8;
+      labels = Names.create 8;
       gotos = [];
     }
   in
-  List.iter (fun (n, s) -> Hashtbl.replace env.funcs n s) builtins;
+  List.iter (fun (n, s) -> Names.replace env.funcs n s) builtins;
   (* first pass: collect type and function declarations *)
   List.iter
     (function
-      | Gstruct (tag, fields) -> Hashtbl.replace env.structs tag fields
-      | Gunion (tag, fields) -> Hashtbl.replace env.unions tag fields
-      | Gtypedef (name, ty) -> Hashtbl.replace env.typedefs name ty
+      | Gstruct (tag, fields) -> Names.replace env.structs tag fields
+      | Gunion (tag, fields) -> Names.replace env.unions tag fields
+      | Gtypedef (name, ty) -> Names.replace env.typedefs name ty
       | Genum (_, items) ->
         let next = ref 0L in
         List.iter
           (fun (n, v) ->
             let v = match v with Some v -> v | None -> !next in
-            Hashtbl.replace env.enum_consts n v;
+            Names.replace env.enum_consts n v;
             next := Int64.add v 1L)
           items
       | Gproto p ->
-        Hashtbl.replace env.funcs p.pr_name (p.pr_ret, p.pr_params, p.pr_variadic)
+        Names.replace env.funcs p.pr_name (p.pr_ret, p.pr_params, p.pr_variadic)
       | Gfun fd ->
-        Hashtbl.replace env.funcs fd.f_name
+        Names.replace env.funcs fd.f_name
           (fd.f_ret, List.map (fun p -> p.p_ty) fd.f_params, fd.f_variadic)
-      | Gvar v -> Hashtbl.replace env.globals v.v_name (v.v_ty, v.v_quals))
+      | Gvar v -> Names.replace env.globals v.v_name (v.v_ty, v.v_quals))
     tu.globals;
   (* detect duplicate function bodies *)
-  let bodies = Hashtbl.create 16 in
+  let bodies = Names.create 16 in
   List.iter
     (function
       | Gfun fd ->
-        if Hashtbl.mem bodies fd.f_name then
+        if Names.mem bodies fd.f_name then
           error env (Fmt.str "redefinition of function '%s'" fd.f_name)
-        else Hashtbl.replace bodies fd.f_name ()
+        else Names.replace bodies fd.f_name ()
       | _ -> ())
     tu.globals;
   (* second pass: check global initializers and function bodies *)

@@ -4,14 +4,6 @@
     with {!Metrics.default_time_edges_ns} buckets; the histogram's total
     and sum give call count and cumulative time. *)
 
-val record : Ctx.t -> name:string -> int64 -> unit
-(** Record an externally measured duration (nanoseconds) into the
-    histogram only (no trace instance — there is no start time). *)
-
-val record_instance : Ctx.t -> name:string -> t0:int64 -> t1:int64 -> unit
-(** Record a span with explicit endpoints: histogram observation plus,
-    when the context traces, a {!Trace} instance. *)
-
 val with_ : Ctx.t -> name:string -> (unit -> 'a) -> 'a
 (** Time [f] and record the duration — also when [f] raises (a crashing
     compiler stage still spent the time).  When the context has tracing
@@ -19,3 +11,16 @@ val with_ : Ctx.t -> name:string -> (unit -> 'a) -> 'a
 
 val with_opt : Ctx.t option -> name:string -> (unit -> 'a) -> 'a
 (** [with_] when a context is present, plain [f ()] otherwise. *)
+
+val histogram : Ctx.t -> name:string -> Metrics.histogram Lazy.t
+(** The ["span.<name>"] histogram of the context, resolved when first
+    forced.  A hot path that opens the same span on every call resolves
+    it once per context and hands it to {!with_histogram}, instead of
+    building the key and looking it up per span. *)
+
+val with_histogram :
+  Ctx.t -> Metrics.histogram Lazy.t -> name:string -> (unit -> 'a) -> 'a
+(** [with_ ctx ~name f] with the span's histogram given, as {!histogram}
+    [ctx ~name] returns it.  The histogram is forced only once [f] has
+    returned or raised, so it exists exactly when [with_] would have
+    made it. *)

@@ -81,13 +81,12 @@ let regalloc_into ?cov (s : Scratch.t) (f : func) : int array * int =
   in
   List.iter
     (fun b ->
-      List.iter
-        (fun i ->
-          incr pos;
-          (* dest-then-uses visit order matches the list-building
-             [dest]/[uses] spellings exactly *)
-          iter_regs touch i)
-        b.b_instrs;
+      let code = b.b_instrs in
+      for k = 0 to Array.length code - 1 do
+        incr pos;
+        (* the destination, then the operands read *)
+        iter_regs touch (Array.unsafe_get code k)
+      done;
       incr pos;
       iter_term_regs touch b.b_term)
     f.fn_blocks;
@@ -484,11 +483,12 @@ let emit_function_into ?cov (s : Scratch.t) buf (f : func) : int =
       Buffer.add_string buf ".L";
       add_pos_int buf b.b_label;
       Buffer.add_string buf ":\n";
-      List.iter
-        (fun i ->
-          (match cov with Some cov -> instr_event cov i | None -> ());
-          emit_instr buf regmap nregs i)
-        b.b_instrs;
+      let code = b.b_instrs in
+      for k = 0 to Array.length code - 1 do
+        let i = Array.unsafe_get code k in
+        (match cov with Some cov -> instr_event cov i | None -> ());
+        emit_instr buf regmap nregs i
+      done;
       (match cov with Some cov -> term_event cov b.b_term | None -> ());
       emit_term buf regmap nregs b.b_term)
     f.fn_blocks;
@@ -515,12 +515,10 @@ let emit_program ?cov (p : program) : string * int =
     p.p_funcs;
   (Buffer.contents buf, !total_spills)
 
-(* [List.iter (instr_event cov)] without a partial application per block *)
-let rec instr_events cov = function
-  | [] -> ()
-  | i :: rest ->
-    instr_event cov i;
-    instr_events cov rest
+let instr_events cov code =
+  for k = 0 to Array.length code - 1 do
+    instr_event cov (Array.unsafe_get code k)
+  done
 
 (* The stop-before-emit back-end: allocation and selection coverage of
    [emit_program], without rendering a byte. *)

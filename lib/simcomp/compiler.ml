@@ -329,16 +329,14 @@ let miscompile_ir (prog : Ir.program) : unit =
     (fun f ->
       List.iter
         (fun b ->
-          if !budget > 0 then
-            b.Ir.b_instrs <-
-              List.map
-                (fun i ->
-                  match i with
-                  | Ir.Ibin (Cparse.Ast.Sub, r, a, bb) when !budget > 0 ->
-                    decr budget;
-                    Ir.Ibin (Cparse.Ast.Sub, r, bb, a)
-                  | i -> i)
-                b.Ir.b_instrs)
+          let code = b.Ir.b_instrs in
+          for k = 0 to Array.length code - 1 do
+            match code.(k) with
+            | Ir.Ibin (Cparse.Ast.Sub, r, a, bb) when !budget > 0 ->
+              decr budget;
+              code.(k) <- Ir.Ibin (Cparse.Ast.Sub, r, bb, a)
+            | _ -> ()
+          done)
         f.Ir.fn_blocks)
     prog.Ir.p_funcs
 
@@ -346,19 +344,23 @@ let miscompile_ir (prog : Ir.program) : unit =
 (* Engine counters                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-compile engine counters (compile.total, compile.outcome.*,
-   compile.cached, opt.pass.<name>.{runs,changes}), resolved from their
+(* The per-compile engine instruments (compile.total,
+   compile.outcome.*, compile.cached, the compile.<stage> span
+   histograms, and per pass its opt.pass.<name> span name and histogram
+   and its opt.pass.<name>.{runs,changes} counters), resolved from their
    string keys once per context instead of on every compile: the
    pipeline runs up to eight passes per compile, so per-pass registry
-   lookups (plus a name concatenation) would dwarf the passes themselves
-   on small inputs.  A pass's counters are resolved when it first runs:
-   a pass no compile ran must have no counter in the metrics output.
+   lookups (plus name concatenations) would dwarf the passes themselves
+   on small inputs.  Histograms are forced when a span first records
+   into them and a pass's counters when it first completes, so an
+   instrument no compile reached has no entry in the metrics output.
    The memo is domain-local: parallel campaign workers each own their
    context, so a one-slot cache per domain never sees contention and
    re-resolves only when the context changes. *)
 type pass_counters = {
-  pc_runs : Engine.Metrics.counter;
-  pc_changes : Engine.Metrics.counter;
+  pc_span : string;  (* opt.pass.<name> *)
+  pc_hist : Engine.Metrics.histogram Lazy.t;
+  pc_counts : (Engine.Metrics.counter * Engine.Metrics.counter) Lazy.t;  (* runs, changes *)
 }
 
 type counters = {
@@ -368,6 +370,10 @@ type counters = {
   k_error : Engine.Metrics.counter;
   k_crash : Engine.Metrics.counter;
   k_cached : Engine.Metrics.counter;
+  k_frontend : Engine.Metrics.histogram Lazy.t;  (* span.compile.frontend *)
+  k_lower : Engine.Metrics.histogram Lazy.t;
+  k_opt : Engine.Metrics.histogram Lazy.t;
+  k_backend : Engine.Metrics.histogram Lazy.t;
   mutable k_passes : (Opt.pass * pass_counters) list;  (* by physical pass *)
 }
 
@@ -389,6 +395,10 @@ let counters (ctx : Engine.Ctx.t) : counters =
         k_error = outcome Engine.Event.Compile_failed;
         k_crash = outcome Engine.Event.Crashed;
         k_cached = c "compile.cached";
+        k_frontend = Engine.Span.histogram ctx ~name:"compile.frontend";
+        k_lower = Engine.Span.histogram ctx ~name:"compile.lower";
+        k_opt = Engine.Span.histogram ctx ~name:"compile.opt";
+        k_backend = Engine.Span.histogram ctx ~name:"compile.backend";
         k_passes = [];
       }
     in
@@ -400,11 +410,15 @@ let pass_counters (ctx : Engine.Ctx.t) (pass : Opt.pass) : pass_counters =
   match List.assq_opt pass k.k_passes with
   | Some pc -> pc
   | None ->
-    let c suffix =
-      Engine.Metrics.counter ctx.Engine.Ctx.metrics
-        ("opt.pass." ^ pass.Opt.pass_name ^ suffix)
+    let span = "opt.pass." ^ pass.Opt.pass_name in
+    let c suffix = Engine.Metrics.counter ctx.Engine.Ctx.metrics (span ^ suffix) in
+    let pc =
+      {
+        pc_span = span;
+        pc_hist = Engine.Span.histogram ctx ~name:span;
+        pc_counts = lazy (c ".runs", c ".changes");
+      }
     in
-    let pc = { pc_runs = c ".runs"; pc_changes = c ".changes" } in
     k.k_passes <- (pass, pc) :: k.k_passes;
     pc
 
@@ -461,10 +475,11 @@ let run_opt_stage ?cov ?engine ?collect ?reference (compiler : compiler)
       match engine with
       | None -> execute ()
       | Some ctx ->
-        let changes = Engine.Span.with_ ctx ~name:("opt.pass." ^ name) execute in
-        let k = pass_counters ctx pass in
-        Engine.Metrics.incr k.pc_runs;
-        if changes > 0 then Engine.Metrics.incr ~by:changes k.pc_changes;
+        let pc = pass_counters ctx pass in
+        let changes = Engine.Span.with_histogram ctx pc.pc_hist ~name:pc.pc_span execute in
+        let runs, changed = Lazy.force pc.pc_counts in
+        Engine.Metrics.incr runs;
+        if changes > 0 then Engine.Metrics.incr ~by:changes changed;
         changes
     in
     (* a latent wrong-code bug is the culprit pass's own miscompilation:
@@ -567,12 +582,16 @@ let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree ?tokens
   let check ?executed stage ast =
     Bugdb.check ~compiler ~stage ~opt_level:opts.opt_level ?executed ~tx ~ast ()
   in
-  let span name f = Engine.Span.with_opt engine ~name f in
+  let span name hist f =
+    match engine with
+    | None -> f ()
+    | Some ctx -> Engine.Span.with_histogram ctx (hist (counters ctx)) ~name f
+  in
   let parsed_tu = ref None in
   let outcome =
     try
       let frontend =
-        span "compile.frontend" (fun () ->
+        span "compile.frontend" (fun k -> k.k_frontend) (fun () ->
             front_end ?cov ?tree ?tokens ~salt ~check:(check Crash.Front_end)
               ~parsed:parsed_tu src)
       in
@@ -582,14 +601,14 @@ let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree ?tokens
         let warnings = List.length (Typecheck.warnings tc) in
         (* IR generation *)
         let prog =
-          span "compile.lower" (fun () ->
+          span "compile.lower" (fun k -> k.k_lower) (fun () ->
               let prog = Lower.lower_tu ?cov tu tc in
               check Crash.Ir_gen (Some ast);
               prog)
         in
         (* optimization: the stage runner handles per-pass accounting
            and the culprit-keyed wrong-code injection *)
-        span "compile.opt" (fun () ->
+        span "compile.opt" (fun k -> k.k_opt) (fun () ->
             let results = run_opt_stage ?cov ?engine compiler opts ast prog in
             let executed = List.map fst results in
             Bugdb.check_passes ~compiler ~executed ~ast;
@@ -597,7 +616,7 @@ let compile_tu ?cov ?engine ?faults ?(emit = true) ?tree ?tokens
         (* back-end; without [emit] it stops after register allocation
            and selection, with the same coverage and an empty [asm] *)
         let asm, spills =
-          span "compile.backend" (fun () ->
+          span "compile.backend" (fun k -> k.k_backend) (fun () ->
               let r =
                 if emit then Backend.emit_program ?cov prog
                 else ("", Backend.allocate_program ?cov prog)

@@ -2,8 +2,21 @@
 
    Deliberately GCC-GIMPLE-flavoured: named memory slots for variables,
    virtual registers for temporaries, basic blocks with explicit
-   terminators.  The optimizer passes (opt_*.ml) and back-end (backend.ml)
-   operate on this form. *)
+   terminators.  The optimizer passes (opt.ml) and back-end (backend.ml)
+   operate on this form.
+
+   Ownership.  A block owns its instruction array: no other block or
+   program shares it, so a pass may write [b_instrs] in place, and
+   [copy] copies every array.  A pass that changes nothing in a block
+   leaves its array as it found it, without allocating; one that drops
+   instructions installs a fresh exact-size array.
+
+   Leaves are immutable and shared.  Operands, addresses, instructions
+   and terminators are never mutated, so one value may appear any number
+   of times, in one program or in several: lowering makes one [Avar] per
+   declared slot, and [reg] and [imm] hand out preallocated [Reg] and
+   small [Imm] operands.  Nothing may rely on two equal leaves being
+   physically distinct. *)
 
 type reg = int
 type label = int
@@ -39,7 +52,7 @@ type terminator =
 
 type block = {
   b_label : label;
-  mutable b_instrs : instr list;
+  mutable b_instrs : instr array;      (* owned by the block *)
   mutable b_term : terminator;
 }
 
@@ -65,6 +78,30 @@ type program = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Shared leaves                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [Reg r] for the registers most functions use, and [Imm v] for the
+   small constants lowering and folding produce most, built once. *)
+let shared_regs = 1024
+let reg_leaves = Array.init shared_regs (fun r -> Reg r)
+
+let[@inline] reg r = if r >= 0 && r < shared_regs then Array.unsafe_get reg_leaves r else Reg r
+
+let imm_lo = -256
+let imm_hi = 1023
+let imm_leaves = Array.init (imm_hi - imm_lo + 1) (fun i -> Imm (Int64.of_int (i + imm_lo)))
+
+let[@inline] imm_int n =
+  if n >= imm_lo && n <= imm_hi then Array.unsafe_get imm_leaves (n - imm_lo)
+  else Imm (Int64.of_int n)
+
+let[@inline] imm (v : int64) =
+  if Int64.compare v (Int64.of_int imm_lo) >= 0 && Int64.compare v (Int64.of_int imm_hi) <= 0
+  then Array.unsafe_get imm_leaves (Int64.to_int v - imm_lo)
+  else Imm v
+
+(* ------------------------------------------------------------------ *)
 (* Utilities                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -76,61 +113,38 @@ let successors term =
   | Tswitch (_, cases, d) -> d :: List.map snd cases
 
 let instr_count func =
-  List.fold_left (fun acc b -> acc + List.length b.b_instrs + 1) 0 func.fn_blocks
+  List.fold_left (fun acc b -> acc + Array.length b.b_instrs + 1) 0 func.fn_blocks
 
 let program_size p = List.fold_left (fun acc f -> acc + instr_count f) 0 p.p_funcs
 
-(* A copy that the optimizer can rewrite without touching [p].  Passes
-   mutate only the mutable fields of blocks and functions; everything
-   they hold (instruction lists, terminators, globals) is immutable and
-   can be shared, so fresh block and function records are enough. *)
+(* A copy that the optimizer can rewrite without touching [p]: fresh
+   function and block records and a copy of every instruction array;
+   the leaves they hold, terminators and globals are shared. *)
 let copy p =
   {
     p with
     p_funcs =
       List.map
         (fun f ->
-          { f with fn_blocks = List.map (fun b -> { b with b_instrs = b.b_instrs }) f.fn_blocks })
+          { f with
+            fn_blocks = List.map (fun b -> { b with b_instrs = Array.copy b.b_instrs }) f.fn_blocks })
         p.p_funcs;
   }
 
-(* Destination register of an instruction, if any. *)
-let dest = function
-  | Ibin (_, r, _, _) | Iun (_, r, _) | Imov (r, _) | Icast (r, _, _)
-  | Iload (r, _) | Iaddr (r, _) -> Some r
-  | Icall (r, _, _) -> r
-  | Istore _ -> None
-
-(* Register operands read by an instruction. *)
-let uses instr =
-  let of_op = function Reg r -> [ r ] | Imm _ | Fimm _ | Sym _ -> [] in
-  let of_addr = function
-    | Avar _ -> []
-    | Aindex (_, op, _) -> of_op op
-    | Areg op -> of_op op
-  in
-  match instr with
-  | Ibin (_, _, a, b) -> of_op a @ of_op b
-  | Iun (_, _, a) | Imov (_, a) | Icast (_, _, a) -> of_op a
-  | Iload (_, addr) -> of_addr addr
-  | Iaddr (_, addr) -> of_addr addr
-  | Istore (addr, v) -> of_addr addr @ of_op v
-  | Icall (_, _, args) -> List.concat_map of_op args
-
-let uses_of_term = function
-  | Tret (Some op) | Tbr (op, _, _) | Tswitch (op, _, _) -> (
-    match op with Reg r -> [ r ] | _ -> [])
-  | Tret None | Tjmp _ | Tunreachable -> []
-
-(* Allocation-free visit of an instruction's register operands, in
-   exactly [dest]-then-[uses] order (liveness scans run this per
-   instruction; the list-building spellings above cost a cons per
-   operand). *)
+(* Allocation-free visit of an instruction's register operands: the
+   destination first, then the operands read, left to right. *)
 let iter_op f = function Reg r -> f r | Imm _ | Fimm _ | Sym _ -> ()
 
 let iter_addr f = function
   | Avar _ -> ()
   | Aindex (_, op, _) | Areg op -> iter_op f op
+
+(* [List.iter (iter_op f)] without the partial application per call. *)
+let rec iter_args f = function
+  | [] -> ()
+  | op :: tl ->
+    iter_op f op;
+    iter_args f tl
 
 let iter_regs f = function
   | Ibin (_, r, a, b) ->
@@ -148,7 +162,7 @@ let iter_regs f = function
     iter_op f v
   | Icall (r, _, args) ->
     (match r with Some r -> f r | None -> ());
-    List.iter (iter_op f) args
+    iter_args f args
 
 let iter_term_regs f = function
   | Tret (Some op) | Tbr (op, _, _) | Tswitch (op, _, _) -> iter_op f op
@@ -163,9 +177,9 @@ let iter_uses f = function
   | Istore (addr, v) ->
     iter_addr f addr;
     iter_op f v
-  | Icall (_, _, args) -> List.iter (iter_op f) args
+  | Icall (_, _, args) -> iter_args f args
 
-(* [dest] without the option box: -1 when the instruction has none. *)
+(* The destination register, -1 when the instruction has none. *)
 let dest_reg = function
   | Ibin (_, r, _, _) | Iun (_, r, _) | Imov (r, _) | Icast (r, _, _)
   | Iload (r, _) | Iaddr (r, _) -> r
@@ -243,7 +257,7 @@ let add_func buf f =
   List.iter
     (fun b ->
       add_label buf b.b_label; str ":\n";
-      List.iter (fun i -> str "  "; add_instr buf i; str "\n") b.b_instrs;
+      Array.iter (fun i -> str "  "; add_instr buf i; str "\n") b.b_instrs;
       str "  "; add_term buf b.b_term; str "\n")
     f.fn_blocks
 

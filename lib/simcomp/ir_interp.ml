@@ -424,7 +424,7 @@ let compile (p : program) : state * int option * int =
       | Tunreachable -> Unreachable
     in
     let block b =
-      let code = Array.of_list (List.map instr b.b_instrs) in
+      let code = Array.map instr b.b_instrs in
       { code; term = term b.b_term; prepaid = not (Array.exists calls_user code) }
     in
     let blocks = Array.of_list (List.map block f.fn_blocks) in

@@ -10,6 +10,8 @@ open Ir
 
 exception Lower_error of string
 
+module Names = Hashtbl.Make (String)
+
 type env = {
   cov : Coverage.t option;
   types : Typecheck.types;
@@ -21,14 +23,23 @@ type env = {
       (* instructions of [cur], staged in the arena vector: blocks are
          built strictly sequentially (emit only ever targets [cur]), so
          one scratch vector serves the whole function and each block's
-         instruction list is materialised once, when the block is sealed
-         — the per-instruction [l @ [i]] append was O(n²) per block *)
-  mutable scopes : (string * string) list list; (* name -> slot *)
+         instruction array is copied out once, at its exact size, when
+         the block is sealed *)
+  vars : address Names.t;
+      (* Block scoping as one table plus an undo trail, as in
+         [Typecheck]: [vars] maps a name to the [Avar] of its innermost
+         slot ([Names.add] stacks shadowed bindings), and leaving a
+         scope removes exactly the names its [trail] entry recorded.
+         Each declared slot has one [Avar], shared by every access. *)
+  mutable trail : string list list;          (* names declared per open scope *)
+  bare : address Names.t;
+      (* the [Avar] of each undeclared name (globals, enum constants),
+         made on its first use in the translation unit *)
   mutable slot_count : int;
   mutable loop_stack : (label * label) list; (* break, continue *)
   mutable named_labels : (string * label) list;
   mutable locals : global_slot list;         (* local slots for interp *)
-  struct_fields : (string, field list) Hashtbl.t;
+  struct_fields : field list Names.t;
 }
 
 let ekind_tag (e : expr) =
@@ -90,43 +101,59 @@ let fresh_label env =
 
 let emit env i = Engine.Vec.push env.pending i
 
-(* Materialise [cur]'s staged instructions; nothing emits into a block
-   after it is sealed. *)
+(* Copy [cur]'s staged instructions into its own array; nothing emits
+   into a block after it is sealed. *)
 let seal env =
-  env.cur.b_instrs <- Engine.Vec.to_list env.pending;
+  env.cur.b_instrs <- Engine.Vec.to_array env.pending;
   Engine.Vec.clear env.pending
 
 let start_block env label =
   seal env;
-  let b = { b_label = label; b_instrs = []; b_term = Tunreachable } in
+  let b = { b_label = label; b_instrs = [||]; b_term = Tunreachable } in
   env.blocks <- b :: env.blocks;
   env.cur <- b
 
 let terminate env term =
-  if env.cur.b_term = Tunreachable then env.cur.b_term <- term
+  match env.cur.b_term with Tunreachable -> env.cur.b_term <- term | _ -> ()
 
-let push_scope env = env.scopes <- [] :: env.scopes
+let push_scope env = env.trail <- [] :: env.trail
+
 let pop_scope env =
-  match env.scopes with _ :: rest -> env.scopes <- rest | [] -> ()
+  match env.trail with
+  | declared :: rest ->
+    List.iter (Names.remove env.vars) declared;
+    env.trail <- rest
+  | [] -> ()
 
+(* The slot an [Avar] of [declare_slot] or [lookup_var] names. *)
+let slot_of = function Avar slot -> slot | Aindex _ | Areg _ -> invalid_arg "Lower.slot_of"
+
+(* Declare a fresh slot for [name] in the innermost scope; its [Avar]. *)
 let declare_slot env name ~size ~is_float ~init =
   env.slot_count <- env.slot_count + 1;
   let slot = name ^ "." ^ string_of_int env.slot_count in
-  (match env.scopes with
-  | scope :: rest -> env.scopes <- ((name, slot) :: scope) :: rest
-  | [] -> env.scopes <- [ [ (name, slot) ] ]);
+  let var = Avar slot in
+  Names.add env.vars name var;
+  (match env.trail with
+  | declared :: rest -> env.trail <- (name :: declared) :: rest
+  | [] -> env.trail <- [ [ name ] ]);
   env.locals <- { g_name = slot; g_size = size; g_init = init; g_finit = None; g_float = is_float } :: env.locals;
-  slot
+  var
 
-let lookup_slot env name =
-  let rec find = function
-    | [] -> name (* global or unknown: use the bare name *)
-    | scope :: rest -> (
-      match List.assoc_opt name scope with
-      | Some slot -> slot
-      | None -> find rest)
-  in
-  find env.scopes
+(* The [Avar] of [name]'s innermost slot; a global or unknown name is
+   its own slot. *)
+let lookup_var env name =
+  match Names.find env.vars name with
+  | var -> var
+  | exception Not_found -> (
+    match Names.find env.bare name with
+    | var -> var
+    | exception Not_found ->
+      let var = Avar name in
+      Names.add env.bare name var;
+      var)
+
+let lookup_slot env name = slot_of (lookup_var env name)
 
 let named_label env name =
   match List.assoc_opt name env.named_labels with
@@ -149,14 +176,14 @@ let elem_size_of env (base_ty : ty) =
 let rec lower_expr env (e : expr) : operand =
   cov_event env 0x1000 (ekind_tag e) (ty_tag (type_of env e));
   match e.ek with
-  | Int_lit (v, _, _) -> Imm v
-  | Char_lit c -> Imm (Int64.of_int (Char.code c))
+  | Int_lit (v, _, _) -> imm v
+  | Char_lit c -> imm_int (Char.code c)
   | Float_lit (v, _) -> Fimm v
   | Str_lit s -> Sym ("str$" ^ string_of_int (Hashtbl.hash s land 0xffffff))
   | Ident n ->
     let r = fresh_reg env in
-    emit env (Iload (r, Avar (lookup_slot env n)));
-    Reg r
+    emit env (Iload (r, lookup_var env n));
+    reg r
   | Binop ((Land | Lor) as op, _, _) -> lower_short_circuit env op e
   | Binop (op, a, b) ->
     let oa = lower_expr env a in
@@ -164,12 +191,12 @@ let rec lower_expr env (e : expr) : operand =
     let r = fresh_reg env in
     cov_event env 0x1100 (binop_hash_tag op) (ty_tag (type_of env a));
     emit env (Ibin (op, r, oa, ob));
-    Reg r
+    reg r
   | Unop (op, a) ->
     let oa = lower_expr env a in
     let r = fresh_reg env in
     emit env (Iun (op, r, oa));
-    Reg r
+    reg r
   | Assign (aop, lhs, rhs) ->
     let rv = lower_expr env rhs in
     let value =
@@ -185,16 +212,16 @@ let rec lower_expr env (e : expr) : operand =
         in
         let r = fresh_reg env in
         emit env (Ibin (op, r, cur, rv));
-        Reg r
+        reg r
     in
     lower_store env lhs value;
     value
   | Incdec (inc, prefix, a) ->
     let old = lower_lvalue_load env a in
     let r = fresh_reg env in
-    emit env (Ibin ((if inc then Add else Sub), r, old, Imm 1L));
-    lower_store env a (Reg r);
-    if prefix then Reg r else old
+    emit env (Ibin ((if inc then Add else Sub), r, old, imm_int 1));
+    lower_store env a (reg r);
+    if prefix then reg r else old
   | Call (f, args) ->
     let fname =
       match f.ek with
@@ -211,12 +238,12 @@ let rec lower_expr env (e : expr) : operand =
     let ret_ty = type_of env e in
     if is_void_ty ret_ty then begin
       emit env (Icall (None, fname, oargs));
-      Imm 0L
+      imm_int 0
     end
     else begin
       let r = fresh_reg env in
       emit env (Icall (Some r, fname, oargs));
-      Reg r
+      reg r
     end
   | Index (a, i) -> (
     let oi = lower_expr env i in
@@ -224,70 +251,70 @@ let rec lower_expr env (e : expr) : operand =
     | Some (slot, esz) ->
       let r = fresh_reg env in
       emit env (Iload (r, Aindex (slot, oi, esz)));
-      Reg r
+      reg r
     | None ->
       let oa = lower_expr env a in
       let scaled = fresh_reg env in
-      emit env (Ibin (Mul, scaled, oi, Imm (Int64.of_int (elem_size_of env (type_of env a)))));
+      emit env (Ibin (Mul, scaled, oi, imm_int (elem_size_of env (type_of env a))));
       let addr = fresh_reg env in
-      emit env (Ibin (Add, addr, oa, Reg scaled));
+      emit env (Ibin (Add, addr, oa, reg scaled));
       let r = fresh_reg env in
-      emit env (Iload (r, Areg (Reg addr)));
-      Reg r)
+      emit env (Iload (r, Areg (reg addr)));
+      reg r)
   | Member (a, fld) -> (
     match member_slot env a fld with
     | Some slot ->
       let r = fresh_reg env in
       emit env (Iload (r, Avar slot));
-      Reg r
+      reg r
     | None ->
       let _ = lower_expr env a in
-      Imm 0L)
+      imm_int 0)
   | Arrow (a, _fld) ->
     let oa = lower_expr env a in
     let r = fresh_reg env in
     cov_event env 0x1300 1 0;
     emit env (Iload (r, Areg oa));
-    Reg r
+    reg r
   | Deref a ->
     let oa = lower_expr env a in
     let r = fresh_reg env in
     emit env (Iload (r, Areg oa));
-    Reg r
+    reg r
   | Addrof a -> (
     match a.ek with
     | Ident n ->
       let r = fresh_reg env in
-      emit env (Iaddr (r, Avar (lookup_slot env n)));
-      Reg r
+      emit env (Iaddr (r, lookup_var env n));
+      reg r
     | Index (b, i) -> (
       let oi = lower_expr env i in
       match base_slot env b with
       | Some (slot, esz) ->
         let r = fresh_reg env in
         emit env (Iaddr (r, Aindex (slot, oi, esz)));
-        Reg r
+        reg r
       | None ->
         let ob = lower_expr env b in
         let r = fresh_reg env in
         emit env (Ibin (Add, r, ob, oi));
-        Reg r)
+        reg r)
     | Member (b, fld) -> (
       match member_slot env b fld with
       | Some slot ->
         let r = fresh_reg env in
         emit env (Iaddr (r, Avar slot));
-        Reg r
+        reg r
       | None -> lower_expr env b)
     | Deref inner -> lower_expr env inner
     | _ ->
       let _ = lower_expr env a in
-      Imm 0L)
+      imm_int 0)
   | Cast (ty, a) ->
     (match a.ek with
     | Init_list items ->
       (* compound literal: materialise into a fresh slot *)
-      let slot =
+      let var =
         declare_slot env "cpd" ~size:(max 1 (List.length items))
           ~is_float:(is_float_ty ty) ~init:None
       in
@@ -297,66 +324,66 @@ let rec lower_expr env (e : expr) : operand =
           | Init_list _ -> () (* nested braces of aggregates: ignored *)
           | _ ->
             let ov = lower_expr env item in
-            emit env (Istore (Aindex (slot, Imm (Int64.of_int idx), 8), ov)))
+            emit env (Istore (Aindex (slot_of var, imm_int idx, 8), ov)))
         items;
       let r = fresh_reg env in
-      emit env (Iload (r, Avar slot));
-      Reg r
+      emit env (Iload (r, var));
+      reg r
     | _ ->
       let oa = lower_expr env a in
       let r = fresh_reg env in
       cov_event env 0x1400 (ty_tag ty) (ty_tag (type_of env a));
       emit env (Icast (r, ty, oa));
-      Reg r)
+      reg r)
   | Cond (c, t, f) ->
-    let slot = declare_slot env "cond" ~size:1 ~is_float:false ~init:None in
+    let var = declare_slot env "cond" ~size:1 ~is_float:false ~init:None in
     let lt = fresh_label env and lf = fresh_label env and lj = fresh_label env in
     let oc = lower_expr env c in
     terminate env (Tbr (oc, lt, lf));
     start_block env lt;
     let ot = lower_expr env t in
-    emit env (Istore (Avar slot, ot));
+    emit env (Istore (var, ot));
     terminate env (Tjmp lj);
     start_block env lf;
     let of_ = lower_expr env f in
-    emit env (Istore (Avar slot, of_));
+    emit env (Istore (var, of_));
     terminate env (Tjmp lj);
     start_block env lj;
     let r = fresh_reg env in
-    emit env (Iload (r, Avar slot));
-    Reg r
+    emit env (Iload (r, var));
+    reg r
   | Comma (a, b) ->
     let _ = lower_expr env a in
     lower_expr env b
-  | Sizeof_expr a -> Imm (Int64.of_int (sizeof_ty (type_of env a)))
-  | Sizeof_ty t -> Imm (Int64.of_int (sizeof_ty t))
-  | Init_list _ -> Imm 0L
+  | Sizeof_expr a -> imm_int (sizeof_ty (type_of env a))
+  | Sizeof_ty t -> imm_int (sizeof_ty t)
+  | Init_list _ -> imm_int 0
 
 (* Short-circuit lowering of && and || in value position. *)
 and lower_short_circuit env op (e : expr) : operand =
   match e.ek with
   | Binop (bop, a, b) ->
-    let slot = declare_slot env "sc" ~size:1 ~is_float:false ~init:None in
+    let var = declare_slot env "sc" ~size:1 ~is_float:false ~init:None in
     let lrhs = fresh_label env and lend = fresh_label env in
     let oa = lower_expr env a in
     let ra = fresh_reg env in
-    emit env (Ibin (Ne, ra, oa, Imm 0L));
-    emit env (Istore (Avar slot, Reg ra));
+    emit env (Ibin (Ne, ra, oa, imm_int 0));
+    emit env (Istore (var, reg ra));
     (match bop with
-    | Land -> terminate env (Tbr (Reg ra, lrhs, lend))
-    | _ -> terminate env (Tbr (Reg ra, lend, lrhs)));
+    | Land -> terminate env (Tbr (reg ra, lrhs, lend))
+    | _ -> terminate env (Tbr (reg ra, lend, lrhs)));
     start_block env lrhs;
     let ob = lower_expr env b in
     let rb = fresh_reg env in
-    emit env (Ibin (Ne, rb, ob, Imm 0L));
-    emit env (Istore (Avar slot, Reg rb));
+    emit env (Ibin (Ne, rb, ob, imm_int 0));
+    emit env (Istore (var, reg rb));
     terminate env (Tjmp lend);
     start_block env lend;
     let r = fresh_reg env in
-    emit env (Iload (r, Avar slot));
+    emit env (Iload (r, var));
     ignore op;
-    Reg r
-  | _ -> Imm 0L
+    reg r
+  | _ -> imm_int 0
 
 (* Resolve an expression denoting an array/pointer base to a named slot
    (element size included) when statically known. *)
@@ -381,7 +408,7 @@ and lower_lvalue_load env (e : expr) : operand = lower_expr env e
 (* Store [value] into the lvalue [e]. *)
 and lower_store env (e : expr) (value : operand) : unit =
   match e.ek with
-  | Ident n -> emit env (Istore (Avar (lookup_slot env n), value))
+  | Ident n -> emit env (Istore (lookup_var env n, value))
   | Index (a, i) -> (
     let oi = lower_expr env i in
     match base_slot env a with
@@ -389,11 +416,10 @@ and lower_store env (e : expr) (value : operand) : unit =
     | None ->
       let oa = lower_expr env a in
       let scaled = fresh_reg env in
-      emit env
-        (Ibin (Mul, scaled, oi, Imm (Int64.of_int (elem_size_of env (type_of env a)))));
+      emit env (Ibin (Mul, scaled, oi, imm_int (elem_size_of env (type_of env a))));
       let addr = fresh_reg env in
-      emit env (Ibin (Add, addr, oa, Reg scaled));
-      emit env (Istore (Areg (Reg addr), value)))
+      emit env (Ibin (Add, addr, oa, reg scaled));
+      emit env (Istore (Areg (reg addr), value)))
   | Member (a, fld) -> (
     match member_slot env a fld with
     | Some slot -> emit env (Istore (Avar slot, value))
@@ -422,18 +448,19 @@ let lower_decl env (v : var_decl) =
     | Tarray (t, Some n) -> (n, is_float_ty t)
     | Tarray (t, None) -> (8, is_float_ty t)
     | Tstruct tag | Tunion tag -> (
-      match Hashtbl.find_opt env.struct_fields tag with
+      match Names.find_opt env.struct_fields tag with
       | Some fields ->
         (* declare per-field slots *)
         (List.length fields, false)
       | None -> (1, false))
     | t -> (1, is_float_ty t)
   in
-  let slot = declare_slot env v.v_name ~size ~is_float ~init:None in
+  let var = declare_slot env v.v_name ~size ~is_float ~init:None in
+  let slot = slot_of var in
   (* struct fields get their own slots *)
   (match v.v_ty with
   | Tstruct tag | Tunion tag -> (
-    match Hashtbl.find_opt env.struct_fields tag with
+    match Names.find_opt env.struct_fields tag with
     | Some fields ->
       List.iter
         (fun f ->
@@ -457,19 +484,19 @@ let lower_decl env (v : var_decl) =
         | Init_list _ -> ()
         | _ ->
           let ov = lower_expr env item in
-          emit env (Istore (Aindex (slot, Imm (Int64.of_int idx), 8), ov)))
+          emit env (Istore (Aindex (slot, imm_int idx, 8), ov)))
       items
   | Some init ->
     let ov = lower_expr env init in
-    emit env (Istore (Avar slot, ov))
+    emit env (Istore (var, ov))
   | None ->
     (* zero-initialise so re-entering a declaration (e.g. in a loop body)
        observes a fresh variable, matching the reference interpreter *)
-    let zero = if is_float then Fimm 0. else Imm 0L in
-    if size = 1 then emit env (Istore (Avar slot, zero))
+    let zero = if is_float then Fimm 0. else imm_int 0 in
+    if size = 1 then emit env (Istore (var, zero))
     else if size <= 64 then
       for i = 0 to size - 1 do
-        emit env (Istore (Aindex (slot, Imm (Int64.of_int i), 8), zero))
+        emit env (Istore (Aindex (slot, imm_int i, 8), zero))
       done
 
 let rec lower_stmt env (s : stmt) : unit =
@@ -616,10 +643,12 @@ let rec lower_stmt env (s : stmt) : unit =
 (* Function / program lowering                                         *)
 (* ------------------------------------------------------------------ *)
 
-let lower_function ?cov ~types ~struct_fields (fd : fundef) : func * global_slot list =
-  let entry = { b_label = 0; b_instrs = []; b_term = Tunreachable } in
+let lower_function ?cov ~types ~struct_fields ~vars ~bare (fd : fundef) :
+    func * global_slot list =
+  let entry = { b_label = 0; b_instrs = [||]; b_term = Tunreachable } in
   let pending = (Scratch.get ()).Scratch.instrs in
   Engine.Vec.clear pending;
+  Names.clear vars;
   let env =
     {
       cov;
@@ -629,7 +658,9 @@ let lower_function ?cov ~types ~struct_fields (fd : fundef) : func * global_slot
       blocks = [ entry ];
       cur = entry;
       pending;
-      scopes = [ [] ];
+      vars;
+      trail = [ [] ];
+      bare;
       slot_count = 0;
       loop_stack = [];
       named_labels = [];
@@ -641,13 +672,14 @@ let lower_function ?cov ~types ~struct_fields (fd : fundef) : func * global_slot
   let param_slots =
     List.map
       (fun p ->
-        declare_slot env p.p_name ~size:1
-          ~is_float:(is_float_ty p.p_ty)
-          ~init:None)
+        slot_of
+          (declare_slot env p.p_name ~size:1
+             ~is_float:(is_float_ty p.p_ty)
+             ~init:None))
       fd.f_params
   in
   List.iter (lower_stmt env) fd.f_body;
-  terminate env (Tret (if is_void_ty fd.f_ret then None else Some (Imm 0L)));
+  terminate env (Tret (if is_void_ty fd.f_ret then None else Some (imm_int 0)));
   seal env;
   let blocks = List.rev env.blocks in
   ( {
@@ -660,11 +692,11 @@ let lower_function ?cov ~types ~struct_fields (fd : fundef) : func * global_slot
     env.locals )
 
 let lower_tu ?cov (tu : tu) (tc : Typecheck.result) : program =
-  let struct_fields = Hashtbl.create 8 in
+  let struct_fields = Names.create 8 in
   List.iter
     (function
       | Gstruct (tag, fields) | Gunion (tag, fields) ->
-        Hashtbl.replace struct_fields tag fields
+        Names.replace struct_fields tag fields
       | _ -> ())
     tu.globals;
   let globals = ref [] in
@@ -700,7 +732,7 @@ let lower_tu ?cov (tu : tu) (tc : Typecheck.result) : program =
         (* struct globals also get field slots *)
         (match v.v_ty with
         | Tstruct tag | Tunion tag -> (
-          match Hashtbl.find_opt struct_fields tag with
+          match Names.find_opt struct_fields tag with
           | Some fields ->
             List.iter
               (fun f ->
@@ -718,12 +750,13 @@ let lower_tu ?cov (tu : tu) (tc : Typecheck.result) : program =
         | _ -> ())
       | _ -> ())
     tu.globals;
+  let vars = Names.create 32 and bare = Names.create 16 in
   let funcs = ref [] in
   List.iter
     (function
       | Gfun fd ->
         let f, locals =
-          lower_function ?cov ~types:tc.Typecheck.r_types ~struct_fields fd
+          lower_function ?cov ~types:tc.Typecheck.r_types ~struct_fields ~vars ~bare fd
         in
         funcs := f :: !funcs;
         globals := locals @ !globals

@@ -30,24 +30,12 @@ let cov_event cov site a b =
   | Some cov -> Coverage.branch3 cov site a b
   | None -> ()
 
-(* [List.map] that preserves physical identity when [f] changes nothing:
-   passes run over every block of every compile, and most visits change
-   no instruction, so rebuilding structurally identical lists was pure
-   allocation.  Recursion depth is the block size (bounded by function
-   length; fine for generated programs). *)
-let rec map_same f = function
-  | [] -> []
-  | x :: tl as l ->
-    let x' = f x in
-    let tl' = map_same f tl in
-    if x' == x && tl' == tl then l else x' :: tl'
-
-(* [List.filter] with the same identity-preserving contract. *)
-let rec filter_same pred = function
-  | [] -> []
-  | x :: tl as l ->
-    let tl' = filter_same pred tl in
-    if pred x then if tl' == tl then l else x :: tl' else tl'
+(* Every pass writes the blocks' instruction arrays in place (each
+   block owns its array, see [Ir]): an instruction is stored back only
+   when the pass rewrote it, and an array is replaced only when
+   instructions are dropped.  The walks over blocks are top-level
+   functions, not closures made per function, so a pass that changes
+   nothing allocates nothing per block. *)
 
 (* ------------------------------------------------------------------ *)
 (* Constant folding + copy propagation (per block)                     *)
@@ -117,7 +105,7 @@ let subst (s : Scratch.t) n changes (op : operand) =
   match op with
   | Reg r when cf_mem s n r ->
     incr changes;
-    Imm (Bytes.get_int64_ne s.cf_val (8 * r))
+    imm (Bytes.get_int64_ne s.cf_val (8 * r))
   | _ -> op
 
 let rec subst_list s n changes = function
@@ -158,7 +146,7 @@ let fold_instr cov s n changes i =
           (Lower.binop_hash_tag bop land 0xf)
           ((2 * magnitude) + if Int64.compare v 0L < 0 then 1 else 0);
         incr changes;
-        Imov (r, Imm v)
+        Imov (r, imm v)
       | None -> if a' == a && bb' == bb then i else Ibin (bop, r, a', bb'))
     | _ ->
       cov_event cov 0x3000 (Lower.binop_hash_tag bop) 0;
@@ -169,7 +157,7 @@ let fold_instr cov s n changes i =
       let v = eval_unop uop v in
       cf_set s n r v;
       incr changes;
-      Imov (r, Imm v)
+      Imov (r, imm v)
     | a' -> if a' == a then i else Iun (uop, r, a'))
   | Imov (r, a) -> (
     match subst s n changes a with
@@ -192,7 +180,7 @@ let fold_instr cov s n changes i =
       in
       cf_set s n r v';
       incr changes;
-      Imov (r, Imm v')
+      Imov (r, imm v')
     | a' -> if a' == a then i else Icast (r, ty, a'))
   | Iload (r, addr) ->
     cf_remove s n r;
@@ -210,21 +198,22 @@ let fold_instr cov s n changes i =
     let args' = subst_list s n changes args in
     if args' == args then i else Icall (r, fn, args')
 
-(* [map_same (fold_instr ...)], in instruction order, without a closure
-   per block *)
-let rec fold_instrs cov s n changes = function
-  | [] -> []
-  | x :: tl as l ->
-    let x' = fold_instr cov s n changes x in
-    let tl' = fold_instrs cov s n changes tl in
-    if x' == x && tl' == tl then l else x' :: tl'
+(* The first target of [v] among a switch's cases, or [d]. *)
+let rec switch_target v d = function
+  | [] -> d
+  | (v', l) :: tl -> if Int64.equal v v' then l else switch_target v d tl
 
 let fold_block cov (s : Scratch.t) n changes b =
   s.cf_block <- s.cf_block + 1;
   s.cf_live <- 0;
-  b.b_instrs <- fold_instrs cov s n changes b.b_instrs;
+  let code = b.b_instrs in
+  for k = 0 to Array.length code - 1 do
+    let i = Array.unsafe_get code k in
+    let i' = fold_instr cov s n changes i in
+    if i' != i then code.(k) <- i'
+  done;
   (* per-block optimization context: block size vs fold count *)
-  let nb = List.length b.b_instrs in
+  let nb = Array.length code in
   let bucket =
     if nb <= 2 then 0 else if nb <= 6 then 1 else if nb <= 15 then 2
     else if nb <= 40 then 3 else 4
@@ -243,11 +232,16 @@ let fold_block cov (s : Scratch.t) n changes b =
     b.b_term <- Tjmp (if Int64.equal v 0L then lf else lt)
   | Tswitch (Imm v, cases, d) ->
     incr changes;
-    let target = match List.assoc_opt v cases with Some l -> l | None -> d in
-    b.b_term <- Tjmp target
+    b.b_term <- Tjmp (switch_target v d cases)
   | Tret (Some (Reg r)) ->
-    if cf_mem s n r then b.b_term <- Tret (Some (Imm (Bytes.get_int64_ne s.cf_val (8 * r))))
+    if cf_mem s n r then b.b_term <- Tret (Some (imm (Bytes.get_int64_ne s.cf_val (8 * r))))
   | _ -> ()
+
+let rec fold_blocks cov s n changes = function
+  | [] -> ()
+  | b :: tl ->
+    fold_block cov s n changes b;
+    fold_blocks cov s n changes tl
 
 let const_fold_pass =
   let run ?cov (p : program) =
@@ -257,7 +251,7 @@ let const_fold_pass =
       (fun f ->
         let n = f.fn_nregs in
         Scratch.regs_for s n;
-        List.iter (fun b -> fold_block cov s n changes b) f.fn_blocks)
+        fold_blocks cov s n changes f.fn_blocks)
       p.p_funcs;
     !changes
   in
@@ -338,6 +332,35 @@ and visit_cases s = function
     visit s l;
     visit_cases s tl
 
+(* Record the forwarding blocks: empty, ending in a jump elsewhere; the
+   last one with a label wins. *)
+let rec note_forwards (s : Scratch.t) = function
+  | [] -> ()
+  | b :: tl ->
+    (match b.b_term with
+    | Tjmp l when Array.length b.b_instrs = 0 && l <> b.b_label ->
+      let k = b.b_label - s.lbl_lo in
+      s.lbl_fwd.(k) <- l;
+      mark s k fwd_bit
+    | _ -> ());
+    note_forwards s tl
+
+let rec thread_blocks s changes = function
+  | [] -> ()
+  | b :: tl ->
+    let t = b.b_term in
+    let t' = thread_term s changes t in
+    if t' != t then b.b_term <- t';
+    thread_blocks s changes tl
+
+(* The reachable blocks; the list itself when every block is. *)
+let rec keep_reachable (s : Scratch.t) = function
+  | [] -> []
+  | b :: tl as l ->
+    let tl' = keep_reachable s tl in
+    if marked s (b.b_label - s.lbl_lo) reach_bit then if tl' == tl then l else b :: tl'
+    else tl'
+
 let simplify_cfg_pass =
   let run ?cov (p : program) =
     let s = Scratch.get () in
@@ -349,24 +372,14 @@ let simplify_cfg_pass =
         | entry :: _ ->
           ignore (Scratch.index_labels s f);
           Bytes.fill s.lbl_mark 0 s.lbl_span '\000';
-          (* thread jumps to empty forwarding blocks; the last
-             forwarding block with a label wins *)
-          List.iter
-            (fun b ->
-              match b.b_instrs, b.b_term with
-              | [], Tjmp l when l <> b.b_label ->
-                let k = b.b_label - s.lbl_lo in
-                s.lbl_fwd.(k) <- l;
-                mark s k fwd_bit
-              | _ -> ())
-            f.fn_blocks;
-          List.iter (fun b -> b.b_term <- thread_term s changes b.b_term) f.fn_blocks;
+          (* thread jumps to empty forwarding blocks *)
+          note_forwards s f.fn_blocks;
+          thread_blocks s changes f.fn_blocks;
           (* reachability *)
           visit s entry.b_label;
           Scratch.release_blocks s;
           let before = List.length f.fn_blocks in
-          f.fn_blocks <-
-            filter_same (fun b -> marked s (b.b_label - s.lbl_lo) reach_bit) f.fn_blocks;
+          f.fn_blocks <- keep_reachable s f.fn_blocks;
           let removed = before - List.length f.fn_blocks in
           if removed > 0 then begin
             cov_event cov 0x3100 removed 0;
@@ -381,6 +394,56 @@ let simplify_cfg_pass =
 (* Dead code elimination (pure instrs with unused destinations)        *)
 (* ------------------------------------------------------------------ *)
 
+let rec mark_blocks mark = function
+  | [] -> ()
+  | b :: tl ->
+    let code = b.b_instrs in
+    for k = 0 to Array.length code - 1 do
+      iter_uses mark (Array.unsafe_get code k)
+    done;
+    iter_term_regs mark b.b_term;
+    mark_blocks mark tl
+
+(* A pure instruction whose destination no instruction reads. *)
+let dead used n i =
+  let r = dest_reg i in
+  r >= 0 && is_pure_instr i
+  && (check_reg n r;
+      Bytes.unsafe_get used r = '\000')
+
+(* Drop [b]'s dead instructions into a fresh exact-size array; returns
+   how many were dropped. *)
+let sweep_block used n b =
+  let code = b.b_instrs in
+  let len = Array.length code in
+  let removed = ref 0 in
+  for k = 0 to len - 1 do
+    if dead used n (Array.unsafe_get code k) then incr removed
+  done;
+  if !removed > 0 then begin
+    let kept = Array.make (len - !removed) (Array.unsafe_get code 0) in
+    let j = ref 0 in
+    for k = 0 to len - 1 do
+      let i = Array.unsafe_get code k in
+      if not (dead used n i) then begin
+        kept.(!j) <- i;
+        incr j
+      end
+    done;
+    b.b_instrs <- kept
+  end;
+  !removed
+
+let rec sweep_blocks cov used n changes = function
+  | [] -> ()
+  | b :: tl ->
+    let removed = sweep_block used n b in
+    if removed > 0 then begin
+      cov_event cov 0x3200 removed 0;
+      changes := !changes + removed
+    end;
+    sweep_blocks cov used n changes tl
+
 let dce_pass =
   let run ?cov (p : program) =
     let s = Scratch.get () in
@@ -391,32 +454,12 @@ let dce_pass =
         Scratch.regs_for s n;
         let used = s.Scratch.used in
         Bytes.fill used 0 (max 0 (n + 1)) '\000';
-        let mark r =
-          check_reg n r;
-          Bytes.unsafe_set used r '\001'
-        in
-        List.iter
-          (fun b ->
-            List.iter (iter_uses mark) b.b_instrs;
-            iter_term_regs mark b.b_term)
+        mark_blocks
+          (fun r ->
+            check_reg n r;
+            Bytes.unsafe_set used r '\001')
           f.fn_blocks;
-        let live i =
-          let r = dest_reg i in
-          not
-            (r >= 0 && is_pure_instr i
-            && (check_reg n r;
-                Bytes.unsafe_get used r = '\000'))
-        in
-        List.iter
-          (fun b ->
-            let before = List.length b.b_instrs in
-            b.b_instrs <- filter_same live b.b_instrs;
-            let removed = before - List.length b.b_instrs in
-            if removed > 0 then begin
-              cov_event cov 0x3200 removed 0;
-              changes := !changes + removed
-            end)
-          f.fn_blocks)
+        sweep_blocks cov used n changes f.fn_blocks)
       p.p_funcs;
     !changes
   in
@@ -425,6 +468,25 @@ let dce_pass =
 (* ------------------------------------------------------------------ *)
 (* Inlining of small leaf functions                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* The constant [name]'s function returns, first match. *)
+let rec const_of name = function
+  | [] -> None
+  | (fn, v) :: tl -> if String.equal fn name then Some v else const_of name tl
+
+let inline_block cov const_fns changes b =
+  let code = b.b_instrs in
+  for k = 0 to Array.length code - 1 do
+    match Array.unsafe_get code k with
+    | Icall (Some r, fn, _) -> (
+      match const_of fn const_fns with
+      | Some v ->
+        incr changes;
+        cov_event cov 0x3300 (Lower.name_hash fn land 0xff) 0;
+        code.(k) <- Imov (r, imm v)
+      | None -> ())
+    | _ -> ()
+  done
 
 let inline_pass =
   let run ?cov (p : program) =
@@ -436,7 +498,8 @@ let inline_pass =
       (* entry block returns a constant immediately (trailing unreachable
          blocks from lowering are ignored) *)
       match f.fn_blocks with
-      | { b_instrs = []; b_term = Tret (Some (Imm v)); _ } :: _ -> Some v
+      | { b_term = Tret (Some (Imm v)); b_instrs; _ } :: _ when Array.length b_instrs = 0 ->
+        Some v
       | _ -> None
     in
     let const_fns =
@@ -444,25 +507,12 @@ let inline_pass =
         (fun f -> Option.map (fun v -> (f.fn_name, v)) (returns_const f))
         p.p_funcs
     in
-    List.iter
-      (fun f ->
-        List.iter
-          (fun b ->
-            b.b_instrs <-
-              map_same
-                (fun i ->
-                  match i with
-                  | Icall (Some r, fn, _) -> (
-                    match List.assoc_opt fn const_fns with
-                    | Some v ->
-                      incr changes;
-                      cov_event cov 0x3300 (Lower.name_hash fn land 0xff) 0;
-                      Imov (r, Imm v)
-                    | None -> i)
-                  | i -> i)
-                b.b_instrs)
-          f.fn_blocks)
-      p.p_funcs;
+    (match const_fns with
+    | [] -> ()
+    | _ ->
+      List.iter
+        (fun f -> List.iter (inline_block cov const_fns changes) f.fn_blocks)
+        p.p_funcs);
     !changes
   in
   { pass_name = "inline"; pass_since = 2; run }
@@ -471,28 +521,26 @@ let inline_pass =
 (* strlen/sprintf optimization (the GCC strlen-pass analogue)          *)
 (* ------------------------------------------------------------------ *)
 
+let rec strlen_blocks cov changes = function
+  | [] -> ()
+  | b :: tl ->
+    let code = b.b_instrs in
+    for k = 0 to Array.length code - 1 do
+      match Array.unsafe_get code k with
+      | Icall (Some r, "sprintf", [ _; Sym fmt; src ]) when String.length fmt > 4 ->
+        (* the return value of sprintf(dst, "%s", src) is strlen(src):
+           rewrite when the format is a literal *)
+        incr changes;
+        cov_event cov 0x3400 1 0;
+        code.(k) <- Icall (Some r, "strlen", [ src ])
+      | _ -> ()
+    done;
+    strlen_blocks cov changes tl
+
 let strlen_pass =
   let run ?cov (p : program) =
     let changes = ref 0 in
-    List.iter
-      (fun f ->
-        List.iter
-          (fun b ->
-            b.b_instrs <-
-              map_same
-                (fun i ->
-                  match i with
-                  | Icall (Some r, "sprintf", [ _; Sym fmt; src ])
-                    when String.length fmt > 4 ->
-                    (* the return value of sprintf(dst, "%s", src) is
-                       strlen(src): rewrite when the format is a literal *)
-                    incr changes;
-                    cov_event cov 0x3400 1 0;
-                    Icall (Some r, "strlen", [ src ])
-                  | i -> i)
-                b.b_instrs)
-          f.fn_blocks)
-      p.p_funcs;
+    List.iter (fun f -> strlen_blocks cov changes f.fn_blocks) p.p_funcs;
     !changes
   in
   { pass_name = "strlen-opt"; pass_since = 2; run }
@@ -503,6 +551,34 @@ let strlen_pass =
 
 (* Detect single-block counted loops of the canonical shape produced by
    lowering for loops, and fully unroll small trip counts. *)
+(* Find back edges: a block whose terminator jumps to a dominator,
+   approximated by "jumps to an earlier label". *)
+let rec find_loops cov (s : Scratch.t) changes = function
+  | [] -> ()
+  | b :: tl ->
+    (match b.b_term with
+    | Tjmp l when l < b.b_label ->
+      cov_event cov 0x3500 1 0;
+      (* loop header found; attempt trip-count estimate: header must end
+         in Tbr (Reg r, body, exit) where r compares a slot against an
+         Imm *)
+      let i = Scratch.block_index s l in
+      if i >= 0 then begin
+        let header = s.lbl_blocks.(i) in
+        let code = header.b_instrs in
+        let last = Array.length code - 1 in
+        match header.b_term with
+        | Tbr (Reg r, _, _) when last >= 0 -> (
+          match Array.unsafe_get code last with
+          | Ibin ((Lt | Gt | Le | Ge), r', Reg _, Imm bound) when r = r' ->
+            cov_event cov 0x3510 (Int64.to_int (Int64.logand bound 63L)) 0;
+            changes := !changes + 1
+          | _ -> cov_event cov 0x3511 0 0)
+        | _ -> cov_event cov 0x3511 0 0
+      end
+    | _ -> ());
+    find_loops cov s changes tl
+
 let loop_pass =
   let run ?cov (p : program) =
     let s = Scratch.get () in
@@ -510,28 +586,7 @@ let loop_pass =
     List.iter
       (fun f ->
         ignore (Scratch.index_labels s f);
-        (* find back edges: block whose terminator jumps to a dominator;
-           approximate by "jumps to an earlier label" *)
-        List.iter
-          (fun b ->
-            match b.b_term with
-            | Tjmp l when l < b.b_label ->
-              cov_event cov 0x3500 1 0;
-              (* loop header found; attempt trip-count estimate: header
-                 must end in Tbr (Reg r, body, exit) where r compares a
-                 slot against an Imm *)
-              let i = Scratch.block_index s l in
-              if i >= 0 then begin
-                let header = s.Scratch.lbl_blocks.(i) in
-                match header.b_term, List.rev header.b_instrs with
-                | Tbr (Reg r, _, _), Ibin ((Lt | Gt | Le | Ge), r', Reg _, Imm bound) :: _
-                  when r = r' ->
-                  cov_event cov 0x3510 (Int64.to_int (Int64.logand bound 63L)) 0;
-                  changes := !changes + 1
-                | _ -> cov_event cov 0x3511 0 0
-              end
-            | _ -> ())
-          f.fn_blocks;
+        find_loops cov s changes f.fn_blocks;
         Scratch.release_blocks s)
       p.p_funcs;
     !changes

@@ -21,7 +21,8 @@
 
 type t = {
   (* Lower: per-block instruction staging (blocks are built strictly
-     sequentially, so one vector serves the whole function). *)
+     sequentially, so one vector serves the whole function; each block
+     gets an exact-size copy when it is sealed). *)
   instrs : Ir.instr Engine.Vec.t;
   (* Opt (and Ir_interp's compile): the current function's label index,
      filled by [index_labels].  Block labels span [lbl_lo, lbl_lo +
@@ -72,7 +73,7 @@ type t = {
 }
 
 (* The filler of [lbl_blocks] cells past the current function's. *)
-let no_block = { Ir.b_label = 0; b_instrs = []; b_term = Ir.Tunreachable }
+let no_block = { Ir.b_label = 0; b_instrs = [||]; b_term = Ir.Tunreachable }
 
 let create () =
   {

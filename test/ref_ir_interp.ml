@@ -1,6 +1,7 @@
 (* The IR interpreter as it was before it ran on unboxed cells and a
    register stack, kept verbatim as the outcome reference for
-   [Ir_interp.run] (test_simcomp's "ir-interp-reference" group). *)
+   [Ir_interp.run] (test_simcomp's "ir-interp-reference" group).  The
+   one edit: it reads each block's instruction array as a list. *)
 
 (* IR interpreter.
 
@@ -165,7 +166,7 @@ let resolve_func ~slot_id ~callee (f : func) : rfunc =
   in
   let blocks =
     Array.of_list
-      (List.map (fun b -> { instrs = Array.of_list (List.map instr b.b_instrs); term = term b.b_term })
+      (List.map (fun b -> { instrs = Array.of_list (List.map instr (Array.to_list b.b_instrs)); term = term b.b_term })
          f.fn_blocks)
   in
   let missing_blocks =

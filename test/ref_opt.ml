@@ -2,8 +2,10 @@
    moved into label- and register-indexed arena arrays, kept verbatim as
    the reference for [Opt]'s constfold, simplify-cfg, dce and loop-opt
    (test_simcomp's "opt-reference" group).  The only edits: the tables
-   the arena used to lend are created here, and [block_of], deleted
-   from [Ir], is defined here. *)
+   the arena used to lend are created here, [block_of], deleted from
+   [Ir], is defined here, and the passes still work on instruction
+   lists: they convert a block's array to a list where they read it and
+   back where they write it. *)
 
 open Simcomp.Ir
 
@@ -99,7 +101,7 @@ let const_fold ?cov (p : program) =
                 if op' == op then addr else Areg op'
               | a -> a
             in
-            b.b_instrs <-
+            b.b_instrs <- Array.of_list @@
               map_same
                 (fun i ->
                   match i with
@@ -177,9 +179,9 @@ let const_fold ?cov (p : program) =
                     Option.iter (Hashtbl.remove consts) r;
                     let args' = map_same subst args in
                     if args' == args then i else Icall (r, fn, args'))
-                b.b_instrs;
+                (Array.to_list b.b_instrs);
             (* per-block optimization context: block size vs fold count *)
-            let nb = List.length b.b_instrs in
+            let nb = Array.length b.b_instrs in
             let bucket n =
               if n <= 2 then 0 else if n <= 6 then 1 else if n <= 15 then 2
               else if n <= 40 then 3 else 4
@@ -230,7 +232,7 @@ let simplify_cfg ?cov (p : program) =
           Hashtbl.clear forward;
           List.iter
             (fun b ->
-              match b.b_instrs, b.b_term with
+              match Array.to_list b.b_instrs, b.b_term with
               | [], Tjmp l when l <> b.b_label -> Hashtbl.replace forward b.b_label l
               | _ -> ())
             f.fn_blocks;
@@ -302,19 +304,19 @@ let dce ?cov (p : program) =
         let mark r = Hashtbl.replace used r () in
         List.iter
           (fun b ->
-            List.iter (fun i -> iter_uses mark i) b.b_instrs;
+            List.iter (fun i -> iter_uses mark i) (Array.to_list b.b_instrs);
             iter_term_regs mark b.b_term)
           f.fn_blocks;
         List.iter
           (fun b ->
-            let before = List.length b.b_instrs in
-            b.b_instrs <-
+            let before = Array.length b.b_instrs in
+            b.b_instrs <- Array.of_list @@
               filter_same
                 (fun i ->
                   let r = dest_reg i in
                   not (r >= 0 && is_pure_instr i && not (Hashtbl.mem used r)))
-                b.b_instrs;
-            let removed = before - List.length b.b_instrs in
+                (Array.to_list b.b_instrs);
+            let removed = before - Array.length b.b_instrs in
             if removed > 0 then begin
               cov_event cov 0x3200 removed 0;
               changes := !changes + removed
@@ -343,7 +345,7 @@ let loop_opt ?cov (p : program) =
                  slot against an Imm *)
               (match block_of f l with
               | Some header -> (
-                match header.b_term, List.rev header.b_instrs with
+                match header.b_term, List.rev (Array.to_list header.b_instrs) with
                 | Tbr (Reg r, _, _), Ibin ((Lt | Gt | Le | Ge), r', Reg _, Imm bound) :: _
                   when r = r' ->
                   cov_event cov 0x3510 (Int64.to_int (Int64.logand bound 63L)) 0;

@@ -1203,7 +1203,7 @@ let ir_tests =
               (* entry must not be unreachable-terminated *)
               check Alcotest.bool "entry terminated" true
                 (entry.Simcomp.Ir.b_term <> Simcomp.Ir.Tunreachable
-                || entry.b_instrs = [])
+                || entry.b_instrs = [||])
             | [] -> Alcotest.fail "no blocks")
           p.Simcomp.Ir.p_funcs);
     tc "successors reference existing blocks" (fun () ->
@@ -1290,7 +1290,7 @@ let opt_tests =
           (fun fn ->
             List.iter
               (fun b ->
-                List.iter
+                Array.iter
                   (fun i ->
                     match i with Simcomp.Ir.Icall _ -> has_call := true | _ -> ())
                   b.Simcomp.Ir.b_instrs)
@@ -1841,7 +1841,7 @@ let golden_programs () =
   @ Fuzzing.Seeds.corpus ~n:60 (Rng.create 21)
 
 (* Hand-built IR, for shapes Lower never produces. *)
-let block label instrs term = { Simcomp.Ir.b_label = label; b_instrs = instrs; b_term = term }
+let block label instrs term = { Simcomp.Ir.b_label = label; b_instrs = Array.of_list instrs; b_term = term }
 
 let func ?(nregs = 0) name blocks =
   { Simcomp.Ir.fn_name = name; fn_params = []; fn_ret_void = false; fn_blocks = blocks;
@@ -2240,8 +2240,11 @@ let malform rng (p : Simcomp.Ir.program) : Simcomp.Ir.program =
     let blocks =
       List.concat_map
         (fun b ->
-          let b' = { b_label = b.b_label; b_instrs = List.map instr b.b_instrs; b_term = term b.b_term } in
-          if chance 25 then [] else if chance 25 then [ b'; { b' with b_label = b.b_label } ] else [ b' ])
+          let b' = { b_label = b.b_label; b_instrs = Array.map instr b.b_instrs; b_term = term b.b_term } in
+          (* a duplicated block gets its own array: blocks own theirs *)
+          if chance 25 then []
+          else if chance 25 then [ b'; { b' with b_instrs = Array.copy b'.b_instrs } ]
+          else [ b' ])
         f.fn_blocks
     in
     { f with fn_blocks = blocks; fn_nregs = (if chance 15 then f.fn_nregs - Rng.int rng 3 else f.fn_nregs) }
@@ -3088,7 +3091,7 @@ let reference_regalloc ?cov (f : Simcomp.Ir.func) : (int * int) list * int =
         (fun i ->
           incr pos;
           iter_regs touch i)
-        b.b_instrs;
+        (Array.to_list b.b_instrs);
       incr pos;
       iter_term_regs touch b.b_term)
     f.fn_blocks;
