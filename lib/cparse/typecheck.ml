@@ -72,11 +72,6 @@ module Types = struct
     Hashtbl.clear t.side
 end
 
-(* The name-keyed tables: [Hashtbl.Make] over [String] hashes and
-   compares names without the polymorphic [compare_val] the generic
-   [Hashtbl] calls on every probe (same hash, so the same buckets). *)
-module Names = Hashtbl.Make (String)
-
 type env = {
   structs : field list Names.t;
   unions : field list Names.t;
@@ -84,17 +79,9 @@ type env = {
   enum_consts : int64 Names.t;
   funcs : (ty * ty list * bool) Names.t; (* ret, params, variadic *)
   globals : (ty * quals) Names.t;
-  (* Block scoping as one table plus an undo trail, not a Hashtbl per
-     scope: [vars] stacks shadowed bindings with [Names.add] (find
-     returns the innermost), each binding is tagged with the depth it
-     was declared at (same-depth redeclaration is the redefinition
-     error), and leaving a scope removes exactly the names its trail
-     recorded.  Deeply nested blocks — which mutants grow without bound
-     — cost one string hash per lookup instead of one per enclosing
-     scope. *)
-  vars : (int * ty * quals) Names.t;
-  mutable depth : int; (* 0 = file scope: declare_local is a no-op *)
-  mutable trail : string list ref list; (* names declared per open scope *)
+  vars : (int * ty * quals) Names.Scoped.t;
+      (* block-scoped locals, each tagged with the depth it was declared
+         at: same-depth redeclaration is the redefinition error *)
   types : types; (* eid -> type *)
   mutable diags : diag list;
   mutable cur_func : fundef option;
@@ -180,33 +167,22 @@ let arith_conv a b =
 let decay ty = match ty with Tarray (t, _) -> Tptr t | t -> t
 
 let lookup_var env name =
-  match Names.find_opt env.vars name with
+  match Names.Scoped.find_opt env.vars name with
   | Some (_, ty, quals) -> Some (ty, quals)
   | None -> Names.find_opt env.globals name
 
-let push_scope env =
-  env.depth <- env.depth + 1;
-  env.trail <- ref [] :: env.trail
+let push_scope env = Names.Scoped.push env.vars
+let pop_scope env = Names.Scoped.pop env.vars
 
-let pop_scope env =
-  match env.trail with
-  | declared :: rest ->
-    List.iter (Names.remove env.vars) !declared;
-    env.trail <- rest;
-    env.depth <- env.depth - 1
-  | [] -> ()
-
+(* A no-op at file scope, where globals are declared instead. *)
 let declare_local env name ty quals =
-  match env.trail with
-  | declared :: _ ->
-    (match Names.find_opt env.vars name with
-    | Some (d, _, _) when d = env.depth ->
-      error env (Fmt.str "redefinition of '%s'" name)
+  let depth = Names.Scoped.depth env.vars in
+  if depth > 0 then begin
+    (match Names.Scoped.find_opt env.vars name with
+    | Some (d, _, _) when d = depth -> error env (Fmt.str "redefinition of '%s'" name)
     | _ -> ());
-    (* [add], not [replace]: the outer binding must come back on pop *)
-    Names.add env.vars name (env.depth, ty, quals);
-    declared := name :: !declared
-  | [] -> ()
+    Names.Scoped.add env.vars name (depth, ty, quals)
+  end
 
 (* Is an expression a modifiable lvalue?  Returns an error reason if not. *)
 let rec lvalue_status env (e : expr) : (unit, string) Stdlib.result =
@@ -761,9 +737,7 @@ let check ?types (tu : tu) : result =
       enum_consts = Names.create 8;
       funcs = Names.create 16;
       globals = Names.create 16;
-      vars = Names.create 64;
-      depth = 0;
-      trail = [];
+      vars = Names.Scoped.create 64;
       types;
       diags = [];
       cur_func = None;

@@ -313,7 +313,7 @@ let deref st c what =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Names = Hashtbl.Make (String)
+module Names = Cparse.Names
 
 let rec calls_user = function Call _ -> true | Bad_dest i -> calls_user i | _ -> false
 

@@ -10,8 +10,6 @@ open Ir
 
 exception Lower_error of string
 
-module Names = Hashtbl.Make (String)
-
 type env = {
   cov : Coverage.t option;
   types : Typecheck.types;
@@ -25,13 +23,10 @@ type env = {
          one scratch vector serves the whole function and each block's
          instruction array is copied out once, at its exact size, when
          the block is sealed *)
-  vars : address Names.t;
-      (* Block scoping as one table plus an undo trail, as in
-         [Typecheck]: [vars] maps a name to the [Avar] of its innermost
-         slot ([Names.add] stacks shadowed bindings), and leaving a
-         scope removes exactly the names its [trail] entry recorded.
-         Each declared slot has one [Avar], shared by every access. *)
-  mutable trail : string list list;          (* names declared per open scope *)
+  vars : address Names.Scoped.t;
+      (* the [Avar] of each name's innermost slot, scoped as in
+         [Typecheck]; each declared slot has one [Avar], shared by every
+         access *)
   bare : address Names.t;
       (* the [Avar] of each undeclared name (globals, enum constants),
          made on its first use in the translation unit *)
@@ -116,14 +111,8 @@ let start_block env label =
 let terminate env term =
   match env.cur.b_term with Tunreachable -> env.cur.b_term <- term | _ -> ()
 
-let push_scope env = env.trail <- [] :: env.trail
-
-let pop_scope env =
-  match env.trail with
-  | declared :: rest ->
-    List.iter (Names.remove env.vars) declared;
-    env.trail <- rest
-  | [] -> ()
+let push_scope env = Names.Scoped.push env.vars
+let pop_scope env = Names.Scoped.pop env.vars
 
 (* The slot an [Avar] of [declare_slot] or [lookup_var] names. *)
 let slot_of = function Avar slot -> slot | Aindex _ | Areg _ -> invalid_arg "Lower.slot_of"
@@ -133,17 +122,14 @@ let declare_slot env name ~size ~is_float ~init =
   env.slot_count <- env.slot_count + 1;
   let slot = name ^ "." ^ string_of_int env.slot_count in
   let var = Avar slot in
-  Names.add env.vars name var;
-  (match env.trail with
-  | declared :: rest -> env.trail <- (name :: declared) :: rest
-  | [] -> env.trail <- [ [ name ] ]);
+  Names.Scoped.add env.vars name var;
   env.locals <- { g_name = slot; g_size = size; g_init = init; g_finit = None; g_float = is_float } :: env.locals;
   var
 
 (* The [Avar] of [name]'s innermost slot; a global or unknown name is
    its own slot. *)
 let lookup_var env name =
-  match Names.find env.vars name with
+  match Names.Scoped.find env.vars name with
   | var -> var
   | exception Not_found -> (
     match Names.find env.bare name with
@@ -648,7 +634,9 @@ let lower_function ?cov ~types ~struct_fields ~vars ~bare (fd : fundef) :
   let entry = { b_label = 0; b_instrs = [||]; b_term = Tunreachable } in
   let pending = (Scratch.get ()).Scratch.instrs in
   Engine.Vec.clear pending;
-  Names.clear vars;
+  (* the function's own scope holds its parameters *)
+  Names.Scoped.clear vars;
+  Names.Scoped.push vars;
   let env =
     {
       cov;
@@ -659,7 +647,6 @@ let lower_function ?cov ~types ~struct_fields ~vars ~bare (fd : fundef) :
       cur = entry;
       pending;
       vars;
-      trail = [ [] ];
       bare;
       slot_count = 0;
       loop_stack = [];
@@ -750,7 +737,7 @@ let lower_tu ?cov (tu : tu) (tc : Typecheck.result) : program =
         | _ -> ())
       | _ -> ())
     tu.globals;
-  let vars = Names.create 32 and bare = Names.create 16 in
+  let vars = Names.Scoped.create 32 and bare = Names.create 16 in
   let funcs = ref [] in
   List.iter
     (function

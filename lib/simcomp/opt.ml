@@ -469,7 +469,7 @@ let dce_pass =
 (* Inlining of small leaf functions                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The constant [name]'s function returns, first match. *)
+(* The constant operand [name]'s function returns, first match. *)
 let rec const_of name = function
   | [] -> None
   | (fn, v) :: tl -> if String.equal fn name then Some v else const_of name tl
@@ -480,10 +480,10 @@ let inline_block cov const_fns changes b =
     match Array.unsafe_get code k with
     | Icall (Some r, fn, _) -> (
       match const_of fn const_fns with
-      | Some v ->
+      | Some op ->
         incr changes;
         cov_event cov 0x3300 (Lower.name_hash fn land 0xff) 0;
-        code.(k) <- Imov (r, imm v)
+        code.(k) <- Imov (r, op)
       | None -> ())
     | _ -> ()
   done
@@ -498,13 +498,13 @@ let inline_pass =
       (* entry block returns a constant immediately (trailing unreachable
          blocks from lowering are ignored) *)
       match f.fn_blocks with
-      | { b_term = Tret (Some (Imm v)); b_instrs; _ } :: _ when Array.length b_instrs = 0 ->
-        Some v
+      | { b_term = Tret (Some (Imm _ as op)); b_instrs; _ } :: _ when Array.length b_instrs = 0 ->
+        Some op
       | _ -> None
     in
     let const_fns =
       List.filter_map
-        (fun f -> Option.map (fun v -> (f.fn_name, v)) (returns_const f))
+        (fun f -> Option.map (fun op -> (f.fn_name, op)) (returns_const f))
         p.p_funcs
     in
     (match const_fns with
