@@ -67,7 +67,7 @@ EOF
 #   @kill        SIGKILL the coordinator mid-run; none of its workers
 #                may outlive it by 5 s
 #   @wc          the bisection input above
-FAULTS='--faults hang=0.05,crash=0.2 --fault-seed 3'
+FAULTS='--faults hang=0.05 --fault-seed 3'
 CHAOS='--faults frame=0.2,stall=0.1,oom=0.2,coord=0.3 --fault-seed 17 --hang-timeout 2'
 RUNS="
 c.j1       campaign -n 10 --jobs 1
@@ -232,7 +232,7 @@ kill_mid_run() {
   i=0
   workers=""
   while [ $i -lt 20 ]; do
-    workers=$(pgrep -P "$2" -f 'metamut_cli.exe worker' || true)
+    workers=$(pgrep -P "$2" || true)
     if [ -n "$workers" ] && ls "$1"/ckpt/journal-*.ckpt > /dev/null 2>&1; then
       break
     fi

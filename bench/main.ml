@@ -189,8 +189,7 @@ let campaign =
      in
      Fuzzing.Coordinator.to_campaign
        (Fuzzing.Coordinator.run ~cfg
-          ~shards:(Domain.recommended_domain_count ())
-          ~backend:Engine.Shard.Domains ()))
+          ~shards:(Domain.recommended_domain_count ()) ()))
 
 let fuzzer_label = Fuzzing.Campaign.fuzzer_name
 

@@ -189,8 +189,7 @@ let log_flag =
           "Write a structured JSON-lines event log to $(i,FILE) at exit \
            ($(i,LEVEL) one of debug, info, warn, error; default info).  \
            Records carry a monotonic $(b,seq), not a wall clock, so the \
-           log body is byte-identical across $(b,--jobs) and \
-           $(b,--shards) counts.")
+           log body is byte-identical across $(b,--jobs) counts.")
 
 let parse_log_spec spec =
   Option.map
@@ -243,14 +242,14 @@ let faults_term =
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Fault-injection spec: comma-separated site=rate pairs over the \
-             in-process sites llm, hang, crash, io and the shard-layer \
-             chaos sites frame, stall, oom, coord (e.g. \
-             $(b,llm=0.3,hang=0.05,crash=0.2,io=0.1) or \
-             $(b,frame=0.05,oom=0.01)); $(b,off) disables.  Shard sites \
-             garble/stall worker frames, OOM-kill workers at lease start, \
-             and crash-restart the coordinator; they only act under \
-             $(b,campaign --shards).  Defaults to $(b,METAMUT_FAULTS) when \
-             set.")
+             in-process sites llm, hang, io and the shard-layer chaos \
+             sites frame, stall, oom, coord (e.g. \
+             $(b,llm=0.3,hang=0.05,io=0.1) or $(b,frame=0.05,oom=0.01)); \
+             $(b,off) disables.  Shard sites garble/stall worker frames, \
+             OOM-kill workers at lease start, and crash-restart the \
+             coordinator; they only act in $(b,campaign), where \
+             $(b,--jobs 1) draws the same decisions inline.  Defaults to \
+             $(b,METAMUT_FAULTS) when set.")
   in
   let fseed =
     Arg.(
@@ -725,8 +724,7 @@ let generate_cmd =
 (* campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The RQ1 stdout table: byte-identical at any --jobs or --shards
-   count. *)
+(* The RQ1 stdout table: byte-identical at any --jobs count. *)
 let print_rq1_table (t : Fuzzing.Campaign.t) =
   let table =
     Report.Table.create ~title:"RQ1 campaign"
@@ -745,7 +743,7 @@ let print_rq1_table (t : Fuzzing.Campaign.t) =
 
 (* --bisect: attribute every unique optimizer-stage crash to its
    culprit pass(es).  Deterministic in the campaign results, so this
-   table is byte-identical at any job or shard count. *)
+   table is byte-identical at any job count. *)
 let run_bisect ?engine (t : Fuzzing.Campaign.t) =
   let ats = Fuzzing.Bisect.attribute ?engine t in
   let bt =
@@ -770,10 +768,10 @@ let run_bisect ?engine (t : Fuzzing.Campaign.t) =
   ats
 
 let campaign iterations jobs sample_every schedule faults checkpoint resume
-    bisect metrics telemetry status shards opt_matrix hang_timeout
-    lease_deadline alloc_budget serve log_spec =
+    bisect metrics telemetry status opt_matrix hang_timeout lease_deadline
+    alloc_budget serve log_spec =
   (* the per-lease resource governor, only built when a flag departs
-     from the defaults so plain sharded runs keep the default limits *)
+     from the defaults so plain pooled runs keep the default limits *)
   let limits =
     let l =
       {
@@ -830,34 +828,11 @@ let campaign iterations jobs sample_every schedule faults checkpoint resume
         (fun ~completed ~total name ->
           Fmt.epr "\r\027[K[%d/%d] %s done%!" completed total name)
   in
-  (* one driver, three backends: --shards K deals units to spawned
-     `metamut worker` processes (socket end as the child's stdin),
-     --jobs K to worker domains; a count of 1 runs inline *)
-  let shards, backend =
-    if shards > 0 then begin
-      let exe = Sys.executable_name in
-      (* Spawn workers can't inherit the harness or the governor through
-         fork: they rebuild both from the environment *)
-      Option.iter Engine.Faults.export_to_env faults;
-      Option.iter
-        (fun (l : Engine.Shard.limits) ->
-          if l.alloc_budget_words < infinity then
-            Unix.putenv "METAMUT_SHARD_ALLOC_BUDGET"
-              (Fmt.str "%.0f" l.alloc_budget_words))
-        limits;
-      ( shards,
-        Engine.Shard.Spawn
-          (fun fd ->
-            Unix.create_process exe [| exe; "worker" |] fd Unix.stdout
-              Unix.stderr) )
-    end
-    else
-      ( (if jobs > 0 then jobs else Domain.recommended_domain_count ()),
-        Engine.Shard.Domains )
-  in
+  (* K forked worker processes; 1 runs inline *)
+  let shards = if jobs > 0 then jobs else Domain.recommended_domain_count () in
   let t =
     Fuzzing.Coordinator.run ~cfg ~opt_levels:opt_matrix ?engine ?faults
-      ?checkpoint ~resume ~shards ~backend ?limits ?status:st ?progress
+      ?checkpoint ~resume ~shards ?limits ?status:st ?progress
       ?serve:srv ?flight_dir:telemetry ()
   in
   Option.iter Engine.Status.finish st;
@@ -967,12 +942,14 @@ let campaign_cmd =
   let jobs =
     Arg.(
       value & opt int 0
-      & info [ "j"; "jobs" ]
+      & info [ "j"; "jobs"; "shards" ]
           ~doc:
-            "Deal campaign cells to $(docv) worker domains in this process \
-             (0 = recommended domain count; 1 = run inline).  Ignored \
-             when $(b,--shards) is given.  Results are identical at any \
-             job count." ~docv:"K")
+            "Deal campaign cells to $(docv) forked worker processes \
+             (length-prefixed frames over a Unix socketpair per worker); \
+             0 = the recommended domain count (the default), 1 = run \
+             inline.  Results are byte-identical at any count, and a \
+             dead, hung or over-budget worker's lease is requeued."
+          ~docv:"K")
   in
   let checkpoint =
     Arg.(
@@ -1019,19 +996,6 @@ let campaign_cmd =
              (favored-entry picks + pool trimming).  Deterministic at any \
              job count.")
   in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ]
-          ~doc:
-            "Deal campaign cells to $(docv) worker $(i,processes) \
-             (spawned $(b,metamut worker), length-prefixed frames over a \
-             Unix socketpair) instead of $(b,--jobs) domains.  0 = off \
-             (use $(b,--jobs)); results are byte-identical at any shard \
-             or job count, and a dead or hung worker's lease is \
-             requeued."
-          ~docv:"K")
-  in
   let opt_matrix =
     Arg.(
       value & opt (list int) []
@@ -1047,8 +1011,8 @@ let campaign_cmd =
       & opt float Engine.Shard.default_limits.hang_timeout_s
       & info [ "hang-timeout" ] ~docv:"SEC"
           ~doc:
-            "Kill a sharded worker silent for $(docv) seconds and requeue \
-             its lease ($(b,--shards) only).")
+            "Kill a worker silent for $(docv) seconds and requeue its \
+             lease (pooled runs, $(b,--jobs) > 1).")
   in
   let lease_deadline =
     Arg.(
@@ -1056,10 +1020,10 @@ let campaign_cmd =
       & opt (some int) None
       & info [ "lease-deadline" ] ~docv:"SEC"
           ~doc:
-            "Per-lease wall-clock budget: a sharded worker holding one \
-             lease longer than $(docv) seconds is killed and the lease \
-             retried; leases that keep blowing the deadline are \
-             quarantined, not fatal ($(b,--shards) only).")
+            "Per-lease wall-clock budget: a worker holding one lease \
+             longer than $(docv) seconds is killed and the lease retried; \
+             leases that keep blowing the deadline are quarantined, not \
+             fatal (pooled runs, $(b,--jobs) > 1).")
   in
   let alloc_budget =
     Arg.(
@@ -1069,7 +1033,7 @@ let campaign_cmd =
           ~doc:
             "Per-lease allocation budget in millions of words: a worker \
              allocating past it OOM-kills itself (exit 137) and the lease \
-             is retried, then quarantined ($(b,--shards) only).")
+             is retried, then quarantined (pooled runs, $(b,--jobs) > 1).")
   in
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run the six-fuzzer RQ1 comparison")
@@ -1077,21 +1041,8 @@ let campaign_cmd =
       const campaign $ iterations $ jobs $ sample_every $ schedule
       $ faults_term
       $ checkpoint $ resume $ bisect $ metrics_flag $ telemetry_flag
-      $ status_flag $ shards $ opt_matrix $ hang_timeout $ lease_deadline
+      $ status_flag $ opt_matrix $ hang_timeout $ lease_deadline
       $ alloc_budget $ serve_flag $ log_flag)
-
-(* ------------------------------------------------------------------ *)
-(* worker (internal)                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let worker_cmd =
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "(internal) Sharded-campaign worker: serve lease frames on stdin \
-          until Shutdown.  Spawned by $(b,campaign --shards); not meant \
-          for interactive use.")
-    Term.(const Fuzzing.Coordinator.worker_main $ const ())
 
 let () =
   Engine.Runtime.tune ();
@@ -1104,5 +1055,5 @@ let () =
        (Cmd.group info
           [
             list_cmd; mutate_cmd; compile_cmd; passes_cmd; bisect_cmd;
-            fuzz_cmd; generate_cmd; campaign_cmd; worker_cmd;
+            fuzz_cmd; generate_cmd; campaign_cmd;
           ]))

@@ -19,7 +19,7 @@ type state = {
   last : int;
   mutable idx : int;
   mutable tok : Token.t;
-  typedefs : (string, unit) Hashtbl.t;
+  typedefs : unit Names.t;
   mutable next_id : int;
 }
 
@@ -67,7 +67,7 @@ let expect_ident st =
 (* Declaration specifiers                                              *)
 (* ------------------------------------------------------------------ *)
 
-let is_typedef_name st s = Hashtbl.mem st.typedefs s
+let is_typedef_name st s = Names.mem st.typedefs s
 
 (* Does the current token start a declaration? *)
 let starts_decl st =
@@ -562,7 +562,7 @@ and parse_local_decls st : var_decl list =
   go ();
   expect st Token.Semi;
   if specs.sp_typedef then begin
-    List.iter (fun v -> Hashtbl.replace st.typedefs v.v_name ()) !decls;
+    List.iter (fun v -> Names.replace st.typedefs v.v_name ()) !decls;
     []
   end
   else List.rev !decls
@@ -790,7 +790,7 @@ let parse_global st : global list =
       go ty name;
       expect st Token.Semi;
       if specs.sp_typedef then begin
-        List.iter (fun v -> Hashtbl.replace st.typedefs v.v_name ()) !decls;
+        List.iter (fun v -> Names.replace st.typedefs v.v_name ()) !decls;
         specs.sp_newtags
         @ List.rev_map (fun v -> Gtypedef (v.v_name, v.v_ty)) !decls
       end
@@ -808,7 +808,7 @@ let parse_tokens (toks : Lexer.tokens) : tu =
       last = Lexer.length toks - 1;
       idx = 0;
       tok = Lexer.token toks 0;
-      typedefs = Hashtbl.create 16;
+      typedefs = Names.create 16;
       next_id = 0;
     }
   in

@@ -1,8 +1,8 @@
 (* Structured events and the bus that fans them out to pluggable sinks.
 
    Events are typed (no string parsing on the hot path); sinks decide
-   what to retain: nothing (null), a line per event (text), or per-kind
-   counters (metrics). *)
+   what to retain: nothing (null), a line per event (text), or whatever
+   a listener of its own folds them into. *)
 
 type stage = Frontend | Lower | Opt | Backend
 
@@ -29,15 +29,6 @@ type t =
   | Pipeline_goal of int * bool  (* validation goal, fix succeeded *)
   | Custom of string
 
-let kind_name = function
-  | Mutant_attempted _ -> "mutant_attempted"
-  | Compile_finished _ -> "compile_finished"
-  | Coverage_gained _ -> "coverage_gained"
-  | Coverage_sampled _ -> "coverage_sampled"
-  | Crash_found _ -> "crash_found"
-  | Pipeline_goal _ -> "pipeline_goal"
-  | Custom _ -> "custom"
-
 let to_string = function
   | Mutant_attempted { mutator } -> Fmt.str "mutant-attempted %s" mutator
   | Compile_finished (k, s) ->
@@ -62,13 +53,6 @@ type sink = { sink_name : string; emit : t -> unit }
 let null_sink = { sink_name = "null"; emit = (fun _ -> ()) }
 
 let text_sink ~out = { sink_name = "text"; emit = (fun e -> out (to_string e)) }
-
-(* Counts events by kind into "event.<kind>" counters. *)
-let metrics_sink (m : Metrics.t) =
-  {
-    sink_name = "metrics";
-    emit = (fun e -> Metrics.incr (Metrics.counter m ("event." ^ kind_name e)));
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Bus                                                                 *)

@@ -1,6 +1,6 @@
 (** Structured events and the bus that fans them out to pluggable
     sinks.  Events are typed; sinks decide retention (drop, text line,
-    per-kind counters). *)
+    or a listener's own fold). *)
 
 type stage = Frontend | Lower | Opt | Backend
 (** Compiler pipeline stages as the engine sees them ({!Lower} is IR
@@ -24,7 +24,6 @@ type t =
       (** MetaMut validation goal hit, and whether the fix succeeded *)
   | Custom of string
 
-val kind_name : t -> string
 val to_string : t -> string
 
 type sink = { sink_name : string; emit : t -> unit }
@@ -33,9 +32,6 @@ val null_sink : sink
 
 val text_sink : out:(string -> unit) -> sink
 (** Line-oriented sink: one rendered line per event. *)
-
-val metrics_sink : Metrics.t -> sink
-(** Counts events by kind into ["event.<kind>"] counters. *)
 
 type bus
 

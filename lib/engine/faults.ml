@@ -1,18 +1,17 @@
 (* Deterministic fault injection.
 
-   Each harness owns eight independent draw streams, one per fault site.
+   Each harness owns seven independent draw streams, one per fault site.
    A draw at site S is a pure function of (harness seed, site, per-site
    draw index), NOT of a shared mutable RNG state — so the sequence of
    decisions a given site sees is independent of how draws at other
    sites interleave with it.  That is what makes faulted campaigns
    byte-identical at any job count: a cell's compile-hang stream does
-   not shift because a sibling worker consulted its own crash stream
-   first.
+   not shift because a sibling cell consulted its own I/O stream first.
 
-   The first four sites live inside one process (pipeline, compiler,
-   worker domain, checkpoint); the last four cross the process boundary
-   and are consulted by the shard layer (Engine.Shard): garbled frames,
-   mid-frame stalls, worker OOM kills, and coordinator crash-restarts.
+   The first three sites live inside one process (pipeline, compiler,
+   checkpoint); the last four cross the process boundary and are
+   consulted by the shard layer (Engine.Shard): garbled frames, mid-frame
+   stalls, worker OOM kills, and coordinator crash-restarts.
 
    A harness is single-domain by construction (the per-site counters are
    plain mutable ints).  Parallel consumers must [derive] a child
@@ -23,7 +22,6 @@
 type site =
   | Llm_throttle
   | Compile_hang
-  | Worker_crash
   | Io_failure
   | Frame_garble
   | Frame_stall
@@ -32,36 +30,35 @@ type site =
 
 let all_sites =
   [
-    Llm_throttle; Compile_hang; Worker_crash; Io_failure; Frame_garble;
-    Frame_stall; Worker_oom; Coordinator_crash;
+    Llm_throttle; Compile_hang; Io_failure; Frame_garble; Frame_stall;
+    Worker_oom; Coordinator_crash;
   ]
 
 let site_to_string = function
   | Llm_throttle -> "llm_throttle"
   | Compile_hang -> "compile_hang"
-  | Worker_crash -> "worker_crash"
   | Io_failure -> "io_failure"
   | Frame_garble -> "frame_garble"
   | Frame_stall -> "frame_stall"
   | Worker_oom -> "worker_oom"
   | Coordinator_crash -> "coordinator_crash"
 
+(* A site's index is also its draw salt: renumbering a site would move
+   its stream, so 2, the index of a deleted site, stays unused. *)
 let site_index = function
   | Llm_throttle -> 0
   | Compile_hang -> 1
-  | Worker_crash -> 2
   | Io_failure -> 3
   | Frame_garble -> 4
   | Frame_stall -> 5
   | Worker_oom -> 6
   | Coordinator_crash -> 7
 
-let site_count = 8
+let site_count = 8 (* one draw counter per index; 2 stays unused *)
 
 type config = {
   llm_throttle : float;
   compile_hang : float;
-  worker_crash : float;
   io_failure : float;
   frame_garble : float;
   frame_stall : float;
@@ -73,7 +70,6 @@ let no_faults =
   {
     llm_throttle = 0.;
     compile_hang = 0.;
-    worker_crash = 0.;
     io_failure = 0.;
     frame_garble = 0.;
     frame_stall = 0.;
@@ -84,7 +80,6 @@ let no_faults =
 let rate (c : config) = function
   | Llm_throttle -> c.llm_throttle
   | Compile_hang -> c.compile_hang
-  | Worker_crash -> c.worker_crash
   | Io_failure -> c.io_failure
   | Frame_garble -> c.frame_garble
   | Frame_stall -> c.frame_stall
@@ -95,7 +90,6 @@ let with_rate (c : config) site r =
   match site with
   | Llm_throttle -> { c with llm_throttle = r }
   | Compile_hang -> { c with compile_hang = r }
-  | Worker_crash -> { c with worker_crash = r }
   | Io_failure -> { c with io_failure = r }
   | Frame_garble -> { c with frame_garble = r }
   | Frame_stall -> { c with frame_stall = r }
@@ -112,7 +106,6 @@ let create ?(seed = 0) config =
   { config; seed = Int64.of_int seed; counts = Array.make site_count 0 }
 
 let config_of (t : t) = t.config
-let seed_of (t : t) = Int64.to_int t.seed
 
 (* splitmix64 finalizer: full avalanche over the 64-bit input. *)
 let mix64 (z : int64) : int64 =
@@ -145,7 +138,7 @@ let draw (t : t) site k =
    shard count.  Their injections surface through the pool's supervision
    events instead; only the in-process sites log at the draw. *)
 let in_process_site = function
-  | Llm_throttle | Compile_hang | Worker_crash | Io_failure -> true
+  | Llm_throttle | Compile_hang | Io_failure -> true
   | Frame_garble | Frame_stall | Worker_oom | Coordinator_crash -> false
 
 let fire ?ctx (t : t) site =
@@ -169,14 +162,13 @@ let fire ?ctx (t : t) site =
 
 (* ------------------------------------------------------------------ *)
 (* Spec syntax:                                                        *)
-(*   "llm=0.2,hang=0.01,crash=0.05,io=0.02,frame=0.1,stall=0.05,       *)
+(*   "llm=0.2,hang=0.01,io=0.02,frame=0.1,stall=0.05,                  *)
 (*    oom=0.01,coord=0.02"                                             *)
 (* ------------------------------------------------------------------ *)
 
 let key_of_site = function
   | Llm_throttle -> "llm"
   | Compile_hang -> "hang"
-  | Worker_crash -> "crash"
   | Io_failure -> "io"
   | Frame_garble -> "frame"
   | Frame_stall -> "stall"
@@ -186,7 +178,6 @@ let key_of_site = function
 let site_of_key = function
   | "llm" | "llm_throttle" -> Some Llm_throttle
   | "hang" | "compile_hang" -> Some Compile_hang
-  | "crash" | "worker_crash" -> Some Worker_crash
   | "io" | "io_failure" -> Some Io_failure
   | "frame" | "frame_garble" -> Some Frame_garble
   | "stall" | "frame_stall" -> Some Frame_stall
@@ -245,13 +236,3 @@ let seed_from_env () : int =
   match Sys.getenv_opt "METAMUT_FAULT_SEED" with
   | None -> 0
   | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 0)
-
-let from_env () : t option =
-  Option.map (fun c -> create ~seed:(seed_from_env ()) c) (config_from_env ())
-
-(* The CLI arms worker subprocesses (the Spawn backend execs a fresh
-   binary) by exporting the harness back into the same variables the
-   workers read with [from_env]. *)
-let export_to_env (t : t) =
-  Unix.putenv "METAMUT_FAULTS" (spec_to_string t.config);
-  Unix.putenv "METAMUT_FAULT_SEED" (string_of_int (seed_of t))

@@ -1,12 +1,12 @@
 (** Deterministic fault-injection harness.
 
-    Any layer may consult a harness at one of eight {!site}s; the
+    Any layer may consult a harness at one of seven {!site}s; the
     decision stream per site is a pure function of (seed, site, draw
     index), so one site's decisions are independent of how other sites'
     draws interleave — the property that keeps faulted campaigns
     byte-identical at any job count.
 
-    The first four sites live inside one process; the last four are the
+    The first three sites live inside one process; the last four are the
     shard layer's ({!Shard}) protocol- and resource-level chaos:
     garbled frames, mid-frame stalls, worker OOM kills, and coordinator
     crash-restarts.
@@ -18,7 +18,6 @@
 type site =
   | Llm_throttle  (** the §4 API throttle/timeout, a.k.a. [System_error] *)
   | Compile_hang  (** pathological mutant stalling the compiler *)
-  | Worker_crash  (** a worker domain dying before its claimed lease *)
   | Io_failure    (** checkpoint write failing *)
   | Frame_garble  (** worker emits a corrupt frame instead of its Result *)
   | Frame_stall   (** worker stalls mid-frame, holding the connection *)
@@ -32,7 +31,6 @@ val site_to_string : site -> string
 type config = {
   llm_throttle : float;
   compile_hang : float;
-  worker_crash : float;
   io_failure : float;
   frame_garble : float;
   frame_stall : float;
@@ -49,7 +47,6 @@ type t
 
 val create : ?seed:int -> config -> t
 val config_of : t -> config
-val seed_of : t -> int
 
 val derive : t -> tag:int -> t
 (** Child harness with the same config and a seed mixed from [tag].
@@ -61,10 +58,10 @@ val fire : ?ctx:Ctx.t -> t -> site -> bool
     [faults.injected.<site>]. *)
 
 val parse_spec : string -> (config, string) result
-(** ["llm=0.2,hang=0.01,crash=0.05,io=0.02,frame=0.1,stall=0.05,oom=0.01,coord=0.02"]
+(** ["llm=0.2,hang=0.01,io=0.02,frame=0.1,stall=0.05,oom=0.01,coord=0.02"]
     (long site names accepted); [""], ["off"] and ["none"] mean
-    {!no_faults}.  Legacy four-site specs parse to the same config as
-    before with the shard-layer rates at zero. *)
+    {!no_faults}.  An unknown site, the deleted [crash] among them, is
+    an [Error]. *)
 
 val spec_to_string : config -> string
 (** Canonical spec (["off"] for {!no_faults}); round-trips through
@@ -79,10 +76,3 @@ val config_from_env : unit -> config option
 
 val seed_from_env : unit -> int
 (** [METAMUT_FAULT_SEED], default 0. *)
-
-val from_env : unit -> t option
-(** Harness from both variables, when [METAMUT_FAULTS] is set. *)
-
-val export_to_env : t -> unit
-(** Write the harness back into [METAMUT_FAULTS]/[METAMUT_FAULT_SEED] so
-    spawned worker processes rebuild the same root via {!from_env}. *)

@@ -296,7 +296,7 @@ let allocated_words () =
 let in_worker_flag = ref false
 let in_worker () = !in_worker_flag
 
-let worker_loop ?faults ?(alloc_budget_words = infinity) (c : conn) ~f =
+let worker_loop ?faults ~alloc_budget_words (c : conn) ~f =
   in_worker_flag := true;
   (* K workers share the coordinator's stderr: none of them may draw *)
   Status.set_tty_owner false;
@@ -361,15 +361,7 @@ let worker_loop ?faults ?(alloc_budget_words = infinity) (c : conn) ~f =
 (* Coordinator side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type backend = Fork | Spawn of (Unix.file_descr -> int) | Domains
-
-(* What a Domains-backend worker hands back to the coordinator.  [Retired]
-   is an injected domain death: the domain exits before running the
-   lease it claimed. *)
-type mail =
-  | Beat of { wid : int; execs : int; covered : int; crashes : int }
-  | Finished of { seq : int; attempt : int; outcome : (string, string) result }
-  | Retired of { wid : int; seq : int }
+type backend = Fork
 
 (* Supervision notifications, for the structured log and the flight
    recorder.  Emitted identically by the pooled and inline paths (same
@@ -408,7 +400,7 @@ type worker = {
   mutable w_alive : bool;
 }
 
-let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
+let run_pool ~shards ?(limits = default_limits) ?faults
     ?ctx ?on_heartbeat ?on_result ?on_event ?on_tick ?journal ~f
     (leases : string array) : verdict array * stats =
   let n = Array.length leases in
@@ -502,23 +494,6 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
     bump "shard.worker_died";
     infra_failure seq ~category
   in
-  (* The inline and Domains paths split an attempt around [f]: before
-     it, charge the attempt and draw the worker-OOM kill (returning the
-     attempt number when [f] should run); after it, draw the frame
-     faults and commit.  Same draws as a worker process makes and the
-     same death accounting, so every final verdict matches the pooled
-     path. *)
-  let start_attempt seq =
-    attempts.(seq) <- attempts.(seq) + 1;
-    let attempt = attempts.(seq) - 1 in
-    if inj seq ~attempt Faults.Worker_oom then begin
-      stats.st_oom <- stats.st_oom + 1;
-      bump "shard.oom_killed";
-      die seq ~category:"worker-oom";
-      None
-    end
-    else Some attempt
-  in
   (* [f] raised on a healthy worker: retry until the budget is spent *)
   let fail_attempt seq msg =
     if results.(seq) = None then begin
@@ -529,38 +504,40 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
       end
     end
   in
-  let finish_attempt seq ~attempt = function
-    | Ok r ->
-      if inj seq ~attempt Faults.Frame_garble then begin
-        stats.st_garbled <- stats.st_garbled + 1;
-        bump "shard.garbled";
-        die seq ~category:"garbled-frame"
-      end
-      else if inj seq ~attempt Faults.Frame_stall then begin
-        stats.st_hung <- stats.st_hung + 1;
-        bump "shard.hung";
-        die seq ~category:"stalled"
-      end
-      else commit seq (Done r)
-    | Error msg -> fail_attempt seq msg
-  in
-  let run_f ~heartbeat seq ~attempt =
-    match f ~heartbeat ~seq ~attempt leases.(seq) with
-    | r -> Ok r
-    | exception e -> Error (Printexc.to_string e)
-  in
   (* One attempt on the calling process: the sequential degenerate mode
-     and the last-resort fallback when no worker is left.  A heartbeat
-     also ticks, so a scrape server answers while a long lease runs. *)
+     and the last-resort fallback when no worker is left.  It makes the
+     draws a worker process makes around [f] (the OOM kill before it,
+     the frame faults after it) with the same death accounting, so every
+     final verdict matches the pooled path.  A heartbeat also ticks, so
+     a scrape server answers while a long lease runs. *)
   let run_inline seq =
-    match start_attempt seq with
-    | None -> ()
-    | Some attempt ->
+    attempts.(seq) <- attempts.(seq) + 1;
+    let attempt = attempts.(seq) - 1 in
+    if inj seq ~attempt Faults.Worker_oom then begin
+      stats.st_oom <- stats.st_oom + 1;
+      bump "shard.oom_killed";
+      die seq ~category:"worker-oom"
+    end
+    else begin
       let heartbeat ~execs ~covered ~crashes =
         Option.iter (fun g -> g ~shard:0 ~execs ~covered ~crashes) on_heartbeat;
         tick ()
       in
-      finish_attempt seq ~attempt (run_f ~heartbeat seq ~attempt)
+      match f ~heartbeat ~seq ~attempt leases.(seq) with
+      | exception e -> fail_attempt seq (Printexc.to_string e)
+      | r ->
+        if inj seq ~attempt Faults.Frame_garble then begin
+          stats.st_garbled <- stats.st_garbled + 1;
+          bump "shard.garbled";
+          die seq ~category:"garbled-frame"
+        end
+        else if inj seq ~attempt Faults.Frame_stall then begin
+          stats.st_hung <- stats.st_hung + 1;
+          bump "shard.hung";
+          die seq ~category:"stalled"
+        end
+        else commit seq (Done r)
+    end
   in
   (* Nothing left to deal to: finish the queue on this process, and fail
      leases that were neither queued nor committed (lost with their
@@ -577,167 +554,8 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
         if r = None then commit seq (Failed "lease lost: no worker survived"))
       results
   in
-  (* [shards] workers in this process: this domain (worker 0) and
-     [shards - 1] spawned domains.  This domain stays the coordinator —
-     it makes every fault draw, commit, callback and journal write,
-     exactly where [run_inline] makes them — and runs leases itself
-     between those duties: an idle domain would still have to join
-     every stop-the-world minor collection, which measured ~20% slower
-     on a two-core box.  Charged (lease, attempt) pairs wait in [ready];
-     spawned workers post results and heartbeats to a mutex-guarded
-     mailbox and poke a self-pipe.  The coordinator drains it on every
-     tick and every heartbeat of its own lease. *)
-  let run_domains () =
-    let k = min shards n in
-    let lock = Mutex.create () in
-    let locked f = Mutex.protect lock f in
-    let wake = Condition.create () in
-    let ready = Queue.create () in
-    let stop = ref false in
-    let mail = Queue.create () in
-    let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock pipe_r;
-    Unix.set_nonblock pipe_w;
-    let post m =
-      locked (fun () -> Queue.add m mail);
-      try ignore (Unix.single_write_substring pipe_w "!" 0 1)
-      with Unix.Unix_error _ -> () (* pipe full: the tick drains anyway *)
-    in
-    (* Worker deaths come off a per-worker stream, drawn without [ctx]
-       (a death is not a function of the lease, so it stays out of the
-       registry and the log); a fired draw retires the worker before it
-       runs the lease it took, and the lease goes back uncharged. *)
-    let death_stream wid =
-      let h = Option.map (fun r -> Faults.derive r ~tag:(1_000 + wid)) faults in
-      fun () ->
-        match h with Some h -> Faults.fire h Faults.Worker_crash | None -> false
-    in
-    let rec take () =
-      match Queue.take_opt ready with
-      | Some job -> Some job
-      | None when !stop -> None
-      | None ->
-        Condition.wait wake lock;
-        take ()
-    in
-    let worker wid () =
-      let dies = death_stream wid in
-      let rec loop () =
-        match locked take with
-        | None -> ()
-        | Some (seq, _) when dies () -> post (Retired { wid; seq })
-        | Some (seq, attempt) ->
-          let heartbeat ~execs ~covered ~crashes =
-            post (Beat { wid; execs; covered; crashes })
-          in
-          let outcome = run_f ~heartbeat seq ~attempt in
-          post (Finished { seq; attempt; outcome });
-          loop ()
-      in
-      loop ()
-    in
-    let alive = Array.make k true in
-    let domains = Array.init (k - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-    stats.st_spawned <- k - 1;
-    let requeue_uncharged seq =
-      attempts.(seq) <- attempts.(seq) - 1;
-      Queue.add seq queue
-    in
-    let retire wid seq =
-      alive.(wid) <- false;
-      bump "shard.worker_crashed";
-      requeue_uncharged seq
-    in
-    let handle = function
-      | Beat { wid; execs; covered; crashes } ->
-        Option.iter
-          (fun g -> g ~shard:wid ~execs ~covered ~crashes)
-          on_heartbeat
-      | Finished { seq; attempt; outcome } ->
-        finish_attempt seq ~attempt outcome
-      | Retired { wid; seq } -> retire wid seq
-    in
-    (* settle the mailbox, then charge every queued lease into [ready] *)
-    let pump () =
-      let batch =
-        locked (fun () ->
-            let l = List.of_seq (Queue.to_seq mail) in
-            Queue.clear mail;
-            l)
-      in
-      List.iter handle batch;
-      while not (Queue.is_empty queue) do
-        let seq = Queue.pop queue in
-        Option.iter
-          (fun attempt ->
-            locked (fun () -> Queue.add (seq, attempt) ready);
-            Condition.broadcast wake)
-          (start_attempt seq)
-      done
-    in
-    let buf = Bytes.create 64 in
-    let wait_for_mail () =
-      match Unix.select [ pipe_r ] [] [] 0.25 with
-      | _ -> (
-        try
-          while Unix.read pipe_r buf 0 64 > 0 do
-            ()
-          done
-        with Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
-    let heartbeat ~execs ~covered ~crashes =
-      Option.iter (fun g -> g ~shard:0 ~execs ~covered ~crashes) on_heartbeat;
-      tick ();
-      pump ()
-    in
-    let dies = death_stream 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        locked (fun () -> stop := true);
-        Condition.broadcast wake;
-        Array.iter (fun d -> try Domain.join d with _ -> ()) domains;
-        Unix.close pipe_r;
-        Unix.close pipe_w)
-      (fun () ->
-        while not (finished ()) && Array.exists Fun.id alive do
-          tick ();
-          pump ();
-          let job =
-            if alive.(0) then locked (fun () -> Queue.take_opt ready) else None
-          in
-          match job with
-          | Some (seq, _) when dies () -> retire 0 seq
-          | Some (seq, attempt) ->
-            finish_attempt seq ~attempt (run_f ~heartbeat seq ~attempt)
-          | None -> wait_for_mail ()
-        done;
-        if not (finished ()) then begin
-          (* every worker died: runnable leases go back uncharged and
-             the queue finishes here *)
-          Queue.iter (fun (seq, _) -> requeue_uncharged seq) ready;
-          Queue.clear ready;
-          finish_inline ()
-        end)
-  in
-  (* The Fork backend's [start]: the child serves leases on [b] after
-     closing every inherited parent end, so a sibling's death is visible
-     as EOF in the coordinator, not masked by the child's copy of its fd. *)
-  let fork_worker ~close b =
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-      List.iter (fun fd -> try Unix.close fd with _ -> ()) close;
-      (try
-         worker_loop ?faults ~alloc_budget_words:limits.alloc_budget_words
-           (of_fd b) ~f
-       with _ -> ());
-      Unix._exit 0
-    | pid -> pid
-  in
-  (* Fork/Spawn: K worker processes pull leases over socketpairs. *)
-  let run_processes start =
+  (* K forked worker processes pull leases over socketpairs. *)
+  let run_workers () =
     let previous_sigpipe =
       (* a worker dying mid-write must surface as EPIPE, not kill us *)
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
@@ -746,13 +564,29 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
     let workers : worker list ref = ref [] in
     let alive () = List.filter (fun w -> w.w_alive) !workers in
     let parent_fds () = List.map (fun w -> w.w_conn.c_fd) (alive ()) in
+    (* The child serves leases on [b] after closing every inherited
+       parent end: a worker holding a copy of a sibling's end would mask
+       that sibling's death (the coordinator would never read its EOF),
+       and one holding its own would never read a dead coordinator's. *)
     let spawn shard =
-      (* close-on-exec: a spawned worker must hold only its own end, or a
-         dead coordinator's socket never reads EOF in any worker *)
       let a, b =
         Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
       in
-      let pid = start ~close:(a :: parent_fds ()) b in
+      flush stdout;
+      flush stderr;
+      let pid =
+        match Unix.fork () with
+        | 0 ->
+          List.iter
+            (fun fd -> try Unix.close fd with _ -> ())
+            (a :: parent_fds ());
+          (try
+             worker_loop ?faults ~alloc_budget_words:limits.alloc_budget_words
+               (of_fd b) ~f
+           with _ -> ());
+          Unix._exit 0
+        | pid -> pid
+      in
       Unix.close b;
       stats.st_spawned <- stats.st_spawned + 1;
       let w =
@@ -977,10 +811,6 @@ let run_pool ~shards ?(backend = Fork) ?(limits = default_limits) ?faults
      done;
      tick ()
    end
-   else
-     match backend with
-     | Domains -> run_domains ()
-     | Fork -> run_processes fork_worker
-     | Spawn start -> run_processes (fun ~close:_ b -> start b));
+   else run_workers ());
   ( Array.map (function Some r -> r | None -> Failed "lease never ran") results,
     stats )

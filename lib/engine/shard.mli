@@ -1,7 +1,6 @@
 (** The campaign worker pool: a queue of opaque lease bodies dealt to
-    worker processes (over a length-prefixed binary frame protocol on
-    Unix sockets) or worker domains, with one supervision model for
-    both.
+    forked worker processes over a length-prefixed binary frame protocol
+    on Unix sockets, or run inline on the calling process.
 
     The coordinator owns the queue.  Idle workers {i pull} the next
     lease (work-stealing — a straggler never serializes the tail, it
@@ -18,9 +17,8 @@
     Chaos crosses the process boundary here: with a {!Faults} harness,
     the shard-layer sites ([frame_garble], [frame_stall], [worker_oom],
     [coordinator_crash]) are drawn from a child stream derived per
-    (lease, attempt), identically on workers, on worker domains and on
-    the inline path — so verdicts stay shard-count-invariant even under
-    injected chaos.
+    (lease, attempt), identically on workers and on the inline path — so
+    verdicts stay shard-count-invariant even under injected chaos.
 
     Framing is versioned: a peer speaking another protocol revision (or
     writing garbage) is detected by the magic check on the next frame
@@ -122,59 +120,17 @@ val default_limits : limits
 (** {2 Worker side} *)
 
 val in_worker : unit -> bool
-(** True inside a pool worker process (set by the fork backend and by
-    {!worker_loop}).  Test hooks that deliberately kill a worker guard
-    on this so they can never take down the coordinator. *)
-
-val worker_loop :
-  ?faults:Faults.t ->
-  ?alloc_budget_words:float ->
-  conn ->
-  f:
-    (heartbeat:(execs:int -> covered:int -> crashes:int -> unit) ->
-    seq:int ->
-    attempt:int ->
-    string ->
-    string) ->
-  unit
-(** The worker protocol: request, execute, reply, repeat until
-    {!Shutdown} (or a dead coordinator socket).  [f] receives the lease
-    body and a [heartbeat] it may call during long work; its return
-    value is sent back as the {!Result} body.  Marks {!in_worker} and
-    relinquishes {!Status} TTY ownership (workers never draw).
-
-    [faults] must be the {i root} harness the coordinator holds (the
-    worker derives the per-(lease, attempt) child itself); it arms the
-    worker-side chaos sites [worker_oom], [frame_garble], [frame_stall].
-    [alloc_budget_words] arms the per-lease allocation watermark. *)
+(** True inside a forked pool worker.  Test hooks that deliberately
+    kill a worker guard on this so they can never take down the
+    coordinator. *)
 
 (** {2 Coordinator side} *)
 
 type backend =
   | Fork
-      (** [Unix.fork]: the child runs [f] via {!worker_loop} and
-          [_exit]s.  Must be chosen before any Domain workers exist. *)
-  | Spawn of (Unix.file_descr -> int)
-      (** custom spawner: given the child's socket end, start a process
-          whose {!worker_loop} serves it (e.g. exec ["metamut worker"]
-          with the socket as stdin) and return the pid.  The spawned
-          process arms its own faults/budget, typically from the
-          environment ({!Faults.export_to_env}/{!Faults.from_env}). *)
-  | Domains
-      (** [shards] workers in this process: the calling domain and
-          [shards - 1] spawned domains.  The calling domain stays the
-          coordinator: it makes every fault draw, commit, callback and
-          journal write exactly as the inline path does, and runs
-          leases itself in between, so verdicts and {!pool_event}s
-          equal the inline path's.  A domain cannot be killed, so the
-          hang timeout, lease deadline and allocation budget do not
-          apply, and {!in_worker} stays false.  With [faults], each
-          worker draws {!Faults.Worker_crash} from its own stream (tag
-          [1000 + id], id 0 for the calling domain) before running a
-          lease; a fired draw retires the worker and requeues the lease
-          without charging an attempt (counted as
-          [shard.worker_crashed]).  [f] must be safe to run on several
-          domains at once. *)
+      (** [Unix.fork]: the child serves leases (see {!run_pool}) and
+          [_exit]s.  The one way {!run_pool} runs more than one worker;
+          the type stays only for callers that still name it. *)
 
 type pool_event =
   | Lease_infra of { category : string; attempt : int; requeued : bool }
@@ -205,7 +161,6 @@ type stats = {
 
 val run_pool :
   shards:int ->
-  ?backend:backend ->
   ?limits:limits ->
   ?faults:Faults.t ->
   ?ctx:Ctx.t ->
@@ -222,11 +177,20 @@ val run_pool :
     string) ->
   string array ->
   verdict array * stats
-(** Deal the lease bodies to [shards] workers of [backend] (default
-    {!Fork}) and collect the verdicts in input order.  [shards <= 1]
-    runs every lease on the calling process — the degenerate mode
-    pooled runs are compared against for determinism, including under
-    injected chaos.
+(** Deal the lease bodies to [shards] forked worker processes and
+    collect the verdicts in input order.  [shards <= 1] runs every lease
+    on the calling process — the degenerate mode pooled runs are
+    compared against for determinism, including under injected chaos.
+
+    A worker runs [f] through the worker protocol: request, execute,
+    reply, repeat until {!Shutdown} (or a dead coordinator socket).  It
+    closes the parent ends of its own and its siblings' sockets, and
+    keeps every other fd the coordinator had open.  It marks
+    {!in_worker}, relinquishes {!Status} TTY ownership (workers never
+    draw), arms [limits.alloc_budget_words] as a per-lease allocation
+    watermark, and draws the worker-side chaos sites ([worker_oom],
+    [frame_garble], [frame_stall]) from the per-(lease, attempt) child
+    of [faults].
 
     Failure handling: a worker that EOFs, garbles a frame, goes silent
     for [limits.hang_timeout_s] while holding a lease, exceeds
@@ -252,14 +216,12 @@ val run_pool :
     [shard.garbled], [shard.hung], [shard.oom_killed],
     [shard.deadline_killed], [shard.quarantined],
     [shard.breaker_tripped], [shard.crash_restart], [shard.inline],
-    [shard.respawned], [shard.worker_crashed] {i only when the event
-    occurs} — a healthy pool is metrics-silent, so merged registries
-    stay shard-count-invariant.
+    [shard.respawned] {i only when the event occurs} — a healthy pool
+    is metrics-silent, so merged registries stay shard-count-invariant.
 
     [on_heartbeat] observes worker progress (for an aggregated status
     line); [on_result] fires as each lease commits; [on_event] receives
     every {!pool_event}; [on_tick] fires once per supervision round
     (at most every select timeout — where a live scrape server polls
-    its socket) and, on the inline and {!Domains} paths, after every
-    heartbeat.  All are called on the coordinator, never
-    concurrently. *)
+    its socket) and, on the inline path, after every heartbeat.  All are
+    called on the coordinator, never concurrently. *)

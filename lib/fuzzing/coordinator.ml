@@ -1,13 +1,12 @@
 (* The campaign driver: deal Campaign cells (optionally crossed with -O
-   levels) to an Engine.Shard worker pool — inline, worker domains, or
-   worker processes — and merge the pieces back into one aggregated
-   view.
+   levels) to an Engine.Shard worker pool — inline or forked worker
+   processes — and merge the pieces back into one aggregated view.
 
    Determinism is inherited, not re-proven: a unit's RNG stream, fault
    stream, and coverage map are pure functions of (config, unit id),
    and every merge below walks the canonical unit list, never the
-   completion order.  So every backend at every worker count produces
-   byte-identical coverage, crash sets, and reports. *)
+   completion order.  So every worker count produces byte-identical
+   coverage, crash sets, and reports. *)
 
 type unit_id = {
   u_fuzzer : Campaign.fuzzer_id;
@@ -54,8 +53,8 @@ let unit_journal_file dir (u : unit_id) =
   Filename.concat dir ("journal-" ^ unit_name u ^ ".ckpt")
 
 (* The validity stamp both files are saved under: every parameter the
-   state depends on.  Worker count and backend are deliberately
-   excluded — results do not depend on them. *)
+   state depends on.  The worker count is deliberately excluded —
+   results do not depend on it. *)
 let unit_fingerprint (cfg : Campaign.config) ?faults (u : unit_id) =
   let base =
     Fmt.str "campaign|%s|it=%d|seeds=%d|every=%d|seed=%d|ma=%d|sched=%b|%s"
@@ -173,11 +172,10 @@ let exec_lease ~heartbeat ~counters (l : lease) : worker_result =
   }
 
 (* The pool work function: decode, execute, encode.  One server per
-   run; its heartbeat counters are per domain, so Domains-backend workers
-   sharing the closure each report their own totals (fork children
-   inherit fresh ones, worker_main makes its own server). *)
+   run, and its heartbeat counters with it: each forked worker inherits
+   its own copy, so every worker reports its own totals. *)
 let server () =
-  let counters = Domain.DLS.new_key (fun () -> (ref 0, ref 0, ref 0)) in
+  let counters = (ref 0, ref 0, ref 0) in
   fun ~heartbeat ~seq:_ ~attempt (body : string) ->
     match Engine.Shard.decode body with
     | Error msg -> failwith ("coordinator: undecodable lease: " ^ msg)
@@ -188,23 +186,7 @@ let server () =
         Engine.Shard.in_worker () && attempt = 0
         && Sys.getenv_opt "METAMUT_SHARD_KILL" = Some (unit_name l.l_unit)
       then Unix._exit 42;
-      Engine.Shard.encode
-        (exec_lease ~heartbeat ~counters:(Domain.DLS.get counters) l)
-
-let worker_main () =
-  Engine.Status.set_tty_owner false;
-  (* a spawned worker is a fresh exec: it rebuilds the root fault
-     harness and the allocation budget from the environment the CLI
-     exported, so its per-(lease, attempt) chaos streams match the
-     coordinator's *)
-  let faults = Engine.Faults.from_env () in
-  let alloc_budget_words =
-    Option.bind
-      (Sys.getenv_opt "METAMUT_SHARD_ALLOC_BUDGET")
-      float_of_string_opt
-  in
-  Engine.Shard.worker_loop ?faults ?alloc_budget_words
-    (Engine.Shard.of_fd Unix.stdin) ~f:(server ())
+      Engine.Shard.encode (exec_lease ~heartbeat ~counters l)
 
 (* ------------------------------------------------------------------ *)
 (* The coordinator                                                     *)
@@ -230,8 +212,8 @@ type t = {
 
 let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
     ?(opt_levels = []) ?engine ?faults ?checkpoint ?(resume = false)
-    ?(shards = 1) ?backend ?limits ?status ?progress ?serve ?flight_dir () :
-    t =
+    ?(shards = 1) ?backend:(_ : Engine.Shard.backend option) ?limits ?status
+    ?progress ?serve ?flight_dir () : t =
   let us = units ?fuzzers ?compilers ~opt_levels () in
   Option.iter Engine.Checkpoint.mkdir_p checkpoint;
   let fingerprint u = unit_fingerprint cfg ?faults u in
@@ -431,7 +413,7 @@ let run ?(cfg = Campaign.default_config) ?fuzzers ?compilers
   in
   let on_tick () = Option.iter Engine.Serve.poll serve in
   let raw, stats =
-    Engine.Shard.run_pool ~shards ?backend ?limits ?faults ?ctx:engine
+    Engine.Shard.run_pool ~shards ?limits ?faults ?ctx:engine
       ~on_heartbeat ~on_result ~on_event ~on_tick ?journal ~f:(server ())
       leases
   in

@@ -1,6 +1,6 @@
 (** The campaign driver: {!Campaign} cells dealt as leases to an
-    {!Engine.Shard} worker pool — inline, on worker domains, or on
-    worker processes.
+    {!Engine.Shard} worker pool — inline, or on forked worker
+    processes.
 
     The work unit is one campaign cell — (fuzzer, compiler), optionally
     crossed with a [-O] level ({!run}'s [opt_levels] axis).  Each unit
@@ -8,13 +8,13 @@
     ({!Campaign.run_one}), and the coordinator merges worker registries,
     trace buffers, coverage, and crash sets in canonical unit order — so
     coverage, crashes, and the campaign report are byte-identical at any
-    worker count on any backend ([shards:1 ≡ shards:K]).
+    worker count ([shards:1 ≡ shards:K]).
 
     Worker failure flows into one supervision story: a worker that
     dies, hangs, or garbles a frame loses its lease back to the queue
     ({!Engine.Shard.run_pool}), and with [checkpoint] each committed
-    unit is journaled, so an interrupted campaign resumes on any
-    backend. *)
+    unit is journaled, so an interrupted campaign resumes at any worker
+    count. *)
 
 type unit_id = {
   u_fuzzer : Campaign.fuzzer_id;
@@ -75,10 +75,10 @@ val run :
   ?flight_dir:string ->
   unit ->
   t
-(** Run the unit matrix across [shards] workers of [backend] (default 1 =
-    inline on the calling domain, the mode every other run is compared
-    against; default backend {!Engine.Shard.Fork}).  The [jobs] field of
-    [cfg] is not read.
+(** Run the unit matrix across [shards] forked worker processes
+    (default 1 = inline on the calling process, the mode every other run
+    is compared against).  [backend] is not read: its one value is the
+    fork pool.  The [jobs] field of [cfg] is not read either.
 
     Each lease carries the campaign config, the unit id, and the root
     fault harness; the worker executes it with a {e fresh}
@@ -91,12 +91,10 @@ val run :
     merged registries are invariant in the worker count.
 
     [faults] additionally arms the shard-layer chaos sites (see
-    {!Engine.Faults.site}) in the pool and its Fork workers, and
-    [worker_crash] on {!Engine.Shard.Domains} workers; Spawn workers arm
-    themselves from the environment.  [limits] is the per-lease resource
-    governor ({!Engine.Shard.limits}; worker processes only): leases
-    that blow their deadline/budget are retried and eventually
-    {!quarantined_unit}-ed, never fatal to the run.
+    {!Engine.Faults.site}) in the pool and its workers.  [limits] is the
+    per-lease resource governor ({!Engine.Shard.limits}; pooled runs
+    only): leases that blow their deadline/budget are retried and
+    eventually {!quarantined_unit}-ed, never fatal to the run.
 
     [status] receives aggregated heartbeat totals (one line for the
     whole pool; workers relinquish TTY ownership).  [progress] ticks
@@ -105,7 +103,7 @@ val run :
     [serve] wires the pool into a live scrape server: heartbeats feed
     its per-shard table and time series, quarantines its list, and the
     socket is polled once per supervision round (and per heartbeat on
-    the inline and Domains paths).  [flight_dir] enables the flight
+    the inline path).  [flight_dir] enables the flight
     recorder: each quarantined unit dumps its supervision trail to
     [flight-<unit>.json] there.
 
@@ -139,9 +137,3 @@ val aggregate_coverage : t -> Simcomp.Coverage.t
 
 val all_crashes : t -> string list
 (** Sorted union of compiler-prefixed crash keys across all units. *)
-
-val worker_main : unit -> unit
-(** Entry point for a spawned [worker] subprocess: serve leases over
-    stdin (the coordinator passes its socket end as the child's stdin)
-    until {!Engine.Shard.frame.Shutdown}.  Relinquishes TTY ownership;
-    never returns normally before shutdown. *)

@@ -150,7 +150,6 @@ let recovery_section (m : Engine.Metrics.t) =
       ("shard.breaker_tripped", "leases quarantined by the circuit breaker");
       ("shard.crash_restart", "coordinator crash-restarts survived");
       ("shard.inline", "lease attempts run inline on the coordinator");
-      ("shard.worker_crashed", "worker domains that died");
     ]
   in
   let snapshot = Engine.Metrics.snapshot m in

@@ -1,9 +1,12 @@
 (** Reference interpreter for the C subset (AST level).
 
-    Used by MetaMut's validation loop (mutants must run without crashing
-    or hanging), by seed-generator sanity tests, and by differential
-    property tests.  Execution is bounded by a fuel counter, so the
-    interpreter itself always terminates. *)
+    In the library its one caller is [Fuzzing.Mutation_score], which
+    classifies each mutant by its observable behaviour (exit code and
+    output) against the original program's.  MetaMut's validation loop
+    type checks mutants and runs none.  The tests use it for
+    seed-generator sanity checks and differential properties, and the
+    examples to run programs.  Execution is bounded by a fuel counter,
+    so the interpreter itself always terminates. *)
 
 type value =
   | VInt of int64

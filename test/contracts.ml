@@ -37,7 +37,7 @@ let small_cfg =
 
 let some_fuzzers = Fuzzing.Campaign.[ MuCFuzz_s; AFLpp ]
 
-(* the smaller matrices of the rows on worker domains *)
+(* the smaller matrices of the rows over every fuzzer *)
 let cfg ?(schedule = false) iterations seeds =
   {
     Fuzzing.Campaign.default_config with
@@ -74,13 +74,13 @@ type outcome = {
 (* One campaign, observed as --telemetry observes one (trace and GC
    probe on). *)
 let campaign ?(cfg = small_cfg) ?(fuzzers = some_fuzzers) ?opt_levels ?faults
-    ?checkpoint ?resume ?(backend = Engine.Shard.Fork) shards =
+    ?checkpoint ?resume shards =
   let engine = Engine.Ctx.create () in
   ignore (Engine.Ctx.enable_trace engine);
   ignore (Engine.Ctx.enable_probe engine);
   let t =
     Fuzzing.Coordinator.run ~cfg ~fuzzers ?opt_levels ?faults ?checkpoint
-      ?resume ~engine ~shards ~backend ()
+      ?resume ~engine ~shards ()
   in
   {
     t;
@@ -152,15 +152,41 @@ let env_faults () =
     (match Engine.Faults.config_from_env () with
     | Some c -> c
     | None ->
-      { Engine.Faults.no_faults with compile_hang = 0.05; worker_crash = 0.3 })
+      { Engine.Faults.no_faults with compile_hang = 0.05; worker_oom = 0.3 })
+
+(* A process's state and parent from /proc/<pid>/stat, which reads
+   "pid (comm) state ppid ...", where comm may hold spaces. *)
+let proc_stat pid =
+  match
+    In_channel.with_open_bin (Fmt.str "/proc/%d/stat" pid) In_channel.input_all
+  with
+  | exception Sys_error _ -> None
+  | stat -> (
+    let rest = String.rindex stat ')' + 2 in
+    match
+      String.split_on_char ' ' (String.sub stat rest (String.length stat - rest))
+    with
+    | state :: ppid :: _ -> Some (state, int_of_string ppid)
+    | _ -> None)
+
+(* A zombie has exited already; it waits only for its parent to reap it. *)
+let running state = state <> "Z" && state <> "X"
+
+let alive pid =
+  match proc_stat pid with Some (state, _) -> running state | None -> false
+
+(* The running processes whose parent is [ppid]. *)
+let children_of ppid =
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter_map int_of_string_opt
+  |> List.filter (fun pid ->
+         match proc_stat pid with
+         | Some (state, parent) -> parent = ppid && running state
+         | None -> false)
 
 (* what a resumed run books for restoring units *)
 let resume_families = [ "checkpoint."; "mucfuzz.resume" ]
 
-(* Every Fork row comes before the first Domains row, and the Fork rows
-   are the "coordinator" group, which only test_shard prints, before its
-   own domain cases: OCaml 5.1 refuses [Unix.fork] once the process has
-   created a domain. *)
 let contracts =
   let fork_1 = lazy (campaign 1) and fork_4 = lazy (campaign 4) in
   let fork_killed =
@@ -177,7 +203,9 @@ let contracts =
   let om_killed_resumed =
     lazy
       (in_scratch_dir (fun dir ->
-           (* a real coordinator crash: fork one, SIGKILL it mid-run *)
+           (* a real coordinator crash: fork one and SIGKILL it once it
+              has workers and has journaled a unit; none of its workers
+              may outlive it by 5 s *)
            flush stdout;
            flush stderr;
            (match Unix.fork () with
@@ -185,9 +213,42 @@ let contracts =
              (try ignore (om ~checkpoint:dir 2) with _ -> ());
              Unix._exit 0
            | pid ->
-             Unix.sleepf 0.5;
+             let journaled () =
+               Array.exists
+                 (String.starts_with ~prefix:"journal-")
+                 (Sys.readdir dir)
+             in
+             let give_up = Unix.gettimeofday () +. 5. in
+             let rec mid_run () =
+               let workers = children_of pid in
+               if
+                 (workers <> [] && journaled ())
+                 || Unix.gettimeofday () > give_up
+               then workers
+               else begin
+                 Unix.sleepf 0.005;
+                 mid_run ()
+               end
+             in
+             let workers = mid_run () in
              (try Unix.kill pid Sys.sigkill with _ -> ());
-             ignore (Unix.waitpid [] pid));
+             ignore (Unix.waitpid [] pid);
+             check Alcotest.bool "the coordinator had workers" true
+               (workers <> []);
+             let deadline = Unix.gettimeofday () +. 5. in
+             while
+               List.exists alive workers && Unix.gettimeofday () < deadline
+             do
+               Unix.sleepf 0.05
+             done;
+             (* a failing run must not leave its orphans behind *)
+             let survivors = List.filter alive workers in
+             List.iter
+               (fun p -> try Unix.kill p Sys.sigkill with _ -> ())
+               survivors;
+             check
+               Alcotest.(list int)
+               "workers outliving the coordinator by 5 s" [] survivors);
            om ~checkpoint:dir ~resume:true 2))
   in
   let chaos shards =
@@ -196,31 +257,25 @@ let contracts =
          ~faults:(faults_of_spec ~seed:7 "frame=0.3,oom=0.3,coord=0.5")
          shards)
   in
-  let on_domains ?(fuzzers = Fuzzing.Campaign.all_fuzzers) ?faults ?checkpoint
+  let matrix ?(fuzzers = Fuzzing.Campaign.all_fuzzers) ?faults ?checkpoint
       ?resume cfg jobs =
-    campaign ~cfg ~fuzzers ?faults ?checkpoint ?resume
-      ~backend:Engine.Shard.Domains jobs
+    campaign ~cfg ~fuzzers ?faults ?checkpoint ?resume jobs
   in
-  let wide jobs = lazy (on_domains (cfg 12 10) jobs) in
+  let wide jobs = lazy (matrix (cfg 12 10) jobs) in
   let merged jobs =
-    lazy (on_domains ~fuzzers:Fuzzing.Campaign.[ MuCFuzz_u ] (cfg 8 6) jobs)
+    lazy (matrix ~fuzzers:Fuzzing.Campaign.[ MuCFuzz_u ] (cfg 8 6) jobs)
   in
   let faulted jobs =
-    lazy (on_domains ~faults:(env_faults ()) (cfg 10 8) jobs)
-  in
-  let crashing ?faults () =
-    on_domains
-      ~fuzzers:Fuzzing.Campaign.[ MuCFuzz_u; AFLpp ]
-      ?faults (cfg 8 6) 3
+    lazy (matrix ~faults:(env_faults ()) (cfg 10 8) jobs)
   in
   let scheduled jobs =
     lazy
-      (on_domains
+      (matrix
          ~fuzzers:Fuzzing.Campaign.[ MuCFuzz_s; MuCFuzz_u ]
          (cfg ~schedule:true 10 8) jobs)
   in
   let resumable ?checkpoint ?resume () =
-    on_domains
+    matrix
       ~fuzzers:Fuzzing.Campaign.[ MuCFuzz_u; Csmith ]
       ?checkpoint ?resume (cfg 10 8) 2
   in
@@ -234,7 +289,7 @@ let contracts =
            Sys.remove (Filename.concat dir "journal-uCFuzz.u-GCC.ckpt");
            resumable ~checkpoint:dir ~resume:true ()))
   in
-  let telemetry jobs = lazy (on_domains (cfg 10 8) jobs) in
+  let telemetry jobs = lazy (matrix (cfg 10 8) jobs) in
   [
     row "coordinator"
       "shards:1 ≡ shards:4: results, coverage, crashes, report" "shards 1 ≡ 4"
@@ -280,16 +335,10 @@ let contracts =
     row "determinism" "parallel metrics merge equals the sequential registry"
       "jobs 1 ≡ 2" (merged 1) (merged 2);
     row "determinism" "faulted campaign is identical at any job count"
-      "faulted jobs 1 ≡ 4" (faulted 1) (faulted 4) ~moved:[ "shard." ];
-    row "campaign" "worker-crash faults do not change results"
-      "worker crashes ≡ clean" (lazy (crashing ()))
-      (lazy
-        (crashing
-           ~faults:
-             (Engine.Faults.create ~seed:5
-                { Engine.Faults.no_faults with worker_crash = 1.0 })
-           ()))
-      ~moved:[ "shard." ] ~also:(fun _ b -> no_failures b);
+      "faulted jobs 1 ≡ 4" (faulted 1) (faulted 4)
+      (* the inline run draws worker_oom on the coordinator's context,
+         a forked worker on none, so only the inline run counts it *)
+      ~moved:[ "shard."; "faults.injected.worker_oom" ];
     row "campaign" "scheduled campaigns are identical across job counts"
       "scheduled jobs 1 ≡ 4" (scheduled 1) (scheduled 4);
     row "campaign" "campaign resume reproduces the uninterrupted result"

@@ -535,8 +535,7 @@ let campaign_tests =
           }
         in
         let t =
-          Fuzzing.Coordinator.run ~cfg ~shards:cfg.jobs
-            ~backend:Engine.Shard.Domains ()
+          Fuzzing.Coordinator.run ~cfg ~shards:cfg.jobs ()
         in
         check Alcotest.int "results" 12 (List.length t.Fuzzing.Coordinator.results));
     tc "crash sets are prefixed by compiler" (fun () ->
@@ -552,7 +551,7 @@ let campaign_tests =
         let t =
           Fuzzing.Coordinator.to_campaign
             (Fuzzing.Coordinator.run ~cfg ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_s ]
-               ~shards:cfg.jobs ~backend:Engine.Shard.Domains ())
+               ~shards:cfg.jobs ())
         in
         Hashtbl.iter
           (fun k () ->

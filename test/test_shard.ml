@@ -1,8 +1,7 @@
 (* Tests for the worker pool and the campaign driver: the frame protocol
    (round-trips, garbled/short/oversized frames rejected without
-   hanging, timeouts), the worker pool (shards:1 ≡ shards:K on the fork
-   and domain backends, death-mid-lease requeue, deterministic
-   failures), the campaign coordinator (shards:1 ≡ shards:4
+   hanging, timeouts), the worker pool (shards:1 ≡ shards:K,
+   death-mid-lease requeue, deterministic failures, chaos verdicts), the campaign coordinator (shards:1 ≡ shards:4
    byte-identical report, opt-matrix determinism, coordinator-crash
    resume), and Status TTY ownership. *)
 
@@ -184,8 +183,7 @@ let pool_tests =
           Engine.Shard.run_pool ~shards:1 ~f:upper_f leases
         in
         let par_r, _ =
-          Engine.Shard.run_pool ~shards:3 ~backend:Engine.Shard.Fork
-            ~f:upper_f leases
+          Engine.Shard.run_pool ~shards:3 ~f:upper_f leases
         in
         check verdicts_testable "results equal" seq_r par_r;
         check Alcotest.int "no deaths inline" 0 seq_stats.Engine.Shard.st_died;
@@ -199,7 +197,7 @@ let pool_tests =
         let beats = ref 0 in
         let leases = Array.init 3 (fun i -> string_of_int i) in
         let _, _ =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~on_heartbeat:(fun ~shard:_ ~execs:_ ~covered:_ ~crashes:_ ->
               incr beats)
             ~f:upper_f leases
@@ -215,7 +213,7 @@ let pool_tests =
         let ctx = Engine.Ctx.create () in
         let leases = [| "a"; "die"; "b"; "c" |] in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork ~ctx ~f
+          Engine.Shard.run_pool ~shards:2 ~ctx ~f
             leases
         in
         check verdicts_testable "all recovered"
@@ -239,7 +237,7 @@ let pool_tests =
           "ok:" ^ body
         in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~limits:{ Engine.Shard.default_limits with max_attempts = 2 }
             ~f [| "x"; "bad"; "y" |]
         in
@@ -270,7 +268,7 @@ let chaos_tests =
     { Engine.Shard.default_limits with hang_timeout_s = 1.0 }
   in
   let run ~shards ?limits ?faults ?ctx ?journal leases =
-    Engine.Shard.run_pool ~shards ~backend:Engine.Shard.Fork
+    Engine.Shard.run_pool ~shards
       ~limits:(Option.value ~default:quick_limits limits)
       ?faults ?ctx ?journal ~f:upper_f leases
   in
@@ -278,12 +276,17 @@ let chaos_tests =
     tc "injected oom/garble/stall: shards:1 ≡ shards:3 verdicts" (fun () ->
         let leases = Array.init 8 (fun i -> Fmt.str "lease-%d" i) in
         let spec = "oom=0.35,frame=0.25,stall=0.2" in
-        let seq_r, _ = run ~shards:1 ~faults:(faults_of_spec spec) leases in
+        let seq_r, seq_stats =
+          run ~shards:1 ~faults:(faults_of_spec spec) leases
+        in
         let ctx = Engine.Ctx.create () in
         let par_r, stats =
           run ~shards:3 ~faults:(faults_of_spec spec) ~ctx leases
         in
         check verdicts_testable "verdicts equal under chaos" seq_r par_r;
+        (* the inline path books a death wherever a worker would die *)
+        check Alcotest.int "same deaths" seq_stats.Engine.Shard.st_died
+          stats.Engine.Shard.st_died;
         (* at these rates the stream provably hits something *)
         check Alcotest.bool "chaos actually fired" true
           (stats.Engine.Shard.st_died >= 1);
@@ -361,7 +364,7 @@ let chaos_tests =
         in
         let ctx = Engine.Ctx.create () in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~limits:
               {
                 Engine.Shard.default_limits with
@@ -397,7 +400,7 @@ let chaos_tests =
           "ok:" ^ body
         in
         let r, stats =
-          Engine.Shard.run_pool ~shards:2 ~backend:Engine.Shard.Fork
+          Engine.Shard.run_pool ~shards:2
             ~limits:
               {
                 Engine.Shard.default_limits with
@@ -416,19 +419,23 @@ let chaos_tests =
           (Engine.Shard.Done "ok:b") r.(2);
         check Alcotest.bool "governor kills counted" true
           (stats.Engine.Shard.st_oom >= 1));
-    tc "no spawnable worker: inline fallback, chaos verdicts unchanged"
-      (fun () ->
-        let leases = Array.init 6 (fun i -> Fmt.str "f%d" i) in
-        let spec = "io=0.3,oom=0.4" in
-        let seq_r, _ = run ~shards:1 ~faults:(faults_of_spec spec) leases in
-        let broken = Engine.Shard.Spawn (fun _ -> failwith "no exec") in
+    tc "spent spawn budget: the queue finishes inline" (fun () ->
+        (* every worker dies on the first attempt of its first lease: two
+           workers and a respawn budget of 2 x 3 take each of the eight
+           leases once, then nothing is left to fork *)
+        let f ~heartbeat ~seq ~attempt body =
+          if attempt = 0 && Engine.Shard.in_worker () then Unix._exit 42;
+          upper_f ~heartbeat ~seq ~attempt body
+        in
+        let leases = Array.init 8 (fun i -> Fmt.str "f%d" i) in
+        let seq_r, _ = Engine.Shard.run_pool ~shards:1 ~f:upper_f leases in
         let fb_r, stats =
-          Engine.Shard.run_pool ~shards:3 ~backend:broken ~limits:quick_limits
-            ~faults:(faults_of_spec spec) ~f:upper_f leases
+          Engine.Shard.run_pool ~shards:2 ~limits:quick_limits ~f leases
         in
         check verdicts_testable "fallback ≡ inline" seq_r fb_r;
-        check Alcotest.bool "attempts ran inline" true
-          (stats.Engine.Shard.st_inline >= Array.length leases));
+        check Alcotest.int "every worker died" 8 stats.Engine.Shard.st_died;
+        check Alcotest.int "every lease ran inline" 8
+          stats.Engine.Shard.st_inline);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -505,40 +512,6 @@ let coordinator_tests =
 
 
 (* ------------------------------------------------------------------ *)
-(* Domain backend                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The fork and domain backends are checked against the same inline
-   baseline.  These cases run last: once a process has created a domain,
-   OCaml refuses to [Unix.fork] it, which every fork case above needs. *)
-let domain_tests =
-  let run ~shards ?faults leases =
-    Engine.Shard.run_pool ~shards ~backend:Engine.Shard.Domains ?faults
-      ~f:upper_f leases
-  in
-  [
-    tc "run_pool shards:1 ≡ shards:3 (domains)" (fun () ->
-        let leases = Array.init 7 (fun i -> Fmt.str "lease-%d" i) in
-        let seq_r, _ = run ~shards:1 leases in
-        let par_r, stats = run ~shards:3 leases in
-        check verdicts_testable "results equal" seq_r par_r;
-        check Alcotest.int "two spawned domains" 2 stats.Engine.Shard.st_spawned);
-    tc "injected oom/garble/stall: shards:1 ≡ shards:3 verdicts (domains)"
-      (fun () ->
-        let leases = Array.init 8 (fun i -> Fmt.str "lease-%d" i) in
-        let spec = "oom=0.35,frame=0.25,stall=0.2" in
-        let seq_r, seq_stats = run ~shards:1 ~faults:(faults_of_spec spec) leases in
-        let par_r, stats = run ~shards:3 ~faults:(faults_of_spec spec) leases in
-        check verdicts_testable "verdicts equal under chaos" seq_r par_r;
-        (* the coordinator makes every draw, so even the accounting
-           matches the inline path *)
-        check Alcotest.int "same deaths" seq_stats.Engine.Shard.st_died
-          stats.Engine.Shard.st_died;
-        check Alcotest.bool "chaos actually fired" true
-          (stats.Engine.Shard.st_died >= 1));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Status TTY ownership                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -584,6 +557,4 @@ let () =
       ("chaos", chaos_tests);
       ("coordinator", Contracts.tests "coordinator" @ coordinator_tests);
       ("status", status_tests);
-      (* after every fork case: see [domain_tests] *)
-      ("domains", domain_tests);
     ]

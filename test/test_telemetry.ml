@@ -443,7 +443,7 @@ let telemetry_tests =
         let t =
           Fuzzing.Coordinator.run ~cfg
             ~fuzzers:[ Fuzzing.Campaign.MuCFuzz_u ]
-            ~engine ~shards:1 ~backend:Engine.Shard.Domains ()
+            ~engine ~shards:1 ()
         in
         let md =
           Fuzzing.Run_report.campaign ~engine (Fuzzing.Coordinator.to_campaign t)
